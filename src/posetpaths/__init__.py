@@ -63,6 +63,7 @@ from .posets import (
     PosetFormatError,
     PosetWindow,
     ROOT,
+    add_element,
     addable_elements,
     build_antichain_poset,
     build_box_poset,

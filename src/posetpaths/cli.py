@@ -13,7 +13,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .graded_graph import build_graph
+from .graded_graph import DEFAULT_VERTEX_CAP, build_graph
 from .ideals import parse_ideal
 from .measures import (
     FREQUENCY_CSV_HEADER,
@@ -143,7 +143,7 @@ def cmd_poset(args) -> int:
 def cmd_graph(args) -> int:
     window = _resolve_window(args)
     depth = args.depth if args.depth is not None else window.poset.n - 1
-    g = build_graph(window, depth)
+    g = build_graph(window, depth, vertex_cap=args.vertex_cap)
     out = _Out(args.out)
     _echo_config(
         out, "graph", {"poset": _poset_flag(args), "depth": depth, "format": args.format}
@@ -445,6 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph = sub.add_parser("graph", help="level table of the ideal lattice with path counts")
     _add_poset_args(p_graph)
     p_graph.add_argument("--depth", type=int, default=None, help="largest ideal size (default: all)")
+    p_graph.add_argument(
+        "--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP, dest="vertex_cap"
+    )
     p_graph.add_argument("--format", choices=["text", "csv"], default="text")
     p_graph.add_argument("--out", default=None)
     p_graph.set_defaults(func=cmd_graph)

@@ -8,12 +8,23 @@ integers; counting never touches floating point.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .posets import PathNumbering, PosetWindow, ROOT, addable_elements, validate_numbering
+from .posets import (
+    ROOT,
+    CapExceeded,
+    PathNumbering,
+    PosetWindow,
+    add_element,
+    addable_elements,  # noqa: F401  (bench/spans.py traces the name here)
+    validate_numbering,
+)
+
+DEFAULT_VERTEX_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelVertex:
     level: int
     index: int
@@ -26,11 +37,20 @@ class LevelVertex:
 class GradedGraph:
     """Levels of ideal vertices with up-edges and exact path counts.
 
-    Vertices are sorted per level lexicographically by their id lists, so
-    (level, index) coordinates are deterministic across runs.
+    The build runs on the bitmask ideal core of `posets`: each vertex is
+    an int mask carried together with the mask of its addable elements,
+    and `add_element` updates the pair from the upper covers of the
+    element added. A child reached along several edges is computed once;
+    its sorted id tuple is its parent's with the added id inserted.
+    Ids are stored as bit n-1-x, so sorting a level's masks in descending
+    order lists its ideals lexicographically by their sorted id tuples:
+    (level, index) coordinates are deterministic across runs, and edge
+    rows, read from the highest addable bit down, are sorted by the added
+    id. Raises CapExceeded when the graph would hold more than
+    `vertex_cap` vertices.
     """
 
-    def __init__(self, window: PosetWindow, depth: int):
+    def __init__(self, window: PosetWindow, depth: int, vertex_cap: int = DEFAULT_VERTEX_CAP):
         poset = window.poset
         if not (0 <= depth <= poset.n - 1):
             raise ValueError(
@@ -41,32 +61,50 @@ class GradedGraph:
         self.levels: list[list[LevelVertex]] = []
         self.up_edges: list[list[list[tuple[int, int]]]] = []
         self.dims: list[list[int]] = []
-        self._locate: dict[tuple[int, ...], tuple[int, int]] = {}
+        # per level: ideal mask -> index
+        self._index: list[dict[int, int]] = []
 
-        current = [(ROOT,)]
+        n = poset.n
+        root, root_addable = add_element(poset, 0, poset.bit(ROOT), ROOT)
+        masks, addables, ideals = [root], [root_addable], [(ROOT,)]
+        index = {root: 0}
+        total = 1
         for level in range(depth + 1):
-            verts = [LevelVertex(level, i, ideal) for i, ideal in enumerate(current)]
-            self.levels.append(verts)
-            for v in verts:
-                self._locate[v.ideal] = (level, v.index)
+            self.levels.append(
+                [LevelVertex(level, i, ideal) for i, ideal in enumerate(ideals)]
+            )
+            self._index.append(index)
             if level == depth:
-                self.up_edges.append([[] for _ in verts])
+                self.up_edges.append([[] for _ in masks])
                 break
-            nxt: set[tuple[int, ...]] = set()
-            for ideal in current:
-                for x in addable_elements(poset, ideal):
-                    nxt.add(tuple(sorted(ideal + (x,))))
-            nxt_sorted = sorted(nxt)
-            nxt_index = {ideal: i for i, ideal in enumerate(nxt_sorted)}
-            edges = []
-            for ideal in current:
+            # child mask -> (its addable mask, its sorted id tuple)
+            children: dict[int, tuple[int, tuple[int, ...]]] = {}
+            rows = []
+            for mask, addable, ideal in zip(masks, addables, ideals):
                 row = []
-                for x in addable_elements(poset, ideal):
-                    bigger = tuple(sorted(ideal + (x,)))
-                    row.append((x, nxt_index[bigger]))
-                edges.append(sorted(row))
-            self.up_edges.append(edges)
-            current = nxt_sorted
+                rest = addable
+                while rest:
+                    top = rest.bit_length()
+                    bit = 1 << (top - 1)
+                    rest ^= bit
+                    child = mask | bit
+                    x = n - top
+                    if child not in children:
+                        total += 1
+                        if total > vertex_cap:
+                            raise CapExceeded(f"graph exceeds {vertex_cap} vertices")
+                        at = bisect_right(ideal, x)
+                        children[child] = (
+                            add_element(poset, mask, addable, x)[1],
+                            ideal[:at] + (x,) + ideal[at:],
+                        )
+                    row.append((x, child))
+                rows.append(row)
+            masks = sorted(children, reverse=True)
+            addables = [children[m][0] for m in masks]
+            ideals = [children[m][1] for m in masks]
+            index = {m: i for i, m in enumerate(masks)}
+            self.up_edges.append([[(x, index[c]) for x, c in row] for row in rows])
 
         self.dims = [[0] * len(lvl) for lvl in self.levels]
         self.dims[0][0] = 1
@@ -80,10 +118,13 @@ class GradedGraph:
 
     def vertex_of(self, ideal) -> LevelVertex:
         key = tuple(sorted(set(ideal) | {ROOT}))
-        loc = self._locate.get(key)
-        if loc is None:
-            raise KeyError(f"ideal {key} not in graph (depth {self.depth})")
-        return self.levels[loc[0]][loc[1]]
+        poset = self.window.poset
+        level = len(key) - 1
+        if 0 <= key[0] and key[-1] < poset.n and level <= self.depth:
+            index = self._index[level].get(poset.mask_of(key))
+            if index is not None:
+                return self.levels[level][index]
+        raise KeyError(f"ideal {key} not in graph (depth {self.depth})")
 
     def vertices(self):
         for lvl in self.levels:
@@ -94,13 +135,15 @@ class GradedGraph:
         lines = ["level,index,ideal,dim"]
         for lvl in self.levels:
             for v in lvl:
-                ideal = " ".join(str(i) for i in v.ideal)
+                ideal = " ".join(map(str, v.ideal))
                 lines.append(f"{v.level},{v.index},{ideal},{self.dims[v.level][v.index]}")
         return "\n".join(lines) + "\n"
 
 
-def build_graph(window: PosetWindow, depth: int) -> GradedGraph:
-    return GradedGraph(window, depth)
+def build_graph(
+    window: PosetWindow, depth: int, vertex_cap: int = DEFAULT_VERTEX_CAP
+) -> GradedGraph:
+    return GradedGraph(window, depth, vertex_cap)
 
 
 def dimension(g: GradedGraph, v: LevelVertex) -> int:

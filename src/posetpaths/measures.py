@@ -195,9 +195,14 @@ def path_measure(m: ExplicitMarkov) -> dict[tuple[int, ...], Fraction]:
     return out
 
 
-def uniform_path_measure(window: PosetWindow, length: int) -> dict[tuple[int, ...], Fraction]:
-    """The uniform law on all numberings of the given length."""
-    paths = enumerate_numberings(window, length)
+def uniform_path_measure(
+    window: PosetWindow, length: int, path_cap: int = 100_000
+) -> dict[tuple[int, ...], Fraction]:
+    """The uniform law on all numberings of the given length.
+
+    Raises CapExceeded when there are more than `path_cap` numberings.
+    """
+    paths = enumerate_numberings(window, length, limit=path_cap)
     w = Fraction(1, len(paths))
     return {p.elements: w for p in paths}
 
@@ -238,13 +243,16 @@ class CentralityReport:
         return self.invariance_ok and self.fiber_ok
 
 
-def is_central(g: GradedGraph, measure, tol: float = 0.0) -> CentralityReport:
+def is_central(
+    g: GradedGraph, measure, tol: float = 0.0, path_cap: int = 100_000
+) -> CentralityReport:
     """Check a path measure for invariance under every involution and for
     fiber-conditional uniformity.
 
     `measure` maps numberings (tuples of ids, or PathNumbering) of one
     common length to probabilities. Rational values are compared
-    exactly; floats within `tol`.
+    exactly; floats within `tol`. Raises CapExceeded when the window has
+    more than `path_cap` numberings of that length.
     """
     probs: dict[tuple[int, ...], object] = {}
     for key, p in measure.items():
@@ -267,7 +275,7 @@ def is_central(g: GradedGraph, measure, tol: float = 0.0) -> CentralityReport:
         raise ValueError(f"probabilities sum to {total}, not 1")
 
     poset = g.window.poset
-    all_paths = enumerate_numberings(g.window, length)
+    all_paths = enumerate_numberings(g.window, length, limit=path_cap)
     valid = {p.elements for p in all_paths}
     for key in probs:
         if key not in valid:

@@ -17,8 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 ROOT = 0
 
 
@@ -39,10 +37,18 @@ class Element:
 class Poset:
     """Immutable finite poset given by its cover relations.
 
-    `leq` is the reflexive-transitive closure of the covers, stored as a
-    dense boolean matrix; adequate at desk scale (hundreds of elements).
-    Raises PosetFormatError if the covers contain a cycle or if id 0 is
-    not the unique minimal element.
+    Sets of elements are Python int bitmasks with id x stored as bit
+    n-1-x (see `bit`), so id 0 is the highest bit. For two sets of equal
+    size, the larger mask is the one whose sorted id tuple comes first
+    lexicographically; sorting masks in descending order therefore lists
+    them in lexicographic id order.
+
+    The order itself is one reachability bitset per element: `_above[x]`
+    is the mask of every y with x <= y, filled in reverse topological
+    order from the upper covers, so `leq` is a shift and a mask. Kahn's
+    algorithm produces that order and detects cycles on the way. Raises
+    PosetFormatError if the covers contain a cycle or if id 0 is not the
+    unique minimal element.
     """
 
     def __init__(self, n: int, covers, coords=None):
@@ -72,36 +78,63 @@ class Poset:
                     raise PosetFormatError(f"duplicate coordinates {c}")
                 seen[c] = True
 
-        adj = np.zeros((n, n), dtype=bool)
+        lower: list[list[int]] = [[] for _ in range(n)]
+        upper: list[list[int]] = [[] for _ in range(n)]
         for lo, hi in self.covers:
-            adj[lo, hi] = True
-        reach = adj | np.eye(n, dtype=bool)
-        while True:
-            nxt = reach | (reach @ reach)
-            if np.array_equal(nxt, reach):
-                break
-            reach = nxt
-        sym = reach & reach.T & ~np.eye(n, dtype=bool)
-        if sym.any():
-            x, y = map(int, np.argwhere(sym)[0])
-            raise PosetFormatError(f"cycle detected through ids {x} and {y}")
-        self._leq = reach
-        self._leq.setflags(write=False)
+            lower[hi].append(lo)
+            upper[lo].append(hi)
+        self._lower = tuple(tuple(ids) for ids in lower)
+        self._upper = tuple(tuple(ids) for ids in upper)
 
-        self._lower = tuple(
-            tuple(int(lo) for lo, hi in self.covers if hi == x) for x in range(n)
-        )
-        self._upper = tuple(
-            tuple(int(hi) for lo, hi in self.covers if lo == x) for x in range(n)
-        )
-        minimal = [x for x in range(n) if not self._lower[x]]
+        # Kahn's algorithm: an element enters the order once all its lower
+        # covers have; elements left over lie on or above a cycle
+        waiting = [len(ids) for ids in lower]
+        order = [x for x in range(n) if not waiting[x]]
+        for x in order:
+            for y in upper[x]:
+                waiting[y] -= 1
+                if not waiting[y]:
+                    order.append(y)
+        if len(order) < n:
+            stuck = [x for x in range(n) if waiting[x]]
+            raise PosetFormatError(f"cycle detected among ids {stuck}")
+        minimal = [x for x in range(n) if not lower[x]]
         if minimal != [ROOT]:
             raise PosetFormatError(
                 f"id 0 must be the unique minimal element, found minimal ids {minimal}"
             )
+        rank = [0] * n
+        for r, x in enumerate(order):
+            rank[x] = r
+        self._rank = tuple(rank)
+
+        self._bit = tuple(1 << (n - 1 - x) for x in range(n))
+        above = [0] * n
+        for x in reversed(order):
+            reach = self._bit[x]
+            for y in upper[x]:
+                reach |= above[y]
+            above[x] = reach
+        self._above = tuple(above)
+        # per element: (bit, lower-cover mask) of each upper cover
+        self._grow = tuple(
+            tuple((self._bit[y], self.mask_of(lower[y])) for y in upper[x])
+            for x in range(n)
+        )
 
     def leq(self, x: int, y: int) -> bool:
-        return bool(self._leq[x, y])
+        return bool(self._above[x] >> (self.n - 1 - y) & 1)
+
+    def bit(self, x: int) -> int:
+        """The single-bit mask of id x (bit n-1-x)."""
+        return self._bit[x]
+
+    def mask_of(self, ids) -> int:
+        """Bitmask of an id collection."""
+        mask = 0
+        for x in ids:
+            mask |= self._bit[x]
+        return mask
 
     def lower_covers(self, x: int) -> tuple[int, ...]:
         return self._lower[x]
@@ -120,7 +153,7 @@ class Poset:
         out = []
         for x in range(self.n):
             for y in range(x + 1, self.n):
-                if not self._leq[x, y] and not self._leq[y, x]:
+                if not self.leq(x, y) and not self.leq(y, x):
                     out.append((x, y))
         return out
 
@@ -151,7 +184,6 @@ class PosetWindow:
     family: str
     params: tuple
     poset: Poset
-    growable: bool
 
     @property
     def n(self) -> int:
@@ -187,7 +219,7 @@ def build_young_poset(partition) -> PosetWindow:
         if (r + 1, c) in ids:
             covers.append((k, ids[(r + 1, c)]))
     poset = Poset(len(cells) + 1, covers, coords)
-    return PosetWindow("young", tuple(parts), poset, growable=True)
+    return PosetWindow("young", tuple(parts), poset)
 
 
 def build_box_poset(d: int, bounds) -> PosetWindow:
@@ -214,7 +246,7 @@ def build_box_poset(d: int, bounds) -> PosetWindow:
             if q in ids:
                 covers.append((ids[p], ids[q]))
     poset = Poset(len(ordered), covers, ordered)
-    return PosetWindow("box", bnds, poset, growable=True)
+    return PosetWindow("box", bnds, poset)
 
 
 def build_chain_poset(n: int) -> PosetWindow:
@@ -223,7 +255,7 @@ def build_chain_poset(n: int) -> PosetWindow:
         raise ValueError("chain length must be >= 1")
     covers = [(k, k + 1) for k in range(n - 1)]
     coords = [(k + 1,) for k in range(n)]
-    return PosetWindow("chain", (n,), Poset(n, covers, coords), growable=True)
+    return PosetWindow("chain", (n,), Poset(n, covers, coords))
 
 
 def build_antichain_poset(n: int) -> PosetWindow:
@@ -231,7 +263,7 @@ def build_antichain_poset(n: int) -> PosetWindow:
     if n < 1:
         raise ValueError("antichain size must be >= 1")
     covers = [(ROOT, k) for k in range(1, n + 1)]
-    return PosetWindow("antichain", (n,), Poset(n + 1, covers), growable=True)
+    return PosetWindow("antichain", (n,), Poset(n + 1, covers))
 
 
 def parse_poset(text: str) -> PosetWindow:
@@ -276,7 +308,7 @@ def parse_poset(text: str) -> PosetWindow:
     if all(c is None for c in coords_list):
         coords_list = None
     poset = Poset(n, covers, coords_list)
-    return PosetWindow("file", (), poset, growable=False)
+    return PosetWindow("file", (), poset)
 
 
 def serialize_poset(window: PosetWindow) -> str:
@@ -294,20 +326,39 @@ def serialize_poset(window: PosetWindow) -> str:
     return "\n".join(lines) + "\n"
 
 
+def add_element(poset: Poset, ideal: int, addable: int, x: int) -> tuple[int, int]:
+    """Add the addable id x to a bitmask ideal; returns (ideal, addable) after.
+
+    `addable` is the mask of ids outside `ideal` whose lower covers all
+    lie inside it. Adding x can only make x's upper covers addable, so
+    only those are examined. The empty set, with the root as its one
+    addable element, is (0, poset.bit(ROOT)).
+    """
+    ideal |= poset._bit[x]
+    addable &= ~poset._bit[x]
+    for bit, needs in poset._grow[x]:
+        if needs & ideal == needs:
+            addable |= bit
+    return ideal, addable
+
+
 def addable_elements(poset: Poset, ideal) -> list[int]:
-    """Ids outside the ideal whose lower covers all lie inside it.
+    """Ids outside the ideal whose lower covers all lie inside it, ascending.
 
     Adding any returned id keeps the set downward closed. The input must
-    itself be downward closed.
+    itself be downward closed: its ids are added with `add_element` in
+    topological order, and one that is not addable when its turn comes
+    has a lower cover missing from the set, which raises ValueError.
     """
-    s = set(ideal)
-    if not poset.is_ideal(s):
-        raise ValueError("input set is not downward closed")
-    return [
-        x
-        for x in range(poset.n)
-        if x not in s and all(lo in s for lo in poset.lower_covers(x))
-    ]
+    members = set(ideal)
+    if not all(0 <= x < poset.n for x in members):
+        raise ValueError(f"ids outside 0..{poset.n - 1} in {sorted(members)}")
+    mask, addable = 0, poset.bit(ROOT)
+    for x in sorted(members, key=poset._rank.__getitem__):
+        if not addable & poset.bit(x):
+            raise ValueError("input set is not downward closed")
+        mask, addable = add_element(poset, mask, addable, x)
+    return [x for x in range(poset.n) if addable & poset.bit(x)]
 
 
 @dataclass(frozen=True)
@@ -372,25 +423,25 @@ def enumerate_numberings(
     if not (1 <= length <= poset.n):
         raise ValueError(f"length must be in 1..{poset.n}, got {length}")
     out: list[PathNumbering] = []
+    n = poset.n
     prefix = [ROOT]
-    in_prefix = {ROOT}
 
-    # scanning ids in increasing order makes the output lexicographic
-    def extend():
+    # taking addable bits from the highest down adds ids in increasing
+    # order, which makes the output lexicographic
+    def extend(ideal, addable):
         if len(prefix) == length:
             out.append(PathNumbering(tuple(prefix)))
             if limit is not None and len(out) > limit:
                 raise CapExceeded(f"more than {limit} numberings")
             return
-        for x in range(poset.n):
-            if x in in_prefix:
-                continue
-            if all(lo in in_prefix for lo in poset.lower_covers(x)):
-                prefix.append(x)
-                in_prefix.add(x)
-                extend()
-                prefix.pop()
-                in_prefix.discard(x)
+        rest = addable
+        while rest:
+            top = rest.bit_length()
+            rest ^= 1 << (top - 1)
+            x = n - top
+            prefix.append(x)
+            extend(*add_element(poset, ideal, addable, x))
+            prefix.pop()
 
-    extend()
+    extend(*add_element(poset, 0, poset.bit(ROOT), ROOT))
     return out

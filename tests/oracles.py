@@ -7,8 +7,29 @@ no code with the implementations under test.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import gcd
+
+
+@functools.lru_cache(maxsize=64)
+def order_pairs(poset):
+    """All pairs (x, y) with x <= y: the reflexive-transitive closure of
+    `poset.covers`, by a depth-first search from every element."""
+    upper = {x: [] for x in range(poset.n)}
+    for lo, hi in poset.covers:
+        upper[lo].append(hi)
+    pairs = set()
+    for x in range(poset.n):
+        seen = {x}
+        stack = [x]
+        while stack:
+            for y in upper[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        pairs.update((x, y) for y in seen)
+    return frozenset(pairs)
 
 
 def brute_numberings(poset, length):
@@ -16,8 +37,9 @@ def brute_numberings(poset, length):
 
     Exponential; fine for the corpus posets (at most 8 non-root elements).
     """
+    leq = order_pairs(poset)
     below = {
-        x: {y for y in range(poset.n) if y != x and poset.leq(y, x)}
+        x: {y for y in range(poset.n) if y != x and (y, x) in leq}
         for x in range(poset.n)
     }
     out = []
@@ -52,10 +74,47 @@ def bitmask_extension_count(poset, length):
     return sum(counts.values())
 
 
+def ideal_levels(poset, depth):
+    """Ideal lattice by a level-by-level scan over id tuples.
+
+    Returns (levels, edges, dims): level k lists the downward-closed id
+    tuples (root included) with k non-root elements, sorted
+    lexicographically; edges[k][i] lists (added id, index at level k+1)
+    in increasing id order; dims counts root-to-vertex paths.
+    """
+    lower = {x: set() for x in range(poset.n)}
+    for lo, hi in poset.covers:
+        lower[hi].add(lo)
+    levels = [[(0,)]]
+    edges = []
+    for _ in range(depth):
+        grown = {}
+        for ideal in levels[-1]:
+            members = set(ideal)
+            grown[ideal] = [
+                (x, tuple(sorted(members | {x})))
+                for x in range(poset.n)
+                if x not in members and lower[x] <= members
+            ]
+        nxt = sorted({child for row in grown.values() for _, child in row})
+        position = {child: j for j, child in enumerate(nxt)}
+        edges.append([[(x, position[c]) for x, c in grown[ideal]] for ideal in levels[-1]])
+        levels.append(nxt)
+    edges.append([[] for _ in levels[-1]])
+    dims = [[0] * len(level) for level in levels]
+    dims[0][0] = 1
+    for k in range(depth):
+        for i, row in enumerate(edges[k]):
+            for _, j in row:
+                dims[k + 1][j] += dims[k][i]
+    return levels, edges, dims
+
+
 def sigma_map(poset, seq, i):
     """Independent adjacent-swap rule: swap iff the two entries are incomparable."""
     a, b = seq[i], seq[i + 1]
-    if poset.leq(a, b) or poset.leq(b, a):
+    leq = order_pairs(poset)
+    if (a, b) in leq or (b, a) in leq:
         return seq
     out = list(seq)
     out[i], out[i + 1] = b, a

@@ -2,7 +2,26 @@ from __future__ import annotations
 
 import pytest
 
+from posetpaths import (
+    build_antichain_poset,
+    build_box_poset,
+    build_chain_poset,
+    build_young_poset,
+)
 from posetpaths.cli import main
+
+from oracles import brute_numberings
+
+CORPUS = [
+    (("--young", "2,1"), build_young_poset([2, 1])),
+    (("--young", "3,1"), build_young_poset([3, 1])),
+    (("--young", "3,2"), build_young_poset([3, 2])),
+    (("--young", "2,2,1"), build_young_poset([2, 2, 1])),
+    (("--box", "3,3"), build_box_poset(2, (3, 3))),
+    (("--box", "2,2,2"), build_box_poset(3, (2, 2, 2))),
+    (("--chain", "6"), build_chain_poset(6)),
+    (("--antichain", "4"), build_antichain_poset(4)),
+]
 
 
 def run(capsys, *argv):
@@ -75,6 +94,34 @@ def test_paths_cap_exit_code(capsys):
     code, _, err = run(capsys, "paths", "--antichain", "6", "--path-cap", "5")
     assert code == 3
     assert "error" in err
+
+
+def test_paths_list_matches_brute_numberings_on_corpus(capsys):
+    for flag, w in CORPUS:
+        for length in range(1, w.poset.n + 1):
+            code, out, _ = run(capsys, "paths", *flag, "--depth", str(length), "--list")
+            assert code == 0
+            body = [line for line in out.splitlines() if not line.startswith("#")]
+            expected = brute_numberings(w.poset, length)
+            assert body[0] == f"paths: {len(expected)}"
+            assert body[1:] == [",".join(map(str, seq)) for seq in expected], (flag, length)
+
+
+def test_graph_vertex_cap_exit_code(capsys):
+    code, out, err = run(capsys, "graph", "--box", "3,3,3", "--vertex-cap", "100")
+    assert code == 3
+    assert "100 vertices" in err
+    assert out == ""
+    code, _, _ = run(capsys, "graph", "--box", "3,3,3", "--vertex-cap", "979")
+    assert code == 0
+
+
+def test_measure_check_path_cap_exit_code(capsys):
+    # box 2,2,2,2 has 1,680,384 numberings, past the default cap of 100,000
+    code, out, err = run(capsys, "measure", "check", "--box", "2,2,2,2")
+    assert code == 3
+    assert "more than 100000 numberings" in err
+    assert out == ""
 
 
 def test_group_antichain(capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from posetpaths import (
+    CapExceeded,
     PathNumbering,
     build_antichain_poset,
     build_box_poset,
@@ -17,7 +18,7 @@ from posetpaths import (
 )
 from posetpaths.young import partitions_of, tableau_count
 
-from oracles import brute_numberings
+from oracles import brute_numberings, ideal_levels
 
 CORPUS = [
     build_young_poset([2, 1]),
@@ -73,6 +74,44 @@ def test_dims_match_enumeration_oracle_per_vertex():
                     w.describe(),
                     v,
                 )
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        build_young_poset([6, 5, 4, 3, 2, 1]),
+        build_box_poset(3, (3, 3, 3)),
+        build_box_poset(4, (2, 2, 2, 3)),
+    ],
+    ids=lambda w: w.describe(),
+)
+def test_build_matches_level_oracle(window):
+    full = window.poset.n - 1
+    for depth in (0, 1, 4, full // 2, full):
+        g = build_graph(window, depth)
+        levels, edges, dims = ideal_levels(window.poset, depth)
+        assert [[v.ideal for v in lvl] for lvl in g.levels] == levels, depth
+        assert g.up_edges == edges, depth
+        assert g.dims == dims, depth
+        for lvl in g.levels:
+            for v in lvl:
+                assert g.vertex_of(v.ideal) is v
+
+
+def test_vertex_of_rejects_sets_outside_the_graph():
+    w = build_box_poset(2, (3, 3))
+    g = build_graph(w, 4)
+    ids = {w.poset.coords[x]: x for x in range(w.poset.n)}
+    for ideal in ([ids[(2, 2)]], list(range(w.poset.n)), [w.poset.n], [-1]):
+        with pytest.raises(KeyError):
+            g.vertex_of(ideal)
+
+
+def test_vertex_cap():
+    w = build_box_poset(3, (3, 3, 3))  # 979 ideals
+    assert sum(len(lvl) for lvl in build_graph(w, 26, vertex_cap=979).levels) == 979
+    with pytest.raises(CapExceeded):
+        build_graph(w, 26, vertex_cap=978)
 
 
 def test_young_32_top_dim_is_5():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from posetpaths import (
+    CapExceeded,
     FullIdeal,
     HookIdeal,
     PlancherelYoung,
@@ -83,6 +84,17 @@ def test_uniform_measure_is_central():
     g = build_graph(w, 5)
     report = is_central(g, uniform_path_measure(w, 6))
     assert report.central and report.exact
+
+
+def test_exact_routes_honour_the_path_cap():
+    w = build_box_poset(3, (2, 2, 2))  # 48 full numberings
+    g = build_graph(w, 7)
+    measure = uniform_path_measure(w, 8, path_cap=48)
+    assert is_central(g, measure, path_cap=48).central
+    with pytest.raises(CapExceeded):
+        uniform_path_measure(w, 8, path_cap=47)
+    with pytest.raises(CapExceeded):
+        is_central(g, measure, path_cap=47)
 
 
 def test_endpoint_measures_are_central():

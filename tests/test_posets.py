@@ -19,7 +19,7 @@ from posetpaths import (
     validate_numbering,
 )
 
-from oracles import brute_numberings, bitmask_extension_count
+from oracles import bitmask_extension_count, brute_numberings, ideal_levels, order_pairs
 
 CORPUS = [
     build_young_poset([2, 1]),
@@ -149,17 +149,19 @@ def test_order_axioms_on_generated_windows():
                 assert p.leq(x, z)
 
 
+WINDOWS_64 = [
+    build_box_poset(2, (8, 8)),       # 64 elements
+    build_box_poset(3, (4, 4, 2)),    # 32 elements
+    build_young_poset([8, 7, 6, 5, 4, 3, 2, 1]),
+    build_chain_poset(64),
+    build_antichain_poset(40),
+]
+
+
 def test_order_axioms_vectorized_up_to_64_elements():
     import numpy as np
 
-    windows = [
-        build_box_poset(2, (8, 8)),       # 64 elements
-        build_box_poset(3, (4, 4, 2)),    # 32 elements
-        build_young_poset([8, 7, 6, 5, 4, 3, 2, 1]),
-        build_chain_poset(64),
-        build_antichain_poset(40),
-    ]
-    for w in windows:
+    for w in WINDOWS_64:
         p = w.poset
         leq = np.array([[p.leq(x, y) for y in range(p.n)] for x in range(p.n)])
         assert leq.diagonal().all()  # reflexive
@@ -167,6 +169,30 @@ def test_order_axioms_vectorized_up_to_64_elements():
         assert not off_diag.any()  # antisymmetric
         assert not ((leq @ leq) & ~leq).any()  # transitive
         assert leq[0].all()  # unique minimum below everything
+
+
+def test_leq_and_incomparable_pairs_match_cover_closure():
+    for w in CORPUS + WINDOWS_64:
+        p = w.poset
+        closure = order_pairs(p)
+        got = {(x, y) for x in range(p.n) for y in range(p.n) if p.leq(x, y)}
+        assert got == closure, w.describe()
+        expected = [
+            (x, y)
+            for x, y in itertools.combinations(range(p.n), 2)
+            if (x, y) not in closure and (y, x) not in closure
+        ]
+        assert p.incomparable_pairs() == expected, w.describe()
+
+
+def test_leq_on_file_poset_with_unordered_ids():
+    # ids need not follow the order: 3 < 1 < 2 here
+    w = parse_poset("el 0\nel 1\nel 2\nel 3\ncov 0 3\ncov 3 1\ncov 1 2\n")
+    p = w.poset
+    assert p.leq(3, 2) and p.leq(0, 2) and not p.leq(2, 3)
+    assert p.incomparable_pairs() == []
+    assert addable_elements(p, {0, 3}) == [1]
+    assert [q.elements for q in enumerate_numberings(w, 4)] == [(0, 3, 1, 2)]
 
 
 def test_duplicate_covers_collapse():
@@ -211,6 +237,31 @@ def test_addable_elements_box():
     assert addable_elements(p, ideal) == [ids[(2, 2)]]
 
 
+def test_addable_elements_rejects_sets_not_downward_closed():
+    p = build_box_poset(2, (3, 3)).poset
+    ids = {p.coords[x]: x for x in range(p.n)}
+    for bad in (
+        {ids[(1, 2)]},                      # root missing
+        {0, ids[(2, 2)]},                   # (2,2) without (1,2) and (2,1)
+        {0, ids[(1, 2)], ids[(2, 2)]},      # (2,2) without (2,1)
+        {0, ids[(1, 2)], ids[(1, 3)], ids[(3, 3)]},
+    ):
+        assert not p.is_ideal(bad)
+        with pytest.raises(ValueError):
+            addable_elements(p, bad)
+    with pytest.raises(ValueError):
+        addable_elements(p, {0, p.n})  # id outside the poset
+
+
+def test_addable_elements_match_level_oracle():
+    for w in CORPUS:
+        p = w.poset
+        levels, edges, _ = ideal_levels(p, p.n - 1)
+        for level, row_ideals in enumerate(levels):
+            for ideal, row in zip(row_ideals, edges[level]):
+                assert addable_elements(p, ideal) == [x for x, _ in row], (w.describe(), ideal)
+
+
 def test_addable_chain_growth_stays_ideal():
     rng = random.Random(7)
     for w in CORPUS:
@@ -252,6 +303,9 @@ def test_serialize_parse_round_trip():
 def test_parse_rejects_cycle():
     with pytest.raises(PosetFormatError):
         parse_poset("el 0\nel 1\ncov 0 1\ncov 1 0")
+    # a cycle above the root leaves the root the unique minimal element
+    with pytest.raises(PosetFormatError, match=r"cycle detected among ids \[1, 2, 3\]"):
+        parse_poset("el 0\nel 1\nel 2\nel 3\ncov 0 1\ncov 1 2\ncov 2 3\ncov 3 1")
 
 
 def test_parse_rejects_multiple_minimals():
