@@ -39,12 +39,12 @@ print("rsk shape:", rsk.shape(), "row fraction:", rsk.shape()[0] / 2000)
 
 # Frequency estimates: single row/column ideals get tiny weight under the
 # dimension-proportional process...
-row = estimate_frequency(PlancherelYoung(), HookIdeal(1, 0), 1600, 40, seed=11)
+(row,) = estimate_frequency(PlancherelYoung(), [HookIdeal(1, 0)], 1600, 40, seed=11)
 print(f"plancherel hook:1,0 estimate {row.estimate:.4f} stderr {row.stderr:.4f}")
 
 # ...while the two-letter insertion process keeps the first row at its
 # letter frequency.
-rep = estimate_frequency(RSKThoma((0.7, 0.3)), HookIdeal(1, 0), 1600, 40, seed=11)
+(rep,) = estimate_frequency(RSKThoma((0.7, 0.3)), [HookIdeal(1, 0)], 1600, 40, seed=11)
 print(f"rsk(0.7,0.3) hook:1,0 estimate {rep.estimate:.4f} stderr {rep.stderr:.4f}")
 
 # Frequency profiles on single-row ideals separate different parameters.

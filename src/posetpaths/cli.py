@@ -27,9 +27,8 @@ from .measures import (
     is_central,
     path_measure,
     perturb_fiber,
-    sample_markov,
-    sample_plancherel,
-    sample_rsk_thoma,
+    sample_plancherel,  # noqa: F401  (bench/spans.py traces the name here)
+    sample_rsk_thoma,  # noqa: F401  (bench/spans.py traces the name here)
     uniform_path_measure,
 )
 from .posets import (
@@ -55,8 +54,8 @@ def _ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t != ""]
 
 
-def _add_poset_args(p: argparse.ArgumentParser) -> None:
-    src = p.add_mutually_exclusive_group(required=True)
+def _add_poset_args(p: argparse.ArgumentParser, required: bool) -> None:
+    src = p.add_mutually_exclusive_group(required=required)
     src.add_argument("--young", metavar="P1,P2,...", help="Young diagram window")
     src.add_argument("--box", metavar="B1,...,BD", help="box window of Z+^d")
     src.add_argument("--chain", type=int, metavar="N", help="chain on N elements")
@@ -82,15 +81,8 @@ def _resolve_window(args):
 
 
 def _poset_flag(args) -> str:
-    if args.young is not None:
-        return f"young={args.young}"
-    if args.box is not None:
-        return f"box={args.box}"
-    if args.chain is not None:
-        return f"chain={args.chain}"
-    if args.antichain is not None:
-        return f"antichain={args.antichain}"
-    return f"file={args.file}"
+    key = next(k for k in ("young", "box", "chain", "antichain", "file") if getattr(args, k) is not None)
+    return f"{key}={getattr(args, key)}"
 
 
 class _Out:
@@ -262,42 +254,61 @@ def cmd_group(args) -> int:
 
 
 def _parse_sampler(text: str, args):
+    """The one route from sampler text (plancherel | rsk:A1,... | endpoint:LEVEL:INDEX
+    | markov:FILE) to a central-measure spec; window specs read the poset flags."""
     t = text.strip()
+    kind, _, rest = t.partition(":")
     if t == "plancherel":
         return PlancherelYoung()
-    if t.startswith("rsk:"):
-        return RSKThoma(tuple(float(x) for x in t[4:].split(",")))
-    if t.startswith("endpoint:"):
-        level, index = (int(x) for x in t.split(":")[1:])
+    if kind == "rsk":
+        return RSKThoma(tuple(float(x) for x in rest.split(",")))
+    if kind == "endpoint":
+        try:
+            level, index = (int(x) for x in rest.split(":"))
+        except ValueError as exc:
+            raise ValueError(f"bad endpoint {rest!r}: expected LEVEL:INDEX") from exc
         window = _resolve_window(args)
-        g = build_graph(window, level)
+        g = build_graph(window, level) if 0 <= level < window.poset.n else None
+        if g is None or not 0 <= index < len(g.levels[level]):
+            raise ValueError(f"no vertex {level}:{index} in the ideal lattice of {window.describe()}")
         return endpoint_measure(g, g.vertex(level, index))
-    if t.startswith("markov:"):
+    if kind == "markov":
         window = _resolve_window(args)
         depth = args.depth if args.depth is not None else window.poset.n - 1
         g = build_graph(window, depth)
-        path = t[len("markov:") :]
-        with open(path, encoding="utf-8") as fh:
-            return parse_markov_kernel(g, fh.read(), name=f"markov:{path}")
+        with open(rest, encoding="utf-8") as fh:
+            return parse_markov_kernel(g, fh.read(), name=f"markov:{rest}")
     raise ValueError(f"unknown sampler spec {text!r}")
 
 
+def _flag_sampler(args, required: bool) -> str | None:
+    """A `measure` subcommand's sampler flags as sampler text (None if none given)."""
+    flags = [k for k in ("plancherel", "rsk", "endpoint", "markov") if hasattr(args, k)]
+    chosen = [
+        k if getattr(args, k) is True else f"{k}:{getattr(args, k)}"
+        for k in flags
+        if getattr(args, k) not in (None, False)
+    ]
+    if len(chosen) > 1 or (required and not chosen):
+        raise ValueError("choose one sampler: " + ", ".join(f"--{k}" for k in flags))
+    return chosen[0] if chosen else None
+
+
+def _ties_note(config: dict, specs) -> None:
+    if any(s.has_ties for s in specs):
+        config["ties"] = "flagged (tied letter probabilities blur row identification)"
+
+
 def cmd_measure_check(args) -> int:
-    window = _resolve_window(args)
     out = _Out(args.out)
-    if args.endpoint is not None:
-        level, index = (int(x) for x in args.endpoint.split(":"))
-        g = build_graph(window, level)
-        measure = path_measure(endpoint_measure(g, g.vertex(level, index)))
-        what = f"endpoint:{level}:{index}"
-    elif args.markov is not None:
-        depth = args.depth if args.depth is not None else window.poset.n - 1
-        g = build_graph(window, depth)
-        with open(args.markov, encoding="utf-8") as fh:
-            kernel = parse_markov_kernel(g, fh.read(), name=f"markov:{args.markov}")
+    text = _flag_sampler(args, required=False)
+    if text is not None:
+        kernel = _parse_sampler(text, args)
+        g = kernel.graph
         measure = path_measure(kernel)
-        what = f"markov:{args.markov}"
+        what = kernel.name()
     else:
+        window = _resolve_window(args)
         length = args.depth if args.depth is not None else window.poset.n
         g = build_graph(window, length - 1)
         measure = uniform_path_measure(window, length)
@@ -306,11 +317,7 @@ def cmd_measure_check(args) -> int:
         measure = perturb_fiber(measure, Fraction(args.perturb))
         what += f"+perturb:{args.perturb}"
     report = is_central(g, measure, tol=args.tol)
-    _echo_config(
-        out,
-        "measure check",
-        {"poset": _poset_flag(args), "measure": what, "tol": args.tol},
-    )
+    _echo_config(out, "measure check", {"poset": _poset_flag(args), "measure": what, "tol": args.tol})
     out.emit(f"paths: {report.n_paths}")
     out.emit(f"exact_arithmetic: {report.exact}")
     out.emit(f"generator_invariance: {'pass' if report.invariance_ok else 'fail'}")
@@ -327,7 +334,7 @@ def cmd_measure_check(args) -> int:
 
 
 def cmd_measure_freq(args) -> int:
-    spec = _sampler_from_flags(args)
+    spec = _parse_sampler(_flag_sampler(args, required=True), args)
     ideals = [parse_ideal(t) for t in args.ideal]
     out = _Out(args.out)
     config = {
@@ -337,58 +344,21 @@ def cmd_measure_freq(args) -> int:
         "replicas": args.replicas,
         "seed": args.seed,
     }
-    if isinstance(spec, RSKThoma) and spec.has_ties:
-        config["ties"] = "flagged (tied letter probabilities blur row identification)"
+    _ties_note(config, [spec])
     _echo_config(out, "measure freq", config)
     out.emit(FREQUENCY_CSV_HEADER)
-    for ideal in ideals:
-        rep = estimate_frequency(spec, ideal, args.n, args.replicas, args.seed)
+    for rep in estimate_frequency(spec, ideals, args.n, args.replicas, args.seed):
         out.emit(rep.csv_row())
     return out.flush()
 
 
 def cmd_measure_sample(args) -> int:
-    spec = _sampler_from_flags(args)
+    spec = _parse_sampler(_flag_sampler(args, required=True), args)
     out = _Out(args.out)
-    _echo_config(
-        out,
-        "measure sample",
-        {"sampler": spec.name(), "n": args.n, "seed": args.seed},
-    )
-    if isinstance(spec, PlancherelYoung):
-        path = sample_plancherel(args.n, args.seed)
-    elif isinstance(spec, RSKThoma):
-        path = sample_rsk_thoma(spec, args.n, args.seed)
-    else:
-        numbering = sample_markov(spec, args.n, args.seed)
-        out.emit(",".join(str(x) for x in numbering.elements))
-        return out.flush()
-    out.emit("step,row,col")
-    for k, (r, c) in enumerate(path.cells, start=1):
-        out.emit(f"{k},{r},{c}")
+    _echo_config(out, "measure sample", {"sampler": spec.name(), "n": args.n, "seed": args.seed})
+    for line in spec.lines(spec.sample(args.n, args.seed)):
+        out.emit(line)
     return out.flush()
-
-
-def _sampler_from_flags(args):
-    chosen = [
-        flag
-        for flag, val in [
-            ("plancherel", args.plancherel),
-            ("rsk", args.rsk),
-            ("endpoint", getattr(args, "endpoint", None)),
-            ("markov", getattr(args, "markov", None)),
-        ]
-        if val
-    ]
-    if len(chosen) != 1:
-        raise ValueError("choose exactly one sampler: --plancherel, --rsk, --endpoint, --markov")
-    if args.plancherel:
-        return PlancherelYoung()
-    if args.rsk:
-        return RSKThoma(tuple(float(x) for x in args.rsk.split(",")))
-    if getattr(args, "endpoint", None):
-        return _parse_sampler(f"endpoint:{args.endpoint}", args)
-    return _parse_sampler(f"markov:{args.markov}", args)
 
 
 def cmd_compare(args) -> int:
@@ -411,8 +381,7 @@ def cmd_compare(args) -> int:
         "seed": args.seed,
         "threshold": args.threshold,
     }
-    if any(isinstance(s, RSKThoma) and s.has_ties for s in specs):
-        config["ties"] = "flagged (tied letter probabilities blur row identification)"
+    _ties_note(config, specs)
     _echo_config(out, "compare", config)
     out.emit(FREQUENCY_CSV_HEADER)
     for rep in table.reports:
@@ -437,13 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_poset = sub.add_parser("poset", help="build and serialize a poset window")
-    _add_poset_args(p_poset)
+    _add_poset_args(p_poset, required=True)
     p_poset.add_argument("--format", choices=["text", "csv"], default="text")
     p_poset.add_argument("--out", default=None)
     p_poset.set_defaults(func=cmd_poset)
 
     p_graph = sub.add_parser("graph", help="level table of the ideal lattice with path counts")
-    _add_poset_args(p_graph)
+    _add_poset_args(p_graph, required=True)
     p_graph.add_argument("--depth", type=int, default=None, help="largest ideal size (default: all)")
     p_graph.add_argument(
         "--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP, dest="vertex_cap"
@@ -453,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.set_defaults(func=cmd_graph)
 
     p_paths = sub.add_parser("paths", help="enumerate monotone numberings")
-    _add_poset_args(p_paths)
+    _add_poset_args(p_paths, required=True)
     p_paths.add_argument("--depth", type=int, default=None, help="numbering length incl. root (default: all elements)")
     p_paths.add_argument("--list", action="store_true")
     p_paths.add_argument("--path-cap", type=int, default=100_000, dest="path_cap")
@@ -461,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_paths.set_defaults(func=cmd_paths)
 
     p_group = sub.add_parser("group", help="relation report, order, local subgroups")
-    _add_poset_args(p_group)
+    _add_poset_args(p_group, required=True)
     p_group.add_argument("--depth", type=int, default=None, help="numbering length incl. root (default: all elements)")
     p_group.add_argument("--local", default=None, help="index i, or 'all'")
     p_group.add_argument("--path-cap", type=int, default=100_000, dest="path_cap")
@@ -474,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     msub = p_measure.add_subparsers(dest="measure_command", required=True)
 
     m_check = msub.add_parser("check", help="exact centrality check of a kernel")
-    _add_poset_args(m_check)
+    _add_poset_args(m_check, required=True)
     m_check.add_argument("--endpoint", default=None, metavar="LEVEL:INDEX")
     m_check.add_argument("--markov", default=None, metavar="FILE")
     m_check.add_argument("--uniform", action="store_true")
@@ -485,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     m_check.set_defaults(func=cmd_measure_check)
 
     m_freq = msub.add_parser("freq", help="frequency estimates as CSV")
-    _add_poset_args_optional(m_freq)
+    _add_poset_args(m_freq, required=False)
     m_freq.add_argument("--plancherel", action="store_true")
     m_freq.add_argument("--rsk", default=None, metavar="A1,A2,...")
     m_freq.add_argument("--endpoint", default=None, metavar="LEVEL:INDEX")
@@ -499,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     m_freq.set_defaults(func=cmd_measure_freq)
 
     m_sample = msub.add_parser("sample", help="dump one sampled path")
-    _add_poset_args_optional(m_sample)
+    _add_poset_args(m_sample, required=False)
     m_sample.add_argument("--plancherel", action="store_true")
     m_sample.add_argument("--rsk", default=None, metavar="A1,A2,...")
     m_sample.add_argument("--endpoint", default=None, metavar="LEVEL:INDEX")
@@ -511,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     m_sample.set_defaults(func=cmd_measure_sample)
 
     p_compare = sub.add_parser("compare", help="distinguishability of frequency profiles")
-    _add_poset_args_optional(p_compare)
+    _add_poset_args(p_compare, required=False)
     p_compare.add_argument("--sampler", action="append", required=True)
     p_compare.add_argument("--ideal", action="append", required=True)
     p_compare.add_argument("--depth", type=int, default=None)
@@ -525,15 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_poset_args_optional(p: argparse.ArgumentParser) -> None:
-    src = p.add_mutually_exclusive_group(required=False)
-    src.add_argument("--young", default=None)
-    src.add_argument("--box", default=None)
-    src.add_argument("--chain", type=int, default=None)
-    src.add_argument("--antichain", type=int, default=None)
-    src.add_argument("--file", default=None)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -542,7 +502,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (PosetFormatError, ValueError, OSError, KeyError, IndexError) as exc:
+    except (PosetFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -30,7 +30,9 @@ from .ideals import (
     ideal_member,
     member_coords,
 )
-from .posets import PathNumbering, PosetWindow, ROOT, build_young_poset, enumerate_numberings, validate_numbering
+from .posets import (
+    ROOT, CapExceeded, PathNumbering, PosetWindow, build_young_poset, enumerate_numberings, validate_numbering,
+)
 from .symmetry import apply_sigma
 from .young import (
     GrowthPath,
@@ -44,18 +46,37 @@ from .young import (
 )
 
 
+class _YoungGrowth:
+    """The growth samplers' points are the added cells, read by coordinates."""
+
+    family = "young-growth"
+    has_ties = False
+
+    def hits(self, path: GrowthPath, ideal: IdealSpec) -> int:
+        """How many of the sampled cells lie in the ideal."""
+        if isinstance(ideal, FullIdeal):
+            return path.n_steps
+        if isinstance(ideal, FiniteSetIdeal):
+            raise ValueError("finite-set ideals are window-bound; growth samplers have no ids")
+        return sum(1 for cell in path.cells if member_coords(ideal, cell))
+
+    def lines(self, path: GrowthPath) -> list[str]:
+        return ["step,row,col"] + [f"{k},{r},{c}" for k, (r, c) in enumerate(path.cells, start=1)]
+
+
 @dataclass(frozen=True)
-class PlancherelYoung:
+class PlancherelYoung(_YoungGrowth):
     """Dimension-proportional growth on Young diagrams."""
 
     def name(self) -> str:
         return "plancherel"
 
-    exact = False
+    def sample(self, n_steps: int, seed: int) -> GrowthPath:
+        return sample_plancherel(n_steps, seed)
 
 
 @dataclass(frozen=True)
-class RSKThoma:
+class RSKThoma(_YoungGrowth):
     """Shape growth of row insertion applied to i.i.d. letters.
 
     `alpha` are the letter probabilities: strictly positive, summing to
@@ -80,7 +101,8 @@ class RSKThoma:
     def name(self) -> str:
         return "rsk:" + ",".join(repr(a) for a in self.alpha)
 
-    exact = False
+    def sample(self, n_steps: int, seed: int) -> GrowthPath:
+        return sample_rsk_thoma(self.alpha, n_steps, seed)
 
 
 class ExplicitMarkov:
@@ -90,6 +112,8 @@ class ExplicitMarkov:
     probability). Probabilities may be exact Fractions or floats; each
     row must sum to one (exactly when rational, else within 1e-12).
     """
+
+    has_ties = False
 
     def __init__(self, graph: GradedGraph, rows, name: str, depth: int | None = None):
         self.graph = graph
@@ -111,7 +135,26 @@ class ExplicitMarkov:
     def name(self) -> str:
         return self._name
 
+    @property
+    def family(self) -> str:
+        return f"window:{self.graph.window.describe()}"
 
+    def sample(self, n_steps: int, seed: int) -> PathNumbering:
+        return sample_markov(self, n_steps, seed)
+
+    def hits(self, path: PathNumbering, ideal: IdealSpec) -> int:
+        """How many of the sampled elements, the root excluded, lie in the ideal."""
+        poset = self.graph.window.poset
+        return sum(1 for x in path.elements[1:] if ideal_member(ideal, poset.element(x)))
+
+    def lines(self, path: PathNumbering) -> list[str]:
+        return [",".join(str(x) for x in path.elements)]
+
+
+# The sampler interface every spec shares: name(); `family`, the poset
+# family its points live in (specs are only compared within one);
+# `has_ties`; sample(n_steps, seed), one path; hits(path, ideal), how many
+# of the path's points lie in the ideal; lines(path), the path as text.
 CentralMeasureSpec = PlancherelYoung | RSKThoma | ExplicitMarkov
 
 
@@ -123,15 +166,18 @@ def parse_markov_kernel(graph: GradedGraph, text: str, name: str = "markov:file"
     edges of the graph.
     """
     rows = {}
+    row_lines = {}  # vertex -> line number of its row
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] != "row":
-            raise ValueError(f"line {lineno}: expected 'row', got {tokens[0]!r}")
+        if tokens[0] != "row" or len(tokens) < 2:
+            raise ValueError(f"line {lineno}: expected 'row LEVEL:INDEX ...', got {line!r}")
         try:
             level, index = (int(x) for x in tokens[1].split(":"))
+            if level < 0 or index < 0:
+                raise ValueError("negative coordinate")
             edge_targets = {elem: j for elem, j in graph.up_edges[level][index]}
         except (ValueError, IndexError) as exc:
             raise ValueError(f"line {lineno}: bad vertex {tokens[1]!r}") from exc
@@ -149,9 +195,21 @@ def parse_markov_kernel(graph: GradedGraph, text: str, name: str = "markov:file"
                 )
             row.append((elem, edge_targets[elem], prob))
         rows[(level, index)] = tuple(row)
+        row_lines[(level, index)] = lineno
     if not rows:
         raise ValueError("kernel file declares no rows")
     depth = 1 + max(level for level, _ in rows)
+    # every vertex reached with positive probability before the depth needs a row
+    reached = {(0, 0): "the kernel starts at"}  # vertex -> what reaches it first
+    for level in range(1, depth + 1):
+        nxt = {}
+        for key, how in sorted(reached.items()):
+            if key not in rows:
+                raise ValueError(f"{how} {key[0]}:{key[1]}, which has no row")
+            for elem, j, p in rows[key]:
+                if p:
+                    nxt.setdefault((level, j), f"line {row_lines[key]}: element {elem} leads to")
+        reached = nxt
     return ExplicitMarkov(graph, rows, name=name, depth=depth)
 
 
@@ -179,8 +237,20 @@ def endpoint_measure(g: GradedGraph, v: LevelVertex) -> ExplicitMarkov:
     return ExplicitMarkov(g, rows, name=f"endpoint:{v.level}:{v.index}", depth=v.level)
 
 
-def path_measure(m: ExplicitMarkov) -> dict[tuple[int, ...], Fraction]:
-    """Exact law on root-based paths of the kernel's depth."""
+def path_measure(m: ExplicitMarkov, path_cap: int = 100_000) -> dict[tuple[int, ...], Fraction]:
+    """Exact law on root-based paths of the kernel's depth. Raises
+    CapExceeded, before any path is built, when more than `path_cap` paths
+    carry positive probability (for an endpoint kernel, dimension(v))."""
+    counts = {0: 1}  # index at the current level -> positive-probability paths to it
+    for level in range(m.depth):
+        nxt: dict[int, int] = {}
+        for i, c in counts.items():
+            for _, j, p in m.rows.get((level, i), ()):
+                if p:
+                    nxt[j] = nxt.get(j, 0) + c
+        counts = nxt
+    if sum(counts.values()) > path_cap:
+        raise CapExceeded(f"more than {path_cap} paths under {m.name()}")
     out: dict[tuple[int, ...], Fraction] = {}
 
     def walk(level, index, prefix, prob):
@@ -375,7 +445,7 @@ def sample_rsk_thoma(alpha, n_steps: int, seed: int) -> GrowthPath:
 
     The shape never exceeds len(alpha) rows; deterministic given the seed.
     """
-    spec = alpha if isinstance(alpha, RSKThoma) else RSKThoma(tuple(alpha))
+    spec = RSKThoma(tuple(alpha))
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     rng = random.Random(seed)
@@ -475,66 +545,33 @@ def csv_field(value) -> str:
     return text
 
 
-def _growth_member(spec: IdealSpec, cell: tuple[int, int]) -> bool:
-    if isinstance(spec, FullIdeal):
-        return True
-    if isinstance(spec, FiniteSetIdeal):
-        raise ValueError("finite-set ideals are window-bound; growth samplers have no ids")
-    return member_coords(spec, cell)
-
-
-def _replica_fraction(spec: CentralMeasureSpec, ideal: IdealSpec, n_steps: int, seed: int) -> float:
-    if isinstance(spec, PlancherelYoung):
-        cells = sample_plancherel(n_steps, seed).cells
-        hits = sum(1 for cell in cells if _growth_member(ideal, cell))
-    elif isinstance(spec, RSKThoma):
-        cells = sample_rsk_thoma(spec, n_steps, seed).cells
-        hits = sum(1 for cell in cells if _growth_member(ideal, cell))
-    else:
-        numbering = sample_markov(spec, n_steps, seed)
-        poset = spec.graph.window.poset
-        hits = sum(
-            1 for x in numbering.elements[1:] if ideal_member(ideal, poset.element(x))
-        )
-    return hits / n_steps
-
-
 def estimate_frequency(
     spec: CentralMeasureSpec,
-    ideal: IdealSpec,
+    ideals,
     n_steps: int,
     replicas: int,
     seed: int,
-) -> FrequencyReport:
+) -> list[FrequencyReport]:
     """Mean and standard error of the ideal-occupation fraction over
-    independent replicas (replica k seeded with seed + k)."""
+    independent replicas, one report per ideal. Replica k is sampled once,
+    seeded with seed + k, and scored against every ideal."""
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    values = tuple(
-        _replica_fraction(spec, ideal, n_steps, seed + k) for k in range(replicas)
-    )
-    mean = sum(values) / replicas
-    if replicas > 1:
-        var = sum((v - mean) ** 2 for v in values) / (replicas - 1)
-        stderr = math.sqrt(var / replicas)
-    else:
-        stderr = 0.0
-    return FrequencyReport(
-        sampler=spec.name(),
-        ideal=ideal.name(),
-        n_steps=n_steps,
-        replicas=replicas,
-        estimate=mean,
-        stderr=stderr,
-        seed=seed,
-        values=values,
-    )
-
-
-def _family_tag(spec: CentralMeasureSpec) -> str:
-    if isinstance(spec, (PlancherelYoung, RSKThoma)):
-        return "young-growth"
-    return f"window:{spec.graph.window.describe()}"
+    ideals = list(ideals)
+    values: list[list[float]] = [[] for _ in ideals]
+    for k in range(replicas):
+        path = spec.sample(n_steps, seed + k)
+        for ideal, vals in zip(ideals, values):
+            vals.append(spec.hits(path, ideal) / n_steps)
+    reports = []
+    for ideal, vals in zip(ideals, values):
+        mean = sum(vals) / replicas
+        var = sum((v - mean) ** 2 for v in vals) / (replicas - 1) if replicas > 1 else 0.0
+        reports.append(FrequencyReport(
+            sampler=spec.name(), ideal=ideal.name(), n_steps=n_steps, replicas=replicas,
+            estimate=mean, stderr=math.sqrt(var / replicas), seed=seed, values=tuple(vals),
+        ))
+    return reports
 
 
 @dataclass
@@ -567,13 +604,13 @@ def compare_frequency_profiles(
     ideals = list(ideals)
     if len(specs) < 2:
         raise ValueError("need at least two samplers to compare")
-    families = {_family_tag(s) for s in specs}
+    families = {s.family for s in specs}
     if len(families) != 1:
         raise ValueError(f"samplers over mixed poset families: {sorted(families)}")
-    grid: list[list[FrequencyReport]] = []
-    for s, spec in enumerate(specs):
-        base = seed + s * 1_000_003
-        grid.append([estimate_frequency(spec, ideal, n_steps, replicas, base) for ideal in ideals])
+    grid = [
+        estimate_frequency(spec, ideals, n_steps, replicas, seed + s * 1_000_003)
+        for s, spec in enumerate(specs)
+    ]
     pairs = []
     for s in range(len(specs)):
         for t in range(s + 1, len(specs)):

@@ -36,7 +36,7 @@ def apply_sigma(poset: Poset, i: int, phi: PathNumbering) -> PathNumbering:
     Requires 1 <= i <= length-2; shorter numberings are rejected rather
     than treated as fixed points. The swapped sequence is always again a
     valid numbering (the two elements are incomparable, so each prefix
-    stays an ideal); this is asserted.
+    stays an ideal); the tests check this against brute-force numberings.
     """
     if not (1 <= i <= phi.length - 2):
         raise ValueError(f"sigma index {i} out of range for length {phi.length}")
@@ -46,12 +46,7 @@ def apply_sigma(poset: Poset, i: int, phi: PathNumbering) -> PathNumbering:
     assert not poset.leq(b, a), "later entry below earlier one: invalid numbering"
     swapped = list(phi.elements)
     swapped[i], swapped[i + 1] = b, a
-    out = PathNumbering(tuple(swapped))
-    assert all(
-        lo in out.elements[:k] for k, x in enumerate(out.elements)
-        for lo in poset.lower_covers(x)
-    ), "swap broke the prefix-ideal property"
-    return out
+    return PathNumbering(tuple(swapped))
 
 
 def orbit(phi: PathNumbering, window: PosetWindow, length: int | None = None) -> list[PathNumbering]:

@@ -212,6 +212,57 @@ def test_measure_check_markov_rejects_bad_row(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "endpoint,message",
+    [
+        ("3:-1", "no vertex 3:-1 in the ideal lattice of young[2,1]"),
+        ("3:7", "no vertex 3:7 in the ideal lattice of young[2,1]"),
+        ("3", "bad endpoint '3': expected LEVEL:INDEX"),
+    ],
+)
+def test_measure_check_bad_endpoint_exit_2(endpoint, message, capsys):
+    code, out, err = run(capsys, "measure", "check", "--endpoint", endpoint, "--young", "2,1")
+    assert code == 2
+    assert message in err
+    assert out == ""
+    code, _, err = run(
+        capsys, "compare", "--sampler", f"endpoint:{endpoint}", "--sampler", "endpoint:3:0",
+        "--young", "2,1", "--ideal", "full",
+    )
+    assert code == 2
+    assert message in err
+
+
+def test_measure_check_endpoint_path_cap_exit_3(capsys):
+    # the top of box 2,2,2,2 has 1,680,384 paths; the cap stops the walk before any is built
+    code, out, err = run(capsys, "measure", "check", "--endpoint", "15:0", "--box", "2,2,2,2")
+    assert code == 3
+    assert "more than 100000 paths under endpoint:15:0" in err
+    assert out == ""
+
+
+def test_measure_check_rejects_two_kernels(tmp_path, capsys):
+    kernel = tmp_path / "k.txt"
+    kernel.write_text("row 0:0 1:1\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, "measure", "check", "--endpoint", "1:0", "--markov", str(kernel), "--young", "2,1"
+    )
+    assert code == 2
+    assert "choose one sampler: --endpoint, --markov" in err
+
+
+def test_markov_kernel_missing_row_exit_2(tmp_path, capsys):
+    kernel = tmp_path / "k.txt"
+    kernel.write_text("row 0:0 1:1\nrow 1:0 2:1/2 3:1/2\nrow 2:0 3:1\n", encoding="utf-8")
+    for sub in (["check"], ["sample", "--n", "3"]):
+        code, out, err = run(
+            capsys, "measure", *sub, "--markov", str(kernel), "--young", "2,1", "--depth", "3"
+        )
+        assert code == 2
+        assert "line 2: element 3 leads to 2:1, which has no row" in err
+        assert out == ""
+
+
 def test_measure_freq_rsk_single_letter(capsys):
     code, out, _ = run(
         capsys, "measure", "freq", "--rsk", "1.0", "--ideal", "hook:1,0",

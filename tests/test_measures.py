@@ -168,6 +168,43 @@ def test_parse_markov_kernel_round_trip():
         parse_markov_kernel(g, "")
 
 
+def test_parse_markov_kernel_rejects_missing_rows():
+    from posetpaths import parse_markov_kernel
+
+    g = build_graph(build_young_poset([2, 1]), 3)
+    # 2:1 is reached with probability 1/2 before the depth but has no row
+    with pytest.raises(ValueError, match="line 2: element 3 leads to 2:1, which has no row"):
+        parse_markov_kernel(g, "row 0:0 1:1\nrow 1:0 2:1/2 3:1/2\nrow 2:0 3:1\n")
+    with pytest.raises(ValueError, match="the kernel starts at 0:0, which has no row"):
+        parse_markov_kernel(g, "row 1:0 2:1\n")
+    # a zero-probability edge may lead to a vertex without a row
+    kernel = parse_markov_kernel(g, "row 0:0 1:1\nrow 1:0 2:1 3:0\nrow 2:0 3:1\n")
+    assert path_measure(kernel) == {(0, 1, 2, 3): Fraction(1)}
+    with pytest.raises(ValueError, match="bad vertex"):
+        parse_markov_kernel(g, "row 0:-1 1:1\n")
+    with pytest.raises(ValueError, match="line 1"):
+        parse_markov_kernel(g, "row\n")
+
+
+def test_path_measure_cap_counts_before_walking():
+    g = build_graph(build_young_poset([3, 2, 1]), 6)
+    v = g.levels[6][0]
+    m = endpoint_measure(g, v)
+    assert dimension(g, v) == 16
+    with pytest.raises(CapExceeded):
+        path_measure(m, path_cap=15)
+    assert len(path_measure(m, path_cap=16)) == 16
+    from posetpaths import parse_markov_kernel
+
+    g3 = build_graph(build_young_poset([2, 1]), 3)
+    kernel = parse_markov_kernel(g3, "row 0:0 1:1\nrow 1:0 2:1/2 3:1/2\nrow 2:0 3:1\nrow 2:1 2:1\n")
+    with pytest.raises(CapExceeded):
+        path_measure(kernel, path_cap=1)
+    big = build_graph(build_box_poset(4, (2, 2, 2, 2)), 15)
+    with pytest.raises(CapExceeded, match="more than 100000 paths"):
+        path_measure(endpoint_measure(big, big.levels[15][0]))  # 1,680,384 paths, none built
+
+
 # --- growth transitions and samplers --------------------------------------
 
 
@@ -259,7 +296,7 @@ def test_rsk_alpha_validation():
 def test_rsk_single_letter_single_row():
     path = sample_rsk_thoma((1.0,), 50, 3)
     assert path.shape() == (50,)
-    rep = estimate_frequency(RSKThoma((1.0,)), HookIdeal(1, 0), 50, 5, 3)
+    (rep,) = estimate_frequency(RSKThoma((1.0,)), [HookIdeal(1, 0)], 50, 5, 3)
     assert rep.estimate == 1.0 and rep.stderr == 0.0
 
 
@@ -306,14 +343,14 @@ def test_plancherel_first_row_near_two_sqrt_n():
 
 
 def test_full_ideal_estimates_exactly_one():
-    rep = estimate_frequency(PlancherelYoung(), FullIdeal(), 100, 10, 5)
+    (rep,) = estimate_frequency(PlancherelYoung(), [FullIdeal()], 100, 10, 5)
     assert rep.estimate == 1.0
     assert rep.stderr == 0.0
 
 
 def test_frequency_reports_deterministic():
-    a = estimate_frequency(PlancherelYoung(), HookIdeal(1, 0), 200, 10, 42)
-    b = estimate_frequency(PlancherelYoung(), HookIdeal(1, 0), 200, 10, 42)
+    (a,) = estimate_frequency(PlancherelYoung(), [HookIdeal(1, 0)], 200, 10, 42)
+    (b,) = estimate_frequency(PlancherelYoung(), [HookIdeal(1, 0)], 200, 10, 42)
     assert a == b
     assert a.csv_row() == b.csv_row()
 
@@ -321,16 +358,11 @@ def test_frequency_reports_deterministic():
 def test_frequency_monotone_under_ideal_inclusion():
     # nested hooks on identical sampled paths
     chains = [HookIdeal(1, 0), HookIdeal(1, 1), HookIdeal(2, 1), HookIdeal(2, 2)]
-    reports = [
-        estimate_frequency(PlancherelYoung(), spec, 300, 8, 17) for spec in chains
-    ]
+    reports = estimate_frequency(PlancherelYoung(), chains, 300, 8, 17)
     for a, b in zip(reports, reports[1:]):
         for va, vb in zip(a.values, b.values):
             assert va <= vb
-    rsk_reports = [
-        estimate_frequency(RSKThoma((0.6, 0.3, 0.1)), spec, 300, 8, 17)
-        for spec in chains
-    ]
+    rsk_reports = estimate_frequency(RSKThoma((0.6, 0.3, 0.1)), chains, 300, 8, 17)
     for a, b in zip(rsk_reports, rsk_reports[1:]):
         for va, vb in zip(a.values, b.values):
             assert va <= vb
@@ -338,8 +370,7 @@ def test_frequency_monotone_under_ideal_inclusion():
 
 def test_frequency_estimates_in_unit_interval():
     for spec in [PlancherelYoung(), RSKThoma((0.7, 0.3))]:
-        for ideal in [HookIdeal(1, 0), HookIdeal(0, 2), FullIdeal()]:
-            rep = estimate_frequency(spec, ideal, 150, 6, 9)
+        for rep in estimate_frequency(spec, [HookIdeal(1, 0), HookIdeal(0, 2), FullIdeal()], 150, 6, 9):
             assert 0.0 <= rep.estimate <= 1.0
 
 
@@ -347,7 +378,7 @@ def test_finite_set_ideal_incompatible_with_growth_sampler():
     from posetpaths import finite_set_ideal
 
     with pytest.raises(ValueError):
-        estimate_frequency(PlancherelYoung(), finite_set_ideal([1]), 10, 2, 1)
+        estimate_frequency(PlancherelYoung(), [finite_set_ideal([1])], 10, 2, 1)
 
 
 def test_markov_sampler_frequency():
@@ -358,9 +389,8 @@ def test_markov_sampler_frequency():
     numbering = sample_markov(m, 6, 4)
     assert numbering.length == 7
     assert set(numbering.elements) <= set(v.ideal)
-    rep = estimate_frequency(m, parse_ideal("hook:1,0"), 6, 12, 4)
+    rep, rep_full = estimate_frequency(m, [parse_ideal("hook:1,0"), FullIdeal()], 6, 12, 4)
     assert 0.0 < rep.estimate <= 1.0
-    rep_full = estimate_frequency(m, FullIdeal(), 6, 12, 4)
     assert rep_full.estimate == 1.0
     with pytest.raises(ValueError):
         sample_markov(m, 7, 4)  # beyond kernel depth
@@ -371,7 +401,7 @@ def test_markov_sampler_on_coordinate_free_window_rejects_hooks():
     g = build_graph(w, 3)
     m = endpoint_measure(g, g.levels[3][0])
     with pytest.raises(ValueError):
-        estimate_frequency(m, HookIdeal(1, 0), 3, 4, 2)
+        estimate_frequency(m, [HookIdeal(1, 0)], 3, 4, 2)
 
 
 def test_growth_to_numbering_round_trip():

@@ -24,7 +24,7 @@ from posetpaths import (
 )
 from posetpaths.symmetry import ALLOWED_ORBIT_TAGS, compose, perm_order
 
-from oracles import brute_orbit, brute_symmetry_group_order, sigma_map
+from oracles import brute_numberings, brute_orbit, brute_symmetry_group_order, sigma_map
 
 CORPUS = [
     build_young_poset([2, 1]),
@@ -79,13 +79,15 @@ def test_sigma_is_involution_everywhere():
 
 
 def test_sigma_matches_independent_rule():
+    # every prefix length, so each swap output is also checked to be a numbering
     for w in CORPUS:
-        full = w.poset.n
-        for phi in enumerate_numberings(w, full):
-            for i in range(1, full - 1):
-                assert apply_sigma(w.poset, i, phi).elements == sigma_map(
-                    w.poset, phi.elements, i
-                )
+        for length in range(3, w.poset.n + 1):
+            valid = set(brute_numberings(w.poset, length))
+            for phi in enumerate_numberings(w, length):
+                for i in range(1, length - 1):
+                    out = apply_sigma(w.poset, i, phi).elements
+                    assert out == sigma_map(w.poset, phi.elements, i)
+                    assert out in valid, (w.describe(), phi.elements, i)
 
 
 def test_sigma_commutes_at_distance():
