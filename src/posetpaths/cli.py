@@ -54,6 +54,9 @@ def _ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t != ""]
 
 
+_POSET_SOURCES = ("young", "box", "chain", "antichain", "file")
+
+
 def _add_poset_args(p: argparse.ArgumentParser, required: bool) -> None:
     src = p.add_mutually_exclusive_group(required=required)
     src.add_argument("--young", metavar="P1,P2,...", help="Young diagram window")
@@ -63,9 +66,20 @@ def _add_poset_args(p: argparse.ArgumentParser, required: bool) -> None:
     src.add_argument("--file", metavar="PATH", help="poset file (el/cov lines)")
 
 
+def _add_sampler_args(p: argparse.ArgumentParser, kinds, required: bool) -> None:
+    """Sampler flags, each stored in `args.sampler` as the text `_parse_sampler` reads."""
+    group = p.add_mutually_exclusive_group(required=required)
+    if "plancherel" in kinds:
+        group.add_argument("--plancherel", action="store_const", const="plancherel", dest="sampler")
+    for kind, metavar in (("rsk", "A1,A2,..."), ("endpoint", "LEVEL:INDEX"), ("markov", "FILE")):
+        if kind in kinds:
+            group.add_argument(
+                f"--{kind}", dest="sampler", metavar=metavar, type=lambda t, k=kind: f"{k}:{t}"
+            )
+
+
 def _resolve_window(args):
-    if args.young is None and args.box is None and args.chain is None \
-            and args.antichain is None and args.file is None:
+    if all(getattr(args, k) is None for k in _POSET_SOURCES):
         raise ValueError("a poset source is required (--young/--box/--chain/--antichain/--file)")
     if args.young is not None:
         return build_young_poset(_ints(args.young))
@@ -81,7 +95,7 @@ def _resolve_window(args):
 
 
 def _poset_flag(args) -> str:
-    key = next(k for k in ("young", "box", "chain", "antichain", "file") if getattr(args, k) is not None)
+    key = next(k for k in _POSET_SOURCES if getattr(args, k) is not None)
     return f"{key}={getattr(args, key)}"
 
 
@@ -281,19 +295,6 @@ def _parse_sampler(text: str, args):
     raise ValueError(f"unknown sampler spec {text!r}")
 
 
-def _flag_sampler(args, required: bool) -> str | None:
-    """A `measure` subcommand's sampler flags as sampler text (None if none given)."""
-    flags = [k for k in ("plancherel", "rsk", "endpoint", "markov") if hasattr(args, k)]
-    chosen = [
-        k if getattr(args, k) is True else f"{k}:{getattr(args, k)}"
-        for k in flags
-        if getattr(args, k) not in (None, False)
-    ]
-    if len(chosen) > 1 or (required and not chosen):
-        raise ValueError("choose one sampler: " + ", ".join(f"--{k}" for k in flags))
-    return chosen[0] if chosen else None
-
-
 def _ties_note(config: dict, specs) -> None:
     if any(s.has_ties for s in specs):
         config["ties"] = "flagged (tied letter probabilities blur row identification)"
@@ -301,9 +302,8 @@ def _ties_note(config: dict, specs) -> None:
 
 def cmd_measure_check(args) -> int:
     out = _Out(args.out)
-    text = _flag_sampler(args, required=False)
-    if text is not None:
-        kernel = _parse_sampler(text, args)
+    if args.sampler is not None:
+        kernel = _parse_sampler(args.sampler, args)
         g = kernel.graph
         measure = path_measure(kernel)
         what = kernel.name()
@@ -317,7 +317,11 @@ def cmd_measure_check(args) -> int:
         measure = perturb_fiber(measure, Fraction(args.perturb))
         what += f"+perturb:{args.perturb}"
     report = is_central(g, measure, tol=args.tol)
-    _echo_config(out, "measure check", {"poset": _poset_flag(args), "measure": what, "tol": args.tol})
+    _echo_config(
+        out,
+        "measure check",
+        {"poset": _poset_flag(args), "measure": what, "tol": args.tol},
+    )
     out.emit(f"paths: {report.n_paths}")
     out.emit(f"exact_arithmetic: {report.exact}")
     out.emit(f"generator_invariance: {'pass' if report.invariance_ok else 'fail'}")
@@ -334,7 +338,7 @@ def cmd_measure_check(args) -> int:
 
 
 def cmd_measure_freq(args) -> int:
-    spec = _parse_sampler(_flag_sampler(args, required=True), args)
+    spec = _parse_sampler(args.sampler, args)
     ideals = [parse_ideal(t) for t in args.ideal]
     out = _Out(args.out)
     config = {
@@ -353,9 +357,13 @@ def cmd_measure_freq(args) -> int:
 
 
 def cmd_measure_sample(args) -> int:
-    spec = _parse_sampler(_flag_sampler(args, required=True), args)
+    spec = _parse_sampler(args.sampler, args)
     out = _Out(args.out)
-    _echo_config(out, "measure sample", {"sampler": spec.name(), "n": args.n, "seed": args.seed})
+    _echo_config(
+        out,
+        "measure sample",
+        {"sampler": spec.name(), "n": args.n, "seed": args.seed},
+    )
     for line in spec.lines(spec.sample(args.n, args.seed)):
         out.emit(line)
     return out.flush()
@@ -444,8 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     m_check = msub.add_parser("check", help="exact centrality check of a kernel")
     _add_poset_args(m_check, required=True)
-    m_check.add_argument("--endpoint", default=None, metavar="LEVEL:INDEX")
-    m_check.add_argument("--markov", default=None, metavar="FILE")
+    _add_sampler_args(m_check, ("endpoint", "markov"), required=False)
     m_check.add_argument("--uniform", action="store_true")
     m_check.add_argument("--depth", type=int, default=None)
     m_check.add_argument("--perturb", default=None, metavar="EPS")
@@ -455,10 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     m_freq = msub.add_parser("freq", help="frequency estimates as CSV")
     _add_poset_args(m_freq, required=False)
-    m_freq.add_argument("--plancherel", action="store_true")
-    m_freq.add_argument("--rsk", default=None, metavar="A1,A2,...")
-    m_freq.add_argument("--endpoint", default=None, metavar="LEVEL:INDEX")
-    m_freq.add_argument("--markov", default=None, metavar="FILE")
+    _add_sampler_args(m_freq, ("plancherel", "rsk", "endpoint", "markov"), required=True)
     m_freq.add_argument("--depth", type=int, default=None)
     m_freq.add_argument("--ideal", action="append", required=True)
     m_freq.add_argument("--n", type=int, default=1000)
@@ -469,10 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     m_sample = msub.add_parser("sample", help="dump one sampled path")
     _add_poset_args(m_sample, required=False)
-    m_sample.add_argument("--plancherel", action="store_true")
-    m_sample.add_argument("--rsk", default=None, metavar="A1,A2,...")
-    m_sample.add_argument("--endpoint", default=None, metavar="LEVEL:INDEX")
-    m_sample.add_argument("--markov", default=None, metavar="FILE")
+    _add_sampler_args(m_sample, ("plancherel", "rsk", "endpoint", "markov"), required=True)
     m_sample.add_argument("--depth", type=int, default=None)
     m_sample.add_argument("--n", type=int, default=10)
     m_sample.add_argument("--seed", type=int, default=0)

@@ -15,6 +15,7 @@ bit-identical paths and reports.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ import numpy as np
 from .graded_graph import GradedGraph, LevelVertex, dimension, up_dimension_table
 from .ideals import (
     FiniteSetIdeal,
-    FullIdeal,
     IdealSpec,
     ideal_member,
     member_coords,
@@ -45,6 +45,8 @@ from .young import (
     tableau_count,
 )
 
+PATH_CAP = 100_000  # most paths an exact law or centrality check lists
+
 
 class _YoungGrowth:
     """The growth samplers' points are the added cells, read by coordinates."""
@@ -54,8 +56,6 @@ class _YoungGrowth:
 
     def hits(self, path: GrowthPath, ideal: IdealSpec) -> int:
         """How many of the sampled cells lie in the ideal."""
-        if isinstance(ideal, FullIdeal):
-            return path.n_steps
         if isinstance(ideal, FiniteSetIdeal):
             raise ValueError("finite-set ideals are window-bound; growth samplers have no ids")
         return sum(1 for cell in path.cells if member_coords(ideal, cell))
@@ -237,9 +237,9 @@ def endpoint_measure(g: GradedGraph, v: LevelVertex) -> ExplicitMarkov:
     return ExplicitMarkov(g, rows, name=f"endpoint:{v.level}:{v.index}", depth=v.level)
 
 
-def path_measure(m: ExplicitMarkov, path_cap: int = 100_000) -> dict[tuple[int, ...], Fraction]:
+def path_measure(m: ExplicitMarkov) -> dict[tuple[int, ...], Fraction]:
     """Exact law on root-based paths of the kernel's depth. Raises
-    CapExceeded, before any path is built, when more than `path_cap` paths
+    CapExceeded, before any path is built, when more than PATH_CAP paths
     carry positive probability (for an endpoint kernel, dimension(v))."""
     counts = {0: 1}  # index at the current level -> positive-probability paths to it
     for level in range(m.depth):
@@ -249,8 +249,8 @@ def path_measure(m: ExplicitMarkov, path_cap: int = 100_000) -> dict[tuple[int, 
                 if p:
                     nxt[j] = nxt.get(j, 0) + c
         counts = nxt
-    if sum(counts.values()) > path_cap:
-        raise CapExceeded(f"more than {path_cap} paths under {m.name()}")
+    if sum(counts.values()) > PATH_CAP:
+        raise CapExceeded(f"more than {PATH_CAP} paths under {m.name()}")
     out: dict[tuple[int, ...], Fraction] = {}
 
     def walk(level, index, prefix, prob):
@@ -266,7 +266,7 @@ def path_measure(m: ExplicitMarkov, path_cap: int = 100_000) -> dict[tuple[int, 
 
 
 def uniform_path_measure(
-    window: PosetWindow, length: int, path_cap: int = 100_000
+    window: PosetWindow, length: int, path_cap: int = PATH_CAP
 ) -> dict[tuple[int, ...], Fraction]:
     """The uniform law on all numberings of the given length.
 
@@ -314,7 +314,7 @@ class CentralityReport:
 
 
 def is_central(
-    g: GradedGraph, measure, tol: float = 0.0, path_cap: int = 100_000
+    g: GradedGraph, measure, tol: float = 0.0, path_cap: int = PATH_CAP
 ) -> CentralityReport:
     """Check a path measure for invariance under every involution and for
     fiber-conditional uniformity.
@@ -449,11 +449,7 @@ def sample_rsk_thoma(alpha, n_steps: int, seed: int) -> GrowthPath:
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     rng = random.Random(seed)
-    cum = []
-    acc = 0.0
-    for a in spec.alpha:
-        acc += a
-        cum.append(acc)
+    cum = list(itertools.accumulate(spec.alpha))
     rows: list[list[int]] = []
     cells = []
     letters = []
@@ -480,16 +476,12 @@ def sample_markov(m: ExplicitMarkov, n_steps: int, seed: int) -> PathNumbering:
             raise ValueError(f"kernel has no row at level {level} index {index}")
         u = rng.random()
         acc = 0.0
-        choice = None
-        for elem, j, p in row:
+        for elem, j, p in row:  # without a break, float round-off picks the last edge
             acc += float(p)
             if u < acc:
-                choice = (elem, j)
                 break
-        if choice is None:
-            choice = (row[-1][0], row[-1][1])
-        elems.append(choice[0])
-        level, index = level + 1, choice[1]
+        elems.append(elem)
+        level, index = level + 1, j
     return validate_numbering(m.graph.window.poset, elems)
 
 
@@ -566,11 +558,23 @@ def estimate_frequency(
     reports = []
     for ideal, vals in zip(ideals, values):
         mean = sum(vals) / replicas
-        var = sum((v - mean) ** 2 for v in vals) / (replicas - 1) if replicas > 1 else 0.0
-        reports.append(FrequencyReport(
-            sampler=spec.name(), ideal=ideal.name(), n_steps=n_steps, replicas=replicas,
-            estimate=mean, stderr=math.sqrt(var / replicas), seed=seed, values=tuple(vals),
-        ))
+        if replicas > 1:
+            var = sum((v - mean) ** 2 for v in vals) / (replicas - 1)
+            stderr = math.sqrt(var / replicas)
+        else:
+            stderr = 0.0
+        reports.append(
+            FrequencyReport(
+                sampler=spec.name(),
+                ideal=ideal.name(),
+                n_steps=n_steps,
+                replicas=replicas,
+                estimate=mean,
+                stderr=stderr,
+                seed=seed,
+                values=tuple(vals),
+            )
+        )
     return reports
 
 

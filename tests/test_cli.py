@@ -244,11 +244,24 @@ def test_measure_check_endpoint_path_cap_exit_3(capsys):
 def test_measure_check_rejects_two_kernels(tmp_path, capsys):
     kernel = tmp_path / "k.txt"
     kernel.write_text("row 0:0 1:1\n", encoding="utf-8")
-    code, _, err = run(
-        capsys, "measure", "check", "--endpoint", "1:0", "--markov", str(kernel), "--young", "2,1"
-    )
-    assert code == 2
-    assert "choose one sampler: --endpoint, --markov" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "check", "--endpoint", "1:0", "--markov", str(kernel), "--young", "2,1"])
+    assert exc.value.code == 2
+    assert "argument --markov: not allowed with argument --endpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["freq", "--ideal", "full"], "one of the arguments --plancherel --rsk --endpoint --markov is required"),
+        (["sample", "--plancherel", "--rsk", "0.5,0.5"], "argument --rsk: not allowed with argument --plancherel"),
+    ],
+)
+def test_measure_sampler_flags_choose_exactly_one(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_markov_kernel_missing_row_exit_2(tmp_path, capsys):

@@ -30,6 +30,7 @@ from posetpaths import (
     sample_rsk_thoma,
     uniform_path_measure,
 )
+from posetpaths import measures
 from posetpaths.measures import ExplicitMarkov
 from posetpaths.young import growth_probabilities_float, partitions_of, tableau_count
 
@@ -186,23 +187,27 @@ def test_parse_markov_kernel_rejects_missing_rows():
         parse_markov_kernel(g, "row\n")
 
 
-def test_path_measure_cap_counts_before_walking():
+def test_path_measure_cap_counts_before_walking(monkeypatch):
+    big = build_graph(build_box_poset(4, (2, 2, 2, 2)), 15)
+    with pytest.raises(CapExceeded, match="more than 100000 paths"):
+        path_measure(endpoint_measure(big, big.levels[15][0]))  # 1,680,384 paths, none built
+    # the boundary: the cap counts exactly the positive-probability paths
     g = build_graph(build_young_poset([3, 2, 1]), 6)
     v = g.levels[6][0]
     m = endpoint_measure(g, v)
     assert dimension(g, v) == 16
+    monkeypatch.setattr(measures, "PATH_CAP", 15)
     with pytest.raises(CapExceeded):
-        path_measure(m, path_cap=15)
-    assert len(path_measure(m, path_cap=16)) == 16
+        path_measure(m)
+    monkeypatch.setattr(measures, "PATH_CAP", 16)
+    assert len(path_measure(m)) == 16
     from posetpaths import parse_markov_kernel
 
     g3 = build_graph(build_young_poset([2, 1]), 3)
     kernel = parse_markov_kernel(g3, "row 0:0 1:1\nrow 1:0 2:1/2 3:1/2\nrow 2:0 3:1\nrow 2:1 2:1\n")
+    monkeypatch.setattr(measures, "PATH_CAP", 1)
     with pytest.raises(CapExceeded):
-        path_measure(kernel, path_cap=1)
-    big = build_graph(build_box_poset(4, (2, 2, 2, 2)), 15)
-    with pytest.raises(CapExceeded, match="more than 100000 paths"):
-        path_measure(endpoint_measure(big, big.levels[15][0]))  # 1,680,384 paths, none built
+        path_measure(kernel)
 
 
 # --- growth transitions and samplers --------------------------------------
