@@ -10,6 +10,7 @@ measure), 2 usage or input error, 3 a cap was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -267,9 +268,18 @@ def cmd_group(args) -> int:
     return EXIT_VIOLATION if violations else code
 
 
-def _parse_sampler(text: str, args):
+def _window_source(args):
+    """The command's poset window and its ideal graph at a depth, as callables
+    that resolve the window and build each depth's graph at most once."""
+    window = functools.cache(lambda: _resolve_window(args))
+    return window, functools.cache(lambda depth: build_graph(window(), depth))
+
+
+def _parse_sampler(text: str, args, source):
     """The one route from sampler text (plancherel | rsk:A1,... | endpoint:LEVEL:INDEX
-    | markov:FILE) to a central-measure spec; window specs read the poset flags."""
+    | markov:FILE) to a central-measure spec; window specs read the poset flags
+    through `source`, a `_window_source(args)` shared by the command's samplers."""
+    window, graph = source
     t = text.strip()
     kind, _, rest = t.partition(":")
     if t == "plancherel":
@@ -281,15 +291,12 @@ def _parse_sampler(text: str, args):
             level, index = (int(x) for x in rest.split(":"))
         except ValueError as exc:
             raise ValueError(f"bad endpoint {rest!r}: expected LEVEL:INDEX") from exc
-        window = _resolve_window(args)
-        g = build_graph(window, level) if 0 <= level < window.poset.n else None
+        g = graph(level) if 0 <= level < window().poset.n else None
         if g is None or not 0 <= index < len(g.levels[level]):
-            raise ValueError(f"no vertex {level}:{index} in the ideal lattice of {window.describe()}")
+            raise ValueError(f"no vertex {level}:{index} in the ideal lattice of {window().describe()}")
         return endpoint_measure(g, g.vertex(level, index))
     if kind == "markov":
-        window = _resolve_window(args)
-        depth = args.depth if args.depth is not None else window.poset.n - 1
-        g = build_graph(window, depth)
+        g = graph(args.depth if args.depth is not None else window().poset.n - 1)
         with open(rest, encoding="utf-8") as fh:
             return parse_markov_kernel(g, fh.read(), name=f"markov:{rest}")
     raise ValueError(f"unknown sampler spec {text!r}")
@@ -303,7 +310,7 @@ def _ties_note(config: dict, specs) -> None:
 def cmd_measure_check(args) -> int:
     out = _Out(args.out)
     if args.sampler is not None:
-        kernel = _parse_sampler(args.sampler, args)
+        kernel = _parse_sampler(args.sampler, args, _window_source(args))
         g = kernel.graph
         measure = path_measure(kernel)
         what = kernel.name()
@@ -313,15 +320,23 @@ def cmd_measure_check(args) -> int:
         g = build_graph(window, length - 1)
         measure = uniform_path_measure(window, length)
         what = f"uniform:{length}"
+    negative = []  # paths an over-large perturbation leaves with negative mass
     if args.perturb is not None:
         measure = perturb_fiber(measure, Fraction(args.perturb))
         what += f"+perturb:{args.perturb}"
-    report = is_central(g, measure, tol=args.tol)
+        negative = sorted(path for path, p in measure.items() if p < 0)
+    report = None if negative else is_central(g, measure, tol=args.tol)
     _echo_config(
         out,
         "measure check",
         {"poset": _poset_flag(args), "measure": what, "tol": args.tol},
     )
+    if negative:
+        for path in negative:
+            out.emit(f"perturbed_law: negative mass {measure[path]} on path {','.join(map(str, path))}")
+        out.emit("central: NO")
+        out.flush()
+        return EXIT_VIOLATION
     out.emit(f"paths: {report.n_paths}")
     out.emit(f"exact_arithmetic: {report.exact}")
     out.emit(f"generator_invariance: {'pass' if report.invariance_ok else 'fail'}")
@@ -338,7 +353,7 @@ def cmd_measure_check(args) -> int:
 
 
 def cmd_measure_freq(args) -> int:
-    spec = _parse_sampler(args.sampler, args)
+    spec = _parse_sampler(args.sampler, args, _window_source(args))
     ideals = [parse_ideal(t) for t in args.ideal]
     out = _Out(args.out)
     config = {
@@ -357,7 +372,7 @@ def cmd_measure_freq(args) -> int:
 
 
 def cmd_measure_sample(args) -> int:
-    spec = _parse_sampler(args.sampler, args)
+    spec = _parse_sampler(args.sampler, args, _window_source(args))
     out = _Out(args.out)
     _echo_config(
         out,
@@ -370,7 +385,8 @@ def cmd_measure_sample(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    specs = [_parse_sampler(t, args) for t in args.sampler]
+    source = _window_source(args)
+    specs = [_parse_sampler(t, args, source) for t in args.sampler]
     ideals = [parse_ideal(t) for t in args.ideal]
     table = compare_frequency_profiles(
         specs,
@@ -453,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     m_check = msub.add_parser("check", help="exact centrality check of a kernel")
     _add_poset_args(m_check, required=True)
     _add_sampler_args(m_check, ("endpoint", "markov"), required=False)
-    m_check.add_argument("--uniform", action="store_true")
     m_check.add_argument("--depth", type=int, default=None)
     m_check.add_argument("--perturb", default=None, metavar="EPS")
     m_check.add_argument("--tol", type=float, default=0.0)

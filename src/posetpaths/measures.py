@@ -33,7 +33,8 @@ from .ideals import (
 from .posets import (
     ROOT, CapExceeded, PathNumbering, PosetWindow, build_young_poset, enumerate_numberings, validate_numbering,
 )
-from .symmetry import apply_sigma
+from .symmetry import apply_sigma  # noqa: F401  (bench/spans.py traces the name here)
+from .symmetry import generate_group
 from .young import (
     GrowthPath,
     additions,
@@ -251,17 +252,27 @@ def path_measure(m: ExplicitMarkov) -> dict[tuple[int, ...], Fraction]:
         counts = nxt
     if sum(counts.values()) > PATH_CAP:
         raise CapExceeded(f"more than {PATH_CAP} paths under {m.name()}")
+    # exact kernels walk integer numerators and denominators and make one
+    # Fraction per path; float kernels multiply the same floats in the same
+    # order as float * Fraction would
+    terms = {
+        key: [
+            (elem, j, p.numerator, p.denominator) if m.exact else (elem, j, float(p), 1)
+            for elem, j, p in row
+            if p
+        ]
+        for key, row in m.rows.items()
+    }
     out: dict[tuple[int, ...], Fraction] = {}
 
-    def walk(level, index, prefix, prob):
+    def walk(level, index, prefix, num, den):
         if level == m.depth:
-            out[prefix] = prob
+            out[prefix] = Fraction(num, den) if m.exact else num
             return
-        for elem, j, p in m.rows.get((level, index), ()):
-            if p:
-                walk(level + 1, j, prefix + (elem,), prob * p)
+        for elem, j, p_num, p_den in terms.get((level, index), ()):
+            walk(level + 1, j, prefix + (elem,), num * p_num, den * p_den)
 
-    walk(0, 0, (ROOT,), Fraction(1) if m.exact else 1.0)
+    walk(0, 0, (ROOT,), 1 if m.exact else 1.0, 1)
     return out
 
 
@@ -344,42 +355,45 @@ def is_central(
     elif abs(total - 1.0) > max(tol, 1e-12):
         raise ValueError(f"probabilities sum to {total}, not 1")
 
-    poset = g.window.poset
-    all_paths = enumerate_numberings(g.window, length, limit=path_cap)
-    valid = {p.elements for p in all_paths}
-    for key in probs:
-        if key not in valid:
+    handle = generate_group(g.window, length, path_cap=path_cap)
+    zero = Fraction(0) if exact else 0.0
+    weights = [zero] * handle.n_paths  # by path id, lexicographic
+    for key, p in probs.items():
+        k = handle.path_index.get(key)
+        if k is None:
             raise ValueError(f"{key} is not a valid numbering of this window")
+        weights[k] = p
+    # normalized (numerator, denominator) pairs are equal exactly when the
+    # values are, and compare without Fraction's mixed-type dispatch
+    pairs = [(p.numerator, p.denominator) for p in weights] if exact else None
 
-    def weight(key):
-        return probs.get(key, Fraction(0) if exact else 0.0)
+    def moved(gen):
+        """Ids of the paths whose mass the involution `gen` moves, in order."""
+        if exact:
+            return [k for k, j in enumerate(gen) if pairs[k] != pairs[j]]
+        return [k for k, j in enumerate(gen) if abs(weights[k] - weights[j]) > tol]
+
+    inv_witnesses = []
+    for i, gen in zip(handle.sigma_indices, handle.generators):
+        inv_witnesses = [(i, handle.paths[k].elements) for k in moved(gen)[:5]]
+        if inv_witnesses:
+            break
 
     def differs(a, b):
         return a != b if exact else abs(a - b) > tol
 
-    inv_witnesses = []
-    for i in range(1, length - 1):
-        for p in all_paths:
-            q = apply_sigma(poset, i, p)
-            if differs(weight(p.elements), weight(q.elements)):
-                inv_witnesses.append((i, p.elements))
-                if len(inv_witnesses) >= 5:
-                    break
-        if inv_witnesses:
-            break
-
     fiber_witnesses = []
-    fibers: dict[frozenset, list[tuple[int, ...]]] = {}
-    for p in all_paths:
-        fibers.setdefault(p.endpoint, []).append(p.elements)
+    fibers: dict[frozenset, list[int]] = {}
+    for k, p in enumerate(handle.paths):
+        fibers.setdefault(p.endpoint, []).append(k)
     for fiber_key in sorted(fibers, key=lambda f: tuple(sorted(f))):
         group = fibers[fiber_key]
-        lo = min(group, key=weight)
-        hi = max(group, key=weight)
-        if differs(weight(lo), weight(hi)):
-            fiber_witnesses.append((lo, hi))
+        lo = min(group, key=weights.__getitem__)
+        hi = max(group, key=weights.__getitem__)
+        if differs(weights[lo], weights[hi]):
+            fiber_witnesses.append((handle.paths[lo].elements, handle.paths[hi].elements))
     return CentralityReport(
-        n_paths=len(all_paths),
+        n_paths=handle.n_paths,
         length=length,
         exact=exact,
         invariance_ok=not inv_witnesses,

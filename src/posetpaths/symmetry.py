@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import itemgetter
 
 from .posets import (
     CapExceeded,
@@ -30,6 +31,15 @@ ALLOWED_ORBIT_TAGS = (
 )
 
 
+def _swapped(poset: Poset, i: int, elems: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The tuple sigma_i makes of `elems`, or None when it fixes them
+    (the entries at positions i, i+1 are comparable)."""
+    a, b = elems[i], elems[i + 1]
+    if poset.leq(a, b):
+        return None
+    return elems[:i] + (b, a) + elems[i + 2:]
+
+
 def apply_sigma(poset: Poset, i: int, phi: PathNumbering) -> PathNumbering:
     """Swap positions i, i+1 of phi when their elements are incomparable.
 
@@ -40,13 +50,13 @@ def apply_sigma(poset: Poset, i: int, phi: PathNumbering) -> PathNumbering:
     """
     if not (1 <= i <= phi.length - 2):
         raise ValueError(f"sigma index {i} out of range for length {phi.length}")
-    a, b = phi.elements[i], phi.elements[i + 1]
-    if poset.leq(a, b):
+    swapped = _swapped(poset, i, phi.elements)
+    if swapped is None:
         return phi
-    assert not poset.leq(b, a), "later entry below earlier one: invalid numbering"
-    swapped = list(phi.elements)
-    swapped[i], swapped[i + 1] = b, a
-    return PathNumbering(tuple(swapped))
+    assert not poset.leq(phi.elements[i + 1], phi.elements[i]), (
+        "later entry below earlier one: invalid numbering"
+    )
+    return PathNumbering(swapped)
 
 
 def orbit(phi: PathNumbering, window: PosetWindow, length: int | None = None) -> list[PathNumbering]:
@@ -101,23 +111,34 @@ def perm_order(p) -> int:
 def closure(generators, cap: int | None = None):
     """Breadth-first closure of the generated permutation group.
 
+    Each element is right-multiplied by every generator (q = p * g, so
+    q[x] = p[g[x]]); the words of at most d generators form the same set
+    from either side, so the levels, and with them the order and the
+    diameter, are those of the left-multiplied search. Identity
+    generators add nothing and are skipped.
+
     Returns (elements set, diameter). Raises CapExceeded past `cap`.
     """
     if not generators:
         raise ValueError("need at least one generator")
     ident = identity_perm(len(generators[0]))
+    # itemgetter of one index returns a bare item, not a 1-tuple; on a
+    # single point every generator is the identity and none is kept
+    steps = [itemgetter(*g) for g in generators if g != ident]
     elements = {ident}
+    size = 1
     frontier = [ident]
     diameter = 0
     while frontier:
         nxt = []
         for p in frontier:
-            for g in generators:
-                q = compose(g, p)
-                if q not in elements:
-                    elements.add(q)
+            for step in steps:
+                q = step(p)
+                elements.add(q)  # hashed once: membership is read off the size
+                if len(elements) > size:
+                    size += 1
                     nxt.append(q)
-                    if cap is not None and len(elements) > cap:
+                    if cap is not None and size > cap:
                         raise CapExceeded(f"group closure exceeded {cap} elements")
         if nxt:
             diameter += 1
@@ -143,9 +164,8 @@ class GroupHandle:
     sigma_indices: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
     path_cap: int
-    order: int | None = None
     cayley_stats: CayleyStats | None = None
-    _path_index: dict = field(default_factory=dict, repr=False)
+    path_index: dict = field(default_factory=dict, repr=False)  # elements tuple -> id
 
     @property
     def n_paths(self) -> int:
@@ -158,7 +178,7 @@ class GroupHandle:
             raise ValueError(f"no involution with index {i} at length {self.length}") from None
 
     def path_id(self, phi: PathNumbering) -> int:
-        return self._path_index[phi.elements]
+        return self.path_index[phi.elements]
 
 
 def generate_group(window: PosetWindow, length: int, path_cap: int = 100_000) -> GroupHandle:
@@ -171,12 +191,16 @@ def generate_group(window: PosetWindow, length: int, path_cap: int = 100_000) ->
     """
     poset = window.poset
     paths = tuple(enumerate_numberings(window, length, limit=path_cap))
-    index = {p.elements: k for k, p in enumerate(paths)}
+    elems = [p.elements for p in paths]
+    index = {e: k for k, e in enumerate(elems)}
     sigma_indices = tuple(range(1, max(length - 1, 1)))
     gens = []
     for i in sigma_indices:
-        perm = tuple(index[apply_sigma(poset, i, p).elements] for p in paths)
-        gens.append(perm)
+        perm = []
+        for k, e in enumerate(elems):
+            swapped = _swapped(poset, i, e)
+            perm.append(k if swapped is None else index[swapped])
+        gens.append(tuple(perm))
     return GroupHandle(
         window=window,
         length=length,
@@ -184,7 +208,7 @@ def generate_group(window: PosetWindow, length: int, path_cap: int = 100_000) ->
         sigma_indices=sigma_indices,
         generators=tuple(gens),
         path_cap=path_cap,
-        _path_index=index,
+        path_index=index,
     )
 
 
@@ -202,7 +226,6 @@ def group_order(handle: GroupHandle, cap: int = 1_000_000) -> CayleyStats:
         except CapExceeded:
             stats = CayleyStats(order=None, diameter=None, capped=True, cap=cap)
     handle.cayley_stats = stats
-    handle.order = stats.order
     return stats
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import gcd
+from fractions import Fraction
+from math import gcd, prod
 
 
 @functools.lru_cache(maxsize=64)
@@ -130,23 +131,94 @@ def brute_symmetry_group_order(poset, paths, cap=10**6):
     gens = []
     for i in range(1, length - 1):
         gens.append(tuple(index[sigma_map(poset, p, i)] for p in paths))
-    ident = tuple(range(len(paths)))
     if not gens:
         return 1
+    return left_closure(gens, cap)[0]
+
+
+def left_closure(generators, cap=None):
+    """(order, diameter) of the group the permutation tuples generate, by a
+    breadth-first search that left-multiplies each element by every
+    generator. Raises RuntimeError once more than `cap` elements are found."""
+    ident = tuple(range(len(generators[0])))
     elements = {ident}
     frontier = [ident]
+    diameter = 0
     while frontier:
         new = []
         for f in frontier:
-            for g in gens:
+            for g in generators:
                 h = tuple(g[x] for x in f)
                 if h not in elements:
-                    if len(elements) >= cap:
+                    if cap is not None and len(elements) >= cap:
                         raise RuntimeError("oracle closure exceeded cap")
                     elements.add(h)
                     new.append(h)
+        if new:
+            diameter += 1
         frontier = new
-    return len(elements)
+    return len(elements), diameter
+
+
+def central_witnesses(poset, measure, length, tol=0.0):
+    """Per-path centrality witnesses of a measure on numbering tuples.
+
+    Invariance: the first involution index that moves mass, with up to
+    five of the paths it moves, in lexicographic order. Fibers: for each
+    endpoint set in sorted order whose mass is not uniform, the first
+    lightest and first heaviest path. Floats compare within `tol`.
+    """
+    paths = brute_numberings(poset, length)
+    exact = not any(isinstance(p, float) for p in measure.values())
+    zero = Fraction(0) if exact else 0.0
+
+    def weight(seq):
+        return measure.get(seq, zero)
+
+    def differs(a, b):
+        return a != b if exact else abs(a - b) > tol
+
+    invariance = []
+    for i in range(1, length - 1):
+        moved = [seq for seq in paths if differs(weight(seq), weight(sigma_map(poset, seq, i)))]
+        if moved:
+            invariance = [(i, seq) for seq in moved[:5]]
+            break
+    fibers = {}
+    for seq in paths:
+        fibers.setdefault(tuple(sorted(seq)), []).append(seq)
+    uneven = []
+    for key in sorted(fibers):
+        group = fibers[key]
+        lo = min(group, key=weight)
+        hi = max(group, key=weight)
+        if differs(weight(lo), weight(hi)):
+            uneven.append((lo, hi))
+    return invariance, uneven
+
+
+def kernel_path_law(rows, depth, root=0):
+    """Law of a transition kernel's root-based paths of length `depth`:
+    each path's probability is the product of its edge probabilities,
+    left to right, as Fractions, or as floats when any edge is a float.
+    Paths through a zero-probability edge are left out.
+
+    `rows` maps (level, index) to (added element, next index, probability).
+    """
+    exact = not any(isinstance(p, float) for row in rows.values() for _, _, p in row)
+    paths = [((root,), 0, [])]
+    for level in range(depth):
+        paths = [
+            (seq + (elem,), j, probs + [p])
+            for seq, index, probs in paths
+            for elem, j, p in rows.get((level, index), ())
+        ]
+    law = {}
+    for seq, _, probs in paths:
+        value = prod(probs, start=Fraction(1)) if exact else prod(map(float, probs), start=1.0)
+        if value:
+            law[seq] = value
+    return law
 
 
 def brute_orbit(poset, seq):

@@ -173,8 +173,43 @@ def test_measure_check_perturbed_fails(capsys):
     assert "witness: sigma_" in out
 
 
+def test_measure_check_over_large_perturbation_exits_1(capsys):
+    # young 2,1 has two full numberings of mass 1/2 each; the golden case
+    # check_perturb_negative pins the stdout of --perturb 5
+    code, _, err = run(capsys, "measure", "check", "--young", "2,1", "--perturb", "5")
+    assert code == 1 and err == ""
+    # moving all of one path's mass leaves a zero, which is still a law
+    code, out, _ = run(capsys, "measure", "check", "--young", "2,1", "--perturb", "1/2")
+    assert code == 1
+    assert "negative" not in out
+    assert "generator_invariance: fail" in out
+
+
+def test_compare_builds_the_window_graph_once(monkeypatch, capsys):
+    from posetpaths import cli
+
+    calls = {"build_graph": 0, "build_box_poset": 0}
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    code, _, _ = run(
+        capsys, "compare", "--sampler", "endpoint:3:0", "--sampler", "endpoint:3:2", "--box", "3,3",
+        "--ideal", "hook:1,0", "--n", "3", "--replicas", "2",
+    )
+    assert code == 0
+    assert calls == {"build_graph": 1, "build_box_poset": 1}
+
+
 def test_measure_check_uniform(capsys):
-    code, out, _ = run(capsys, "measure", "check", "--uniform", "--young", "3,2", "--depth", "6")
+    code, out, _ = run(capsys, "measure", "check", "--young", "3,2", "--depth", "6")
     assert code == 0
     assert "central: yes" in out
 

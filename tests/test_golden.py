@@ -1,15 +1,16 @@
-"""Golden stdout for a fixed-seed subset of the sampler commands.
+"""Golden stdout for a fixed-seed subset of the sampler commands and demos.
 
 The files under `golden/` hold the exact stdout (and the table below the
 exit code) of every sampler kind through `measure sample`, `measure
-freq`, `compare` and `measure check`. A change that moves a seed stream
-or a float operation shows up here byte for byte; such a change must
-regenerate the files on purpose and say so.
+freq`, `compare` and `measure check`, and of demos 01-04. A change that
+moves a seed stream or a float operation shows up here byte for byte;
+such a change must regenerate the files on purpose and say so.
 """
 
 from __future__ import annotations
 
 import pathlib
+import runpy
 import shlex
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from posetpaths.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 
 CASES = {
     "sample_plancherel": ("measure sample --plancherel --n 40 --seed 3", 0),
@@ -45,8 +47,9 @@ CASES = {
         " --ideal hook:0,1 --n 3 --replicas 8 --seed 9", 0),
     "check_endpoint": ("measure check --endpoint 6:0 --young 3,2,1", 0),
     "check_markov": ("measure check --markov kernel.txt --young 2,1 --depth 3", 0),
-    "check_uniform": ("measure check --uniform --young 3,2 --depth 6", 0),
+    "check_uniform": ("measure check --young 3,2 --depth 6", 0),
     "check_perturb": ("measure check --endpoint 3:0 --young 2,1 --perturb 0.1", 1),
+    "check_perturb_negative": ("measure check --young 2,1 --perturb 5", 1),
 }
 
 
@@ -56,3 +59,11 @@ def test_golden_stdout(name, monkeypatch, capsys):
     monkeypatch.chdir(GOLDEN)  # the kernel file is named relative to it, as echoed
     assert main(shlex.split(argv)) == code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+# demo 05 stays out: it runs about 5 s of Monte Carlo
+@pytest.mark.parametrize("number", ["01", "02", "03", "04"])
+def test_demo_stdout(number, capsys):
+    (script,) = DEMOS.glob(f"{number}_*.py")
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out == (GOLDEN / f"demo_{number}.out").read_text(encoding="utf-8")

@@ -34,6 +34,8 @@ from posetpaths import measures
 from posetpaths.measures import ExplicitMarkov
 from posetpaths.young import growth_probabilities_float, partitions_of, tableau_count
 
+from oracles import central_witnesses, kernel_path_law
+
 
 # --- endpoint kernels ----------------------------------------------------
 
@@ -140,6 +142,88 @@ def test_is_central_float_tolerance():
     g = build_graph(w, 3)
     law = {k: float(v) for k, v in uniform_path_measure(w, 4).items()}
     assert is_central(g, law, tol=1e-12).central
+
+
+def _float_kernel(m):
+    return ExplicitMarkov(
+        m.graph,
+        {key: tuple((e, j, float(p)) for e, j, p in row) for key, row in m.rows.items()},
+        name="float",
+        depth=m.depth,
+    )
+
+
+def test_path_measure_matches_oracle_product():
+    for w, depth in [
+        (build_young_poset([3, 2, 1]), 6),
+        (build_box_poset(2, (3, 3)), 6),
+        (build_box_poset(3, (2, 2, 2)), 5),
+        (build_antichain_poset(4), 3),
+    ]:
+        g = build_graph(w, depth)
+        for v in g.levels[depth]:
+            exact = endpoint_measure(g, v)
+            law = path_measure(exact)
+            assert law == kernel_path_law(exact.rows, exact.depth)
+            assert all(type(p) is Fraction for p in law.values())
+            floats = _float_kernel(exact)
+            law = path_measure(floats)
+            assert law == kernel_path_law(floats.rows, floats.depth)  # same products bit for bit
+            assert all(type(p) is float for p in law.values())
+    # a kernel mixing float and rational rows, and one with a zero-probability edge
+    g = build_graph(build_young_poset([2, 1]), 3)
+    tail = {(0, 0): ((1, 0, Fraction(1)),), (2, 0): ((3, 0, Fraction(1)),), (2, 1): ((2, 0, Fraction(1)),)}
+    for split, expected in [
+        (((2, 0, 0.3), (3, 1, Fraction(7, 10))), {(0, 1, 2, 3): 0.3, (0, 1, 3, 2): 0.7}),
+        (((2, 0, Fraction(0)), (3, 1, Fraction(1))), {(0, 1, 3, 2): Fraction(1)}),
+    ]:
+        rows = {**tail, (1, 0): split}
+        law = path_measure(ExplicitMarkov(g, rows, name="hand"))
+        assert law == kernel_path_law(rows, 3) == expected
+
+
+def _random_law(paths, rng):
+    weights = [Fraction(rng.randrange(1, 6)) for _ in paths]
+    total = sum(weights)
+    return {p: q / total for p, q in zip(paths, weights)}
+
+
+def test_centrality_witnesses_match_per_path_oracle():
+    import random as _random
+
+    from posetpaths import enumerate_numberings
+
+    rng = _random.Random(11)
+    for w, length in [
+        (build_young_poset([3, 2]), 6),
+        (build_young_poset([2, 2, 1]), 5),
+        (build_box_poset(2, (3, 3)), 7),
+        (build_box_poset(3, (2, 2, 2)), 6),
+        (build_antichain_poset(4), 5),
+        (build_chain_poset(5), 5),
+    ]:
+        g = build_graph(w, length - 1)
+        paths = [p.elements for p in enumerate_numberings(w, length)]
+        uniform = uniform_path_measure(w, length)
+        laws = [uniform, _random_law(paths, rng), _random_law(paths, rng)]
+        if len(paths) > 1 and any(len(p) > 1 for p in paths):
+            laws.append(perturb_fiber(uniform, Fraction(1, 1000)))
+        for law in laws:
+            report = is_central(g, law)
+            assert (report.invariance_witnesses, report.fiber_witnesses) == central_witnesses(
+                w.poset, law, length
+            ), (w.describe(), length)
+        # floats: a perturbation below the tolerance passes, one above it fails
+        floats = {k: float(v) for k, v in uniform.items()}
+        for eps, tol in ((1e-9, 1e-6), (1e-3, 1e-6), (0.0, 0.0)):
+            try:
+                law = perturb_fiber(floats, eps)
+            except ValueError:  # no fiber holds two paths
+                law = floats
+            report = is_central(g, law, tol=tol)
+            assert (report.invariance_witnesses, report.fiber_witnesses) == central_witnesses(
+                w.poset, law, length, tol=tol
+            ), (w.describe(), length, eps)
 
 
 def test_markov_row_validation():

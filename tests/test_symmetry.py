@@ -22,9 +22,9 @@ from posetpaths import (
     orbit,
     verify_relations,
 )
-from posetpaths.symmetry import ALLOWED_ORBIT_TAGS, compose, perm_order
+from posetpaths.symmetry import ALLOWED_ORBIT_TAGS, closure, compose, perm_order
 
-from oracles import brute_numberings, brute_orbit, brute_symmetry_group_order, sigma_map
+from oracles import brute_numberings, brute_orbit, brute_symmetry_group_order, left_closure, sigma_map
 
 CORPUS = [
     build_young_poset([2, 1]),
@@ -79,11 +79,17 @@ def test_sigma_is_involution_everywhere():
 
 
 def test_sigma_matches_independent_rule():
-    # every prefix length, so each swap output is also checked to be a numbering
+    # every prefix length, so each swap output is also checked to be a
+    # numbering; the group handle's generators are the same map on path ids
     for w in CORPUS:
-        for length in range(3, w.poset.n + 1):
-            valid = set(brute_numberings(w.poset, length))
-            for phi in enumerate_numberings(w, length):
+        for length in range(1, w.poset.n + 1):
+            valid = brute_numberings(w.poset, length)
+            handle = generate_group(w, length)
+            assert [p.elements for p in handle.paths] == valid
+            assert handle.sigma_indices == tuple(range(1, length - 1))
+            for i, gen in zip(handle.sigma_indices, handle.generators):
+                assert gen == tuple(valid.index(sigma_map(w.poset, seq, i)) for seq in valid)
+            for phi in handle.paths:
                 for i in range(1, length - 1):
                     out = apply_sigma(w.poset, i, phi).elements
                     assert out == sigma_map(w.poset, phi.elements, i)
@@ -145,6 +151,47 @@ def test_group_orders_match_brute_force_oracle():
             w.poset, [p.elements for p in handle.paths]
         )
         assert stats.order == expected, w.describe()
+
+
+def test_closure_matches_left_multiplication_oracle():
+    # right-multiplied closure against the left-multiplied oracle and the
+    # brute-force order, uncapped on every length of the small corpus
+    small = [
+        build_young_poset([2, 1]),
+        build_young_poset([3, 1]),
+        build_young_poset([3, 2]),
+        build_young_poset([2, 2, 1]),
+        build_young_poset([4, 1]),
+        build_chain_poset(6),
+        build_antichain_poset(4),
+    ]
+    for w in small:
+        for length in range(3, w.poset.n + 1):
+            handle = generate_group(w, length)
+            elements, diameter = closure(handle.generators)
+            assert (len(elements), diameter) == left_closure(handle.generators), (w.describe(), length)
+            assert len(elements) == brute_symmetry_group_order(
+                w.poset, [p.elements for p in handle.paths]
+            )
+
+
+def test_closure_cap_matches_oracle():
+    # the antichain-5 group is S_5 on 120 paths; the larger windows stop at the cap
+    handle = generate_group(build_antichain_poset(5), 6)
+    assert left_closure(handle.generators) == (120, 10)
+    elements, diameter = closure(handle.generators, cap=120)
+    assert (len(elements), diameter) == (120, 10)
+    for cap in (119, 7):
+        with pytest.raises(CapExceeded):
+            closure(handle.generators, cap=cap)
+        with pytest.raises(RuntimeError):
+            left_closure(handle.generators, cap=cap)
+    for w in (build_young_poset([4, 3, 2, 1]), build_box_poset(2, (3, 3))):
+        gens = generate_group(w, w.poset.n).generators
+        with pytest.raises(CapExceeded):
+            closure(gens, cap=1000)
+        with pytest.raises(RuntimeError):
+            left_closure(gens, cap=1000)
 
 
 def test_group_order_caps_on_box_windows():
