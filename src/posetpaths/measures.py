@@ -5,7 +5,9 @@ involution preserves it; equivalently, when it is conditionally uniform
 on every endpoint fiber. Exact rational arithmetic is used for all
 finite-truncation kernels (centrality is an exact symmetry; tolerances
 would mask bugs); floating point enters only inside Monte Carlo
-sampling.
+sampling. Both Young growth samplers run on row insertion: Plancherel
+growth inserts i.i.d. uniform letters, the Thoma samplers letters drawn
+from alpha.
 
 Replica k of a Monte Carlo run is seeded with seed + k; sampler s of a
 comparison run gets base seed seed + s * 1_000_003. Identical seeds give
@@ -20,8 +22,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .graded_graph import GradedGraph, LevelVertex, dimension, up_dimension_table
 from .ideals import (
@@ -39,14 +39,14 @@ from .young import (
     GrowthPath,
     additions,
     check_partition,
-    corner_probabilities,
     growth_probabilities_float,
-    growth_step_arrays,
     row_insert,
     tableau_count,
 )
+from .young import corner_probabilities, growth_step_arrays  # noqa: F401  (bench/spans.py traces the names here)
 
 PATH_CAP = 100_000  # most paths an exact law or centrality check lists
+STEP_CAP = 10_000_000  # most steps one growth sample, or all replicas of one estimate, draw
 
 
 class _YoungGrowth:
@@ -56,10 +56,24 @@ class _YoungGrowth:
     has_ties = False
 
     def hits(self, path: GrowthPath, ideal: IdealSpec) -> int:
-        """How many of the sampled cells lie in the ideal."""
+        """How many of the sampled cells lie in the ideal.
+
+        The cells of a path are those of its final shape. A coordinate
+        ideal is downward closed, so it meets each row of that shape in a
+        prefix no longer than the one in the row above, and no row below
+        a row whose first cell is outside it; bisection finds each prefix.
+        """
         if isinstance(ideal, FiniteSetIdeal):
             raise ValueError("finite-set ideals are window-bound; growth samplers have no ids")
-        return sum(1 for cell in path.cells if member_coords(ideal, cell))
+        total = 0
+        prefix = path.n_steps
+        for r, length in enumerate(path.shape(), start=1):
+            if not member_coords(ideal, (r, 1)):
+                break
+            cols = range(2, min(length, prefix) + 1)
+            prefix = 1 + bisect.bisect_left(cols, True, key=lambda c: not member_coords(ideal, (r, c)))
+            total += prefix
+        return total
 
     def lines(self, path: GrowthPath) -> list[str]:
         return ["step,row,col"] + [f"{k},{r},{c}" for k, (r, c) in enumerate(path.cells, start=1)]
@@ -346,31 +360,38 @@ def is_central(
         raise ValueError(f"paths of mixed lengths {sorted(lengths)}")
     length = lengths.pop()
     exact = all(not isinstance(p, float) for p in probs.values())
-    if any(p < 0 for p in probs.values()):
-        raise ValueError("negative probability")
-    total = sum(probs.values())
     if exact:
+        # normalized (numerator, denominator) pairs are equal exactly when
+        # the values are; sums and comparisons run on them without
+        # Fraction's per-operation gcd and mixed-type dispatch
+        probs = {key: (p.numerator, p.denominator) for key, p in probs.items()}
+        if any(num < 0 for num, _ in probs.values()):
+            raise ValueError("negative probability")
+        by_den: dict[int, int] = {}
+        for num, den in probs.values():
+            by_den[den] = by_den.get(den, 0) + num
+        total = sum(Fraction(num, den) for den, num in by_den.items())
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
-    elif abs(total - 1.0) > max(tol, 1e-12):
-        raise ValueError(f"probabilities sum to {total}, not 1")
+    else:
+        if any(p < 0 for p in probs.values()):
+            raise ValueError("negative probability")
+        total = sum(probs.values())
+        if abs(total - 1.0) > max(tol, 1e-12):
+            raise ValueError(f"probabilities sum to {total}, not 1")
 
     handle = generate_group(g.window, length, path_cap=path_cap)
-    zero = Fraction(0) if exact else 0.0
-    weights = [zero] * handle.n_paths  # by path id, lexicographic
+    weights = [(0, 1) if exact else 0.0] * handle.n_paths  # by path id, lexicographic
     for key, p in probs.items():
         k = handle.path_index.get(key)
         if k is None:
             raise ValueError(f"{key} is not a valid numbering of this window")
         weights[k] = p
-    # normalized (numerator, denominator) pairs are equal exactly when the
-    # values are, and compare without Fraction's mixed-type dispatch
-    pairs = [(p.numerator, p.denominator) for p in weights] if exact else None
 
     def moved(gen):
         """Ids of the paths whose mass the involution `gen` moves, in order."""
         if exact:
-            return [k for k, j in enumerate(gen) if pairs[k] != pairs[j]]
+            return [k for k, j in enumerate(gen) if weights[k] != weights[j]]
         return [k for k, j in enumerate(gen) if abs(weights[k] - weights[j]) > tol]
 
     inv_witnesses = []
@@ -379,8 +400,8 @@ def is_central(
         if inv_witnesses:
             break
 
-    def differs(a, b):
-        return a != b if exact else abs(a - b) > tol
+    def value(k):
+        return Fraction(*weights[k]) if exact else weights[k]
 
     fiber_witnesses = []
     fibers: dict[frozenset, list[int]] = {}
@@ -388,9 +409,11 @@ def is_central(
         fibers.setdefault(p.endpoint, []).append(k)
     for fiber_key in sorted(fibers, key=lambda f: tuple(sorted(f))):
         group = fibers[fiber_key]
-        lo = min(group, key=weights.__getitem__)
-        hi = max(group, key=weights.__getitem__)
-        if differs(weights[lo], weights[hi]):
+        if exact and len({weights[k] for k in group}) == 1:
+            continue
+        lo = min(group, key=value)
+        hi = max(group, key=value)
+        if exact or abs(weights[lo] - weights[hi]) > tol:
             fiber_witnesses.append((handle.paths[lo].elements, handle.paths[hi].elements))
     return CentralityReport(
         n_paths=handle.n_paths,
@@ -425,33 +448,25 @@ def plancherel_transition(shape, arithmetic: str = "exact"):
     raise ValueError(f"arithmetic must be 'exact' or 'float', got {arithmetic!r}")
 
 
+def _check_steps(n_steps: int) -> None:
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if n_steps > STEP_CAP:
+        raise CapExceeded(f"{n_steps} steps exceed the step cap of {STEP_CAP}")
+
+
 def sample_plancherel(n_steps: int, seed: int) -> GrowthPath:
     """One trajectory of the dimension-proportional growth process.
 
-    Each step draws from the float-mode transition law; deterministic
-    given the seed.
+    Row-inserts i.i.d. uniform letters and records the shape growth: the
+    letters' relative order is a uniform permutation, whose recording
+    tableau grows by the exact Plancherel transitions (Kerov-Vershik).
+    Deterministic given the seed.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    _check_steps(n_steps)
     rng = random.Random(seed)
-    rows = np.zeros(n_steps + 1, dtype=np.int64)
-    k = 0  # number of nonempty rows
-    cells = []
-    for _ in range(n_steps):
-        add_idx, xs, ys = growth_step_arrays(rows, k)
-        probs = corner_probabilities(xs, ys)
-        u = rng.random()
-        j = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-        if j >= len(probs):
-            j = len(probs) - 1
-        if j < len(add_idx):
-            r = int(add_idx[j])
-        else:
-            r = k
-            k += 1
-        rows[r] += 1
-        cells.append((r + 1, int(rows[r])))
-    return GrowthPath(tuple(cells))
+    rows: list[list[float]] = []
+    return GrowthPath(tuple(row_insert(rows, rng.random()) for _ in range(n_steps)))
 
 
 def sample_rsk_thoma(alpha, n_steps: int, seed: int) -> GrowthPath:
@@ -460,8 +475,7 @@ def sample_rsk_thoma(alpha, n_steps: int, seed: int) -> GrowthPath:
     The shape never exceeds len(alpha) rows; deterministic given the seed.
     """
     spec = RSKThoma(tuple(alpha))
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    _check_steps(n_steps)
     rng = random.Random(seed)
     cum = list(itertools.accumulate(spec.alpha))
     rows: list[list[int]] = []
@@ -560,9 +574,13 @@ def estimate_frequency(
 ) -> list[FrequencyReport]:
     """Mean and standard error of the ideal-occupation fraction over
     independent replicas, one report per ideal. Replica k is sampled once,
-    seeded with seed + k, and scored against every ideal."""
+    seeded with seed + k, and scored against every ideal. Raises
+    CapExceeded, before any sampling, when n_steps * replicas exceeds
+    STEP_CAP."""
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
+    if n_steps * replicas > STEP_CAP:
+        raise CapExceeded(f"{n_steps} steps x {replicas} replicas exceed the step cap of {STEP_CAP}")
     ideals = list(ideals)
     values: list[list[float]] = [[] for _ in ideals]
     for k in range(replicas):

@@ -361,6 +361,23 @@ def test_measure_sample_plancherel(capsys):
     assert out.splitlines()[-5].endswith("1,1,1")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "sample", "--plancherel", "--n", "1000000000"],
+        ["measure", "sample", "--rsk", "0.5,0.5", "--n", "10000001"],
+        ["measure", "freq", "--plancherel", "--ideal", "full", "--n", "1000000", "--replicas", "11"],
+        ["compare", "--sampler", "plancherel", "--sampler", "plancherel", "--ideal", "full",
+         "--n", "100001", "--replicas", "100"],
+    ],
+)
+def test_growth_step_cap_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert "step cap of 10000000" in err
+    assert "step,row,col" not in out
+
+
 def test_measure_sample_markov_ids(capsys):
     code, out, _ = run(
         capsys, "measure", "sample", "--endpoint", "3:0", "--young", "2,1",

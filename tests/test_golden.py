@@ -2,7 +2,7 @@
 
 The files under `golden/` hold the exact stdout (and the table below the
 exit code) of every sampler kind through `measure sample`, `measure
-freq`, `compare` and `measure check`, and of demos 01-04. A change that
+freq`, `compare` and `measure check`, and of demos 01-05. A change that
 moves a seed stream or a float operation shows up here byte for byte;
 such a change must regenerate the files on purpose and say so.
 """
@@ -61,8 +61,7 @@ def test_golden_stdout(name, monkeypatch, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
-# demo 05 stays out: it runs about 5 s of Monte Carlo
-@pytest.mark.parametrize("number", ["01", "02", "03", "04"])
+@pytest.mark.parametrize("number", ["01", "02", "03", "04", "05"])
 def test_demo_stdout(number, capsys):
     (script,) = DEMOS.glob(f"{number}_*.py")
     runpy.run_path(str(script), run_name="__main__")

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -31,8 +34,9 @@ from posetpaths import (
     uniform_path_measure,
 )
 from posetpaths import measures
+from posetpaths.ideals import member_coords
 from posetpaths.measures import ExplicitMarkov
-from posetpaths.young import growth_probabilities_float, partitions_of, tableau_count
+from posetpaths.young import GrowthPath, partitions_of, row_insert, tableau_count
 
 from oracles import central_witnesses, kernel_path_law
 
@@ -345,25 +349,34 @@ def test_sample_plancherel_deterministic_and_valid():
     assert numbering.length == 65
 
 
-def test_sample_plancherel_matches_per_step_law():
-    # the sampler's decisions must follow growth_probabilities_float
-    # (shared corner-probability core); replay one path against it
-    import random as _random
-
-    import numpy as np
-
-    path = sample_plancherel(40, 99)
-    rng = _random.Random(99)
-    shape: list[int] = []
-    for r, c in path.cells:
-        cands, probs = growth_probabilities_float(tuple(shape))
-        u = rng.random()
-        k = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-        k = min(k, len(cands) - 1)
-        assert cands[k] == (r, c)
-        if r > len(shape):
-            shape.append(0)
-        shape[r - 1] += 1
+def test_row_insertion_reproduces_exact_plancherel_law():
+    # the recording shapes of row insertion over all n! words in distinct
+    # letters carry exactly the Plancherel path law: each path's share of
+    # the permutations is the product of the exact transitions along it
+    distinct = [1, 2, 4, 10, 26, 76, 232]  # standard tableaux of size n
+    for n in range(1, 8):
+        tally: dict[tuple, int] = {}
+        for word in itertools.permutations(range(n)):
+            rows: list[list[int]] = []
+            cells = tuple(row_insert(rows, letter) for letter in word)
+            tally[cells] = tally.get(cells, 0) + 1
+        assert len(tally) == distinct[n - 1]
+        for cells, count in tally.items():
+            law = Fraction(1)
+            shape: tuple[int, ...] = ()
+            for mu in GrowthPath(cells).shapes():
+                law *= dict(plancherel_transition(shape))[mu]
+                shape = mu
+            assert Fraction(count, factorial(n)) == law, cells
+    # the sampler's letters are i.i.d. uniform, so their relative order is
+    # a uniform permutation, and inserting that permutation gives its path
+    for seed in range(20):
+        rng = random.Random(seed)
+        letters = [rng.random() for _ in range(30)]
+        order = sorted(letters)
+        word = [order.index(x) for x in letters]
+        rows = []
+        assert sample_plancherel(30, seed).cells == tuple(row_insert(rows, x) for x in word)
 
 
 def test_sample_plancherel_second_cell_split():
@@ -468,6 +481,43 @@ def test_finite_set_ideal_incompatible_with_growth_sampler():
 
     with pytest.raises(ValueError):
         estimate_frequency(PlancherelYoung(), [finite_set_ideal([1])], 10, 2, 1)
+
+
+def test_growth_hits_match_per_cell_count():
+    # hits reads the final shape; the oracle tests every sampled cell
+    ideals = [parse_ideal(t) for t in ["hook:0,0", "hook:1,0", "hook:0,1", "hook:2,3", "rays:2,5", "full"]]
+    paths = [sample_plancherel(n, seed) for n in (1, 7, 300) for seed in range(4)]
+    paths += [sample_rsk_thoma(alpha, 200, seed) for alpha in [(1.0,), (0.5, 0.3, 0.2)] for seed in range(3)]
+    for path in paths:
+        for ideal in ideals:
+            expected = sum(member_coords(ideal, cell) for cell in path.cells)
+            assert PlancherelYoung().hits(path, ideal) == expected, (path.shape(), ideal.name())
+    from posetpaths import finite_set_ideal
+
+    for ideal in [finite_set_ideal([1]), parse_ideal("rays:1,1,1")]:
+        with pytest.raises(ValueError):
+            PlancherelYoung().hits(paths[0], ideal)
+
+
+def test_step_cap_boundary(monkeypatch):
+    monkeypatch.setattr(measures, "STEP_CAP", 12)
+    assert sample_plancherel(12, 1).n_steps == 12
+    assert sample_rsk_thoma((0.5, 0.5), 12, 1).n_steps == 12
+    with pytest.raises(CapExceeded):
+        sample_plancherel(13, 1)
+    with pytest.raises(CapExceeded):
+        sample_rsk_thoma((0.5, 0.5), 13, 1)
+    (rep,) = estimate_frequency(PlancherelYoung(), [FullIdeal()], 4, 3, 1)
+    assert rep.replicas == 3
+
+    def no_sampling(*args):
+        raise AssertionError("sampled past the cap")
+
+    monkeypatch.setattr(measures, "sample_plancherel", no_sampling)
+    with pytest.raises(CapExceeded):
+        estimate_frequency(PlancherelYoung(), [FullIdeal()], 4, 4, 1)
+    with pytest.raises(CapExceeded):
+        compare_frequency_profiles([PlancherelYoung(), PlancherelYoung()], [FullIdeal()], 13, 1, 1)
 
 
 def test_markov_sampler_frequency():
