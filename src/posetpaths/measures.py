@@ -370,7 +370,8 @@ def is_central(
         by_den: dict[int, int] = {}
         for num, den in probs.values():
             by_den[den] = by_den.get(den, 0) + num
-        total = sum(Fraction(num, den) for den, num in by_den.items())
+        common = math.lcm(*by_den)
+        total = Fraction(sum(num * (common // den) for den, num in by_den.items()), common)
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
     else:
