@@ -182,8 +182,9 @@ def growth_step_arrays(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
 class GrowthPath:
     """A sampled growth of Young diagrams: the cell added at each step.
 
-    `letters` carries the inserted word when the path came from row
-    insertion, else None.
+    `letters` carries the inserted word of a path drawn by row insertion
+    from alpha, else None (Plancherel paths do not keep their uniform
+    letters).
     """
 
     cells: tuple[tuple[int, int], ...]
