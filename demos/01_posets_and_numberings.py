@@ -38,7 +38,7 @@ while True:
 # Full-length numberings of the shape (3,2): five of them, matching the
 # number of standard fillings of the diagram.
 for phi in enumerate_numberings(young, young.poset.n):
-    print("numbering:", ",".join(map(str, phi.elements)))
+    print("numbering:", ",".join(map(str, phi)))
 
 # A 2x2x2 box window of Z+^3: 48 full numberings.
 box = build_box_poset(3, (2, 2, 2))

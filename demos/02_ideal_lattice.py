@@ -9,7 +9,6 @@ correspond to root paths one-to-one.
 """
 
 from posetpaths import (
-    PathNumbering,
     build_box_poset,
     build_graph,
     build_young_poset,
@@ -33,7 +32,7 @@ u = g.vertex_of((0, 1))
 print("paths from {root,(1,1)} to the top:", up_dimension(g, u, top))
 
 # A numbering traces a vertex chain, and the chain recovers the numbering.
-phi = PathNumbering((0, 1, 2, 4))  # root, (1,1), (1,2), (2,1) of the shape
+phi = (0, 1, 2, 4)  # root, (1,1), (1,2), (2,1) of the shape
 chain = path_of(phi, g)
 print("vertex chain:", [v.describe() for v in chain])
 assert numbering_of(chain, g) == phi

@@ -10,7 +10,6 @@ of adjacent products) are checked as exact permutation identities.
 """
 
 from posetpaths import (
-    PathNumbering,
     apply_sigma,
     build_antichain_poset,
     build_chain_poset,
@@ -25,8 +24,8 @@ from posetpaths import (
 
 # On a chain everything is comparable: each involution fixes the path.
 chain = build_chain_poset(4)
-phi = PathNumbering((0, 1, 2, 3))
-print("chain, sigma_1:", apply_sigma(chain.poset, 1, phi).elements)
+phi = (0, 1, 2, 3)
+print("chain, sigma_1:", apply_sigma(chain.poset, 1, phi))
 
 # On the antichain nothing is comparable: sigma_i acts like an adjacent
 # transposition, and the group on 6 paths has order 6.
@@ -45,7 +44,7 @@ print(
 # Orbits under all involutions sweep out exactly the numberings with the
 # same endpoint ideal.
 young = build_young_poset([3, 2])
-paths = orbit(PathNumbering((0, 1, 2, 4, 3, 5)), young)
+paths = orbit((0, 1, 2, 4, 3, 5), young)
 print("orbit size on young [3,2] at full depth:", len(paths))
 
 # The diagram with one long row plus a single cell below: n-1 maximal

@@ -58,7 +58,6 @@ from .measures import (
 from .posets import (
     CapExceeded,
     Element,
-    PathNumbering,
     Poset,
     PosetFormatError,
     PosetWindow,
@@ -87,6 +86,6 @@ from .symmetry import (
     orbit,
     verify_relations,
 )
-from .young import GrowthPath, tableau_count, tableau_count_recursive
+from .young import GrowthPath, tableau_count
 
 __version__ = "0.1.0"

@@ -184,7 +184,7 @@ def cmd_paths(args) -> int:
     out.emit(f"paths: {len(paths)}")
     if args.list:
         for p in paths:
-            out.emit(",".join(str(x) for x in p.elements))
+            out.emit(",".join(str(x) for x in p))
     return out.flush()
 
 

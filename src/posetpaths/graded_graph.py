@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .posets import (
     ROOT,
     CapExceeded,
-    PathNumbering,
     PosetWindow,
     add_element,
     addable_elements,  # noqa: F401  (bench/spans.py traces the name here)
@@ -126,10 +125,6 @@ class GradedGraph:
                 return self.levels[level][index]
         raise KeyError(f"ideal {key} not in graph (depth {self.depth})")
 
-    def vertices(self):
-        for lvl in self.levels:
-            yield from lvl
-
     def csv(self) -> str:
         """Per-level dump: level,index,ideal,dim (ideal ids space-joined)."""
         lines = ["level,index,ideal,dim"]
@@ -173,22 +168,22 @@ def up_dimension(g: GradedGraph, u: LevelVertex, v: LevelVertex) -> int:
     return up_dimension_table(g, v).get((u.level, u.index), 0)
 
 
-def path_of(numbering: PathNumbering, g: GradedGraph) -> list[LevelVertex]:
+def path_of(numbering: tuple[int, ...], g: GradedGraph) -> list[LevelVertex]:
     """The vertex chain visited by a numbering (prefix ideals, in order)."""
-    numbering = validate_numbering(g.window.poset, numbering.elements)
-    if numbering.length - 1 > g.depth:
+    numbering = validate_numbering(g.window.poset, numbering)
+    if len(numbering) - 1 > g.depth:
         raise ValueError(
-            f"numbering of length {numbering.length} exceeds graph depth {g.depth}"
+            f"numbering of length {len(numbering)} exceeds graph depth {g.depth}"
         )
     out = []
     seen: list[int] = []
-    for x in numbering.elements:
+    for x in numbering:
         seen.append(x)
         out.append(g.vertex_of(seen))
     return out
 
 
-def numbering_of(vertices: list[LevelVertex], g: GradedGraph) -> PathNumbering:
+def numbering_of(vertices: list[LevelVertex], g: GradedGraph) -> tuple[int, ...]:
     """Inverse of path_of: recover the numbering from a root-based vertex chain."""
     if not vertices or vertices[0].ideal != (ROOT,):
         raise ValueError("vertex path must start at the root vertex")

@@ -31,7 +31,7 @@ from .ideals import (
     member_coords,
 )
 from .posets import (
-    ROOT, CapExceeded, PathNumbering, PosetWindow, build_young_poset, enumerate_numberings, validate_numbering,
+    ROOT, CapExceeded, PosetWindow, build_young_poset, enumerate_numberings, validate_numbering,
 )
 from .symmetry import apply_sigma  # noqa: F401  (bench/spans.py traces the name here)
 from .symmetry import generate_group
@@ -39,7 +39,6 @@ from .young import (
     GrowthPath,
     additions,
     check_partition,
-    growth_probabilities_float,
     row_insert,
     tableau_count,
 )
@@ -104,6 +103,8 @@ class RSKThoma(_YoungGrowth):
     def __post_init__(self):
         if not self.alpha:
             raise ValueError("alpha must be nonempty")
+        if not all(math.isfinite(a) for a in self.alpha):
+            raise ValueError(f"alpha entries must be finite, got {self.alpha}")
         if any(a <= 0 for a in self.alpha):
             raise ValueError(f"alpha entries must be positive, got {self.alpha}")
         if abs(sum(self.alpha) - 1.0) > 1e-9:
@@ -154,16 +155,16 @@ class ExplicitMarkov:
     def family(self) -> str:
         return f"window:{self.graph.window.describe()}"
 
-    def sample(self, n_steps: int, seed: int) -> PathNumbering:
+    def sample(self, n_steps: int, seed: int) -> tuple[int, ...]:
         return sample_markov(self, n_steps, seed)
 
-    def hits(self, path: PathNumbering, ideal: IdealSpec) -> int:
+    def hits(self, path: tuple[int, ...], ideal: IdealSpec) -> int:
         """How many of the sampled elements, the root excluded, lie in the ideal."""
         poset = self.graph.window.poset
-        return sum(1 for x in path.elements[1:] if ideal_member(ideal, poset.element(x)))
+        return sum(1 for x in path[1:] if ideal_member(ideal, poset.element(x)))
 
-    def lines(self, path: PathNumbering) -> list[str]:
-        return [",".join(str(x) for x in path.elements)]
+    def lines(self, path: tuple[int, ...]) -> list[str]:
+        return [",".join(str(x) for x in path)]
 
 
 # The sampler interface every spec shares: name(); `family`, the poset
@@ -298,8 +299,7 @@ def uniform_path_measure(
     Raises CapExceeded when there are more than `path_cap` numberings.
     """
     paths = enumerate_numberings(window, length, limit=path_cap)
-    w = Fraction(1, len(paths))
-    return {p.elements: w for p in paths}
+    return dict.fromkeys(paths, Fraction(1, len(paths)))
 
 
 def perturb_fiber(measure, eps=Fraction(1, 10)):
@@ -344,15 +344,12 @@ def is_central(
     """Check a path measure for invariance under every involution and for
     fiber-conditional uniformity.
 
-    `measure` maps numberings (tuples of ids, or PathNumbering) of one
-    common length to probabilities. Rational values are compared
-    exactly; floats within `tol`. Raises CapExceeded when the window has
-    more than `path_cap` numberings of that length.
+    `measure` maps numberings (tuples of ids) of one common length to
+    probabilities. Rational values are compared exactly; floats within
+    `tol`. Raises CapExceeded when the window has more than `path_cap`
+    numberings of that length.
     """
-    probs: dict[tuple[int, ...], object] = {}
-    for key, p in measure.items():
-        elems = key.elements if isinstance(key, PathNumbering) else tuple(key)
-        probs[elems] = p
+    probs = dict(measure)
     if not probs:
         raise ValueError("empty measure")
     lengths = {len(k) for k in probs}
@@ -397,7 +394,7 @@ def is_central(
 
     inv_witnesses = []
     for i, gen in zip(handle.sigma_indices, handle.generators):
-        inv_witnesses = [(i, handle.paths[k].elements) for k in moved(gen)[:5]]
+        inv_witnesses = [(i, handle.paths[k]) for k in moved(gen)[:5]]
         if inv_witnesses:
             break
 
@@ -407,7 +404,7 @@ def is_central(
     fiber_witnesses = []
     fibers: dict[frozenset, list[int]] = {}
     for k, p in enumerate(handle.paths):
-        fibers.setdefault(p.endpoint, []).append(k)
+        fibers.setdefault(frozenset(p), []).append(k)
     for fiber_key in sorted(fibers, key=lambda f: tuple(sorted(f))):
         group = fibers[fiber_key]
         if exact and len({weights[k] for k in group}) == 1:
@@ -415,7 +412,7 @@ def is_central(
         lo = min(group, key=value)
         hi = max(group, key=value)
         if exact or abs(weights[lo] - weights[hi]) > tol:
-            fiber_witnesses.append((handle.paths[lo].elements, handle.paths[hi].elements))
+            fiber_witnesses.append((handle.paths[lo], handle.paths[hi]))
     return CentralityReport(
         n_paths=handle.n_paths,
         length=length,
@@ -427,26 +424,19 @@ def is_central(
     )
 
 
-def plancherel_transition(shape, arithmetic: str = "exact"):
+def plancherel_transition(shape):
     """Growth step of the dimension-proportional central measure.
 
     Returns the diagrams one cell larger with their probabilities,
-    row-ascending. Exact mode divides tableau counts (big integers, sums
-    to 1 exactly); float mode multiplies paired corner-content ratios and
-    agrees with exact mode to machine precision.
+    row-ascending, as ratios of tableau counts (big integers; the
+    probabilities sum to 1 exactly).
     """
     parts = check_partition(shape)
-    adds = additions(parts)
-    if arithmetic == "exact":
-        n = sum(parts)
-        d = tableau_count(parts)
-        return [
-            (mu, Fraction(tableau_count(mu), (n + 1) * d)) for mu, _ in adds
-        ]
-    if arithmetic == "float":
-        _, probs = growth_probabilities_float(parts)
-        return [(mu, float(p)) for (mu, _), p in zip(adds, probs)]
-    raise ValueError(f"arithmetic must be 'exact' or 'float', got {arithmetic!r}")
+    n = sum(parts)
+    d = tableau_count(parts)
+    return [
+        (mu, Fraction(tableau_count(mu), (n + 1) * d)) for mu, _ in additions(parts)
+    ]
 
 
 def _check_steps(n_steps: int) -> None:
@@ -492,7 +482,7 @@ def sample_rsk_thoma(alpha, n_steps: int, seed: int) -> GrowthPath:
     return GrowthPath(tuple(cells), letters=tuple(letters))
 
 
-def sample_markov(m: ExplicitMarkov, n_steps: int, seed: int) -> PathNumbering:
+def sample_markov(m: ExplicitMarkov, n_steps: int, seed: int) -> tuple[int, ...]:
     """Walk an explicit kernel for n_steps edges from the root."""
     if not (1 <= n_steps <= m.depth):
         raise ValueError(f"kernel supports 1..{m.depth} steps, asked for {n_steps}")
@@ -514,7 +504,7 @@ def sample_markov(m: ExplicitMarkov, n_steps: int, seed: int) -> PathNumbering:
     return validate_numbering(m.graph.window.poset, elems)
 
 
-def growth_to_numbering(path: GrowthPath) -> tuple[PosetWindow, PathNumbering]:
+def growth_to_numbering(path: GrowthPath) -> tuple[PosetWindow, tuple[int, ...]]:
     """Materialize the smallest Young window containing a growth path and
     re-express the path as a numbering of it."""
     path.validate()
@@ -637,6 +627,8 @@ def compare_frequency_profiles(
     """Estimate every sampler on every ideal and flag sampler pairs whose
     estimates stay within `threshold` combined standard errors on all of
     the supplied ideals (empirical indistinguishability, not proof)."""
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be finite and non-negative, got {threshold}")
     specs = list(specs)
     ideals = list(ideals)
     if len(specs) < 2:

@@ -9,7 +9,7 @@ evaluated on elements directly.
 A monotone numbering of length N is an injective sequence
 phi(0), ..., phi(N-1) of element ids with phi(0) = root and every prefix
 image downward closed; equivalently a path from the root in the lattice
-of finite ideals.
+of finite ideals. It is held as a plain tuple of ids, root at position 0.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class Poset:
             lower[hi].append(lo)
             upper[lo].append(hi)
         self._lower = tuple(tuple(ids) for ids in lower)
-        self._upper = tuple(tuple(ids) for ids in upper)
 
         # Kahn's algorithm: an element enters the order once all its lower
         # covers have; elements left over lie on or above a cycle
@@ -139,14 +138,8 @@ class Poset:
     def lower_covers(self, x: int) -> tuple[int, ...]:
         return self._lower[x]
 
-    def upper_covers(self, x: int) -> tuple[int, ...]:
-        return self._upper[x]
-
     def element(self, x: int) -> Element:
         return Element(x, self.coords[x])
-
-    def elements(self):
-        return (self.element(x) for x in range(self.n))
 
     def incomparable_pairs(self) -> list[tuple[int, int]]:
         """All pairs x < y (as ids) with neither leq(x,y) nor leq(y,x)."""
@@ -361,35 +354,9 @@ def addable_elements(poset: Poset, ideal) -> list[int]:
     return [x for x in range(poset.n) if addable & poset.bit(x)]
 
 
-@dataclass(frozen=True)
-class PathNumbering:
-    """A monotone numbering prefix: element ids, position 0 is the root."""
-
-    elements: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.elements)
-
-    def prefix_ideals(self):
-        """The increasing chain of prefix images, as frozensets."""
-        out = []
-        seen = set()
-        for x in self.elements:
-            seen.add(x)
-            out.append(frozenset(seen))
-        return out
-
-    @property
-    def endpoint(self) -> frozenset[int]:
-        return frozenset(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
-def validate_numbering(poset: Poset, seq) -> PathNumbering:
-    """Check the numbering axioms for `seq` and wrap it, or raise ValueError."""
+def validate_numbering(poset: Poset, seq) -> tuple[int, ...]:
+    """Check the numbering axioms for `seq` and return it as an id tuple,
+    or raise ValueError."""
     elems = tuple(int(x) for x in seq)
     if not elems:
         raise ValueError("numbering must contain at least the root")
@@ -408,12 +375,12 @@ def validate_numbering(poset: Poset, seq) -> PathNumbering:
                 f"{x} needs {missing} first"
             )
         seen.add(x)
-    return PathNumbering(elems)
+    return elems
 
 
 def enumerate_numberings(
     window: PosetWindow, length: int, limit: int | None = None
-) -> list[PathNumbering]:
+) -> list[tuple[int, ...]]:
     """All monotone numberings of the given length, in lexicographic id order.
 
     `limit` caps the number of numberings produced; exceeding it raises
@@ -422,7 +389,7 @@ def enumerate_numberings(
     poset = window.poset
     if not (1 <= length <= poset.n):
         raise ValueError(f"length must be in 1..{poset.n}, got {length}")
-    out: list[PathNumbering] = []
+    out: list[tuple[int, ...]] = []
     n = poset.n
     prefix = [ROOT]
 
@@ -430,7 +397,7 @@ def enumerate_numberings(
     # order, which makes the output lexicographic
     def extend(ideal, addable):
         if len(prefix) == length:
-            out.append(PathNumbering(tuple(prefix)))
+            out.append(tuple(prefix))
             if limit is not None and len(out) > limit:
                 raise CapExceeded(f"more than {limit} numberings")
             return

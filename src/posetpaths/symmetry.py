@@ -16,7 +16,6 @@ from operator import itemgetter
 
 from .posets import (
     CapExceeded,
-    PathNumbering,
     Poset,
     PosetWindow,
     enumerate_numberings,
@@ -40,42 +39,42 @@ def _swapped(poset: Poset, i: int, elems: tuple[int, ...]) -> tuple[int, ...] | 
     return elems[:i] + (b, a) + elems[i + 2:]
 
 
-def apply_sigma(poset: Poset, i: int, phi: PathNumbering) -> PathNumbering:
+def apply_sigma(poset: Poset, i: int, phi: tuple[int, ...]) -> tuple[int, ...]:
     """Swap positions i, i+1 of phi when their elements are incomparable.
 
-    Requires 1 <= i <= length-2; shorter numberings are rejected rather
+    Requires 1 <= i <= len(phi)-2; shorter numberings are rejected rather
     than treated as fixed points. The swapped sequence is always again a
     valid numbering (the two elements are incomparable, so each prefix
     stays an ideal); the tests check this against brute-force numberings.
     """
-    if not (1 <= i <= phi.length - 2):
-        raise ValueError(f"sigma index {i} out of range for length {phi.length}")
-    swapped = _swapped(poset, i, phi.elements)
+    if not (1 <= i <= len(phi) - 2):
+        raise ValueError(f"sigma index {i} out of range for length {len(phi)}")
+    swapped = _swapped(poset, i, phi)
     if swapped is None:
         return phi
-    assert not poset.leq(phi.elements[i + 1], phi.elements[i]), (
+    assert not poset.leq(phi[i + 1], phi[i]), (
         "later entry below earlier one: invalid numbering"
     )
-    return PathNumbering(swapped)
+    return swapped
 
 
-def orbit(phi: PathNumbering, window: PosetWindow, length: int | None = None) -> list[PathNumbering]:
+def orbit(phi: tuple[int, ...], window: PosetWindow, length: int | None = None) -> list[tuple[int, ...]]:
     """Closure of {phi} under every applicable involution, sorted."""
     poset = window.poset
-    if length is not None and phi.length != length:
-        raise ValueError(f"numbering has length {phi.length}, expected {length}")
-    seen = {phi.elements: phi}
+    if length is not None and len(phi) != length:
+        raise ValueError(f"numbering has length {len(phi)}, expected {length}")
+    seen = {phi}
     frontier = [phi]
     while frontier:
         nxt = []
         for p in frontier:
-            for i in range(1, p.length - 1):
+            for i in range(1, len(p) - 1):
                 q = apply_sigma(poset, i, p)
-                if q.elements not in seen:
-                    seen[q.elements] = q
+                if q not in seen:
+                    seen.add(q)
                     nxt.append(q)
         frontier = nxt
-    return [seen[k] for k in sorted(seen)]
+    return sorted(seen)
 
 
 # --- permutations as dense index tuples ---------------------------------
@@ -160,12 +159,11 @@ class GroupHandle:
 
     window: PosetWindow
     length: int
-    paths: tuple[PathNumbering, ...]
+    paths: tuple[tuple[int, ...], ...]
     sigma_indices: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
-    path_cap: int
     cayley_stats: CayleyStats | None = None
-    path_index: dict = field(default_factory=dict, repr=False)  # elements tuple -> id
+    path_index: dict = field(default_factory=dict, repr=False)  # numbering -> id
 
     @property
     def n_paths(self) -> int:
@@ -176,9 +174,6 @@ class GroupHandle:
             return self.generators[self.sigma_indices.index(i)]
         except ValueError:
             raise ValueError(f"no involution with index {i} at length {self.length}") from None
-
-    def path_id(self, phi: PathNumbering) -> int:
-        return self.path_index[phi.elements]
 
 
 def generate_group(window: PosetWindow, length: int, path_cap: int = 100_000) -> GroupHandle:
@@ -191,14 +186,13 @@ def generate_group(window: PosetWindow, length: int, path_cap: int = 100_000) ->
     """
     poset = window.poset
     paths = tuple(enumerate_numberings(window, length, limit=path_cap))
-    elems = [p.elements for p in paths]
-    index = {e: k for k, e in enumerate(elems)}
+    index = {p: k for k, p in enumerate(paths)}
     sigma_indices = tuple(range(1, max(length - 1, 1)))
     gens = []
     for i in sigma_indices:
         perm = []
-        for k, e in enumerate(elems):
-            swapped = _swapped(poset, i, e)
+        for k, p in enumerate(paths):
+            swapped = _swapped(poset, i, p)
             perm.append(k if swapped is None else index[swapped])
         gens.append(tuple(perm))
     return GroupHandle(
@@ -207,7 +201,6 @@ def generate_group(window: PosetWindow, length: int, path_cap: int = 100_000) ->
         paths=paths,
         sigma_indices=sigma_indices,
         generators=tuple(gens),
-        path_cap=path_cap,
         path_index=index,
     )
 
@@ -387,9 +380,9 @@ def local_indices(handle: GroupHandle) -> list[int]:
     return [i for i in handle.sigma_indices if i + 1 in handle.sigma_indices]
 
 
-def endpoint_fibers(paths) -> dict[frozenset[int], list[PathNumbering]]:
+def endpoint_fibers(paths) -> dict[frozenset[int], list[tuple[int, ...]]]:
     """Group numberings by the set of visited elements."""
-    out: dict[frozenset[int], list[PathNumbering]] = {}
+    out: dict[frozenset[int], list[tuple[int, ...]]] = {}
     for p in paths:
-        out.setdefault(p.endpoint, []).append(p)
+        out.setdefault(frozenset(p), []).append(p)
     return out

@@ -1,16 +1,14 @@
 """Young diagram utilities: exact tableau counts, corner data, row insertion.
 
 Partitions are weakly decreasing tuples of positive ints. Cells are
-(row, col), 1-based. Two independent routes to the number of standard
-tableaux are kept side by side: the lattice recursion (sum over removable
-corners) and the hook-length product; tests require them to agree.
+(row, col), 1-based. Standard tableaux are counted by the hook-length
+product; the lattice recursion that checks it lives in the tests' oracles.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -48,34 +46,6 @@ def tableau_count(parts) -> int:
     return factorial(sum(p)) // hook_product(p)
 
 
-@lru_cache(maxsize=None)
-def tableau_count_recursive(parts: tuple[int, ...]) -> int:
-    """Same count by the lattice recursion over removable corners.
-
-    Kept deliberately independent of the hook route; used as its oracle.
-    """
-    if not parts:
-        return 1
-    total = 0
-    for mu in removals(parts):
-        total += tableau_count_recursive(mu)
-    return total
-
-
-def removals(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Partitions obtained by removing one corner cell."""
-    out = []
-    for r in range(len(parts)):
-        nxt = parts[r + 1] if r + 1 < len(parts) else 0
-        if parts[r] > nxt:
-            mu = list(parts)
-            mu[r] -= 1
-            if mu[-1] == 0:
-                mu.pop()
-            out.append(tuple(mu))
-    return out
-
-
 def additions(parts: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, int]]]:
     """Partitions obtained by adding one cell, with the cell, row-ascending."""
     out = []
@@ -90,20 +60,6 @@ def additions(parts: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, 
                 mu.append(1)
             out.append((tuple(mu), (r + 1, here + 1)))
     return out
-
-
-def partitions_of(n: int):
-    """All partitions of n, lexicographically decreasing."""
-
-    def gen(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    yield from gen(n, n)
 
 
 def corner_probabilities(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -123,37 +79,6 @@ def corner_probabilities(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     ratios = (xs[:, None] - ys[None, :]) / (xs[:, None] - xs[pair])
     probs = np.prod(ratios, axis=1)
     return probs / probs.sum()
-
-
-def growth_probabilities_float(parts) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Dimension-proportional growth step as corner-content products.
-
-    Equals tableau_count(mu) / ((n+1) * tableau_count(lambda)) for
-    mu = lambda + cell; the equality is enforced by tests against the
-    exact route. Returns the addable cells (row-ascending, hence
-    content-descending) and their probabilities.
-    """
-    nrows = len(parts)
-    cells = []
-    xs_list = []
-    ys_list = []
-    prev = None
-    for r in range(nrows):
-        here = parts[r]
-        if r == 0 or prev > here:
-            cells.append((r + 1, here + 1))
-            xs_list.append(here + 1 - (r + 1))
-        nxt = parts[r + 1] if r + 1 < nrows else 0
-        if here > nxt:
-            ys_list.append(here - (r + 1))
-        prev = here
-    cells.append((nrows + 1, 1))  # a fresh row is always addable
-    xs_list.append(-nrows)
-    if len(cells) == 1:
-        return cells, np.array([1.0])
-    xs = np.array(xs_list, dtype=float)
-    ys = np.array(ys_list, dtype=float)
-    return cells, corner_probabilities(xs, ys)
 
 
 def growth_step_arrays(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -242,3 +242,43 @@ def lcm(values):
     for v in values:
         out = out * v // gcd(out, v)
     return out
+
+
+# --- partitions --------------------------------------------------------------
+
+
+def partitions_of(n):
+    """All partitions of n, lexicographically decreasing."""
+
+    def gen(remaining, cap):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, cap), 0, -1):
+            for rest in gen(remaining - first, first):
+                yield (first,) + rest
+
+    yield from gen(n, n)
+
+
+def removals(parts):
+    """Partitions obtained by removing one corner cell."""
+    out = []
+    for r in range(len(parts)):
+        nxt = parts[r + 1] if r + 1 < len(parts) else 0
+        if parts[r] > nxt:
+            mu = list(parts)
+            mu[r] -= 1
+            if mu[-1] == 0:
+                mu.pop()
+            out.append(tuple(mu))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def tableau_count_recursive(parts):
+    """Standard tableaux by the lattice recursion over removable corners,
+    independent of the library's hook-length product."""
+    if not parts:
+        return 1
+    return sum(tableau_count_recursive(mu) for mu in removals(parts))

@@ -3,20 +3,24 @@
 `bench/spans.py` wraps library functions by rebinding (module,
 attribute) names and fails at install time when one of them is gone.
 These tests load that file read-only and check that every name it lists
-still resolves, and that the sampler and frequency spans still fire
-with each trajectory sampled once per frequency op.
+still resolves, that the sampler and frequency spans still fire with
+each trajectory sampled once per frequency op, and that every import the
+library keeps only for the tracer (marked `# noqa: F401`) is one it lists.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import pathlib
+import tokenize
 
 import pytest
 
 from posetpaths.cli import main
 
-_SPANS_PY = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+_SPANS_PY = _ROOT / "bench" / "spans.py"
 _spec = importlib.util.spec_from_file_location("bench_spans", _SPANS_PY)
 spans = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(spans)
@@ -28,6 +32,33 @@ TRACED = [(module, attr) for module, attr, _ in spans.SPANS + spans.KERNELS] + [
 def test_traced_name_resolves(module, attr):
     owner, name = spans._resolve(module, attr)  # the rule install() applies: name in vars(owner)
     assert callable(vars(owner)[name])
+
+
+def _unused_imports():
+    """(module, name) of every import in `src/posetpaths` marked `# noqa: F401`,
+    on the imported name's own line or on the line its statement starts."""
+    out = []
+    for path in sorted((_ROOT / "src" / "posetpaths").glob("*.py")):
+        with tokenize.open(path) as fh:
+            marked = {
+                tok.start[0]
+                for tok in tokenize.generate_tokens(fh.readline)
+                if tok.type == tokenize.COMMENT and "noqa: F401" in tok.string
+            }
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if alias.lineno in marked or node.lineno in marked:
+                        name = alias.asname or alias.name.split(".")[0]
+                        out.append((f"posetpaths.{path.stem}", name))
+    return out
+
+
+def test_noqa_imports_are_traced_names():
+    listed = {(module, attr) for module, attr, _ in spans.SPANS + spans.KERNELS}
+    marked = _unused_imports()
+    assert marked, "no `# noqa: F401` import found; the scan itself is broken"
+    assert [pair for pair in marked if pair not in listed] == []
 
 
 def _traced(capsys, *argvs):

@@ -406,6 +406,24 @@ def test_compare_same_spec_indistinguishable(capsys):
     assert ",indistinguishable" in out
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["measure", "sample", "--rsk", "nan"], "alpha entries must be finite"),
+        (["measure", "sample", "--rsk", "0.5,nan"], "alpha entries must be finite"),
+        (["compare", "--sampler", "rsk:0.7,0.3", "--sampler", "rsk:0.6,0.4", "--ideal", "hook:1,0",
+          "--n", "5000", "--replicas", "3", "--seed", "1", "--threshold", "nan"], "threshold must be"),
+        (["compare", "--sampler", "rsk:0.7,0.3", "--sampler", "rsk:0.6,0.4", "--ideal", "hook:1,0",
+          "--threshold", "-1"], "threshold must be"),
+    ],
+)
+def test_non_finite_or_negative_inputs_exit_2(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_unknown_sampler_exit_2(capsys):
     code, _, err = run(
         capsys, "compare", "--sampler", "bogus", "--sampler", "plancherel",

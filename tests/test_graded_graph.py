@@ -4,7 +4,6 @@ import pytest
 
 from posetpaths import (
     CapExceeded,
-    PathNumbering,
     build_antichain_poset,
     build_box_poset,
     build_chain_poset,
@@ -16,9 +15,9 @@ from posetpaths import (
     path_of,
     up_dimension,
 )
-from posetpaths.young import partitions_of, tableau_count
+from posetpaths.young import tableau_count
 
-from oracles import brute_numberings, ideal_levels
+from oracles import brute_numberings, ideal_levels, partitions_of
 
 CORPUS = [
     build_young_poset([2, 1]),
@@ -187,7 +186,7 @@ def test_path_numbering_round_trip():
 def test_path_of_young_21_example():
     w = build_young_poset([2, 1])
     g = build_graph(w, 3)
-    chain = path_of(PathNumbering((0, 1, 2)), g)
+    chain = path_of((0, 1, 2), g)
     assert [v.ideal for v in chain] == [(0,), (0, 1), (0, 1, 2)]
 
 
@@ -195,7 +194,7 @@ def test_path_of_rejects_non_ideal_prefix():
     w = build_young_poset([2, 1])
     g = build_graph(w, 3)
     with pytest.raises(ValueError):
-        path_of(PathNumbering((0, 2, 1)), g)
+        path_of((0, 2, 1), g)
 
 
 def test_young_branching_identity_up_to_12():

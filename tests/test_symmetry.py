@@ -7,7 +7,6 @@ import pytest
 
 from posetpaths import (
     CapExceeded,
-    PathNumbering,
     apply_sigma,
     build_antichain_poset,
     build_box_poset,
@@ -40,13 +39,13 @@ CORPUS = [
 
 def test_sigma_swaps_incomparable_pair():
     w = build_antichain_poset(2)
-    phi = PathNumbering((0, 1, 2))
-    assert apply_sigma(w.poset, 1, phi).elements == (0, 2, 1)
+    phi = (0, 1, 2)
+    assert apply_sigma(w.poset, 1, phi) == (0, 2, 1)
 
 
 def test_sigma_fixes_comparable_pair():
     w = build_chain_poset(3)
-    phi = PathNumbering((0, 1, 2))
+    phi = (0, 1, 2)
     assert apply_sigma(w.poset, 1, phi) == phi
 
 
@@ -57,12 +56,12 @@ def test_sigma_leaves_other_positions_alone():
             out = apply_sigma(w.poset, i, phi)
             for m in range(5):
                 if m not in (i, i + 1):
-                    assert out.elements[m] == phi.elements[m]
+                    assert out[m] == phi[m]
 
 
 def test_sigma_index_out_of_range():
     w = build_chain_poset(4)
-    phi = PathNumbering((0, 1, 2))
+    phi = (0, 1, 2)
     with pytest.raises(ValueError):
         apply_sigma(w.poset, 0, phi)
     with pytest.raises(ValueError):
@@ -85,15 +84,15 @@ def test_sigma_matches_independent_rule():
         for length in range(1, w.poset.n + 1):
             valid = brute_numberings(w.poset, length)
             handle = generate_group(w, length)
-            assert [p.elements for p in handle.paths] == valid
+            assert list(handle.paths) == valid
             assert handle.sigma_indices == tuple(range(1, length - 1))
             for i, gen in zip(handle.sigma_indices, handle.generators):
                 assert gen == tuple(valid.index(sigma_map(w.poset, seq, i)) for seq in valid)
             for phi in handle.paths:
                 for i in range(1, length - 1):
-                    out = apply_sigma(w.poset, i, phi).elements
-                    assert out == sigma_map(w.poset, phi.elements, i)
-                    assert out in valid, (w.describe(), phi.elements, i)
+                    out = apply_sigma(w.poset, i, phi)
+                    assert out == sigma_map(w.poset, phi, i)
+                    assert out in valid, (w.describe(), phi, i)
 
 
 def test_sigma_commutes_at_distance():
@@ -121,7 +120,7 @@ def test_generate_group_antichain3_is_order_6():
     assert handle.n_paths == 6
     assert group_order(handle).order == 6
     assert brute_symmetry_group_order(
-        w.poset, [p.elements for p in handle.paths]
+        w.poset, list(handle.paths)
     ) == 6
 
 
@@ -148,7 +147,7 @@ def test_group_orders_match_brute_force_oracle():
         handle = generate_group(w, w.poset.n)
         stats = group_order(handle)
         expected = brute_symmetry_group_order(
-            w.poset, [p.elements for p in handle.paths]
+            w.poset, list(handle.paths)
         )
         assert stats.order == expected, w.describe()
 
@@ -171,7 +170,7 @@ def test_closure_matches_left_multiplication_oracle():
             elements, diameter = closure(handle.generators)
             assert (len(elements), diameter) == left_closure(handle.generators), (w.describe(), length)
             assert len(elements) == brute_symmetry_group_order(
-                w.poset, [p.elements for p in handle.paths]
+                w.poset, list(handle.paths)
             )
 
 
@@ -225,7 +224,7 @@ def test_hook_diagram_orders_factorial_fixtures():
         assert handle.n_paths == n_paths
         assert group_order(handle).order == order
         assert brute_symmetry_group_order(
-            w.poset, [p.elements for p in handle.paths]
+            w.poset, list(handle.paths)
         ) == order
 
 
@@ -240,7 +239,7 @@ def test_orbit_young_21_swap():
     paths = enumerate_numberings(w, 4)
     assert len(paths) == 2
     for phi in paths:
-        assert set(p.elements for p in orbit(phi, w)) == {p.elements for p in paths}
+        assert set(orbit(phi, w)) == set(paths)
 
 
 def test_orbit_young_32_reaches_all_five():
@@ -248,7 +247,7 @@ def test_orbit_young_32_reaches_all_five():
     paths = enumerate_numberings(w, 6)
     assert len(paths) == 5
     got = orbit(paths[0], w)
-    assert {p.elements for p in got} == {p.elements for p in paths}
+    assert set(got) == set(paths)
 
 
 def test_orbits_equal_endpoint_fibers():
@@ -258,10 +257,10 @@ def test_orbits_equal_endpoint_fibers():
             paths = enumerate_numberings(w, length)
             fibers = endpoint_fibers(paths)
             for phi in paths:
-                got = {p.elements for p in orbit(phi, w)}
-                fiber = {p.elements for p in fibers[phi.endpoint]}
+                got = set(orbit(phi, w))
+                fiber = set(fibers[frozenset(phi)])
                 assert got == fiber, (w.describe(), length, phi)
-                assert got == brute_orbit(w.poset, phi.elements)
+                assert got == brute_orbit(w.poset, phi)
 
 
 def test_sigma_preserves_endpoint():
@@ -270,8 +269,8 @@ def test_sigma_preserves_endpoint():
         for phi in enumerate_numberings(w, full):
             for i in range(1, full - 1):
                 out = apply_sigma(w.poset, i, phi)
-                assert out.endpoint == phi.endpoint
-                assert out.elements[i + 2 :] == phi.elements[i + 2 :]
+                assert frozenset(out) == frozenset(phi)
+                assert out[i + 2 :] == phi[i + 2 :]
 
 
 def test_relations_hold_on_corpus():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -11,13 +10,11 @@ from posetpaths.young import (
     additions,
     check_partition,
     conjugate,
-    growth_probabilities_float,
-    partitions_of,
-    removals,
     row_insert,
     tableau_count,
-    tableau_count_recursive,
 )
+
+from oracles import partitions_of, removals, tableau_count_recursive
 
 
 def test_check_partition():
@@ -75,28 +72,6 @@ def test_additions_and_removals_are_inverse():
 def test_partitions_of_counts():
     counts = [len(list(partitions_of(n))) for n in range(9)]
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22]
-
-
-def test_growth_probabilities_match_exact_dimension_ratios():
-    for n in range(0, 11):
-        for lam in partitions_of(n):
-            cells, probs = growth_probabilities_float(lam)
-            d = tableau_count(lam)
-            exact = [
-                Fraction(tableau_count(mu), (n + 1) * d) for mu, _ in additions(lam)
-            ]
-            assert [cell for _, cell in additions(lam)] == cells
-            assert sum(exact) == 1
-            for p, q in zip(probs, exact):
-                assert abs(p - float(q)) < 1e-12, (lam, p, q)
-
-
-def test_growth_probabilities_on_large_staircase_are_stable():
-    lam = tuple(range(60, 0, -1))  # 60 corners, the worst interlacing case
-    cells, probs = growth_probabilities_float(lam)
-    assert len(cells) == 61
-    assert all(p > 0 for p in probs)
-    assert abs(probs.sum() - 1.0) < 1e-9
 
 
 def test_row_insert_bumping():
