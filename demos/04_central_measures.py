@@ -15,6 +15,7 @@ from posetpaths import (
     build_graph,
     build_young_poset,
     endpoint_measure,
+    generate_group,
     is_central,
     path_measure,
     perturb_fiber,
@@ -29,24 +30,26 @@ for key, row in sorted(kernel.rows.items()):
 law = path_measure(kernel)
 print("path law:", {" ".join(map(str, k)): str(v) for k, v in law.items()})
 
-report = is_central(g, law)
+handle = generate_group(g.window, 4)  # the numberings of length 4, root included
+report = is_central(handle, law)
 print("endpoint kernel central:", report.central)
 
 # The uniform measure on all fixed-length numberings is central as well:
 # every involution permutes the path set bijectively.
 w = build_box_poset(2, (3, 3))
 g33 = build_graph(w, 6)
-uniform = uniform_path_measure(w, 7)
-print("uniform on 3x3 paths central:", is_central(g33, uniform).central)
+h33 = generate_group(w, 7)
+uniform = uniform_path_measure(h33)
+print("uniform on 3x3 paths central:", is_central(h33, uniform).central)
 
 # Moving one tenth of the mass inside a fiber breaks invariance, and the
 # check names a violating generator.
 bad = perturb_fiber(law, Fraction(1, 10))
-bad_report = is_central(g, bad)
+bad_report = is_central(handle, bad)
 print("perturbed central:", bad_report.central)
 print("witness (generator index, path):", bad_report.invariance_witnesses[0])
 
 # Endpoint kernels at every top vertex of the 3x3 box are all central.
 for v in g33.levels[6]:
-    assert is_central(g33, path_measure(endpoint_measure(g33, v))).central
+    assert is_central(h33, path_measure(endpoint_measure(g33, v))).central
 print("all endpoint kernels on the 3x3 box at depth 6: central")

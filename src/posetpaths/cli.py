@@ -33,6 +33,7 @@ from .measures import (
     uniform_path_measure,
 )
 from .posets import (
+    PATH_CAP,
     CapExceeded,
     PosetFormatError,
     build_antichain_poset,
@@ -43,7 +44,14 @@ from .posets import (
     parse_poset,
     serialize_poset,
 )
-from .symmetry import classify_local, generate_group, group_order, local_indices, verify_relations
+from .symmetry import (
+    GROUP_CAP,
+    classify_local,
+    generate_group,
+    group_order,
+    local_indices,
+    verify_relations,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -309,34 +317,33 @@ def _ties_note(config: dict, specs) -> None:
 
 def cmd_measure_check(args) -> int:
     out = _Out(args.out)
+    handle = None
     if args.sampler is not None:
         kernel = _parse_sampler(args.sampler, args, _window_source(args))
-        g = kernel.graph
+        window, length = kernel.graph.window, kernel.depth + 1
         measure = path_measure(kernel)
         what = kernel.name()
     else:
         window = _resolve_window(args)
         length = args.depth if args.depth is not None else window.poset.n
-        g = build_graph(window, length - 1)
-        measure = uniform_path_measure(window, length)
+        handle = generate_group(window, length)
+        measure = uniform_path_measure(handle)
         what = f"uniform:{length}"
     negative = []  # paths an over-large perturbation leaves with negative mass
     if args.perturb is not None:
         measure = perturb_fiber(measure, Fraction(args.perturb))
         what += f"+perturb:{args.perturb}"
         negative = sorted(path for path, p in measure.items() if p < 0)
-    report = None if negative else is_central(g, measure, tol=args.tol)
-    _echo_config(
-        out,
-        "measure check",
-        {"poset": _poset_flag(args), "measure": what, "tol": args.tol},
-    )
+    _echo_config(out, "measure check", {"poset": _poset_flag(args), "measure": what})
     if negative:
         for path in negative:
             out.emit(f"perturbed_law: negative mass {measure[path]} on path {','.join(map(str, path))}")
         out.emit("central: NO")
         out.flush()
         return EXIT_VIOLATION
+    if handle is None:  # a kernel's numberings are enumerated only for a law without negative mass
+        handle = generate_group(window, length)
+    report = is_central(handle, measure)
     out.emit(f"paths: {report.n_paths}")
     out.emit(f"exact_arithmetic: {report.exact}")
     out.emit(f"generator_invariance: {'pass' if report.invariance_ok else 'fail'}")
@@ -449,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poset_args(p_paths, required=True)
     p_paths.add_argument("--depth", type=int, default=None, help="numbering length incl. root (default: all elements)")
     p_paths.add_argument("--list", action="store_true")
-    p_paths.add_argument("--path-cap", type=int, default=100_000, dest="path_cap")
+    p_paths.add_argument("--path-cap", type=int, default=PATH_CAP, dest="path_cap")
     p_paths.add_argument("--out", default=None)
     p_paths.set_defaults(func=cmd_paths)
 
@@ -457,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poset_args(p_group, required=True)
     p_group.add_argument("--depth", type=int, default=None, help="numbering length incl. root (default: all elements)")
     p_group.add_argument("--local", default=None, help="index i, or 'all'")
-    p_group.add_argument("--path-cap", type=int, default=100_000, dest="path_cap")
-    p_group.add_argument("--group-cap", type=int, default=1_000_000, dest="group_cap")
+    p_group.add_argument("--path-cap", type=int, default=PATH_CAP, dest="path_cap")
+    p_group.add_argument("--group-cap", type=int, default=GROUP_CAP, dest="group_cap")
     p_group.add_argument("--format", choices=["text", "csv"], default="text")
     p_group.add_argument("--out", default=None)
     p_group.set_defaults(func=cmd_group)
@@ -471,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sampler_args(m_check, ("endpoint", "markov"), required=False)
     m_check.add_argument("--depth", type=int, default=None)
     m_check.add_argument("--perturb", default=None, metavar="EPS")
-    m_check.add_argument("--tol", type=float, default=0.0)
     m_check.add_argument("--out", default=None)
     m_check.set_defaults(func=cmd_measure_check)
 

@@ -2,12 +2,14 @@
 
 A measure on fixed-length numberings is central when every adjacent-swap
 involution preserves it; equivalently, when it is conditionally uniform
-on every endpoint fiber. Exact rational arithmetic is used for all
-finite-truncation kernels (centrality is an exact symmetry; tolerances
-would mask bugs); floating point enters only inside Monte Carlo
-sampling. Both Young growth samplers run on row insertion: Plancherel
-growth inserts i.i.d. uniform letters, the Thoma samplers letters drawn
-from alpha.
+on every endpoint fiber. Finite-truncation kernels and laws hold exact
+rationals only, and a float in a kernel row or a law raises ValueError:
+centrality is an exact symmetry, and a tolerance would mask bugs.
+`is_central` reads that symmetry off a `symmetry.GroupHandle` the
+caller builds once with `generate_group`. Floating point enters only
+inside Monte Carlo sampling. Both Young growth samplers run on row
+insertion: Plancherel growth inserts i.i.d. uniform letters, the Thoma
+samplers letters drawn from alpha.
 
 Replica k of a Monte Carlo run is seeded with seed + k; sampler s of a
 comparison run gets base seed seed + s * 1_000_003. Identical seeds give
@@ -22,6 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from .graded_graph import GradedGraph, LevelVertex, dimension, up_dimension_table
 from .ideals import (
@@ -30,11 +33,10 @@ from .ideals import (
     ideal_member,
     member_coords,
 )
-from .posets import (
-    ROOT, CapExceeded, PosetWindow, build_young_poset, enumerate_numberings, validate_numbering,
-)
+from .posets import PATH_CAP, ROOT, CapExceeded, PosetWindow, build_young_poset, validate_numbering
+from .posets import enumerate_numberings  # noqa: F401  (bench/spans.py traces the name here)
 from .symmetry import apply_sigma  # noqa: F401  (bench/spans.py traces the name here)
-from .symmetry import generate_group
+from .symmetry import GroupHandle
 from .young import (
     GrowthPath,
     additions,
@@ -44,7 +46,6 @@ from .young import (
 )
 from .young import corner_probabilities, growth_step_arrays  # noqa: F401  (bench/spans.py traces the names here)
 
-PATH_CAP = 100_000  # most paths an exact law or centrality check lists
 STEP_CAP = 10_000_000  # most steps one growth sample, or all replicas of one estimate, draw
 
 
@@ -125,8 +126,9 @@ class ExplicitMarkov:
     """Per-vertex transition rows over the up-edges of a graded graph.
 
     Rows map (level, index) to tuples (added element, target index,
-    probability). Probabilities may be exact Fractions or floats; each
-    row must sum to one (exactly when rational, else within 1e-12).
+    probability). Probabilities are exact rationals (ints or Fractions),
+    non-negative, and each row sums to exactly one; a float raises
+    ValueError.
     """
 
     has_ties = False
@@ -136,14 +138,11 @@ class ExplicitMarkov:
         self.rows = dict(rows)
         self._name = name
         self.depth = depth if depth is not None else graph.depth
-        self.exact = True
         for key, row in self.rows.items():
+            if not all(isinstance(p, Rational) for _, _, p in row):
+                raise ValueError(f"row {key} has a probability that is not an exact rational")
             total = sum(p for _, _, p in row)
-            if any(isinstance(p, float) for _, _, p in row):
-                self.exact = False
-                if abs(total - 1.0) > 1e-12:
-                    raise ValueError(f"row {key} sums to {total}, not 1")
-            elif total != 1:
+            if total != 1:
                 raise ValueError(f"row {key} sums to {total}, not 1")
             if any(p < 0 for _, _, p in row):
                 raise ValueError(f"row {key} has a negative probability")
@@ -267,39 +266,28 @@ def path_measure(m: ExplicitMarkov) -> dict[tuple[int, ...], Fraction]:
         counts = nxt
     if sum(counts.values()) > PATH_CAP:
         raise CapExceeded(f"more than {PATH_CAP} paths under {m.name()}")
-    # exact kernels walk integer numerators and denominators and make one
-    # Fraction per path; float kernels multiply the same floats in the same
-    # order as float * Fraction would
+    # the walk multiplies integer numerators and denominators and makes
+    # one Fraction per path
     terms = {
-        key: [
-            (elem, j, p.numerator, p.denominator) if m.exact else (elem, j, float(p), 1)
-            for elem, j, p in row
-            if p
-        ]
+        key: [(elem, j, p.numerator, p.denominator) for elem, j, p in row if p]
         for key, row in m.rows.items()
     }
     out: dict[tuple[int, ...], Fraction] = {}
 
     def walk(level, index, prefix, num, den):
         if level == m.depth:
-            out[prefix] = Fraction(num, den) if m.exact else num
+            out[prefix] = Fraction(num, den)
             return
         for elem, j, p_num, p_den in terms.get((level, index), ()):
             walk(level + 1, j, prefix + (elem,), num * p_num, den * p_den)
 
-    walk(0, 0, (ROOT,), 1 if m.exact else 1.0, 1)
+    walk(0, 0, (ROOT,), 1, 1)
     return out
 
 
-def uniform_path_measure(
-    window: PosetWindow, length: int, path_cap: int = PATH_CAP
-) -> dict[tuple[int, ...], Fraction]:
-    """The uniform law on all numberings of the given length.
-
-    Raises CapExceeded when there are more than `path_cap` numberings.
-    """
-    paths = enumerate_numberings(window, length, limit=path_cap)
-    return dict.fromkeys(paths, Fraction(1, len(paths)))
+def uniform_path_measure(handle: GroupHandle) -> dict[tuple[int, ...], Fraction]:
+    """The uniform law on the numberings the group handle lists."""
+    return dict.fromkeys(handle.paths, Fraction(1, handle.n_paths))
 
 
 def perturb_fiber(measure, eps=Fraction(1, 10)):
@@ -327,7 +315,7 @@ class CentralityReport:
 
     n_paths: int
     length: int
-    exact: bool
+    exact: bool  # always True: laws are exact rationals
     invariance_ok: bool
     invariance_witnesses: list[tuple[int, tuple[int, ...]]]
     fiber_ok: bool
@@ -338,68 +326,44 @@ class CentralityReport:
         return self.invariance_ok and self.fiber_ok
 
 
-def is_central(
-    g: GradedGraph, measure, tol: float = 0.0, path_cap: int = PATH_CAP
-) -> CentralityReport:
+def is_central(handle: GroupHandle, measure) -> CentralityReport:
     """Check a path measure for invariance under every involution and for
     fiber-conditional uniformity.
 
-    `measure` maps numberings (tuples of ids) of one common length to
-    probabilities. Rational values are compared exactly; floats within
-    `tol`. Raises CapExceeded when the window has more than `path_cap`
-    numberings of that length.
+    `measure` maps numberings (tuples of ids) that `handle` lists to exact
+    rational probabilities summing to one; a float raises ValueError.
     """
-    probs = dict(measure)
-    if not probs:
+    if not measure:
         raise ValueError("empty measure")
-    lengths = {len(k) for k in probs}
-    if len(lengths) != 1:
-        raise ValueError(f"paths of mixed lengths {sorted(lengths)}")
-    length = lengths.pop()
-    exact = all(not isinstance(p, float) for p in probs.values())
-    if exact:
-        # normalized (numerator, denominator) pairs are equal exactly when
-        # the values are; sums and comparisons run on them without
-        # Fraction's per-operation gcd and mixed-type dispatch
-        probs = {key: (p.numerator, p.denominator) for key, p in probs.items()}
-        if any(num < 0 for num, _ in probs.values()):
-            raise ValueError("negative probability")
-        by_den: dict[int, int] = {}
-        for num, den in probs.values():
-            by_den[den] = by_den.get(den, 0) + num
-        common = math.lcm(*by_den)
-        total = Fraction(sum(num * (common // den) for den, num in by_den.items()), common)
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-    else:
-        if any(p < 0 for p in probs.values()):
-            raise ValueError("negative probability")
-        total = sum(probs.values())
-        if abs(total - 1.0) > max(tol, 1e-12):
-            raise ValueError(f"probabilities sum to {total}, not 1")
-
-    handle = generate_group(g.window, length, path_cap=path_cap)
-    weights = [(0, 1) if exact else 0.0] * handle.n_paths  # by path id, lexicographic
-    for key, p in probs.items():
+    # normalized (numerator, denominator) pairs are equal exactly when the
+    # values are; sums and comparisons run on them without Fraction's
+    # per-operation gcd and mixed-type dispatch
+    weights = [(0, 1)] * handle.n_paths  # by path id, lexicographic
+    by_den: dict[int, int] = {}
+    for key, p in measure.items():
         k = handle.path_index.get(key)
         if k is None:
-            raise ValueError(f"{key} is not a valid numbering of this window")
-        weights[k] = p
-
-    def moved(gen):
-        """Ids of the paths whose mass the involution `gen` moves, in order."""
-        if exact:
-            return [k for k, j in enumerate(gen) if weights[k] != weights[j]]
-        return [k for k, j in enumerate(gen) if abs(weights[k] - weights[j]) > tol]
+            raise ValueError(f"{key} is not a numbering of length {handle.length} of this window")
+        if not isinstance(p, Rational):
+            raise ValueError(f"probability {p!r} of {key} is not an exact rational")
+        num, den = p.numerator, p.denominator
+        if num < 0:
+            raise ValueError("negative probability")
+        weights[k] = (num, den)
+        by_den[den] = by_den.get(den, 0) + num
+    common = math.lcm(*by_den)
+    total = Fraction(sum(num * (common // den) for den, num in by_den.items()), common)
+    if total != 1:
+        raise ValueError(f"probabilities sum to {total}, not 1")
 
     inv_witnesses = []
     for i, gen in zip(handle.sigma_indices, handle.generators):
-        inv_witnesses = [(i, handle.paths[k]) for k in moved(gen)[:5]]
+        inv_witnesses = [(i, handle.paths[k]) for k, j in enumerate(gen) if weights[k] != weights[j]][:5]
         if inv_witnesses:
             break
 
     def value(k):
-        return Fraction(*weights[k]) if exact else weights[k]
+        return Fraction(*weights[k])
 
     fiber_witnesses = []
     fibers: dict[frozenset, list[int]] = {}
@@ -407,16 +371,12 @@ def is_central(
         fibers.setdefault(frozenset(p), []).append(k)
     for fiber_key in sorted(fibers, key=lambda f: tuple(sorted(f))):
         group = fibers[fiber_key]
-        if exact and len({weights[k] for k in group}) == 1:
-            continue
-        lo = min(group, key=value)
-        hi = max(group, key=value)
-        if exact or abs(weights[lo] - weights[hi]) > tol:
-            fiber_witnesses.append((handle.paths[lo], handle.paths[hi]))
+        if len({weights[k] for k in group}) > 1:
+            fiber_witnesses.append((handle.paths[min(group, key=value)], handle.paths[max(group, key=value)]))
     return CentralityReport(
         n_paths=handle.n_paths,
-        length=length,
-        exact=exact,
+        length=handle.length,
+        exact=True,
         invariance_ok=not inv_witnesses,
         invariance_witnesses=inv_witnesses,
         fiber_ok=not fiber_witnesses,

@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 ROOT = 0
+PATH_CAP = 100_000  # default cap on the numberings, or kernel paths, one enumeration or exact law lists
 
 
 class PosetFormatError(ValueError):
@@ -149,11 +150,6 @@ class Poset:
                 if not self.leq(x, y) and not self.leq(y, x):
                     out.append((x, y))
         return out
-
-    def is_ideal(self, ids) -> bool:
-        """True if `ids` is downward closed (every lower cover of a member is a member)."""
-        s = set(ids)
-        return all(lo in s for x in s for lo in self._lower[x])
 
     def __eq__(self, other):
         return (

@@ -15,11 +15,14 @@ from math import gcd
 from operator import itemgetter
 
 from .posets import (
+    PATH_CAP,
     CapExceeded,
     Poset,
     PosetWindow,
     enumerate_numberings,
 )
+
+GROUP_CAP = 1_000_000  # default for the most group elements a closure lists
 
 ALLOWED_ORBIT_TAGS = (
     "trivial",
@@ -162,7 +165,6 @@ class GroupHandle:
     paths: tuple[tuple[int, ...], ...]
     sigma_indices: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
-    cayley_stats: CayleyStats | None = None
     path_index: dict = field(default_factory=dict, repr=False)  # numbering -> id
 
     @property
@@ -176,7 +178,7 @@ class GroupHandle:
             raise ValueError(f"no involution with index {i} at length {self.length}") from None
 
 
-def generate_group(window: PosetWindow, length: int, path_cap: int = 100_000) -> GroupHandle:
+def generate_group(window: PosetWindow, length: int, path_cap: int = PATH_CAP) -> GroupHandle:
     """Enumerate all length-`length` numberings and realize each involution
     as a permutation of their lexicographic indices.
 
@@ -205,21 +207,15 @@ def generate_group(window: PosetWindow, length: int, path_cap: int = 100_000) ->
     )
 
 
-def group_order(handle: GroupHandle, cap: int = 1_000_000) -> CayleyStats:
-    """Exact order by closure, or a capped report; cached on the handle."""
-    cached = handle.cayley_stats
-    if cached is not None and (not cached.capped or cached.cap >= cap):
-        return cached
+def group_order(handle: GroupHandle, cap: int = GROUP_CAP) -> CayleyStats:
+    """Exact order by closure, or a capped report."""
     if not handle.generators:
-        stats = CayleyStats(order=1, diameter=0, capped=False, cap=cap)
-    else:
-        try:
-            elements, diameter = closure(handle.generators, cap=cap)
-            stats = CayleyStats(order=len(elements), diameter=diameter, capped=False, cap=cap)
-        except CapExceeded:
-            stats = CayleyStats(order=None, diameter=None, capped=True, cap=cap)
-    handle.cayley_stats = stats
-    return stats
+        return CayleyStats(order=1, diameter=0, capped=False, cap=cap)
+    try:
+        elements, diameter = closure(handle.generators, cap=cap)
+    except CapExceeded:
+        return CayleyStats(order=None, diameter=None, capped=True, cap=cap)
+    return CayleyStats(order=len(elements), diameter=diameter, capped=False, cap=cap)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ product; the lattice recursion that checks it lives in the tests' oracles.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
 from math import factorial
 
@@ -120,6 +121,12 @@ class GrowthPath:
         return len(self.cells)
 
     def shape(self) -> tuple[int, ...]:
+        """The final diagram's row lengths, computed once per path: a
+        frequency estimate reads them for every ideal it scores."""
+        return self._shape
+
+    @functools.cached_property
+    def _shape(self) -> tuple[int, ...]:
         rows: dict[int, int] = {}
         for r, _ in self.cells:
             rows[r] = rows.get(r, 0) + 1

@@ -33,6 +33,13 @@ def order_pairs(poset):
     return frozenset(pairs)
 
 
+def is_ideal(poset, ids):
+    """True if `ids` is downward closed: with every upper end of a cover
+    relation it holds the lower end."""
+    s = set(ids)
+    return all(lo in s for lo, hi in poset.covers if hi in s)
+
+
 def brute_numberings(poset, length):
     """All valid numberings by filtering raw permutations of non-root ids.
 
@@ -160,27 +167,22 @@ def left_closure(generators, cap=None):
     return len(elements), diameter
 
 
-def central_witnesses(poset, measure, length, tol=0.0):
-    """Per-path centrality witnesses of a measure on numbering tuples.
+def central_witnesses(poset, measure, length):
+    """Per-path centrality witnesses of an exact measure on numbering tuples.
 
     Invariance: the first involution index that moves mass, with up to
     five of the paths it moves, in lexicographic order. Fibers: for each
     endpoint set in sorted order whose mass is not uniform, the first
-    lightest and first heaviest path. Floats compare within `tol`.
+    lightest and first heaviest path.
     """
     paths = brute_numberings(poset, length)
-    exact = not any(isinstance(p, float) for p in measure.values())
-    zero = Fraction(0) if exact else 0.0
 
     def weight(seq):
-        return measure.get(seq, zero)
-
-    def differs(a, b):
-        return a != b if exact else abs(a - b) > tol
+        return measure.get(seq, Fraction(0))
 
     invariance = []
     for i in range(1, length - 1):
-        moved = [seq for seq in paths if differs(weight(seq), weight(sigma_map(poset, seq, i)))]
+        moved = [seq for seq in paths if weight(seq) != weight(sigma_map(poset, seq, i))]
         if moved:
             invariance = [(i, seq) for seq in moved[:5]]
             break
@@ -192,20 +194,18 @@ def central_witnesses(poset, measure, length, tol=0.0):
         group = fibers[key]
         lo = min(group, key=weight)
         hi = max(group, key=weight)
-        if differs(weight(lo), weight(hi)):
+        if weight(lo) != weight(hi):
             uneven.append((lo, hi))
     return invariance, uneven
 
 
 def kernel_path_law(rows, depth, root=0):
     """Law of a transition kernel's root-based paths of length `depth`:
-    each path's probability is the product of its edge probabilities,
-    left to right, as Fractions, or as floats when any edge is a float.
-    Paths through a zero-probability edge are left out.
+    each path's probability is the product of its edge probabilities as a
+    Fraction. Paths through a zero-probability edge are left out.
 
     `rows` maps (level, index) to (added element, next index, probability).
     """
-    exact = not any(isinstance(p, float) for row in rows.values() for _, _, p in row)
     paths = [((root,), 0, [])]
     for level in range(depth):
         paths = [
@@ -215,7 +215,7 @@ def kernel_path_law(rows, depth, root=0):
         ]
     law = {}
     for seq, _, probs in paths:
-        value = prod(probs, start=Fraction(1)) if exact else prod(map(float, probs), start=1.0)
+        value = prod(probs, start=Fraction(1))
         if value:
             law[seq] = value
     return law

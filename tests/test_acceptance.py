@@ -126,12 +126,12 @@ def test_criterion_05_centrality_exact():
             g = build_graph(w, depth)
             for v in g.levels[depth]:
                 law = path_measure(endpoint_measure(g, v))
-                report = is_central(g, law)
+                report = is_central(generate_group(w, depth + 1), law)
                 assert report.exact and report.central, (w.describe(), v)
         g = build_graph(build_young_poset([2, 1]), 3)
         law = path_measure(endpoint_measure(g, g.levels[3][0]))
         bad = perturb_fiber(law, Fraction(1, 10))
-        report = is_central(g, bad)
+        report = is_central(generate_group(g.window, 4), bad)
         assert not report.central
         assert report.invariance_witnesses, "a witness generator must be named"
         witness_i, _ = report.invariance_witnesses[0]

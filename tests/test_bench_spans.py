@@ -4,7 +4,8 @@
 attribute) names and fails at install time when one of them is gone.
 These tests load that file read-only and check that every name it lists
 still resolves, that the sampler and frequency spans still fire with
-each trajectory sampled once per frequency op, and that every import the
+each trajectory sampled once per frequency op, that a uniform `measure
+check` enumerates its numberings once, and that every import the
 library keeps only for the tracer (marked `# noqa: F401`) is one it lists.
 """
 
@@ -61,13 +62,13 @@ def test_noqa_imports_are_traced_names():
     assert [pair for pair in marked if pair not in listed] == []
 
 
-def _traced(capsys, *argvs):
+def _traced(capsys, *argvs, code=0):
     tracer = spans.Tracer()
     tracer.install()
     try:
         for op, argv in enumerate(argvs):
             tracer.op = op
-            assert main(list(argv)) == 0
+            assert main(list(argv)) == code
             capsys.readouterr()
     finally:
         tracer.uninstall()
@@ -91,3 +92,10 @@ def test_sampler_spans_fire_and_trajectories_are_reused(capsys):
     assert len(tracer.trajectories) == 6
     assert tracer.counts["measures.plancherel_steps"] == 2 * 30 + 10
     assert tracer.counts["measures.rsk_steps"] == 4 * 30 + 10
+
+
+def test_uniform_check_enumerates_once_and_builds_no_graph(capsys):
+    # young 4,3,2,1 has 768 full numberings: enumerated once, with no ideal graph built
+    tracer = _traced(capsys, ["measure", "check", "--young", "4,3,2,1", "--perturb", "1/1000"], code=1)
+    assert tracer.counts["posets.numberings"] == 768
+    assert tracer.counts.get("graded_graph.vertices", 0) == 0

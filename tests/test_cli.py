@@ -214,6 +214,14 @@ def test_measure_check_uniform(capsys):
     assert "central: yes" in out
 
 
+def test_measure_check_has_no_tolerance(capsys):
+    # laws are exact, so there is nothing for a tolerance to loosen
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "check", "--young", "3,2", "--depth", "6", "--tol", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 0" in capsys.readouterr().err
+
+
 def test_measure_check_markov_file(tmp_path, capsys):
     kernel = tmp_path / "k.txt"
     kernel.write_text(

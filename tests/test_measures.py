@@ -23,6 +23,7 @@ from posetpaths import (
     dimension,
     endpoint_measure,
     estimate_frequency,
+    generate_group,
     growth_to_numbering,
     is_central,
     parse_ideal,
@@ -88,21 +89,17 @@ def test_endpoint_path_measure_is_uniform_on_fiber():
 
 
 def test_uniform_measure_is_central():
-    w = build_young_poset([3, 2])
-    g = build_graph(w, 5)
-    report = is_central(g, uniform_path_measure(w, 6))
+    handle = generate_group(build_young_poset([3, 2]), 6)
+    report = is_central(handle, uniform_path_measure(handle))
     assert report.central and report.exact
 
 
 def test_exact_routes_honour_the_path_cap():
     w = build_box_poset(3, (2, 2, 2))  # 48 full numberings
-    g = build_graph(w, 7)
-    measure = uniform_path_measure(w, 8, path_cap=48)
-    assert is_central(g, measure, path_cap=48).central
+    handle = generate_group(w, 8, path_cap=48)
+    assert is_central(handle, uniform_path_measure(handle)).central
     with pytest.raises(CapExceeded):
-        uniform_path_measure(w, 8, path_cap=47)
-    with pytest.raises(CapExceeded):
-        is_central(g, measure, path_cap=47)
+        generate_group(w, 8, path_cap=47)
 
 
 def test_endpoint_measures_are_central():
@@ -114,7 +111,7 @@ def test_endpoint_measures_are_central():
         g = build_graph(w, depth)
         for v in g.levels[depth]:
             law = path_measure(endpoint_measure(g, v))
-            report = is_central(g, law)
+            report = is_central(generate_group(w, depth + 1), law)
             assert report.central, (w.describe(), v)
 
 
@@ -122,7 +119,7 @@ def test_perturbed_measure_fails_with_witness():
     g = build_graph(build_young_poset([2, 1]), 3)
     law = path_measure(endpoint_measure(g, g.levels[3][0]))
     bad = perturb_fiber(law, Fraction(1, 10))
-    report = is_central(g, bad)
+    report = is_central(generate_group(g.window, 4), bad)
     assert not report.central
     assert report.invariance_witnesses, "definition check must name a generator"
     i, path = report.invariance_witnesses[0]
@@ -134,28 +131,25 @@ def test_is_central_rejects_non_probability():
     g = build_graph(build_young_poset([2, 1]), 3)
     law = path_measure(endpoint_measure(g, g.levels[3][0]))
     too_much = {k: v + Fraction(1, 100) for k, v in law.items()}
+    handle = generate_group(g.window, 4)
     with pytest.raises(ValueError):
-        is_central(g, too_much)
+        is_central(handle, too_much)
     with pytest.raises(ValueError):
-        is_central(g, {(0, 2, 1): Fraction(1)})  # not a numbering
+        is_central(generate_group(g.window, 3), {(0, 2, 1): Fraction(1)})  # not a numbering
     with pytest.raises(ValueError):
-        is_central(g, {})
+        is_central(handle, {})
 
 
-def test_is_central_float_tolerance():
-    w = build_young_poset([2, 1])
-    g = build_graph(w, 3)
-    law = {k: float(v) for k, v in uniform_path_measure(w, 4).items()}
-    assert is_central(g, law, tol=1e-12).central
-
-
-def _float_kernel(m):
-    return ExplicitMarkov(
-        m.graph,
-        {key: tuple((e, j, float(p)) for e, j, p in row) for key, row in m.rows.items()},
-        name="float",
-        depth=m.depth,
-    )
+def test_floats_are_rejected():
+    g = build_graph(build_young_poset([2, 1]), 3)
+    kernel = endpoint_measure(g, g.levels[3][0])
+    rows = {**kernel.rows, (1, 0): tuple((e, j, float(p)) for e, j, p in kernel.rows[(1, 0)])}
+    with pytest.raises(ValueError, match="not an exact rational"):
+        ExplicitMarkov(g, rows, name="float")
+    handle = generate_group(g.window, 4)
+    law = {k: float(v) for k, v in uniform_path_measure(handle).items()}
+    with pytest.raises(ValueError, match="not an exact rational"):
+        is_central(handle, law)
 
 
 def test_path_measure_matches_oracle_product():
@@ -171,20 +165,12 @@ def test_path_measure_matches_oracle_product():
             law = path_measure(exact)
             assert law == kernel_path_law(exact.rows, exact.depth)
             assert all(type(p) is Fraction for p in law.values())
-            floats = _float_kernel(exact)
-            law = path_measure(floats)
-            assert law == kernel_path_law(floats.rows, floats.depth)  # same products bit for bit
-            assert all(type(p) is float for p in law.values())
-    # a kernel mixing float and rational rows, and one with a zero-probability edge
+    # a kernel with a zero-probability edge
     g = build_graph(build_young_poset([2, 1]), 3)
     tail = {(0, 0): ((1, 0, Fraction(1)),), (2, 0): ((3, 0, Fraction(1)),), (2, 1): ((2, 0, Fraction(1)),)}
-    for split, expected in [
-        (((2, 0, 0.3), (3, 1, Fraction(7, 10))), {(0, 1, 2, 3): 0.3, (0, 1, 3, 2): 0.7}),
-        (((2, 0, Fraction(0)), (3, 1, Fraction(1))), {(0, 1, 3, 2): Fraction(1)}),
-    ]:
-        rows = {**tail, (1, 0): split}
-        law = path_measure(ExplicitMarkov(g, rows, name="hand"))
-        assert law == kernel_path_law(rows, 3) == expected
+    rows = {**tail, (1, 0): ((2, 0, Fraction(0)), (3, 1, Fraction(1)))}
+    law = path_measure(ExplicitMarkov(g, rows, name="hand"))
+    assert law == kernel_path_law(rows, 3) == {(0, 1, 3, 2): Fraction(1)}
 
 
 def _random_law(paths, rng):
@@ -196,8 +182,6 @@ def _random_law(paths, rng):
 def test_centrality_witnesses_match_per_path_oracle():
     import random as _random
 
-    from posetpaths import enumerate_numberings
-
     rng = _random.Random(11)
     for w, length in [
         (build_young_poset([3, 2]), 6),
@@ -207,28 +191,17 @@ def test_centrality_witnesses_match_per_path_oracle():
         (build_antichain_poset(4), 5),
         (build_chain_poset(5), 5),
     ]:
-        g = build_graph(w, length - 1)
-        paths = enumerate_numberings(w, length)
-        uniform = uniform_path_measure(w, length)
+        handle = generate_group(w, length)
+        paths = handle.paths
+        uniform = uniform_path_measure(handle)
         laws = [uniform, _random_law(paths, rng), _random_law(paths, rng)]
         if len(paths) > 1 and any(len(p) > 1 for p in paths):
             laws.append(perturb_fiber(uniform, Fraction(1, 1000)))
         for law in laws:
-            report = is_central(g, law)
+            report = is_central(handle, law)
             assert (report.invariance_witnesses, report.fiber_witnesses) == central_witnesses(
                 w.poset, law, length
             ), (w.describe(), length)
-        # floats: a perturbation below the tolerance passes, one above it fails
-        floats = {k: float(v) for k, v in uniform.items()}
-        for eps, tol in ((1e-9, 1e-6), (1e-3, 1e-6), (0.0, 0.0)):
-            try:
-                law = perturb_fiber(floats, eps)
-            except ValueError:  # no fiber holds two paths
-                law = floats
-            report = is_central(g, law, tol=tol)
-            assert (report.invariance_witnesses, report.fiber_witnesses) == central_witnesses(
-                w.poset, law, length, tol=tol
-            ), (w.describe(), length, eps)
 
 
 def test_markov_row_validation():
@@ -246,10 +219,10 @@ def test_parse_markov_kernel_round_trip():
     g = build_graph(build_young_poset([2, 1]), 3)
     text = "# hand-written kernel\nrow 0:0 1:1\nrow 1:0 2:0.5 3:1/2\nrow 2:0 3:1\nrow 2:1 2:1\n"
     kernel = parse_markov_kernel(g, text)
-    assert kernel.exact and kernel.depth == 3
+    assert kernel.depth == 3
     law = path_measure(kernel)
     assert set(law.values()) == {Fraction(1, 2)}
-    assert is_central(g, law).central
+    assert is_central(generate_group(g.window, 4), law).central
     with pytest.raises(ValueError):
         parse_markov_kernel(g, "row 9:0 1:1\n")
     with pytest.raises(ValueError):
@@ -608,21 +581,19 @@ def test_centrality_routes_always_agree():
     # checks must return the same verdict on arbitrary measures
     import random as _random
 
-    from posetpaths import enumerate_numberings
-
     rng = _random.Random(3)
     for w, length in [
         (build_young_poset([3, 2]), 6),
         (build_box_poset(2, (2, 2)), 4),
         (build_antichain_poset(3), 4),
     ]:
-        g = build_graph(w, length - 1)
-        paths = enumerate_numberings(w, length)
+        handle = generate_group(w, length)
+        paths = handle.paths
         for _ in range(20):
             weights = [Fraction(rng.randrange(0, 5) + 1) for _ in paths]
             total = sum(weights)
             measure = {p: q / total for p, q in zip(paths, weights)}
-            report = is_central(g, measure)
+            report = is_central(handle, measure)
             assert report.invariance_ok == report.fiber_ok, (w.describe(), measure)
 
 
