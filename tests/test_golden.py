@@ -2,7 +2,8 @@
 
 The files under `golden/` hold the exact stdout (and the table below the
 exit code) of every sampler kind through `measure sample`, `measure
-freq`, `compare` and `measure check`, and of demos 01-05. A change that
+freq`, `compare` and `measure check`, of `graph` in text and csv, and
+of demos 01-05. A change that
 moves a seed stream or a float operation shows up here byte for byte;
 such a change must regenerate the files on purpose and say so.
 """
@@ -50,6 +51,10 @@ CASES = {
     "check_uniform": ("measure check --young 3,2 --depth 6", 0),
     "check_perturb": ("measure check --endpoint 3:0 --young 2,1 --perturb 0.1", 1),
     "check_perturb_negative": ("measure check --young 2,1 --perturb 5", 1),
+    "graph_box_2223": ("graph --box 2,2,2,3", 0),
+    "graph_box_223_csv": ("graph --box 2,2,3 --format csv", 0),
+    "graph_young_4321_csv_depth6": ("graph --young 4,3,2,1 --format csv --depth 6", 0),
+    "graph_antichain_4": ("graph --antichain 4", 0),
 }
 
 
