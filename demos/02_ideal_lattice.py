@@ -19,11 +19,10 @@ from posetpaths import (
 )
 
 g = build_graph(build_young_poset([3, 2]), 5)
-for level, verts in enumerate(g.levels):
-    dims = [g.dims[level][v.index] for v in verts]
-    print(f"level {level}: {len(verts)} vertices, dims {dims}")
+for level, dims in enumerate(g.dims):
+    print(f"level {level}: {len(dims)} vertices, dims {dims}")
 
-top = g.levels[5][0]
+top = g.vertex(5, 0)  # vertices are decoded from the level's ideal masks on demand
 print("dimension of the full shape:", dimension(g, top))
 
 # Path counts between two vertices: from the single-cell ideal up to the

@@ -23,7 +23,7 @@ from posetpaths import (
 )
 
 g = build_graph(build_young_poset([2, 1]), 3)
-kernel = endpoint_measure(g, g.levels[3][0])
+kernel = endpoint_measure(g, g.vertex(3, 0))
 for key, row in sorted(kernel.rows.items()):
     print(f"transitions at {key}:", [(elem, str(p)) for elem, _, p in row])
 
@@ -50,6 +50,6 @@ print("perturbed central:", bad_report.central)
 print("witness (generator index, path):", bad_report.invariance_witnesses[0])
 
 # Endpoint kernels at every top vertex of the 3x3 box are all central.
-for v in g33.levels[6]:
-    assert is_central(h33, path_measure(endpoint_measure(g33, v))).central
+for i in range(len(g33.levels[6])):
+    assert is_central(h33, path_measure(endpoint_measure(g33, g33.vertex(6, i)))).central
 print("all endpoint kernels on the 3x3 box at depth 6: central")

@@ -63,6 +63,17 @@ def _ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t != ""]
 
 
+def _cap(text: str) -> int:
+    """A cap flag's value: an integer of at least 1."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return cap
+
+
 _POSET_SOURCES = ("young", "box", "chain", "antichain", "file")
 
 
@@ -166,11 +177,9 @@ def cmd_graph(args) -> int:
     if args.format == "csv":
         out.emit(g.csv().rstrip("\n"))
     else:
-        for level, verts in enumerate(g.levels):
-            dims = " ".join(str(g.dims[level][v.index]) for v in verts)
-            out.emit(f"level {level}: vertices={len(verts)} dims=[{dims}]")
-        top = sum(g.dims[depth])
-        out.emit(f"paths_to_top_level: {top}")
+        for level, dims in enumerate(g.dims):
+            out.emit(f"level {level}: vertices={len(dims)} dims=[{' '.join(map(str, dims))}]")
+        out.emit(f"paths_to_top_level: {sum(g.dims[depth])}")
     return out.flush()
 
 
@@ -446,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poset_args(p_graph, required=True)
     p_graph.add_argument("--depth", type=int, default=None, help="largest ideal size (default: all)")
     p_graph.add_argument(
-        "--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP, dest="vertex_cap"
+        "--vertex-cap", type=_cap, default=DEFAULT_VERTEX_CAP, dest="vertex_cap"
     )
     p_graph.add_argument("--format", choices=["text", "csv"], default="text")
     p_graph.add_argument("--out", default=None)
@@ -456,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poset_args(p_paths, required=True)
     p_paths.add_argument("--depth", type=int, default=None, help="numbering length incl. root (default: all elements)")
     p_paths.add_argument("--list", action="store_true")
-    p_paths.add_argument("--path-cap", type=int, default=PATH_CAP, dest="path_cap")
+    p_paths.add_argument("--path-cap", type=_cap, default=PATH_CAP, dest="path_cap")
     p_paths.add_argument("--out", default=None)
     p_paths.set_defaults(func=cmd_paths)
 
@@ -464,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poset_args(p_group, required=True)
     p_group.add_argument("--depth", type=int, default=None, help="numbering length incl. root (default: all elements)")
     p_group.add_argument("--local", default=None, help="index i, or 'all'")
-    p_group.add_argument("--path-cap", type=int, default=PATH_CAP, dest="path_cap")
-    p_group.add_argument("--group-cap", type=int, default=GROUP_CAP, dest="group_cap")
+    p_group.add_argument("--path-cap", type=_cap, default=PATH_CAP, dest="path_cap")
+    p_group.add_argument("--group-cap", type=_cap, default=GROUP_CAP, dest="group_cap")
     p_group.add_argument("--format", choices=["text", "csv"], default="text")
     p_group.add_argument("--out", default=None)
     p_group.set_defaults(func=cmd_group)

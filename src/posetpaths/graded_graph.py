@@ -8,8 +8,9 @@ integers; counting never touches floating point.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 from .posets import (
     ROOT,
@@ -21,6 +22,8 @@ from .posets import (
 )
 
 DEFAULT_VERTEX_CAP = 1_000_000
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # "0"/"1" digits -> falsy/truthy bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,19 +37,17 @@ class LevelVertex:
 
 
 class GradedGraph:
-    """Levels of ideal vertices with up-edges and exact path counts.
+    """Per level: ideal masks (`levels`), their addable masks and their
+    exact root path counts (`dims`); edges and vertices are decoded on demand.
 
-    The build runs on the bitmask ideal core of `posets`: each vertex is
-    an int mask carried together with the mask of its addable elements,
-    and `add_element` updates the pair from the upper covers of the
-    element added. A child reached along several edges is computed once;
-    its sorted id tuple is its parent's with the added id inserted.
-    Ids are stored as bit n-1-x, so sorting a level's masks in descending
-    order lists its ideals lexicographically by their sorted id tuples:
-    (level, index) coordinates are deterministic across runs, and edge
-    rows, read from the highest addable bit down, are sorted by the added
-    id. Raises CapExceeded when the graph would hold more than
-    `vertex_cap` vertices.
+    The build runs on the bitmask ideal core of `posets`: `add_element`
+    gives each new child mask its addable mask, and a child's dimension
+    accumulates over the edges that reach it. Ids are bits n-1-x, so a
+    level's masks sorted in descending order list its ideals
+    lexicographically. `up_edges[k][i]`, the (added id, index at level
+    k+1) rows sorted by added id, is derived on first read. Raises
+    CapExceeded when the graph would hold more than `vertex_cap`
+    vertices, the root included.
     """
 
     def __init__(self, window: PosetWindow, depth: int, vertex_cap: int = DEFAULT_VERTEX_CAP):
@@ -57,63 +58,61 @@ class GradedGraph:
             )
         self.window = window
         self.depth = depth
-        self.levels: list[list[LevelVertex]] = []
-        self.up_edges: list[list[list[tuple[int, int]]]] = []
-        self.dims: list[list[int]] = []
-        # per level: ideal mask -> index
-        self._index: list[dict[int, int]] = []
-
         n = poset.n
         root, root_addable = add_element(poset, 0, poset.bit(ROOT), ROOT)
-        masks, addables, ideals = [root], [root_addable], [(ROOT,)]
-        index = {root: 0}
+        masks, addables, dims = [root], [root_addable], [1]
+        self.levels, self._addables, self.dims = [masks], [addables], [dims]
         total = 1
-        for level in range(depth + 1):
-            self.levels.append(
-                [LevelVertex(level, i, ideal) for i, ideal in enumerate(ideals)]
-            )
-            self._index.append(index)
-            if level == depth:
-                self.up_edges.append([[] for _ in masks])
-                break
-            # child mask -> (its addable mask, its sorted id tuple)
-            children: dict[int, tuple[int, tuple[int, ...]]] = {}
-            rows = []
-            for mask, addable, ideal in zip(masks, addables, ideals):
-                row = []
+        for _ in range(depth):
+            children: dict[int, list[int]] = {}  # child mask -> [its addable mask, its dim]
+            for mask, addable, dim in zip(masks, addables, dims):
                 rest = addable
                 while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    entry = children.get(mask | bit)
+                    if entry is not None:
+                        entry[1] += dim
+                        continue
+                    total += 1
+                    if total > vertex_cap:
+                        raise CapExceeded(f"graph exceeds {vertex_cap} vertices")
+                    children[mask | bit] = [add_element(poset, mask, addable, n - bit.bit_length())[1], dim]
+            masks = sorted(children, reverse=True)
+            addables = [children[m][0] for m in masks]
+            dims = [children[m][1] for m in masks]
+            self.levels.append(masks)
+            self.dims.append(dims)
+            self._addables.append(addables)
+
+    @cached_property
+    def _index(self) -> list[dict[int, int]]:  # per level: ideal mask -> index
+        return [{m: i for i, m in enumerate(masks)} for masks in self.levels]
+
+    @cached_property
+    def up_edges(self) -> list[list[list[tuple[int, int]]]]:
+        n = self.window.poset.n
+        out = []
+        for level in range(self.depth):
+            index = self._index[level + 1]
+            rows = []
+            for mask, rest in zip(self.levels[level], self._addables[level]):
+                row = []
+                while rest:  # highest bit first: ascending added id
                     top = rest.bit_length()
                     bit = 1 << (top - 1)
                     rest ^= bit
-                    child = mask | bit
-                    x = n - top
-                    if child not in children:
-                        total += 1
-                        if total > vertex_cap:
-                            raise CapExceeded(f"graph exceeds {vertex_cap} vertices")
-                        at = bisect_right(ideal, x)
-                        children[child] = (
-                            add_element(poset, mask, addable, x)[1],
-                            ideal[:at] + (x,) + ideal[at:],
-                        )
-                    row.append((x, child))
+                    row.append((n - top, index[mask | bit]))
                 rows.append(row)
-            masks = sorted(children, reverse=True)
-            addables = [children[m][0] for m in masks]
-            ideals = [children[m][1] for m in masks]
-            index = {m: i for i, m in enumerate(masks)}
-            self.up_edges.append([[(x, index[c]) for x, c in row] for row in rows])
-
-        self.dims = [[0] * len(lvl) for lvl in self.levels]
-        self.dims[0][0] = 1
-        for level in range(self.depth):
-            for i, row in enumerate(self.up_edges[level]):
-                for _, j in row:
-                    self.dims[level + 1][j] += self.dims[level][i]
+            out.append(rows)
+        out.append([[] for _ in self.levels[self.depth]])
+        return out
 
     def vertex(self, level: int, index: int) -> LevelVertex:
-        return self.levels[level][index]
+        index = range(len(self.levels[level]))[index]  # IndexError past either end
+        n = self.window.poset.n
+        bits = format(self.levels[level][index], f"0{n}b").encode().translate(_BITS)
+        return LevelVertex(level, index, tuple(compress(range(n), bits)))
 
     def vertex_of(self, ideal) -> LevelVertex:
         key = tuple(sorted(set(ideal) | {ROOT}))
@@ -122,16 +121,18 @@ class GradedGraph:
         if 0 <= key[0] and key[-1] < poset.n and level <= self.depth:
             index = self._index[level].get(poset.mask_of(key))
             if index is not None:
-                return self.levels[level][index]
+                return LevelVertex(level, index, key)
         raise KeyError(f"ideal {key} not in graph (depth {self.depth})")
 
     def csv(self) -> str:
         """Per-level dump: level,index,ideal,dim (ideal ids space-joined)."""
+        n = self.window.poset.n
+        ids, width = [str(x) for x in range(n)], f"0{n}b"
         lines = ["level,index,ideal,dim"]
-        for lvl in self.levels:
-            for v in lvl:
-                ideal = " ".join(map(str, v.ideal))
-                lines.append(f"{v.level},{v.index},{ideal},{self.dims[v.level][v.index]}")
+        for level, (masks, dims) in enumerate(zip(self.levels, self.dims)):
+            for i, (mask, dim) in enumerate(zip(masks, dims)):
+                ideal = " ".join(compress(ids, format(mask, width).encode().translate(_BITS)))
+                lines.append(f"{level},{i},{ideal},{dim}")
         return "\n".join(lines) + "\n"
 
 

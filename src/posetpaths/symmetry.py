@@ -11,7 +11,7 @@ window's numberings, represented here by dense index arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import lcm
 from operator import itemgetter
 
 from .posets import (
@@ -92,21 +92,17 @@ def compose(p, q) -> tuple[int, ...]:
     return tuple(p[x] for x in q)
 
 
-def perm_order(p) -> int:
-    """Order via lcm of cycle lengths (exact, no repeated multiplication)."""
-    n = len(p)
-    seen = [False] * n
-    order = 1
-    for s in range(n):
-        if seen[s]:
-            continue
-        length = 0
-        x = s
-        while not seen[x]:
-            seen[x] = True
+def perm_order(p, points=None) -> int:
+    """Order via lcm of cycle lengths; on the p-invariant set `points` only, if given."""
+    seen, order = set(), 1
+    for s in range(len(p)) if points is None else points:
+        length, x = 0, s
+        while x not in seen:
+            seen.add(x)
             x = p[x]
             length += 1
-        order = order * length // gcd(order, length)
+        if length:
+            order = lcm(order, length)
     return order
 
 
@@ -303,51 +299,45 @@ class LocalGroupReport:
 
 
 def _orbits_of_pair(a, b):
-    n = len(a)
-    seen = [False] * n
-    orbits = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in (a[x], b[x]):
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        orbits.append(sorted(comp))
+    seen, orbits = set(), []
+    for s in range(len(a)):
+        if s not in seen:
+            seen.add(s)
+            orbit = [s]
+            for x in orbit:  # the list grows while it is read
+                for y in (a[x], b[x]):
+                    if y not in seen:
+                        seen.add(y)
+                        orbit.append(y)
+            orbits.append(orbit)
     return orbits
 
 
-def _restrict(p, orbit_ids):
-    pos = {x: k for k, x in enumerate(orbit_ids)}
-    return tuple(pos[p[x]] for x in orbit_ids)
+def _dihedral_order(a_moves: bool, b_moves: bool, product_order: int) -> int:
+    """Order of <a, b> for involutions a, b: 2*ord(ab), or 2 if one is the identity, 1 if both are."""
+    return 2 * product_order if a_moves and b_moves else 1 + (a_moves or b_moves)
 
 
 def classify_local(handle: GroupHandle, i: int) -> LocalGroupReport:
     """Orders and orbit structure of the pair (sigma_i, sigma_{i+1}).
 
+    Two involutions generate a dihedral group, on all paths and on each orbit.
     The product order must land in {1, 2, 3, 6}; anything else would
     falsify the adjacent-generator relation and raises.
     """
     a = handle.generator(i)
     b = handle.generator(i + 1)
-    product_order = perm_order(compose(a, b))
+    ab = compose(a, b)
+    product_order = perm_order(ab)
     if product_order not in (1, 2, 3, 6):
         raise ValueError(
             f"product of adjacent involutions {i},{i + 1} has order {product_order}"
         )
     ident = identity_perm(handle.n_paths)
-    elements, _ = closure([a, b], cap=64)
     tags = []
     for orb in _orbits_of_pair(a, b):
-        ra, rb = _restrict(a, orb), _restrict(b, orb)
-        sub, _ = closure([ra, rb], cap=64)
-        g = len(sub)
+        moves = (any(a[x] != x for x in orb), any(b[x] != x for x in orb))
+        g = _dihedral_order(*moves, perm_order(ab, orb))
         if g == 1:
             tag = "trivial"
         elif g == 2:
@@ -364,7 +354,7 @@ def classify_local(handle: GroupHandle, i: int) -> LocalGroupReport:
     return LocalGroupReport(
         i=i,
         product_order=product_order,
-        group_order=len(elements),
+        group_order=_dihedral_order(a != ident, b != ident, product_order),
         orbit_types=tuple(sorted(tags)),
         sigma_i_trivial=a == ident,
         sigma_next_trivial=b == ident,

@@ -98,12 +98,13 @@ def test_criterion_03_dimension_cross_check():
                 for seq in brute_numberings(w.poset, length):
                     key = frozenset(seq)
                     counts[key] = counts.get(key, 0) + 1
-                for v in g.levels[length - 1]:
+                for i in range(len(g.levels[length - 1])):
+                    v = g.vertex(length - 1, i)
                     assert g.dims[length - 1][v.index] == counts.get(
                         frozenset(v.ideal), 0
                     ), (w.describe(), v)
         g = build_graph(build_young_poset([3, 2]), 5)
-        assert dimension(g, g.levels[5][0]) == 5
+        assert dimension(g, g.vertex(5, 0)) == 5
 
 
 def test_criterion_04_branching_identity():
@@ -124,12 +125,13 @@ def test_criterion_05_centrality_exact():
         for w in corpus():
             depth = min(6, w.poset.n - 1)
             g = build_graph(w, depth)
-            for v in g.levels[depth]:
+            for i in range(len(g.levels[depth])):
+                v = g.vertex(depth, i)
                 law = path_measure(endpoint_measure(g, v))
                 report = is_central(generate_group(w, depth + 1), law)
                 assert report.exact and report.central, (w.describe(), v)
         g = build_graph(build_young_poset([2, 1]), 3)
-        law = path_measure(endpoint_measure(g, g.levels[3][0]))
+        law = path_measure(endpoint_measure(g, g.vertex(3, 0)))
         bad = perturb_fiber(law, Fraction(1, 10))
         report = is_central(generate_group(g.window, 4), bad)
         assert not report.central

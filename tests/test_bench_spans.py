@@ -5,8 +5,10 @@ attribute) names and fails at install time when one of them is gone.
 These tests load that file read-only and check that every name it lists
 still resolves, that the sampler and frequency spans still fire with
 each trajectory sampled once per frequency op, that a uniform `measure
-check` enumerates its numberings once, and that every import the
-library keeps only for the tracer (marked `# noqa: F401`) is one it lists.
+check` enumerates its numberings once, that the graph counts it reads
+off `levels` and `up_edges` are the lattice's vertices and edges, and
+that every import the library keeps only for the tracer (marked
+`# noqa: F401`) is one it lists.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ import tokenize
 
 import pytest
 
+from posetpaths import build_box_poset
 from posetpaths.cli import main
+
+from oracles import ideal_levels
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
 _SPANS_PY = _ROOT / "bench" / "spans.py"
@@ -99,3 +104,16 @@ def test_uniform_check_enumerates_once_and_builds_no_graph(capsys):
     tracer = _traced(capsys, ["measure", "check", "--young", "4,3,2,1", "--perturb", "1/1000"], code=1)
     assert tracer.counts["posets.numberings"] == 768
     assert tracer.counts.get("graded_graph.vertices", 0) == 0
+
+
+def test_graph_counts_are_the_lattice_vertices_and_edges(capsys):
+    # both ops build box 2,2,3's full-depth lattice once: graph reads only
+    # its dims, the endpoint check derives its edges
+    tracer = _traced(
+        capsys,
+        ["graph", "--box", "2,2,3"],
+        ["measure", "check", "--endpoint", "11:0", "--box", "2,2,3"],
+    )
+    levels, edges, _ = ideal_levels(build_box_poset(3, (2, 2, 3)).poset, 11)
+    assert tracer.counts["graded_graph.vertices"] == 2 * sum(len(level) for level in levels)
+    assert tracer.counts["graded_graph.edges"] == 2 * sum(len(row) for level in edges for row in level)

@@ -116,6 +116,36 @@ def test_graph_vertex_cap_exit_code(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["graph", "--box", "2,2", "--vertex-cap", "0", "--depth", "0"], "--vertex-cap"),
+        (["graph", "--box", "2,2", "--vertex-cap", "-3"], "--vertex-cap"),
+        (["paths", "--young", "2,1", "--path-cap", "-1"], "--path-cap"),
+        (["paths", "--young", "2,1", "--path-cap", "0"], "--path-cap"),
+        (["group", "--young", "2,1", "--path-cap", "0"], "--path-cap"),
+        (["group", "--young", "2,1", "--group-cap", "-2"], "--group-cap"),
+        (["group", "--young", "2,1", "--group-cap", "0"], "--group-cap"),
+        (["group", "--young", "2,1", "--group-cap", "many"], "--group-cap"),
+    ],
+)
+def test_non_positive_caps_exit_2(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: must be an integer of at least 1" in captured.err
+    assert captured.out == ""
+
+
+def test_cap_of_one_is_accepted(capsys):
+    code, out, _ = run(capsys, "graph", "--box", "2,2", "--vertex-cap", "1", "--depth", "0")
+    assert code == 0
+    assert "level 0: vertices=1 dims=[1]" in out
+    assert run(capsys, "graph", "--box", "2,2", "--vertex-cap", "1", "--depth", "1")[0] == 3
+    assert run(capsys, "group", "--young", "2,1", "--group-cap", "1")[1].count("cap-exceeded (1)") == 1
+
+
 def test_measure_check_path_cap_exit_code(capsys):
     # box 2,2,2,2 has 1,680,384 numberings, past the default cap of 100,000
     code, out, err = run(capsys, "measure", "check", "--box", "2,2,2,2")

@@ -68,7 +68,8 @@ def test_dims_match_enumeration_oracle_per_vertex():
                 key = frozenset(seq)
                 by_endpoint[key] = by_endpoint.get(key, 0) + 1
             level = length - 1
-            for v in g.levels[level]:
+            for i in range(len(g.levels[level])):
+                v = g.vertex(level, i)
                 assert g.dims[level][v.index] == by_endpoint.get(frozenset(v.ideal), 0), (
                     w.describe(),
                     v,
@@ -89,12 +90,13 @@ def test_build_matches_level_oracle(window):
     for depth in (0, 1, 4, full // 2, full):
         g = build_graph(window, depth)
         levels, edges, dims = ideal_levels(window.poset, depth)
-        assert [[v.ideal for v in lvl] for lvl in g.levels] == levels, depth
+        vertices = [[g.vertex(k, i) for i in range(len(lvl))] for k, lvl in enumerate(g.levels)]
+        assert [[v.ideal for v in lvl] for lvl in vertices] == levels, depth
         assert g.up_edges == edges, depth
         assert g.dims == dims, depth
-        for lvl in g.levels:
+        for lvl in vertices:
             for v in lvl:
-                assert g.vertex_of(v.ideal) is v
+                assert g.vertex_of(v.ideal) == v
 
 
 def test_vertex_of_rejects_sets_outside_the_graph():
@@ -115,13 +117,13 @@ def test_vertex_cap():
 
 def test_young_32_top_dim_is_5():
     g = build_graph(build_young_poset([3, 2]), 5)
-    assert dimension(g, g.levels[5][0]) == 5
+    assert dimension(g, g.vertex(5, 0)) == 5
 
 
 def test_root_dimension_is_one():
     for w in CORPUS:
         g = build_graph(w, 1)
-        assert dimension(g, g.levels[0][0]) == 1
+        assert dimension(g, g.vertex(0, 0)) == 1
 
 
 def test_edges_match_addable_elements():
@@ -130,30 +132,30 @@ def test_edges_match_addable_elements():
     for w in CORPUS:
         g = build_graph(w, w.poset.n - 1)
         for level in range(g.depth):
-            for v in g.levels[level]:
+            for i in range(len(g.levels[level])):
+                v = g.vertex(level, i)
                 added = sorted(x for x, _ in g.up_edges[level][v.index])
                 assert added == addable_elements(w.poset, v.ideal)
                 for x, j in g.up_edges[level][v.index]:
-                    target = g.levels[level + 1][j]
+                    target = g.vertex(level + 1, j)
                     assert set(target.ideal) == set(v.ideal) | {x}
 
 
 def test_up_dimension_basics():
     g = build_graph(build_young_poset([3, 2]), 5)
-    top = g.levels[5][0]
-    root = g.levels[0][0]
+    top = g.vertex(5, 0)
+    root = g.vertex(0, 0)
     assert up_dimension(g, top, top) == 1
     assert up_dimension(g, root, top) == dimension(g, top) == 5
     # incomparable vertices at equal level have no connecting path
-    lvl2 = g.levels[2]
-    if len(lvl2) > 1:
-        assert up_dimension(g, lvl2[0], lvl2[1]) == 0
+    if len(g.levels[2]) > 1:
+        assert up_dimension(g, g.vertex(2, 0), g.vertex(2, 1)) == 0
 
 
 def test_up_dimension_young_shape_21_from_single_cell():
     g = build_graph(build_young_poset([2, 1]), 3)
     u = g.vertex_of((0, 1))
-    v = g.levels[3][0]
+    v = g.vertex(3, 0)
     assert up_dimension(g, u, v) == 2
 
 
@@ -162,8 +164,10 @@ def test_up_dimension_counts_paths_by_brute_force():
     g = build_graph(w, 6)
     # enumerate all root paths to level 6 and count pass-throughs per level-2 vertex
     paths = brute_numberings(w.poset, 7)
-    for u in g.levels[2]:
-        for v in g.levels[6]:
+    for k in range(len(g.levels[2])):
+        u = g.vertex(2, k)
+        for i in range(len(g.levels[6])):
+            v = g.vertex(6, i)
             crossing = sum(
                 1
                 for seq in paths
@@ -204,6 +208,21 @@ def test_young_branching_identity_up_to_12():
         for lam in partitions_of(n):
             total = sum(tableau_count(mu) for mu, _ in additions(lam))
             assert total == (n + 1) * tableau_count(lam), lam
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_graph_command_builds_no_edges_or_vertex_objects(fmt, monkeypatch, capsys):
+    from posetpaths import graded_graph
+    from posetpaths.cli import main
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("graph output must read only masks and dims")
+
+    monkeypatch.setattr(graded_graph.GradedGraph, "up_edges", property(forbidden))
+    monkeypatch.setattr(graded_graph.LevelVertex, "__init__", forbidden)
+    assert main(["graph", "--box", "2,2,3", "--format", fmt]) == 0
+    last = {"text": "paths_to_top_level: 2452", "csv": "11,0,0 1 2 3 4 5 6 7 8 9 10 11,2452"}[fmt]
+    assert capsys.readouterr().out.endswith(last + "\n")
 
 
 def test_graph_csv_shape():

@@ -48,14 +48,14 @@ from oracles import central_witnesses, kernel_path_law, partitions_of
 
 def test_chain_endpoint_all_transitions_one():
     g = build_graph(build_chain_poset(5), 4)
-    m = endpoint_measure(g, g.levels[4][0])
+    m = endpoint_measure(g, g.vertex(4, 0))
     for row in m.rows.values():
         assert [p for _, _, p in row] == [Fraction(1)]
 
 
 def test_young_21_endpoint_splits_evenly():
     g = build_graph(build_young_poset([2, 1]), 3)
-    m = endpoint_measure(g, g.levels[3][0])
+    m = endpoint_measure(g, g.vertex(3, 0))
     law = path_measure(m)
     assert set(law.values()) == {Fraction(1, 2)}
     assert len(law) == 2
@@ -68,7 +68,8 @@ def test_endpoint_rows_sum_to_one_exactly():
         (build_box_poset(3, (2, 2, 2)), 5),
     ]:
         g = build_graph(w, depth)
-        for v in g.levels[depth]:
+        for i in range(len(g.levels[depth])):
+            v = g.vertex(depth, i)
             m = endpoint_measure(g, v)
             for row in m.rows.values():
                 assert sum(p for _, _, p in row) == 1
@@ -77,7 +78,8 @@ def test_endpoint_rows_sum_to_one_exactly():
 
 def test_endpoint_path_measure_is_uniform_on_fiber():
     g = build_graph(build_box_poset(2, (3, 3)), 6)
-    for v in g.levels[6]:
+    for i in range(len(g.levels[6])):
+        v = g.vertex(6, i)
         law = path_measure(endpoint_measure(g, v))
         d = dimension(g, v)
         assert len(law) == d
@@ -109,7 +111,8 @@ def test_endpoint_measures_are_central():
         (build_antichain_poset(4), 4),
     ]:
         g = build_graph(w, depth)
-        for v in g.levels[depth]:
+        for i in range(len(g.levels[depth])):
+            v = g.vertex(depth, i)
             law = path_measure(endpoint_measure(g, v))
             report = is_central(generate_group(w, depth + 1), law)
             assert report.central, (w.describe(), v)
@@ -117,7 +120,7 @@ def test_endpoint_measures_are_central():
 
 def test_perturbed_measure_fails_with_witness():
     g = build_graph(build_young_poset([2, 1]), 3)
-    law = path_measure(endpoint_measure(g, g.levels[3][0]))
+    law = path_measure(endpoint_measure(g, g.vertex(3, 0)))
     bad = perturb_fiber(law, Fraction(1, 10))
     report = is_central(generate_group(g.window, 4), bad)
     assert not report.central
@@ -129,7 +132,7 @@ def test_perturbed_measure_fails_with_witness():
 
 def test_is_central_rejects_non_probability():
     g = build_graph(build_young_poset([2, 1]), 3)
-    law = path_measure(endpoint_measure(g, g.levels[3][0]))
+    law = path_measure(endpoint_measure(g, g.vertex(3, 0)))
     too_much = {k: v + Fraction(1, 100) for k, v in law.items()}
     handle = generate_group(g.window, 4)
     with pytest.raises(ValueError):
@@ -142,7 +145,7 @@ def test_is_central_rejects_non_probability():
 
 def test_floats_are_rejected():
     g = build_graph(build_young_poset([2, 1]), 3)
-    kernel = endpoint_measure(g, g.levels[3][0])
+    kernel = endpoint_measure(g, g.vertex(3, 0))
     rows = {**kernel.rows, (1, 0): tuple((e, j, float(p)) for e, j, p in kernel.rows[(1, 0)])}
     with pytest.raises(ValueError, match="not an exact rational"):
         ExplicitMarkov(g, rows, name="float")
@@ -160,7 +163,8 @@ def test_path_measure_matches_oracle_product():
         (build_antichain_poset(4), 3),
     ]:
         g = build_graph(w, depth)
-        for v in g.levels[depth]:
+        for i in range(len(g.levels[depth])):
+            v = g.vertex(depth, i)
             exact = endpoint_measure(g, v)
             law = path_measure(exact)
             assert law == kernel_path_law(exact.rows, exact.depth)
@@ -252,10 +256,10 @@ def test_parse_markov_kernel_rejects_missing_rows():
 def test_path_measure_cap_counts_before_walking(monkeypatch):
     big = build_graph(build_box_poset(4, (2, 2, 2, 2)), 15)
     with pytest.raises(CapExceeded, match="more than 100000 paths"):
-        path_measure(endpoint_measure(big, big.levels[15][0]))  # 1,680,384 paths, none built
+        path_measure(endpoint_measure(big, big.vertex(15, 0)))  # 1,680,384 paths, none built
     # the boundary: the cap counts exactly the positive-probability paths
     g = build_graph(build_young_poset([3, 2, 1]), 6)
-    v = g.levels[6][0]
+    v = g.vertex(6, 0)
     m = endpoint_measure(g, v)
     assert dimension(g, v) == 16
     monkeypatch.setattr(measures, "PATH_CAP", 15)
@@ -490,7 +494,7 @@ def test_step_cap_boundary(monkeypatch):
 def test_markov_sampler_frequency():
     w = build_box_poset(2, (3, 3))
     g = build_graph(w, 6)
-    v = g.levels[6][0]
+    v = g.vertex(6, 0)
     m = endpoint_measure(g, v)
     numbering = sample_markov(m, 6, 4)
     assert len(numbering) == 7
@@ -505,7 +509,7 @@ def test_markov_sampler_frequency():
 def test_markov_sampler_on_coordinate_free_window_rejects_hooks():
     w = build_antichain_poset(3)
     g = build_graph(w, 3)
-    m = endpoint_measure(g, g.levels[3][0])
+    m = endpoint_measure(g, g.vertex(3, 0))
     with pytest.raises(ValueError):
         estimate_frequency(m, [HookIdeal(1, 0)], 3, 4, 2)
 
@@ -525,7 +529,7 @@ def test_compare_requires_two_samplers_same_family():
     with pytest.raises(ValueError):
         compare_frequency_profiles([PlancherelYoung()], [HookIdeal(1, 0)], 10, 2, 1)
     g = build_graph(build_young_poset([2, 1]), 3)
-    m = endpoint_measure(g, g.levels[3][0])
+    m = endpoint_measure(g, g.vertex(3, 0))
     with pytest.raises(ValueError):
         compare_frequency_profiles([PlancherelYoung(), m], [HookIdeal(1, 0)], 3, 2, 1)
 
@@ -637,7 +641,7 @@ def test_plancherel_path_law_at_n3():
 
 def test_endpoint_sampler_walks_uniformly():
     g = build_graph(build_young_poset([3, 2]), 5)
-    m = endpoint_measure(g, g.levels[5][0])
+    m = endpoint_measure(g, g.vertex(5, 0))
     counts: dict[tuple, int] = {}
     reps = 2000
     for seed in range(reps):
@@ -654,4 +658,4 @@ def test_tableau_count_consistency_with_graph_dims():
     for lam in [(2, 1), (3, 2), (2, 2, 1)]:
         w = build_young_poset(lam)
         g = build_graph(w, w.poset.n - 1)
-        assert dimension(g, g.levels[w.poset.n - 1][0]) == tableau_count(lam)
+        assert dimension(g, g.vertex(w.poset.n - 1, 0)) == tableau_count(lam)

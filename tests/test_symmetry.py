@@ -328,6 +328,53 @@ def test_local_reports_on_corpus_within_allowed_structure():
                 assert tag in ALLOWED_ORBIT_TAGS, (w.describe(), i, tag)
 
 
+TAG_ORDER = {"trivial": 1, "Z2-swap": 2, "3-cycle-class": 6, "S3-class": 6, "order-6-dihedral-class": 12}
+
+
+def _restricted_pairs(a, b):
+    """(a, b) relabelled onto each orbit of <a, b>, found by a search from each point."""
+    seen = set()
+    for s in range(len(a)):
+        if s in seen:
+            continue
+        orb = {s}
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y in (a[x], b[x]):
+                if y not in orb:
+                    orb.add(y)
+                    stack.append(y)
+        seen |= orb
+        points = sorted(orb)
+        pos = {x: k for k, x in enumerate(points)}
+        yield tuple(pos[a[x]] for x in points), tuple(pos[b[x]] for x in points)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        build_young_poset([4, 3, 2, 1]),
+        build_young_poset([3, 3]),
+        build_young_poset([4, 2, 1]),
+        build_box_poset(3, (2, 2, 3)),
+        build_antichain_poset(5),
+        build_young_poset([4, 1]),  # a hook: sigma_1 is the identity, sigma_2 is not
+        build_chain_poset(5),  # every generator is the identity
+    ],
+    ids=lambda w: w.describe(),
+)
+def test_local_orders_match_closure_oracle_per_pair_and_orbit(window):
+    handle = generate_group(window, window.poset.n)
+    for i in local_indices(handle):
+        a, b = handle.generator(i), handle.generator(i + 1)
+        rep = classify_local(handle, i)
+        assert rep.group_order == left_closure([a, b])[0], i
+        assert rep.product_order == left_closure([compose(a, b)])[0], i
+        expected = sorted((len(ra), left_closure([ra, rb])[0]) for ra, rb in _restricted_pairs(a, b))
+        assert sorted((size, TAG_ORDER[tag]) for size, tag in rep.orbit_types) == expected, i
+
+
 def test_random_windows_keep_relations():
     # random downward-closed windows of a 3x3 box exercise shapes beyond
     # the fixed corpus
