@@ -260,7 +260,7 @@ def cmd_group(args) -> int:
 
             cells = window.poset.n - 1
             out.emit(
-                f"hook_note: cells={cells} order={stats.order} "
+                f"hook_note: cells={cells} order={stats.order or 'cap-exceeded'} "
                 f"factorial(cells)={factorial(cells)} "
                 f"factorial(cells-1)={factorial(cells - 1)}"
             )

@@ -109,39 +109,96 @@ def perm_order(p, points=None) -> int:
 def closure(generators, cap: int | None = None):
     """Breadth-first closure of the generated permutation group.
 
-    Each element is right-multiplied by every generator (q = p * g, so
+    Each element is right-multiplied by the generators (q = p * g, so
     q[x] = p[g[x]]); the words of at most d generators form the same set
     from either side, so the levels, and with them the order and the
     diameter, are those of the left-multiplied search. Identity
     generators add nothing and are skipped.
 
-    Returns (elements set, diameter). Raises CapExceeded past `cap`.
+    Each element of the newest level keeps a bitmask of its descents: the
+    generators that reached it from the level below. Extending p = r * g_a,
+    a a descent of p, the search skips generator b when
+      - b = a and g_b is an involution: p * g_b = r lies a level down;
+      - b < a and g_a, g_b commute: p * g_b = (r * g_b) * g_a is reached
+        from r * g_b by the larger letter a.
+    No element is lost: w on level d+1 is reached from w * g_b^-1 by its
+    largest descent b, which neither rule skips (the first would put w a
+    level down, the second would give w the larger descent a). Involution
+    and commutation are read off the generators, never assumed.
+
+    Returns (elements as a set-like view, diameter). Raises CapExceeded
+    past `cap`.
     """
     if not generators:
         raise ValueError("need at least one generator")
     ident = identity_perm(len(generators[0]))
+    gens = [g for g in generators if g != ident]
     # itemgetter of one index returns a bare item, not a 1-tuple; on a
     # single point every generator is the identity and none is kept
-    steps = [itemgetter(*g) for g in generators if g != ident]
-    elements = {ident}
+    steps = [itemgetter(*g) for g in gens]  # steps[b](p) == p * g_b
+    moves = []  # (bit of b, descents at which b is skipped, step) per generator b
+    for b, g in enumerate(gens):
+        skip = 1 << b if steps[b](g) == ident else 0
+        for a in range(b + 1, len(gens)):
+            if steps[a](g) == steps[b](gens[a]):
+                skip |= 1 << a
+        moves.append((1 << b, skip, steps[b]))
+    index = {ident: 0}  # element -> discovery number
     size = 1
-    frontier = [ident]
+    frontier, descents = [ident], [0]
     diameter = 0
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for step in steps:
+    while True:
+        start = size  # the next level's discovery numbers begin here
+        nxt, nxt_descents = [], []
+        for p, mask in zip(frontier, descents):
+            for bit, skip, step in moves:
+                if mask & skip:
+                    continue
                 q = step(p)
-                elements.add(q)  # hashed once: membership is read off the size
-                if len(elements) > size:
+                k = index.setdefault(q, size)  # hashed once per move
+                if k == size:
                     size += 1
                     nxt.append(q)
+                    nxt_descents.append(bit)
                     if cap is not None and size > cap:
                         raise CapExceeded(f"group closure exceeded {cap} elements")
-        if nxt:
-            diameter += 1
-        frontier = nxt
-    return elements, diameter
+                elif k >= start:
+                    nxt_descents[k - start] |= bit
+        if not nxt:
+            return index.keys(), diameter
+        diameter += 1
+        frontier, descents = nxt, nxt_descents
+
+
+def _orbit_exceeds_cap(generators, cap: int) -> bool:
+    """True when the orbit of the point tuple (0, ..., k-1) has more than
+    `cap` members, so the group, at least that large, has too; False when
+    the bound cannot decide.
+
+    k (at least 2) is the least length with more than `cap` tuples of
+    distinct points. Where 4k > N the bound is not tried: the closure
+    there is as cheap as the orbit search.
+    """
+    n = len(generators[0])
+    k, tuples = 2, n * (n - 1)  # itemgetter needs two or more indices to return a tuple
+    while tuples <= cap and k < n:
+        tuples *= n - k
+        k += 1
+    if tuples <= cap or 4 * k > n:
+        return False
+    start = tuple(range(k))
+    seen = {start}
+    frontier = [start]
+    for t in frontier:  # the list grows while it is read
+        image = itemgetter(*t)  # image(g) is g applied to each point of t
+        for g in generators:
+            u = image(g)
+            if u not in seen:
+                seen.add(u)
+                if len(seen) > cap:
+                    return True
+                frontier.append(u)
+    return False
 
 
 @dataclass
@@ -204,9 +261,18 @@ def generate_group(window: PosetWindow, length: int, path_cap: int = PATH_CAP) -
 
 
 def group_order(handle: GroupHandle, cap: int = GROUP_CAP) -> CayleyStats:
-    """Exact order by closure, or a capped report."""
+    """Exact order by closure, or a capped report when the group has more
+    than `cap` elements.
+
+    The orbit bound runs first: the images of a point tuple under G number
+    |G| / |stabilizer| <= |G|, so an orbit of more than `cap` tuples proves
+    |G| > cap without listing a group element. Otherwise the closure
+    decides.
+    """
     if not handle.generators:
         return CayleyStats(order=1, diameter=0, capped=False, cap=cap)
+    if _orbit_exceeds_cap(handle.generators, cap):
+        return CayleyStats(order=None, diameter=None, capped=True, cap=cap)
     try:
         elements, diameter = closure(handle.generators, cap=cap)
     except CapExceeded:

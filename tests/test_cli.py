@@ -185,6 +185,11 @@ def test_group_hook_note_reports_orders(capsys):
     code, out, _ = run(capsys, "group", "--young", "3,1")
     assert code == 0
     assert "hook_note: cells=4 order=6 factorial(cells)=24 factorial(cells-1)=6" in out
+    # a capped order reads as on the order line, not as None
+    code, out, _ = run(capsys, "group", "--young", "10,1", "--group-cap", "1000")
+    assert code == 0
+    assert "order: cap-exceeded (1000)" in out
+    assert "hook_note: cells=11 order=cap-exceeded factorial(cells)=39916800 factorial(cells-1)=3628800" in out
 
 
 def test_measure_check_endpoint_central(capsys):

@@ -2,10 +2,11 @@
 
 The files under `golden/` hold the exact stdout (and the table below the
 exit code) of every sampler kind through `measure sample`, `measure
-freq`, `compare` and `measure check`, of `graph` in text and csv, and
-of demos 01-05. A change that
-moves a seed stream or a float operation shows up here byte for byte;
-such a change must regenerate the files on purpose and say so.
+freq`, `compare` and `measure check`, of `graph` in text and csv, of `group`
+(exact and capped orders, csv, local classification), and of demos
+01-05. A change that moves a seed stream or a float operation shows up
+here byte for byte; such a change must regenerate the files on purpose
+and say so.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ CASES = {
     "graph_box_223_csv": ("graph --box 2,2,3 --format csv", 0),
     "graph_young_4321_csv_depth6": ("graph --young 4,3,2,1 --format csv --depth 6", 0),
     "graph_antichain_4": ("graph --antichain 4", 0),
+    "group_antichain_6": ("group --antichain 6", 0),
+    "group_young_33_csv": ("group --young 3,3 --format csv", 0),
+    "group_young_4321_cap1000_local": ("group --young 4,3,2,1 --group-cap 1000 --local all", 0),
+    "group_box_222_cap20000": ("group --box 2,2,2 --group-cap 20000", 0),
 }
 
 

@@ -21,6 +21,7 @@ from posetpaths import (
     orbit,
     verify_relations,
 )
+from posetpaths import symmetry
 from posetpaths.symmetry import ALLOWED_ORBIT_TAGS, closure, compose, perm_order
 
 from oracles import brute_numberings, brute_orbit, brute_symmetry_group_order, left_closure, sigma_map
@@ -152,19 +153,59 @@ def test_group_orders_match_brute_force_oracle():
         assert stats.order == expected, w.describe()
 
 
-def test_closure_matches_left_multiplication_oracle():
-    # right-multiplied closure against the left-multiplied oracle and the
-    # brute-force order, uncapped on every length of the small corpus
-    small = [
-        build_young_poset([2, 1]),
-        build_young_poset([3, 1]),
-        build_young_poset([3, 2]),
-        build_young_poset([2, 2, 1]),
-        build_young_poset([4, 1]),
-        build_chain_poset(6),
-        build_antichain_poset(4),
+SMALL = [
+    build_young_poset([2, 1]),
+    build_young_poset([3, 1]),
+    build_young_poset([3, 2]),
+    build_young_poset([2, 2, 1]),
+    build_young_poset([4, 1]),
+    build_chain_poset(6),
+    build_antichain_poset(4),
+]
+
+
+def _random_involution(rng, n):
+    points = rng.sample(range(n), n)
+    pairs = list(zip(points[::2], points[1::2]))
+    perm = list(range(n))
+    for x, y in pairs[: rng.randint(0, len(pairs))]:
+        perm[x], perm[y] = y, x
+    return tuple(perm)
+
+
+def _hand_built_generator_sets():
+    """Hand-built and seeded random generator sets that break the relations
+    the involutions satisfy, so a closure that assumed those relations
+    rather than reading them off would miscount."""
+    three_cycle, swap = (1, 2, 0, 3), (1, 0, 2, 3)
+    far_apart = [(1, 0, 2, 3, 4), (0, 1, 2, 4, 3), (0, 2, 1, 3, 4)]  # gens 0 and 2 do not commute
+    sets = [
+        [three_cycle, swap],  # a non-involution beside a transposition
+        [swap, three_cycle],
+        far_apart,
+        far_apart[::-1],
+        [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (0, 1, 2, 3, 4)],  # a 5-cycle and an identity
     ]
-    for w in small:
+    rng = random.Random(11)
+    for _ in range(30):
+        n = rng.randint(3, 6)
+        gens = []
+        for _ in range(rng.randint(2, 4)):
+            if rng.random() < 0.7:
+                gens.append(_random_involution(rng, n))
+            else:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                gens.append(tuple(perm))
+        sets.append(gens)
+    return sets
+
+
+def test_closure_matches_left_multiplication_oracle():
+    # the descent-pruned, right-multiplied closure against the plain
+    # left-multiplied oracle and the brute-force order, uncapped on every
+    # length of the small corpus
+    for w in SMALL:
         for length in range(3, w.poset.n + 1):
             handle = generate_group(w, length)
             elements, diameter = closure(handle.generators)
@@ -172,6 +213,23 @@ def test_closure_matches_left_multiplication_oracle():
             assert len(elements) == brute_symmetry_group_order(
                 w.poset, list(handle.paths)
             )
+    # pruning reads involution and commutation off the generators
+    for gens in _hand_built_generator_sets():
+        elements, diameter = closure(gens)
+        assert (len(elements), diameter) == left_closure(gens), gens
+
+
+def test_group_order_cap_verdict_is_order_above_cap():
+    # capped exactly when the group has more elements than the cap
+    for w in SMALL:
+        for length in range(3, w.poset.n + 1):
+            handle = generate_group(w, length)
+            order, diameter = left_closure(handle.generators)
+            stats = group_order(handle, cap=order)
+            assert (stats.order, stats.diameter, stats.capped) == (order, diameter, False)
+            if order > 1:
+                stats = group_order(handle, cap=order - 1)
+                assert stats.capped and stats.order is None and stats.diameter is None
 
 
 def test_closure_cap_matches_oracle():
@@ -193,11 +251,20 @@ def test_closure_cap_matches_oracle():
             left_closure(gens, cap=1000)
 
 
-def test_group_order_caps_on_box_windows():
-    for w in (build_box_poset(2, (3, 3)), build_box_poset(3, (2, 2, 2))):
+def test_group_order_caps_on_box_windows(monkeypatch):
+    # the orbit bound decides these without listing a group element
+    def no_closure(generators, cap=None):
+        raise AssertionError("closure called")
+
+    monkeypatch.setattr(symmetry, "closure", no_closure)
+    for w, cap in (
+        (build_box_poset(2, (3, 3)), 20_000),
+        (build_box_poset(3, (2, 2, 2)), 20_000),
+        (build_young_poset([4, 3, 2, 1]), 1000),
+    ):
         handle = generate_group(w, w.poset.n)
-        stats = group_order(handle, cap=20_000)
-        assert stats.capped and stats.order is None
+        stats = group_order(handle, cap=cap)
+        assert stats.capped and stats.order is None, w.describe()
 
 
 def test_group_order_cap_flagging():
