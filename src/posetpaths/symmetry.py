@@ -106,68 +106,78 @@ def perm_order(p, points=None) -> int:
     return order
 
 
-def closure(generators, cap: int | None = None):
-    """Breadth-first closure of the generated permutation group.
+def _orbit(generators, start, cap):
+    """Breadth-first orbit of the point tuple `start`, each generator g
+    taking t to (g[t[0]], g[t[1]], ...). Identity generators are skipped.
 
-    Each element is right-multiplied by the generators (q = p * g, so
-    q[x] = p[g[x]]); the words of at most d generators form the same set
-    from either side, so the levels, and with them the order and the
-    diameter, are those of the left-multiplied search. Identity
-    generators add nothing and are skipped.
-
-    Each element of the newest level keeps a bitmask of its descents: the
-    generators that reached it from the level below. Extending p = r * g_a,
-    a a descent of p, the search skips generator b when
-      - b = a and g_b is an involution: p * g_b = r lies a level down;
-      - b < a and g_a, g_b commute: p * g_b = (r * g_b) * g_a is reached
-        from r * g_b by the larger letter a.
-    No element is lost: w on level d+1 is reached from w * g_b^-1 by its
-    largest descent b, which neither rule skips (the first would put w a
-    level down, the second would give w the larger descent a). Involution
+    Each tuple of the newest level keeps a bitmask of its descents: the
+    generators that reached it from the level below. Extending t = g_a(r),
+    a a descent of t, the search skips generator b when
+      - b = a and g_b is an involution: g_b(t) = r lies a level down;
+      - b < a and g_a, g_b commute: g_b(t) = g_a(g_b(r)) is reached from
+        g_b(r) by the larger letter a.
+    No tuple is lost: u on level d+1 is reached from g_b^-1(u) by its
+    largest descent b, which neither rule skips (the first would put u a
+    level down, the second would give u the larger descent a). Involution
     and commutation are read off the generators, never assumed.
+
+    Returns (tuples as a set-like view, the largest level). Raises
+    CapExceeded past `cap` tuples.
+    """
+    ident = identity_perm(len(generators[0]))
+    gens = [g for g in generators if g != ident]
+    after = [itemgetter(*g) for g in gens]  # after[b](h) is h * g_b, g_b applied first
+    moves = []  # (generator, its bit, descents at which it is skipped)
+    for b, g in enumerate(gens):
+        skip = 1 << b if after[b](g) == ident else 0
+        for a in range(b + 1, len(gens)):
+            if after[a](g) == after[b](gens[a]):
+                skip |= 1 << a
+        moves.append((g, 1 << b, skip))
+    index = {start: 0}  # tuple -> discovery number
+    size = 1
+    frontier, descents = [start], [0]
+    diameter = 0
+    while True:
+        first = size  # the next level's discovery numbers begin here
+        nxt, nxt_descents = [], []
+        for t, mask in zip(frontier, descents):
+            # image(g) is g applied to each point of t; itemgetter of one
+            # index returns a bare item, but on a single point every
+            # generator is the identity and no move is left
+            image = itemgetter(*t)
+            for g, bit, skip in moves:
+                if mask & skip:
+                    continue
+                u = image(g)
+                k = index.setdefault(u, size)  # hashed once per move
+                if k == size:
+                    size += 1
+                    nxt.append(u)
+                    nxt_descents.append(bit)
+                    if cap is not None and size > cap:
+                        raise CapExceeded(f"orbit exceeded {cap} tuples")
+                elif k >= first:
+                    nxt_descents[k - first] |= bit
+        if not nxt:
+            return index.keys(), diameter
+        diameter += 1
+        frontier, descents = nxt, nxt_descents
+
+
+def closure(generators, cap: int | None = None):
+    """Breadth-first closure of the generated permutation group: the orbit
+    of the identity tuple, each element left-multiplied by the generators
+    and pruned as in `_orbit`. Level d holds the elements whose shortest
+    word in the generators has d letters, so the diameter is the Cayley
+    graph's.
 
     Returns (elements as a set-like view, diameter). Raises CapExceeded
     past `cap`.
     """
     if not generators:
         raise ValueError("need at least one generator")
-    ident = identity_perm(len(generators[0]))
-    gens = [g for g in generators if g != ident]
-    # itemgetter of one index returns a bare item, not a 1-tuple; on a
-    # single point every generator is the identity and none is kept
-    steps = [itemgetter(*g) for g in gens]  # steps[b](p) == p * g_b
-    moves = []  # (bit of b, descents at which b is skipped, step) per generator b
-    for b, g in enumerate(gens):
-        skip = 1 << b if steps[b](g) == ident else 0
-        for a in range(b + 1, len(gens)):
-            if steps[a](g) == steps[b](gens[a]):
-                skip |= 1 << a
-        moves.append((1 << b, skip, steps[b]))
-    index = {ident: 0}  # element -> discovery number
-    size = 1
-    frontier, descents = [ident], [0]
-    diameter = 0
-    while True:
-        start = size  # the next level's discovery numbers begin here
-        nxt, nxt_descents = [], []
-        for p, mask in zip(frontier, descents):
-            for bit, skip, step in moves:
-                if mask & skip:
-                    continue
-                q = step(p)
-                k = index.setdefault(q, size)  # hashed once per move
-                if k == size:
-                    size += 1
-                    nxt.append(q)
-                    nxt_descents.append(bit)
-                    if cap is not None and size > cap:
-                        raise CapExceeded(f"group closure exceeded {cap} elements")
-                elif k >= start:
-                    nxt_descents[k - start] |= bit
-        if not nxt:
-            return index.keys(), diameter
-        diameter += 1
-        frontier, descents = nxt, nxt_descents
+    return _orbit(generators, identity_perm(len(generators[0])), cap)
 
 
 def _orbit_exceeds_cap(generators, cap: int) -> bool:
@@ -176,28 +186,19 @@ def _orbit_exceeds_cap(generators, cap: int) -> bool:
     the bound cannot decide.
 
     k (at least 2) is the least length with more than `cap` tuples of
-    distinct points. Where 4k > N the bound is not tried: the closure
-    there is as cheap as the orbit search.
+    distinct points.
     """
     n = len(generators[0])
     k, tuples = 2, n * (n - 1)  # itemgetter needs two or more indices to return a tuple
     while tuples <= cap and k < n:
         tuples *= n - k
         k += 1
-    if tuples <= cap or 4 * k > n:
+    if tuples <= cap:
         return False
-    start = tuple(range(k))
-    seen = {start}
-    frontier = [start]
-    for t in frontier:  # the list grows while it is read
-        image = itemgetter(*t)  # image(g) is g applied to each point of t
-        for g in generators:
-            u = image(g)
-            if u not in seen:
-                seen.add(u)
-                if len(seen) > cap:
-                    return True
-                frontier.append(u)
+    try:
+        _orbit(generators, tuple(range(k)), cap)
+    except CapExceeded:
+        return True
     return False
 
 

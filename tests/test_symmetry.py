@@ -202,9 +202,8 @@ def _hand_built_generator_sets():
 
 
 def test_closure_matches_left_multiplication_oracle():
-    # the descent-pruned, right-multiplied closure against the plain
-    # left-multiplied oracle and the brute-force order, uncapped on every
-    # length of the small corpus
+    # the descent-pruned closure against the plain oracle and the
+    # brute-force order, uncapped on every length of the small corpus
     for w in SMALL:
         for length in range(3, w.poset.n + 1):
             handle = generate_group(w, length)
@@ -217,6 +216,15 @@ def test_closure_matches_left_multiplication_oracle():
     for gens in _hand_built_generator_sets():
         elements, diameter = closure(gens)
         assert (len(elements), diameter) == left_closure(gens), gens
+        # the same pruning on the orbit of a point pair, against a plain search
+        seen, frontier = {(0, 1)}, [(0, 1)]
+        for t in frontier:
+            for g in gens:
+                u = (g[t[0]], g[t[1]])
+                if u not in seen:
+                    seen.add(u)
+                    frontier.append(u)
+        assert set(symmetry._orbit(gens, (0, 1), None)[0]) == seen, gens
 
 
 def test_group_order_cap_verdict_is_order_above_cap():
