@@ -9,7 +9,9 @@ centrality is an exact symmetry, and a tolerance would mask bugs.
 caller builds once with `generate_group`. Floating point enters only
 inside Monte Carlo sampling. Both Young growth samplers run on row
 insertion: Plancherel growth inserts i.i.d. uniform letters, the Thoma
-samplers letters drawn from alpha.
+samplers letters drawn from alpha. RSK growth over at most
+COUNT_INSERT_MAX_LETTERS letters runs on per-row letter counts
+(`young.row_insert_counts`), larger alphabets on `row_insert`.
 
 Replica k of a Monte Carlo run is seeded with seed + k; sampler s of a
 comparison run gets base seed seed + s * 1_000_003. Identical seeds give
@@ -38,10 +40,12 @@ from .posets import enumerate_numberings  # noqa: F401  (bench/spans.py traces t
 from .symmetry import apply_sigma  # noqa: F401  (bench/spans.py traces the name here)
 from .symmetry import GroupHandle
 from .young import (
+    COUNT_INSERT_MAX_LETTERS,
     GrowthPath,
     additions,
     check_partition,
     row_insert,
+    row_insert_counts,
     tableau_count,
 )
 from .young import corner_probabilities, growth_step_arrays  # noqa: F401  (bench/spans.py traces the names here)
@@ -423,23 +427,25 @@ def sample_plancherel(n_steps: int, seed: int) -> GrowthPath:
 def sample_rsk_thoma(alpha, n_steps: int, seed: int) -> GrowthPath:
     """Insert n i.i.d. letters drawn from alpha and record the shape growth.
 
-    The shape never exceeds len(alpha) rows; deterministic given the seed.
+    The whole word is drawn first. Alphabets of at most
+    COUNT_INSERT_MAX_LETTERS letters are inserted on letter counts, larger
+    ones by `row_insert`; both give the same cells. The shape never
+    exceeds len(alpha) rows; deterministic given the seed.
     """
     spec = RSKThoma(tuple(alpha))
     _check_steps(n_steps)
     rng = random.Random(seed)
+    d = len(spec.alpha)
     cum = list(itertools.accumulate(spec.alpha))
-    rows: list[list[int]] = []
-    cells = []
-    letters = []
-    for _ in range(n_steps):
-        u = rng.random()
-        letter = bisect.bisect_right(cum, u)
-        if letter >= len(spec.alpha):
-            letter = len(spec.alpha) - 1
-        letters.append(letter + 1)
-        cells.append(row_insert(rows, letter))
-    return GrowthPath(tuple(cells), letters=tuple(letters))
+    cum[-1] = math.inf  # a draw at or above the float sum, which may end below 1, is the last letter
+    # one rng.random() per letter, in order: map stops when repeat does
+    word = list(map(bisect.bisect_right, itertools.repeat(cum, n_steps), iter(rng.random, None)))
+    if d <= COUNT_INSERT_MAX_LETTERS:
+        cells = row_insert_counts(word, d)
+    else:
+        rows: list[list[int]] = []
+        cells = [row_insert(rows, letter) for letter in word]
+    return GrowthPath(tuple(cells), letters=tuple([letter + 1 for letter in word]))
 
 
 def sample_markov(m: ExplicitMarkov, n_steps: int, seed: int) -> tuple[int, ...]:
@@ -586,9 +592,13 @@ def compare_frequency_profiles(
 ) -> ComparisonTable:
     """Estimate every sampler on every ideal and flag sampler pairs whose
     estimates stay within `threshold` combined standard errors on all of
-    the supplied ideals (empirical indistinguishability, not proof)."""
+    the supplied ideals (empirical indistinguishability, not proof).
+    Needs at least two replicas: one gives no standard error to scale a
+    gap by."""
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be finite and non-negative, got {threshold}")
+    if replicas < 2:
+        raise ValueError(f"comparing needs at least 2 replicas, got {replicas}")
     specs = list(specs)
     ideals = list(ideals)
     if len(specs) < 2:

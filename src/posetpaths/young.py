@@ -127,10 +127,9 @@ class GrowthPath:
 
     @functools.cached_property
     def _shape(self) -> tuple[int, ...]:
-        rows: dict[int, int] = {}
-        for r, _ in self.cells:
-            rows[r] = rows.get(r, 0) + 1
-        return tuple(rows[r] for r in sorted(rows))
+        # each row grows left to right, so its last cell's column is its length
+        last = dict(self.cells)
+        return tuple(last[r] for r in sorted(last))
 
     def shapes(self):
         """The increasing chain of diagrams, one per step."""
@@ -159,6 +158,12 @@ class GrowthPath:
             rows[r - 1] += 1
 
 
+# Largest alphabet `sample_rsk_thoma` inserts with `row_insert_counts`. A
+# count step scans up to d letters where `row_insert` bisects one row, so
+# on larger alphabets the count route loses on short words.
+COUNT_INSERT_MAX_LETTERS = 16
+
+
 def row_insert(rows: list[list[int]], letter: int) -> tuple[int, int]:
     """Standard row insertion; returns the (row, col) of the new cell, 1-based.
 
@@ -174,3 +179,46 @@ def row_insert(rows: list[list[int]], letter: int) -> tuple[int, int]:
         row[k], x = x, row[k]
     rows.append([x])
     return (len(rows), 1)
+
+
+def row_insert_counts(word, d: int) -> list[tuple[int, int]]:
+    """Row-insert a word over the letters 0..d-1 into an empty tableau and
+    return the cell each letter adds, as `row_insert` would.
+
+    A row is a list allocated when the row first appears: its largest
+    letter, its length, then the multiplicity of each letter (letter a at
+    index a + 2). Inserting a into a row adds the cell (row, length + 1)
+    when a is at least the row's largest letter; otherwise a takes one
+    copy of the smallest letter b > a the row holds, and b moves on to the
+    next row. A step costs O(d) integer operations.
+    """
+    rows: list[list[int]] = []
+    cells = []
+    add = cells.append
+    for x in word:
+        x += 2
+        r = 0
+        for row in rows:
+            r += 1
+            if x >= row[0]:
+                row[0] = x
+                row[x] += 1
+                row[1] += 1
+                add((r, row[1]))
+                break
+            b = x + 1
+            while not row[b]:
+                b += 1
+            row[x] += 1
+            row[b] -= 1
+            if b == row[0] and not row[b]:
+                row[0] = x
+            x = b
+        else:
+            row = [0] * (d + 2)
+            row[0] = x
+            row[1] = 1
+            row[x] = 1
+            rows.append(row)
+            add((len(rows), 1))
+    return cells

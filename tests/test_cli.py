@@ -467,6 +467,16 @@ def test_non_finite_or_negative_inputs_exit_2(argv, message, capsys):
     assert out == ""
 
 
+def test_compare_single_replica_exit_2(capsys):
+    code, out, err = run(
+        capsys, "compare", "--sampler", "plancherel", "--sampler", "plancherel",
+        "--ideal", "hook:1,0", "--n", "100", "--replicas", "1",
+    )
+    assert code == 2
+    assert "at least 2 replicas" in err
+    assert out == ""
+
+
 def test_unknown_sampler_exit_2(capsys):
     code, _, err = run(
         capsys, "compare", "--sampler", "bogus", "--sampler", "plancherel",

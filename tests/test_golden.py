@@ -25,6 +25,7 @@ DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 CASES = {
     "sample_plancherel": ("measure sample --plancherel --n 40 --seed 3", 0),
     "sample_rsk": ("measure sample --rsk 0.5,0.3,0.2 --n 40 --seed 3", 0),
+    "sample_rsk_long": ("measure sample --rsk 0.4,0.3,0.2,0.1 --n 400 --seed 5", 0),
     "sample_endpoint": ("measure sample --endpoint 6:0 --young 3,2,1 --n 6 --seed 3", 0),
     "sample_markov": ("measure sample --markov kernel.txt --young 2,1 --depth 3 --n 3 --seed 3", 0),
     "freq_plancherel": (

@@ -38,7 +38,7 @@ from posetpaths import (
 from posetpaths import measures
 from posetpaths.ideals import member_coords
 from posetpaths.measures import ExplicitMarkov
-from posetpaths.young import GrowthPath, row_insert, tableau_count
+from posetpaths.young import COUNT_INSERT_MAX_LETTERS, GrowthPath, row_insert, tableau_count
 
 from oracles import central_witnesses, kernel_path_law, partitions_of
 
@@ -393,6 +393,52 @@ def test_rsk_deterministic():
     assert sample_rsk_thoma((0.6, 0.4), 100, 11) == sample_rsk_thoma((0.6, 0.4), 100, 11)
 
 
+def uniform_ending_below_one(d_min):
+    """The smallest uniform alphabet of at least d_min letters whose float
+    cumulative sum ends below 1."""
+    d = next(d for d in itertools.count(d_min) if sum(itertools.repeat(1 / d, d)) < 1)
+    return (1 / d,) * d
+
+
+UNIFORM_ABOVE_BOUND = uniform_ending_below_one(COUNT_INSERT_MAX_LETTERS + 1)
+RSK_ALPHAS = [
+    (1.0,),
+    (0.7, 0.3),
+    (0.5, 0.3, 0.2),
+    (0.4, 0.3, 0.2, 0.1),
+    (0.1,) * 10,  # its float cumulative sum ends below 1
+    (1 / COUNT_INSERT_MAX_LETTERS,) * COUNT_INSERT_MAX_LETTERS,
+    UNIFORM_ABOVE_BOUND,
+]
+
+
+@pytest.mark.parametrize("alpha", RSK_ALPHAS, ids=lambda a: f"d{len(a)}")
+def test_rsk_cells_are_row_insertion_of_its_letters(alpha):
+    for seed in range(5):
+        path = sample_rsk_thoma(alpha, 600, seed)
+        assert len(path.letters) == 600
+        assert set(path.letters) <= set(range(1, len(alpha) + 1))
+        rows = []
+        assert path.cells == tuple(row_insert(rows, letter) for letter in path.letters)
+
+
+@pytest.mark.parametrize("alpha", [(0.1,) * 10, UNIFORM_ABOVE_BOUND], ids=lambda a: f"d{len(a)}")
+def test_rsk_draw_past_the_float_sum_is_the_last_letter(alpha, monkeypatch):
+    top = list(itertools.accumulate(alpha))[-1]
+    assert top < 1
+    draws = [top, math.nextafter(1.0, 0.0), 0.0, top]
+
+    class Scripted(random.Random):
+        def random(self):
+            return draws.pop(0)
+
+    monkeypatch.setattr(measures.random, "Random", Scripted)
+    d = len(alpha)
+    path = sample_rsk_thoma(alpha, 4, 0)
+    assert path.letters == (d, d, 1, d)
+    assert path.cells == ((1, 1), (1, 2), (2, 1), (1, 3))
+
+
 def test_rsk_growth_is_valid_numbering():
     path = sample_rsk_thoma((0.5, 0.3, 0.2), 30, 2)
     window, numbering = growth_to_numbering(path)
@@ -488,7 +534,7 @@ def test_step_cap_boundary(monkeypatch):
     with pytest.raises(CapExceeded):
         estimate_frequency(PlancherelYoung(), [FullIdeal()], 4, 4, 1)
     with pytest.raises(CapExceeded):
-        compare_frequency_profiles([PlancherelYoung(), PlancherelYoung()], [FullIdeal()], 13, 1, 1)
+        compare_frequency_profiles([PlancherelYoung(), PlancherelYoung()], [FullIdeal()], 7, 2, 1)
 
 
 def test_markov_sampler_frequency():
@@ -545,6 +591,18 @@ def test_compare_distinguishes_rsk_alphas():
     (pair,) = table.pairs
     assert pair.distinguished
     assert pair.separations[0][1] > 3
+
+
+def test_compare_needs_two_replicas(monkeypatch):
+    # one replica has no standard error, so any gap would read as infinitely
+    # many units and distinguish a sampler from itself
+    def no_sampling(*args):
+        raise AssertionError("sampled before rejecting the replica count")
+
+    monkeypatch.setattr(measures, "sample_plancherel", no_sampling)
+    for replicas in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2 replicas"):
+            compare_frequency_profiles([PlancherelYoung(), PlancherelYoung()], [HookIdeal(1, 0)], 100, replicas, 1)
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from posetpaths import build_young_poset, enumerate_numberings
 from posetpaths.young import (
+    COUNT_INSERT_MAX_LETTERS,
     GrowthPath,
     additions,
     check_partition,
     conjugate,
     row_insert,
+    row_insert_counts,
     tableau_count,
 )
 
@@ -92,6 +95,28 @@ def test_row_insert_rows_bounded_by_alphabet():
     assert len(rows) <= 3
     for upper, lower in zip(rows, rows[1:]):
         assert len(upper) >= len(lower)
+
+
+def list_route(word):
+    rows = []
+    return [row_insert(rows, x) for x in word]
+
+
+def test_row_insert_counts_matches_row_insert_on_every_short_word():
+    for d in (1, 2, 3):
+        for k in range(8):
+            for word in itertools.product(range(d), repeat=k):
+                assert row_insert_counts(word, d) == list_route(word), word
+
+
+@pytest.mark.parametrize("d", range(1, COUNT_INSERT_MAX_LETTERS + 2))
+def test_row_insert_counts_matches_row_insert_on_random_words(d):
+    # letters come from a random subset of the alphabet, so some never occur
+    rng = random.Random(d)
+    for n in (1, 40, 3000):
+        used = rng.sample(range(d), rng.randint(1, d))
+        word = [rng.choice(used) for _ in range(n)]
+        assert row_insert_counts(word, d) == list_route(word), (d, n, used)
 
 
 def test_growth_path_validation():
