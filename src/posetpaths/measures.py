@@ -9,9 +9,8 @@ centrality is an exact symmetry, and a tolerance would mask bugs.
 caller builds once with `generate_group`. Floating point enters only
 inside Monte Carlo sampling. Both Young growth samplers run on row
 insertion: Plancherel growth inserts i.i.d. uniform letters, the Thoma
-samplers letters drawn from alpha. RSK growth over at most
-COUNT_INSERT_MAX_LETTERS letters runs on per-row letter counts
-(`young.row_insert_counts`), larger alphabets on `row_insert`.
+samplers letters drawn from alpha. RSK growth runs on per-row letter
+counts (`young.row_insert_counts`), Plancherel growth on `row_insert`.
 
 Replica k of a Monte Carlo run is seeded with seed + k; sampler s of a
 comparison run gets base seed seed + s * 1_000_003. Identical seeds give
@@ -40,7 +39,6 @@ from .posets import enumerate_numberings  # noqa: F401  (bench/spans.py traces t
 from .symmetry import apply_sigma  # noqa: F401  (bench/spans.py traces the name here)
 from .symmetry import GroupHandle
 from .young import (
-    COUNT_INSERT_MAX_LETTERS,
     GrowthPath,
     additions,
     check_partition,
@@ -427,24 +425,18 @@ def sample_plancherel(n_steps: int, seed: int) -> GrowthPath:
 def sample_rsk_thoma(alpha, n_steps: int, seed: int) -> GrowthPath:
     """Insert n i.i.d. letters drawn from alpha and record the shape growth.
 
-    The whole word is drawn first. Alphabets of at most
-    COUNT_INSERT_MAX_LETTERS letters are inserted on letter counts, larger
-    ones by `row_insert`; both give the same cells. The shape never
-    exceeds len(alpha) rows; deterministic given the seed.
+    The whole word is drawn first, then inserted on letter counts; the
+    cells are those `row_insert` gives. The shape never exceeds len(alpha)
+    rows; deterministic given the seed.
     """
     spec = RSKThoma(tuple(alpha))
     _check_steps(n_steps)
     rng = random.Random(seed)
-    d = len(spec.alpha)
     cum = list(itertools.accumulate(spec.alpha))
     cum[-1] = math.inf  # a draw at or above the float sum, which may end below 1, is the last letter
     # one rng.random() per letter, in order: map stops when repeat does
     word = list(map(bisect.bisect_right, itertools.repeat(cum, n_steps), iter(rng.random, None)))
-    if d <= COUNT_INSERT_MAX_LETTERS:
-        cells = row_insert_counts(word, d)
-    else:
-        rows: list[list[int]] = []
-        cells = [row_insert(rows, letter) for letter in word]
+    cells = row_insert_counts(word, len(spec.alpha))
     return GrowthPath(tuple(cells), letters=tuple([letter + 1 for letter in word]))
 
 

@@ -158,12 +158,6 @@ class GrowthPath:
             rows[r - 1] += 1
 
 
-# Largest alphabet `sample_rsk_thoma` inserts with `row_insert_counts`. A
-# count step scans up to d letters where `row_insert` bisects one row, so
-# on larger alphabets the count route loses on short words.
-COUNT_INSERT_MAX_LETTERS = 16
-
-
 def row_insert(rows: list[list[int]], letter: int) -> tuple[int, int]:
     """Standard row insertion; returns the (row, col) of the new cell, 1-based.
 
@@ -190,7 +184,9 @@ def row_insert_counts(word, d: int) -> list[tuple[int, int]]:
     index a + 2). Inserting a into a row adds the cell (row, length + 1)
     when a is at least the row's largest letter; otherwise a takes one
     copy of the smallest letter b > a the row holds, and b moves on to the
-    next row. A step costs O(d) integer operations.
+    next row. A step costs O(d) integer operations and a row holds d + 2
+    entries, so on alphabets much larger than a row is long, `row_insert`
+    is cheaper.
     """
     rows: list[list[int]] = []
     cells = []

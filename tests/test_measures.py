@@ -38,7 +38,7 @@ from posetpaths import (
 from posetpaths import measures
 from posetpaths.ideals import member_coords
 from posetpaths.measures import ExplicitMarkov
-from posetpaths.young import COUNT_INSERT_MAX_LETTERS, GrowthPath, row_insert, tableau_count
+from posetpaths.young import GrowthPath, row_insert, tableau_count
 
 from oracles import central_witnesses, kernel_path_law, partitions_of
 
@@ -395,20 +395,24 @@ def test_rsk_deterministic():
 
 def uniform_ending_below_one(d_min):
     """The smallest uniform alphabet of at least d_min letters whose float
-    cumulative sum ends below 1."""
-    d = next(d for d in itertools.count(d_min) if sum(itertools.repeat(1 / d, d)) < 1)
+    cumulative sum, accumulated in order as the sampler does, ends below 1."""
+    d = next(
+        d
+        for d in itertools.count(d_min)
+        if list(itertools.accumulate(itertools.repeat(1 / d, d)))[-1] < 1
+    )
     return (1 / d,) * d
 
 
-UNIFORM_ABOVE_BOUND = uniform_ending_below_one(COUNT_INSERT_MAX_LETTERS + 1)
+UNIFORM_LONG = uniform_ending_below_one(17)
 RSK_ALPHAS = [
     (1.0,),
     (0.7, 0.3),
     (0.5, 0.3, 0.2),
     (0.4, 0.3, 0.2, 0.1),
     (0.1,) * 10,  # its float cumulative sum ends below 1
-    (1 / COUNT_INSERT_MAX_LETTERS,) * COUNT_INSERT_MAX_LETTERS,
-    UNIFORM_ABOVE_BOUND,
+    (1 / 16,) * 16,
+    UNIFORM_LONG,
 ]
 
 
@@ -422,7 +426,7 @@ def test_rsk_cells_are_row_insertion_of_its_letters(alpha):
         assert path.cells == tuple(row_insert(rows, letter) for letter in path.letters)
 
 
-@pytest.mark.parametrize("alpha", [(0.1,) * 10, UNIFORM_ABOVE_BOUND], ids=lambda a: f"d{len(a)}")
+@pytest.mark.parametrize("alpha", [(0.1,) * 10, UNIFORM_LONG], ids=lambda a: f"d{len(a)}")
 def test_rsk_draw_past_the_float_sum_is_the_last_letter(alpha, monkeypatch):
     top = list(itertools.accumulate(alpha))[-1]
     assert top < 1

@@ -7,7 +7,6 @@ import pytest
 
 from posetpaths import build_young_poset, enumerate_numberings
 from posetpaths.young import (
-    COUNT_INSERT_MAX_LETTERS,
     GrowthPath,
     additions,
     check_partition,
@@ -109,7 +108,7 @@ def test_row_insert_counts_matches_row_insert_on_every_short_word():
                 assert row_insert_counts(word, d) == list_route(word), word
 
 
-@pytest.mark.parametrize("d", range(1, COUNT_INSERT_MAX_LETTERS + 2))
+@pytest.mark.parametrize("d", [*range(1, 18), 64])
 def test_row_insert_counts_matches_row_insert_on_random_words(d):
     # letters come from a random subset of the alphabet, so some never occur
     rng = random.Random(d)
