@@ -395,8 +395,7 @@ def cmd_measure_sample(args) -> int:
         "measure sample",
         {"sampler": spec.name(), "n": args.n, "seed": args.seed},
     )
-    for line in spec.lines(spec.sample(args.n, args.seed)):
-        out.emit(line)
+    out.emit(spec.text(spec.sample(args.n, args.seed)))
     return out.flush()
 
 

@@ -46,7 +46,7 @@ from .young import (
     row_insert_counts,
     tableau_count,
 )
-from .young import corner_probabilities, growth_step_arrays  # noqa: F401  (bench/spans.py traces the names here)
+from .young import corner_probabilities, growth_step_arrays  # noqa: F401  (only bench/spans.py's KERNELS use them; delete both once it drops them)
 
 STEP_CAP = 10_000_000  # most steps one growth sample, or all replicas of one estimate, draw
 
@@ -77,8 +77,8 @@ class _YoungGrowth:
             total += prefix
         return total
 
-    def lines(self, path: GrowthPath) -> list[str]:
-        return ["step,row,col"] + [f"{k},{r},{c}" for k, (r, c) in enumerate(path.cells, start=1)]
+    def text(self, path: GrowthPath) -> str:
+        return "step,row,col\n" + "\n".join([f"{k},{r},{c}" for k, (r, c) in enumerate(path.cells, start=1)])
 
 
 @dataclass(frozen=True)
@@ -164,14 +164,14 @@ class ExplicitMarkov:
         poset = self.graph.window.poset
         return sum(1 for x in path[1:] if ideal_member(ideal, poset.element(x)))
 
-    def lines(self, path: tuple[int, ...]) -> list[str]:
-        return [",".join(str(x) for x in path)]
+    def text(self, path: tuple[int, ...]) -> str:
+        return ",".join(str(x) for x in path)
 
 
 # The sampler interface every spec shares: name(); `family`, the poset
 # family its points live in (specs are only compared within one);
 # `has_ties`; sample(n_steps, seed), one path; hits(path, ideal), how many
-# of the path's points lie in the ideal; lines(path), the path as text.
+# of the path's points lie in the ideal; text(path), the path as text.
 CentralMeasureSpec = PlancherelYoung | RSKThoma | ExplicitMarkov
 
 

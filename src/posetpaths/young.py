@@ -12,8 +12,6 @@ import functools
 from dataclasses import dataclass
 from math import factorial
 
-import numpy as np
-
 
 def check_partition(parts) -> tuple[int, ...]:
     p = tuple(int(x) for x in parts)
@@ -63,7 +61,7 @@ def additions(parts: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, 
     return out
 
 
-def corner_probabilities(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def corner_probabilities(xs: list[float], ys: list[float]) -> list[float]:
     """Probabilities from interlacing corner contents.
 
     `xs` are the contents of the addable cells, `ys` of the removable
@@ -71,36 +69,32 @@ def corner_probabilities(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     (x_0 > y_0 > x_1 > ... > x_{m-1}). The weight of x_i is
     prod_j (x_i - y_j) / prod_{j != i} (x_i - x_j); pairing y_j with x_j
     for j < i and with x_{j+1} otherwise keeps every factor in (0, 1).
+
+    No program route calls this: it is kept only because the benchmark
+    tracer (`bench/spans.py`, `KERNELS`) resolves it as a `young.step`
+    name. Delete it once the tracer drops it.
     """
-    m = len(xs)
-    if m == 1:
-        return np.array([1.0])
-    j = np.arange(m - 1)
-    pair = np.where(j[None, :] < np.arange(m)[:, None], j[None, :], j[None, :] + 1)
-    ratios = (xs[:, None] - ys[None, :]) / (xs[:, None] - xs[pair])
-    probs = np.prod(ratios, axis=1)
-    return probs / probs.sum()
+    probs = []
+    for i, x in enumerate(xs):
+        p = 1.0
+        for j, y in enumerate(ys):
+            p *= (x - y) / (x - xs[j if j < i else j + 1])
+        probs.append(p)
+    total = sum(probs)
+    return [p / total for p in probs]
 
 
-def growth_step_arrays(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Corner contents of the diagram held in rows[:k], fully vectorized.
+def growth_step_arrays(rows: list[int], k: int) -> tuple[list[int], list[float], list[float]]:
+    """Corner contents of the diagram whose row lengths are rows[:k].
 
     Returns (addable row indices 0-based excluding the fresh row, xs, ys)
     where xs already includes the fresh-row content as its last entry.
+    Kept, like `corner_probabilities`, only as a traced `young.step` name.
     """
     act = rows[:k]
-    if k == 0:
-        return np.empty(0, dtype=np.int64), np.zeros(1), np.empty(0)
-    gt = act[:-1] > act[1:]
-    add_idx = np.flatnonzero(np.concatenate(([True], gt)))
-    xs = np.empty(len(add_idx) + 1)
-    xs[:-1] = act[add_idx] - add_idx
-    xs[-1] = -k
-    rem_mask = np.empty(k, dtype=bool)
-    rem_mask[:-1] = gt
-    rem_mask[-1] = True
-    rem_idx = np.flatnonzero(rem_mask)
-    ys = (act[rem_idx] - rem_idx - 1).astype(float)
+    add_idx = [i for i in range(k) if i == 0 or act[i - 1] > act[i]]
+    xs = [float(act[i] - i) for i in add_idx] + [float(-k)]
+    ys = [float(act[i] - i - 1) for i in range(k) if i == k - 1 or act[i] > act[i + 1]]
     return add_idx, xs, ys
 
 

@@ -497,3 +497,33 @@ def test_entry_point_installed():
     )
     assert proc.returncode == 0
     assert "elements: 2" in proc.stdout
+
+
+def test_cli_runs_on_the_standard_library_alone():
+    import os
+    import pathlib
+    import re
+    import subprocess
+    import sys
+
+    import posetpaths
+
+    # a fresh interpreter, since this one holds whatever other tests imported;
+    # it lists the top-level modules the import and one command loaded
+    child = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from posetpaths.cli import main\n"
+        "code = main(['graph', '--box', '2,2'])\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(pathlib.Path(posetpaths.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stderr.split()
+    assert "posetpaths" in loaded
+    assert [m for m in loaded if m != "posetpaths" and m not in sys.stdlib_module_names] == []
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert re.search(r"^dependencies = \[\]$", pyproject.read_text(encoding="utf-8"), re.M)

@@ -6,11 +6,14 @@ import random
 import pytest
 
 from posetpaths import build_young_poset, enumerate_numberings
+from posetpaths.measures import plancherel_transition
 from posetpaths.young import (
     GrowthPath,
     additions,
     check_partition,
     conjugate,
+    corner_probabilities,
+    growth_step_arrays,
     row_insert,
     row_insert_counts,
     tableau_count,
@@ -116,6 +119,17 @@ def test_row_insert_counts_matches_row_insert_on_random_words(d):
         used = rng.sample(range(d), rng.randint(1, d))
         word = [rng.choice(used) for _ in range(n)]
         assert row_insert_counts(word, d) == list_route(word), (d, n, used)
+
+
+def test_corner_routes_match_the_exact_plancherel_step():
+    assert corner_probabilities(*growth_step_arrays([], 0)[1:]) == [1.0]
+    for n in range(11):
+        for lam in partitions_of(n):
+            # a trailing zero row beyond k must be ignored
+            got = corner_probabilities(*growth_step_arrays([*lam, 0], len(lam))[1:])
+            exact = [float(p) for _, p in plancherel_transition(lam)]
+            assert len(got) == len(exact), lam
+            assert all(abs(g - e) <= 1e-15 for g, e in zip(got, exact)), lam
 
 
 def test_growth_path_validation():
