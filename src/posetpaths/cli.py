@@ -1,10 +1,15 @@
 """Command-line front end: build, inspect, enumerate, group-check, sample,
 estimate, compare.
 
-Every run echoes its resolved configuration as `#`-prefixed header lines,
-so identical command lines produce byte-identical output. Exit codes:
+One pipeline runs every subcommand. A `cmd_*` function computes and returns
+`(config, lines, exit_code)`: the resolved configuration, the body lines and
+the exit code. Only `main` writes: it echoes `# posetpaths <subcommand>` and
+the config as sorted `# key=value` lines, so identical command lines produce
+byte-identical output, then the body, to `--out PATH` or else stdout. The
+write sits inside the same error mapping as the computation. Exit codes:
 0 success, 1 a checked property failed (relation violation, non-central
-measure), 2 usage or input error, 3 a cap was exceeded.
+measure), 2 usage or input error (an unwritable `--out` included), 3 a cap
+was exceeded.
 """
 
 from __future__ import annotations
@@ -63,6 +68,10 @@ def _ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t != ""]
 
 
+def _commas(values) -> str:
+    return ",".join(map(str, values))
+
+
 def _cap(text: str) -> int:
     """A cap flag's value: an integer of at least 1."""
     try:
@@ -119,37 +128,11 @@ def _poset_flag(args) -> str:
     return f"{key}={getattr(args, key)}"
 
 
-class _Out:
-    def __init__(self, path: str | None):
-        self.lines: list[str] = []
-        self.path = path
-
-    def emit(self, text: str = "") -> None:
-        self.lines.append(text)
-
-    def flush(self) -> int:
-        body = "\n".join(self.lines) + "\n"
-        if self.path:
-            with open(self.path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(body)
-        else:
-            sys.stdout.write(body)
-        return EXIT_OK
-
-
-def _echo_config(out: _Out, subcommand: str, pairs: dict) -> None:
-    out.emit(f"# posetpaths {subcommand}")
-    for key in sorted(pairs):
-        out.emit(f"# {key}={pairs[key]}")
-
-
 # --- subcommands -----------------------------------------------------------
 
 
-def cmd_poset(args) -> int:
+def cmd_poset(args):
     window = _resolve_window(args)
-    out = _Out(args.out)
-    _echo_config(out, "poset", {"poset": _poset_flag(args), "format": args.format})
     p = window.poset
     stats = {
         "elements": p.n,
@@ -157,132 +140,106 @@ def cmd_poset(args) -> int:
         "incomparable_pairs": len(p.incomparable_pairs()),
     }
     if args.format == "csv":
-        out.emit("elements,covers,incomparable_pairs")
-        out.emit(f"{stats['elements']},{stats['covers']},{stats['incomparable_pairs']}")
+        lines = [",".join(stats), _commas(stats.values())]
     else:
-        for k, v in stats.items():
-            out.emit(f"{k}: {v}")
-    out.emit(serialize_poset(window).rstrip("\n"))
-    return out.flush()
+        lines = [f"{k}: {v}" for k, v in stats.items()]
+    lines.append(serialize_poset(window).rstrip("\n"))
+    return {"poset": _poset_flag(args), "format": args.format}, lines, EXIT_OK
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args):
     window = _resolve_window(args)
     depth = args.depth if args.depth is not None else window.poset.n - 1
     g = build_graph(window, depth, vertex_cap=args.vertex_cap)
-    out = _Out(args.out)
-    _echo_config(
-        out, "graph", {"poset": _poset_flag(args), "depth": depth, "format": args.format}
-    )
     if args.format == "csv":
-        out.emit(g.csv().rstrip("\n"))
+        lines = [g.csv().rstrip("\n")]
     else:
-        for level, dims in enumerate(g.dims):
-            out.emit(f"level {level}: vertices={len(dims)} dims=[{' '.join(map(str, dims))}]")
-        out.emit(f"paths_to_top_level: {sum(g.dims[depth])}")
-    return out.flush()
+        lines = [
+            f"level {level}: vertices={len(dims)} dims=[{' '.join(map(str, dims))}]"
+            for level, dims in enumerate(g.dims)
+        ]
+        lines.append(f"paths_to_top_level: {sum(g.dims[depth])}")
+    return {"poset": _poset_flag(args), "depth": depth, "format": args.format}, lines, EXIT_OK
 
 
-def cmd_paths(args) -> int:
+def cmd_paths(args):
     window = _resolve_window(args)
     length = args.depth if args.depth is not None else window.poset.n
     paths = enumerate_numberings(window, length, limit=args.path_cap)
-    out = _Out(args.out)
-    _echo_config(
-        out,
-        "paths",
-        {
-            "poset": _poset_flag(args),
-            "depth": length,
-            "list": args.list,
-            "path_cap": args.path_cap,
-        },
-    )
-    out.emit(f"paths: {len(paths)}")
+    config = {"poset": _poset_flag(args), "depth": length, "list": args.list, "path_cap": args.path_cap}
+    lines = [f"paths: {len(paths)}"]
     if args.list:
-        for p in paths:
-            out.emit(",".join(str(x) for x in p))
-    return out.flush()
+        lines += map(_commas, paths)
+    return config, lines, EXIT_OK
 
 
-def cmd_group(args) -> int:
+def cmd_group(args):
     window = _resolve_window(args)
     length = args.depth if args.depth is not None else window.poset.n
     handle = generate_group(window, length, path_cap=args.path_cap)
     report = verify_relations(handle)
     stats = group_order(handle, cap=args.group_cap)
-    out = _Out(args.out)
-    _echo_config(
-        out,
-        "group",
-        {
-            "poset": _poset_flag(args),
-            "depth": length,
-            "local": args.local if args.local is not None else "none",
-            "path_cap": args.path_cap,
-            "group_cap": args.group_cap,
-            "format": args.format,
-        },
-    )
+    config = {
+        "poset": _poset_flag(args),
+        "depth": length,
+        "local": args.local if args.local is not None else "none",
+        "path_cap": args.path_cap,
+        "group_cap": args.group_cap,
+        "format": args.format,
+    }
     violations = (
         report.involution_violations
         + report.commuting_violations
         + report.braid_violations
     )
     if args.format == "csv":
-        out.emit("row,i,j,value,witness")
-        out.emit(f"paths,,,{handle.n_paths},")
-        out.emit(f"generators,,,{len(handle.generators)},")
         order_text = stats.order if stats.order is not None else f"cap-exceeded:{stats.cap}"
-        out.emit(f"order,,,{order_text},")
+        lines = [
+            "row,i,j,value,witness",
+            f"paths,,,{handle.n_paths},",
+            f"generators,,,{len(handle.generators)},",
+            f"order,,,{order_text},",
+        ]
         for name, ok in [
             ("relation_involution", not report.involution_violations),
             ("relation_commuting", not report.commuting_violations),
             ("relation_braid6", not report.braid_violations),
         ]:
-            out.emit(f"{name},,,{'pass' if ok else 'fail'},")
-        for v in violations:
-            out.emit(f"violation,{v.i},{v.j},{v.relation},{v.witness_path}")
+            lines.append(f"{name},,,{'pass' if ok else 'fail'},")
+        lines += [f"violation,{v.i},{v.j},{v.relation},{v.witness_path}" for v in violations]
     else:
-        out.emit(f"paths: {handle.n_paths}")
-        out.emit(f"generators: {len(handle.generators)}")
+        lines = [f"paths: {handle.n_paths}", f"generators: {len(handle.generators)}"]
         if stats.order is not None:
-            out.emit(f"order: {stats.order} (diameter {stats.diameter})")
+            lines.append(f"order: {stats.order} (diameter {stats.diameter})")
         else:
-            out.emit(f"order: cap-exceeded ({stats.cap})")
-        out.emit(f"relations: {'all hold' if report.ok else 'VIOLATED'}")
+            lines.append(f"order: cap-exceeded ({stats.cap})")
+        lines.append(f"relations: {'all hold' if report.ok else 'VIOLATED'}")
         for v in violations:
-            out.emit(f"  violation {v.relation} i={v.i} j={v.j} witness_path={v.witness_path}")
+            lines.append(f"  violation {v.relation} i={v.i} j={v.j} witness_path={v.witness_path}")
         if window.family == "young" and len(window.params) == 2 and window.params[1] == 1:
             # single-cell second row: record the order next to the factorials
             # of the cell count and the cell count plus one (see README)
             from math import factorial
 
             cells = window.poset.n - 1
-            out.emit(
+            lines.append(
                 f"hook_note: cells={cells} order={stats.order or 'cap-exceeded'} "
                 f"factorial(cells)={factorial(cells)} "
                 f"factorial(cells-1)={factorial(cells - 1)}"
             )
-    local_rows = []
     if args.local is not None:
         idxs = local_indices(handle) if args.local == "all" else [int(args.local)]
+        if idxs and args.format == "csv":
+            lines.append("local,i,product_order,group_order,orbits")
         for i in idxs:
             rep = classify_local(handle, i)
             tags = " ".join(f"{size}:{tag}" for size, tag in rep.orbit_types)
-            local_rows.append((i, rep.product_order, rep.group_order, tags))
-    if local_rows:
-        if args.format == "csv":
-            out.emit("local,i,product_order,group_order,orbits")
-            for i, po, go, tags in local_rows:
-                out.emit(f"local,{i},{po},{go},{tags}")
-        else:
-            for i, po, go, tags in local_rows:
-                out.emit(
-                    f"local i={i}: product_order={po} group_order={go} orbits=[{tags}]"
-                )
-    code = out.flush()
-    return EXIT_VIOLATION if violations else code
+            if args.format == "csv":
+                lines.append(f"local,{i},{rep.product_order},{rep.group_order},{tags}")
+            else:
+                lines.append(f"local i={i}: product_order={rep.product_order} "
+                             f"group_order={rep.group_order} orbits=[{tags}]")
+    return config, lines, EXIT_VIOLATION if violations else EXIT_OK
 
 
 def _window_source(args):
@@ -319,13 +276,7 @@ def _parse_sampler(text: str, args, source):
     raise ValueError(f"unknown sampler spec {text!r}")
 
 
-def _ties_note(config: dict, specs) -> None:
-    if any(s.has_ties for s in specs):
-        config["ties"] = "flagged (tied letter probabilities blur row identification)"
-
-
-def cmd_measure_check(args) -> int:
-    out = _Out(args.out)
+def cmd_measure_check(args):
     handle = None
     if args.sampler is not None:
         kernel = _parse_sampler(args.sampler, args, _window_source(args))
@@ -343,63 +294,51 @@ def cmd_measure_check(args) -> int:
         measure = perturb_fiber(measure, Fraction(args.perturb))
         what += f"+perturb:{args.perturb}"
         negative = sorted(path for path, p in measure.items() if p < 0)
-    _echo_config(out, "measure check", {"poset": _poset_flag(args), "measure": what})
+    config = {"poset": _poset_flag(args), "measure": what}
     if negative:
-        for path in negative:
-            out.emit(f"perturbed_law: negative mass {measure[path]} on path {','.join(map(str, path))}")
-        out.emit("central: NO")
-        out.flush()
-        return EXIT_VIOLATION
+        lines = [f"perturbed_law: negative mass {measure[path]} on path {_commas(path)}" for path in negative]
+        return config, lines + ["central: NO"], EXIT_VIOLATION
     if handle is None:  # a kernel's numberings are enumerated only for a law without negative mass
         handle = generate_group(window, length)
     report = is_central(handle, measure)
-    out.emit(f"paths: {report.n_paths}")
-    out.emit(f"exact_arithmetic: {report.exact}")
-    out.emit(f"generator_invariance: {'pass' if report.invariance_ok else 'fail'}")
+    lines = [
+        f"paths: {report.n_paths}",
+        f"exact_arithmetic: {report.exact}",
+        f"generator_invariance: {'pass' if report.invariance_ok else 'fail'}",
+    ]
     for i, path in report.invariance_witnesses:
-        out.emit(f"  witness: sigma_{i} moves mass on path {','.join(map(str, path))}")
-    out.emit(f"fiber_uniformity: {'pass' if report.fiber_ok else 'fail'}")
-    for lo, hi in report.fiber_witnesses:
-        out.emit(
-            f"  witness fiber: {','.join(map(str, lo))} vs {','.join(map(str, hi))}"
-        )
-    out.emit(f"central: {'yes' if report.central else 'NO'}")
-    code = out.flush()
-    return code if report.central else EXIT_VIOLATION
+        lines.append(f"  witness: sigma_{i} moves mass on path {_commas(path)}")
+    lines.append(f"fiber_uniformity: {'pass' if report.fiber_ok else 'fail'}")
+    lines += [f"  witness fiber: {_commas(lo)} vs {_commas(hi)}" for lo, hi in report.fiber_witnesses]
+    lines.append(f"central: {'yes' if report.central else 'NO'}")
+    return config, lines, EXIT_OK if report.central else EXIT_VIOLATION
 
 
-def cmd_measure_freq(args) -> int:
+def _frequency_csv(args, specs, ideals, reports, **config):
+    """The config keys and frequency-report CSV lines `measure freq` and `compare` share."""
+    config.update(
+        ideals=";".join(i.name() for i in ideals), n=args.n, replicas=args.replicas, seed=args.seed
+    )
+    if any(s.has_ties for s in specs):
+        config["ties"] = "flagged (tied letter probabilities blur row identification)"
+    return config, [FREQUENCY_CSV_HEADER, *(rep.csv_row() for rep in reports)]
+
+
+def cmd_measure_freq(args):
     spec = _parse_sampler(args.sampler, args, _window_source(args))
     ideals = [parse_ideal(t) for t in args.ideal]
-    out = _Out(args.out)
-    config = {
-        "sampler": spec.name(),
-        "ideals": ";".join(i.name() for i in ideals),
-        "n": args.n,
-        "replicas": args.replicas,
-        "seed": args.seed,
-    }
-    _ties_note(config, [spec])
-    _echo_config(out, "measure freq", config)
-    out.emit(FREQUENCY_CSV_HEADER)
-    for rep in estimate_frequency(spec, ideals, args.n, args.replicas, args.seed):
-        out.emit(rep.csv_row())
-    return out.flush()
+    reports = estimate_frequency(spec, ideals, args.n, args.replicas, args.seed)
+    config, lines = _frequency_csv(args, [spec], ideals, reports, sampler=spec.name())
+    return config, lines, EXIT_OK
 
 
-def cmd_measure_sample(args) -> int:
+def cmd_measure_sample(args):
     spec = _parse_sampler(args.sampler, args, _window_source(args))
-    out = _Out(args.out)
-    _echo_config(
-        out,
-        "measure sample",
-        {"sampler": spec.name(), "n": args.n, "seed": args.seed},
-    )
-    out.emit(spec.text(spec.sample(args.n, args.seed)))
-    return out.flush()
+    config = {"sampler": spec.name(), "n": args.n, "seed": args.seed}
+    return config, [spec.text(spec.sample(args.n, args.seed))], EXIT_OK
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args):
     source = _window_source(args)
     specs = [_parse_sampler(t, args, source) for t in args.sampler]
     ideals = [parse_ideal(t) for t in args.ideal]
@@ -411,30 +350,29 @@ def cmd_compare(args) -> int:
         seed=args.seed,
         threshold=args.threshold,
     )
-    out = _Out(args.out)
-    config = {
-        "samplers": ";".join(s.name() for s in specs),
-        "ideals": ";".join(i.name() for i in ideals),
-        "n": args.n,
-        "replicas": args.replicas,
-        "seed": args.seed,
-        "threshold": args.threshold,
-    }
-    _ties_note(config, specs)
-    _echo_config(out, "compare", config)
-    out.emit(FREQUENCY_CSV_HEADER)
-    for rep in table.reports:
-        out.emit(rep.csv_row())
-    out.emit("sampler_a,sampler_b,ideal,separation_stderr_units,verdict")
+    samplers = ";".join(s.name() for s in specs)
+    config, lines = _frequency_csv(
+        args, specs, ideals, table.reports, samplers=samplers, threshold=args.threshold
+    )
+    lines.append("sampler_a,sampler_b,ideal,separation_stderr_units,verdict")
     for pair in table.pairs:
         verdict = "distinguished" if pair.distinguished else "indistinguishable"
         for ideal_name, units in pair.separations:
             row = [pair.sampler_a, pair.sampler_b, ideal_name, repr(units), verdict]
-            out.emit(",".join(csv_field(v) for v in row))
-    return out.flush()
+            lines.append(",".join(csv_field(v) for v in row))
+    return config, lines, EXIT_OK
 
 
 # --- parser ------------------------------------------------------------------
+
+
+def _add_leaf(subparsers, name: str, func, help: str, poset_required: bool) -> argparse.ArgumentParser:
+    """A subcommand that `main` runs: its poset flags, `--out` and its `cmd_*`."""
+    p = subparsers.add_parser(name, help=help)
+    _add_poset_args(p, required=poset_required)
+    p.add_argument("--out", default=None, metavar="PATH", help="write the output here instead of stdout")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,73 +382,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_poset = sub.add_parser("poset", help="build and serialize a poset window")
-    _add_poset_args(p_poset, required=True)
+    p_poset = _add_leaf(sub, "poset", cmd_poset, "build and serialize a poset window", True)
     p_poset.add_argument("--format", choices=["text", "csv"], default="text")
-    p_poset.add_argument("--out", default=None)
-    p_poset.set_defaults(func=cmd_poset)
 
-    p_graph = sub.add_parser("graph", help="level table of the ideal lattice with path counts")
-    _add_poset_args(p_graph, required=True)
+    p_graph = _add_leaf(sub, "graph", cmd_graph, "level table of the ideal lattice with path counts", True)
     p_graph.add_argument("--depth", type=int, default=None, help="largest ideal size (default: all)")
     p_graph.add_argument(
         "--vertex-cap", type=_cap, default=DEFAULT_VERTEX_CAP, dest="vertex_cap"
     )
     p_graph.add_argument("--format", choices=["text", "csv"], default="text")
-    p_graph.add_argument("--out", default=None)
-    p_graph.set_defaults(func=cmd_graph)
 
-    p_paths = sub.add_parser("paths", help="enumerate monotone numberings")
-    _add_poset_args(p_paths, required=True)
+    p_paths = _add_leaf(sub, "paths", cmd_paths, "enumerate monotone numberings", True)
     p_paths.add_argument("--depth", type=int, default=None, help="numbering length incl. root (default: all elements)")
     p_paths.add_argument("--list", action="store_true")
     p_paths.add_argument("--path-cap", type=_cap, default=PATH_CAP, dest="path_cap")
-    p_paths.add_argument("--out", default=None)
-    p_paths.set_defaults(func=cmd_paths)
 
-    p_group = sub.add_parser("group", help="relation report, order, local subgroups")
-    _add_poset_args(p_group, required=True)
+    p_group = _add_leaf(sub, "group", cmd_group, "relation report, order, local subgroups", True)
     p_group.add_argument("--depth", type=int, default=None, help="numbering length incl. root (default: all elements)")
     p_group.add_argument("--local", default=None, help="index i, or 'all'")
     p_group.add_argument("--path-cap", type=_cap, default=PATH_CAP, dest="path_cap")
     p_group.add_argument("--group-cap", type=_cap, default=GROUP_CAP, dest="group_cap")
     p_group.add_argument("--format", choices=["text", "csv"], default="text")
-    p_group.add_argument("--out", default=None)
-    p_group.set_defaults(func=cmd_group)
 
     p_measure = sub.add_parser("measure", help="centrality checks, sampling, frequencies")
     msub = p_measure.add_subparsers(dest="measure_command", required=True)
 
-    m_check = msub.add_parser("check", help="exact centrality check of a kernel")
-    _add_poset_args(m_check, required=True)
+    m_check = _add_leaf(msub, "check", cmd_measure_check, "exact centrality check of a kernel", True)
     _add_sampler_args(m_check, ("endpoint", "markov"), required=False)
     m_check.add_argument("--depth", type=int, default=None)
     m_check.add_argument("--perturb", default=None, metavar="EPS")
-    m_check.add_argument("--out", default=None)
-    m_check.set_defaults(func=cmd_measure_check)
 
-    m_freq = msub.add_parser("freq", help="frequency estimates as CSV")
-    _add_poset_args(m_freq, required=False)
+    m_freq = _add_leaf(msub, "freq", cmd_measure_freq, "frequency estimates as CSV", False)
     _add_sampler_args(m_freq, ("plancherel", "rsk", "endpoint", "markov"), required=True)
     m_freq.add_argument("--depth", type=int, default=None)
     m_freq.add_argument("--ideal", action="append", required=True)
     m_freq.add_argument("--n", type=int, default=1000)
     m_freq.add_argument("--replicas", type=int, default=100)
     m_freq.add_argument("--seed", type=int, default=0)
-    m_freq.add_argument("--out", default=None)
-    m_freq.set_defaults(func=cmd_measure_freq)
 
-    m_sample = msub.add_parser("sample", help="dump one sampled path")
-    _add_poset_args(m_sample, required=False)
+    m_sample = _add_leaf(msub, "sample", cmd_measure_sample, "dump one sampled path", False)
     _add_sampler_args(m_sample, ("plancherel", "rsk", "endpoint", "markov"), required=True)
     m_sample.add_argument("--depth", type=int, default=None)
     m_sample.add_argument("--n", type=int, default=10)
     m_sample.add_argument("--seed", type=int, default=0)
-    m_sample.add_argument("--out", default=None)
-    m_sample.set_defaults(func=cmd_measure_sample)
 
-    p_compare = sub.add_parser("compare", help="distinguishability of frequency profiles")
-    _add_poset_args(p_compare, required=False)
+    p_compare = _add_leaf(sub, "compare", cmd_compare, "distinguishability of frequency profiles", False)
     p_compare.add_argument("--sampler", action="append", required=True)
     p_compare.add_argument("--ideal", action="append", required=True)
     p_compare.add_argument("--depth", type=int, default=None)
@@ -518,17 +434,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--replicas", type=int, default=100)
     p_compare.add_argument("--seed", type=int, default=0)
     p_compare.add_argument("--threshold", type=float, default=3.0)
-    p_compare.add_argument("--out", default=None)
-    p_compare.set_defaults(func=cmd_compare)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    title = " ".join(filter(None, [args.command, getattr(args, "measure_command", None)]))
     try:
-        return args.func(args)
+        config, lines, code = args.func(args)
+        header = [f"# posetpaths {title}", *(f"# {key}={config[key]}" for key in sorted(config))]
+        body = "\n".join(header + lines) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(body)
+        else:
+            sys.stdout.write(body)
+        return code
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -109,7 +109,8 @@ class GradedGraph:
         return out
 
     def vertex(self, level: int, index: int) -> LevelVertex:
-        index = range(len(self.levels[level]))[index]  # IndexError past either end
+        level = range(len(self.levels))[level]  # IndexError past either end, as for index
+        index = range(len(self.levels[level]))[index]
         n = self.window.poset.n
         bits = format(self.levels[level][index], f"0{n}b").encode().translate(_BITS)
         return LevelVertex(level, index, tuple(compress(range(n), bits)))

@@ -20,8 +20,10 @@ bit-identical paths and reports.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +39,7 @@ from .ideals import (
 from .posets import PATH_CAP, ROOT, CapExceeded, PosetWindow, build_young_poset, validate_numbering
 from .posets import enumerate_numberings  # noqa: F401  (bench/spans.py traces the name here)
 from .symmetry import apply_sigma  # noqa: F401  (bench/spans.py traces the name here)
-from .symmetry import GroupHandle
+from .symmetry import GroupHandle, endpoint_fibers
 from .young import (
     GrowthPath,
     additions,
@@ -296,9 +298,7 @@ def perturb_fiber(measure, eps=Fraction(1, 10)):
     """Move mass eps between the two lexicographically first paths of the
     first endpoint fiber holding at least two paths; breaks centrality by
     construction."""
-    by_fiber: dict[frozenset, list[tuple[int, ...]]] = {}
-    for key in sorted(measure):
-        by_fiber.setdefault(frozenset(key), []).append(key)
+    by_fiber = endpoint_fibers(sorted(measure))
     for fiber_key in sorted(by_fiber, key=lambda f: tuple(sorted(f))):
         paths = by_fiber[fiber_key]
         if len(paths) >= 2:
@@ -368,11 +368,9 @@ def is_central(handle: GroupHandle, measure) -> CentralityReport:
         return Fraction(*weights[k])
 
     fiber_witnesses = []
-    fibers: dict[frozenset, list[int]] = {}
-    for k, p in enumerate(handle.paths):
-        fibers.setdefault(frozenset(p), []).append(k)
+    fibers = endpoint_fibers(handle.paths)
     for fiber_key in sorted(fibers, key=lambda f: tuple(sorted(f))):
-        group = fibers[fiber_key]
+        group = [handle.path_index[p] for p in fibers[fiber_key]]
         if len({weights[k] for k in group}) > 1:
             fiber_witnesses.append((handle.paths[min(group, key=value)], handle.paths[max(group, key=value)]))
     return CentralityReport(
@@ -453,7 +451,9 @@ def sample_markov(m: ExplicitMarkov, n_steps: int, seed: int) -> tuple[int, ...]
             raise ValueError(f"kernel has no row at level {level} index {index}")
         u = rng.random()
         acc = 0.0
-        for elem, j, p in row:  # without a break, float round-off picks the last edge
+        # zero-probability edges are never taken; without a break, float
+        # round-off picks the last positive edge
+        for elem, j, p in [edge for edge in row if edge[2]]:
             acc += float(p)
             if u < acc:
                 break
@@ -538,9 +538,11 @@ def estimate_frequency(
             vals.append(spec.hits(path, ideal) / n_steps)
     reports = []
     for ideal, vals in zip(ideals, values):
-        mean = sum(vals) / replicas
+        # reduce adds left to right on every Python; from 3.12 on, sum()
+        # compensates round-off, which moves the last digits of estimates
+        mean = functools.reduce(operator.add, vals) / replicas
         if replicas > 1:
-            var = sum((v - mean) ** 2 for v in vals) / (replicas - 1)
+            var = functools.reduce(operator.add, ((v - mean) ** 2 for v in vals)) / (replicas - 1)
             stderr = math.sqrt(var / replicas)
         else:
             stderr = 0.0

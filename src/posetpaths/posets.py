@@ -17,6 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .young import check_partition
+
 ROOT = 0
 PATH_CAP = 100_000  # default cap on the numberings, or kernel paths, one enumeration or exact law lists
 
@@ -191,13 +193,9 @@ def build_young_poset(partition) -> PosetWindow:
     Cells are (row, col), 1-based, with id order row-major; the root sits
     below cell (1,1) only (and below everything else by transitivity).
     """
-    parts = [int(p) for p in partition]
+    parts = check_partition(partition)
     if not parts:
         raise ValueError("partition must be nonempty")
-    if any(p < 1 for p in parts):
-        raise ValueError(f"partition parts must be >= 1, got {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"partition must be weakly decreasing, got {parts}")
     cells = [(r, c) for r in range(1, len(parts) + 1) for c in range(1, parts[r - 1] + 1)]
     ids = {cell: k + 1 for k, cell in enumerate(cells)}
     coords: list[tuple[int, ...] | None] = [None] + cells
@@ -208,7 +206,7 @@ def build_young_poset(partition) -> PosetWindow:
         if (r + 1, c) in ids:
             covers.append((k, ids[(r + 1, c)]))
     poset = Poset(len(cells) + 1, covers, coords)
-    return PosetWindow("young", tuple(parts), poset)
+    return PosetWindow("young", parts, poset)
 
 
 def build_box_poset(d: int, bounds) -> PosetWindow:

@@ -527,3 +527,36 @@ def test_cli_runs_on_the_standard_library_alone():
     assert [m for m in loaded if m != "posetpaths" and m not in sys.stdlib_module_names] == []
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert re.search(r"^dependencies = \[\]$", pyproject.read_text(encoding="utf-8"), re.M)
+
+
+OUT_CASES = [
+    (("poset", "--young", "2,1"), 0),
+    (("graph", "--box", "2,3", "--format", "csv"), 0),
+    (("paths", "--young", "2,1", "--list"), 0),
+    (("group", "--young", "3,1", "--local", "all"), 0),
+    (("measure", "check", "--endpoint", "3:0", "--young", "2,1"), 0),
+    (("measure", "check", "--young", "2,1", "--perturb", "5"), 1),
+    (("measure", "freq", "--rsk", "0.5,0.5", "--ideal", "hook:1,0", "--n", "20", "--replicas", "3"), 0),
+    (("measure", "sample", "--plancherel", "--n", "12", "--seed", "2"), 0),
+    (("compare", "--sampler", "plancherel", "--sampler", "rsk:0.6,0.4", "--ideal", "hook:1,0",
+      "--n", "30", "--replicas", "3"), 0),
+]
+OUT_IDS = ["poset", "graph", "paths", "group", "check", "check-perturb-5", "freq", "sample", "compare"]
+
+
+@pytest.mark.parametrize("argv,expected", OUT_CASES, ids=OUT_IDS)
+def test_out_file_holds_the_stdout_bytes(argv, expected, tmp_path, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (expected, "")
+    target = tmp_path / "run.out"
+    code, out2, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out2, err) == (expected, "", "")
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in OUT_CASES], ids=OUT_IDS)
+def test_unwritable_out_exits_2_with_one_error_line(argv, tmp_path, capsys):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "run.out"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

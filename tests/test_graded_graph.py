@@ -10,8 +10,10 @@ from posetpaths import (
     build_graph,
     build_young_poset,
     dimension,
+    endpoint_measure,
     enumerate_numberings,
     numbering_of,
+    path_measure,
     path_of,
     up_dimension,
 )
@@ -106,6 +108,19 @@ def test_vertex_of_rejects_sets_outside_the_graph():
     for ideal in ([ids[(2, 2)]], list(range(w.poset.n)), [w.poset.n], [-1]):
         with pytest.raises(KeyError):
             g.vertex_of(ideal)
+
+
+def test_vertex_counts_levels_from_either_end_as_it_counts_indices():
+    g = build_graph(build_young_poset([2, 1]), 3)
+    top = g.vertex(3, 0)
+    assert g.vertex(-1, 0) == top == g.vertex(-1, -1)
+    assert g.vertex(-4, 0) == g.vertex(0, 0)
+    for level in (4, -5):
+        with pytest.raises(IndexError):
+            g.vertex(level, 0)
+    # a negative level once gave a depth -1 kernel with an empty path law
+    assert path_measure(endpoint_measure(g, g.vertex(-1, 0))) == path_measure(endpoint_measure(g, top))
+    assert len(path_measure(endpoint_measure(g, top))) == 2
 
 
 def test_vertex_cap():

@@ -27,6 +27,7 @@ from posetpaths import (
     growth_to_numbering,
     is_central,
     parse_ideal,
+    parse_markov_kernel,
     path_measure,
     perturb_fiber,
     plancherel_transition,
@@ -554,6 +555,25 @@ def test_markov_sampler_frequency():
     assert rep_full.estimate == 1.0
     with pytest.raises(ValueError):
         sample_markov(m, 7, 4)  # beyond kernel depth
+
+
+def test_markov_draw_past_the_float_sum_takes_the_last_positive_edge(monkeypatch):
+    # ten float tenths sum to exactly the largest draw below 1, so no edge
+    # catches it; the round-off must not land on the zero-probability edge 11
+    g = build_graph(build_antichain_poset(11), 1)
+    row = " ".join(f"{k}:1/10" for k in range(1, 11))
+    m = parse_markov_kernel(g, f"row 0:0 {row} 11:0")
+    top = math.nextafter(1.0, 0.0)
+    assert list(itertools.accumulate([0.1] * 10))[-1] == top
+    draws = [top, 0.0, 0.95, top]
+
+    class Scripted(random.Random):
+        def random(self):
+            return draws.pop(0)
+
+    monkeypatch.setattr(measures.random, "Random", Scripted)
+    assert [sample_markov(m, 1, 0) for _ in range(4)] == [(0, 10), (0, 1), (0, 10), (0, 10)]
+    assert draws == []  # one draw per step
 
 
 def test_markov_sampler_on_coordinate_free_window_rejects_hooks():
