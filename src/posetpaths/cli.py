@@ -9,7 +9,9 @@ byte-identical output, then the body, to `--out PATH` or else stdout. The
 write sits inside the same error mapping as the computation. Exit codes:
 0 success, 1 a checked property failed (relation violation, non-central
 measure), 2 usage or input error (an unwritable `--out` included), 3 a cap
-was exceeded.
+was exceeded. `main` may be called repeatedly in one process: it builds the
+argument parser on its first call and reuses it, since parsing leaves no
+state in it.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ import sys
 from fractions import Fraction
 
 from .graded_graph import DEFAULT_VERTEX_CAP, build_graph
-from .ideals import parse_ideal
+from .ideals import FiniteSetIdeal, check_downward_closed, parse_ideal
 from .measures import (
     FREQUENCY_CSV_HEADER,
+    ExplicitMarkov,
     PlancherelYoung,
     RSKThoma,
     compare_frequency_profiles,
@@ -81,6 +84,16 @@ def _cap(text: str) -> int:
     if cap < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
     return cap
+
+
+def _local(text: str) -> int | str:
+    """`group --local`'s value: `all` or an integer index."""
+    if text == "all":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be 'all' or an integer, got {text!r}") from None
 
 
 _POSET_SOURCES = ("young", "box", "chain", "antichain", "file")
@@ -228,7 +241,7 @@ def cmd_group(args):
                 f"factorial(cells-1)={factorial(cells - 1)}"
             )
     if args.local is not None:
-        idxs = local_indices(handle) if args.local == "all" else [int(args.local)]
+        idxs = local_indices(handle) if args.local == "all" else [args.local]
         if idxs and args.format == "csv":
             lines.append("local,i,product_order,group_order,orbits")
         for i in idxs:
@@ -274,6 +287,18 @@ def _parse_sampler(text: str, args, source):
         with open(rest, encoding="utf-8") as fh:
             return parse_markov_kernel(g, fh.read(), name=f"markov:{rest}")
     raise ValueError(f"unknown sampler spec {text!r}")
+
+
+def _parse_ideals(texts, specs):
+    """The `--ideal` specs; a `set:` ideal must be an ideal of every window
+    sampler's window, checked before any sampling."""
+    ideals = [parse_ideal(t) for t in texts]
+    for spec in specs:
+        if isinstance(spec, ExplicitMarkov):
+            for ideal in ideals:
+                if isinstance(ideal, FiniteSetIdeal):
+                    check_downward_closed(ideal, spec.graph.window)
+    return ideals
 
 
 def cmd_measure_check(args):
@@ -326,7 +351,7 @@ def _frequency_csv(args, specs, ideals, reports, **config):
 
 def cmd_measure_freq(args):
     spec = _parse_sampler(args.sampler, args, _window_source(args))
-    ideals = [parse_ideal(t) for t in args.ideal]
+    ideals = _parse_ideals(args.ideal, [spec])
     reports = estimate_frequency(spec, ideals, args.n, args.replicas, args.seed)
     config, lines = _frequency_csv(args, [spec], ideals, reports, sampler=spec.name())
     return config, lines, EXIT_OK
@@ -341,7 +366,7 @@ def cmd_measure_sample(args):
 def cmd_compare(args):
     source = _window_source(args)
     specs = [_parse_sampler(t, args, source) for t in args.sampler]
-    ideals = [parse_ideal(t) for t in args.ideal]
+    ideals = _parse_ideals(args.ideal, specs)
     table = compare_frequency_profiles(
         specs,
         ideals,
@@ -375,7 +400,14 @@ def _add_leaf(subparsers, name: str, func, help: str, poset_required: bool) -> a
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on the first call.
+
+    Reuse is safe: each parse makes a fresh namespace, `append` actions copy
+    their default, and the defaults bound here (the `cmd_*` functions and the
+    cap constants) are read-only.
+    """
     parser = argparse.ArgumentParser(
         prog="posetpaths",
         description="posets, ideal-lattice paths, numbering symmetries, central measures",
@@ -399,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_group = _add_leaf(sub, "group", cmd_group, "relation report, order, local subgroups", True)
     p_group.add_argument("--depth", type=int, default=None, help="numbering length incl. root (default: all elements)")
-    p_group.add_argument("--local", default=None, help="index i, or 'all'")
+    p_group.add_argument("--local", type=_local, default=None, help="index i, or 'all'")
     p_group.add_argument("--path-cap", type=_cap, default=PATH_CAP, dest="path_cap")
     p_group.add_argument("--group-cap", type=_cap, default=GROUP_CAP, dest="group_cap")
     p_group.add_argument("--format", choices=["text", "csv"], default="text")

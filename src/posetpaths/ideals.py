@@ -124,8 +124,16 @@ def ideal_member(spec: IdealSpec, element: Element) -> bool:
 
 
 def check_downward_closed(spec: IdealSpec, window: PosetWindow) -> None:
-    """Raise if some window element is in the spec while a lower cover is not."""
+    """Raise if the spec is no ideal of the window: a finite set naming an id
+    outside it, or some window element in the spec while a lower cover is not."""
     poset = window.poset
+    if isinstance(spec, FiniteSetIdeal):
+        outside = sorted(i for i in spec.ids if not 0 <= i < poset.n)
+        if outside:
+            raise ValueError(
+                f"{spec.name()} names ids outside {window.describe()} "
+                f"(0..{poset.n - 1}): {','.join(map(str, outside))}"
+            )
     inside = [ideal_member(spec, poset.element(x)) for x in range(poset.n)]
     for x in range(poset.n):
         if not inside[x]:

@@ -173,6 +173,19 @@ def test_group_local_young31(capsys):
     assert "local i=1: product_order=2 group_order=2" in out
 
 
+def test_group_local_takes_all_or_an_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["group", "--young", "3,1", "--local", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == (
+        "posetpaths group: error: argument --local: must be 'all' or an integer, got 'x'"
+    )
+    assert captured.out == ""
+    code, out, _ = run(capsys, "group", "--young", "3,1", "--local", "all")
+    assert code == 0 and "# local=all" in out
+
+
 def test_group_csv(capsys):
     code, out, _ = run(capsys, "group", "--young", "2,1", "--format", "csv", "--local", "all")
     assert code == 0
@@ -385,6 +398,37 @@ def test_measure_freq_endpoint_sampler(capsys):
     assert "endpoint:6:0" in out
 
 
+@pytest.mark.parametrize(
+    "ideal,message",
+    [
+        # young 2,1: id 1 is cell (1,1), id 2 is (1,2) and id 3 is (2,1)
+        ("set:2", "set:2 is not downward closed on young[2,1]: 2 in, lower cover 1 out"),
+        ("set:1,3,9", "set:1,3,9 names ids outside young[2,1] (0..3): 9"),
+        ("set:-1", "set:-1 names ids outside young[2,1] (0..3): -1"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("measure", "freq", "--endpoint", "2:0"),
+        ("compare", "--sampler", "plancherel", "--sampler", "endpoint:3:0"),
+    ],
+    ids=["freq", "compare"],
+)
+def test_window_sampler_rejects_a_set_that_is_no_ideal_of_the_window(ideal, message, command, monkeypatch, capsys):
+    from posetpaths import measures
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the ideals were checked")
+
+    monkeypatch.setattr(measures, "sample_markov", no_sampling)
+    monkeypatch.setattr(measures, "sample_plancherel", no_sampling)
+    code, out, err = run(
+        capsys, *command, "--young", "2,1", "--ideal", "hook:1,0", "--ideal", ideal, "--n", "2", "--replicas", "2"
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_measure_freq_byte_identical_runs(tmp_path, capsys):
     argv = [
         "measure", "freq", "--plancherel", "--ideal", "hook:1,0",
@@ -499,18 +543,28 @@ def test_entry_point_installed():
     assert "elements: 2" in proc.stdout
 
 
-def test_cli_runs_on_the_standard_library_alone():
+def run_child(source: str):
+    """Run `source` in a fresh interpreter that imports this checkout's posetpaths."""
     import os
     import pathlib
-    import re
     import subprocess
     import sys
 
     import posetpaths
 
+    src = str(pathlib.Path(posetpaths.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", source], capture_output=True, text=True, env=env, check=False)
+
+
+def test_cli_runs_on_the_standard_library_alone():
+    import pathlib
+    import re
+    import sys
+
     # a fresh interpreter, since this one holds whatever other tests imported;
     # it lists the top-level modules the import and one command loaded
-    child = (
+    proc = run_child(
         "import sys\n"
         "before = set(sys.modules)\n"
         "from posetpaths.cli import main\n"
@@ -518,9 +572,6 @@ def test_cli_runs_on_the_standard_library_alone():
         "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
-    src = str(pathlib.Path(posetpaths.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, check=False)
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stderr.split()
     assert "posetpaths" in loaded
@@ -560,3 +611,67 @@ def test_unwritable_out_exits_2_with_one_error_line(argv, tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# Calls whose arguments could leak into the next call through a reused parser:
+# append lists, per-subcommand defaults, and a usage error between good calls.
+REUSE_SEQUENCE = [
+    ("measure", "freq", "--endpoint", "3:0", "--young", "2,1", "--ideal", "hook:1,0", "--ideal", "set:1",
+     "--n", "3", "--replicas", "3"),
+    ("measure", "freq", "--endpoint", "3:0", "--young", "2,1", "--ideal", "full", "--n", "3", "--replicas", "3"),
+    ("graph", "--box", "2,2", "--depth", "1"),
+    ("graph", "--box", "2,2"),
+    ("poset", "--young", "2,1"),
+    ("measure", "check", "--young", "3,2", "--depth", "6", "--tol", "0"),
+    ("group", "--young", "3,1", "--local", "all"),
+    ("group", "--young", "3,1", "--local", "x"),
+    ("group", "--young", "3,1"),
+    ("compare", "--sampler", "plancherel", "--sampler", "rsk:0.6,0.4", "--ideal", "hook:1,0",
+     "--n", "30", "--replicas", "3"),
+    ("compare", "--sampler", "plancherel", "--sampler", "rsk:0.6,0.4", "--sampler", "rsk:0.5,0.5",
+     "--ideal", "hook:1,0", "--n", "30", "--replicas", "3"),
+]
+
+
+def test_reused_parser_answers_each_call_as_a_fresh_parser_does(monkeypatch, capsys):
+    from posetpaths import cli
+
+    def results():
+        out = []
+        for argv in REUSE_SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    parser = cli.build_parser()
+    reused = results()
+    assert cli.build_parser() is parser
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert results() == reused
+
+
+def test_import_builds_no_parser_and_main_builds_one():
+    # counted in a fresh interpreter: the top-level parser is the one named
+    # "posetpaths", each subcommand's parser carries a longer name
+    proc = run_child(
+        "import argparse, contextlib, io\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from posetpaths.cli import main\n"
+        "print(built.count('posetpaths'))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['graph', '--chain', '2']), main(['poset', '--young', '2,1'])]\n"
+        "print(built.count('posetpaths'), codes)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0", "1 [0, 0]"]

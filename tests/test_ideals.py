@@ -107,6 +107,9 @@ def test_downward_closure_on_windows():
     # a finite set missing an interior element is not downward closed
     with pytest.raises(ValueError):
         check_downward_closed(finite_set_ideal([2]), young)
+    # nor is a set naming an id the window does not have (young 3,2 has ids 0..5)
+    with pytest.raises(ValueError, match=r"set:1,6 names ids outside young\[3,2\] \(0..5\): 6"):
+        check_downward_closed(finite_set_ideal([1, 6]), young)
 
 
 def test_downward_closure_of_hooks_everywhere_in_window():
