@@ -39,7 +39,7 @@ from .ideals import (
 from .posets import PATH_CAP, ROOT, CapExceeded, PosetWindow, build_young_poset, validate_numbering
 from .posets import enumerate_numberings  # noqa: F401  (bench/spans.py traces the name here)
 from .symmetry import apply_sigma  # noqa: F401  (bench/spans.py traces the name here)
-from .symmetry import GroupHandle, endpoint_fibers
+from .symmetry import GroupHandle, compose, endpoint_fibers
 from .young import (
     GrowthPath,
     additions,
@@ -359,9 +359,10 @@ def is_central(handle: GroupHandle, measure) -> CentralityReport:
         raise ValueError(f"probabilities sum to {total}, not 1")
 
     inv_witnesses = []
+    unmoved = tuple(weights)
     for i, gen in zip(handle.sigma_indices, handle.generators):
-        inv_witnesses = [(i, handle.paths[k]) for k, j in enumerate(gen) if weights[k] != weights[j]][:5]
-        if inv_witnesses:
+        if compose(weights, gen) != unmoved:  # some path's weight differs from its image's
+            inv_witnesses = [(i, handle.paths[k]) for k, j in enumerate(gen) if weights[k] != weights[j]][:5]
             break
 
     def value(k):

@@ -379,30 +379,48 @@ def enumerate_numberings(
 
     `limit` caps the number of numberings produced; exceeding it raises
     CapExceeded.
+
+    A depth-first search over prefixes. Many prefixes reach the same
+    ideal, so each ideal's child row, (x, ideal + x, addable after) for
+    every addable x in ascending order, is built once and kept by ideal
+    mask. The last position is filled for a whole row before the cap is
+    checked, so `out` holds at most `limit` plus one row.
     """
     poset = window.poset
     if not (1 <= length <= poset.n):
         raise ValueError(f"length must be in 1..{poset.n}, got {length}")
-    out: list[tuple[int, ...]] = []
     n = poset.n
-    prefix = [ROOT]
+    rows: dict[int, list[tuple[int, int, int]]] = {}
 
     # taking addable bits from the highest down adds ids in increasing
     # order, which makes the output lexicographic
-    def extend(ideal, addable):
-        if len(prefix) == length:
-            out.append(tuple(prefix))
-            if limit is not None and len(out) > limit:
-                raise CapExceeded(f"more than {limit} numberings")
-            return
-        rest = addable
-        while rest:
-            top = rest.bit_length()
-            rest ^= 1 << (top - 1)
-            x = n - top
-            prefix.append(x)
-            extend(*add_element(poset, ideal, addable, x))
-            prefix.pop()
+    def children(ideal, addable):
+        row = rows.get(ideal)
+        if row is None:
+            row = rows[ideal] = []
+            rest = addable
+            while rest:
+                top = rest.bit_length()
+                rest ^= 1 << (top - 1)
+                row.append((n - top, *add_element(poset, ideal, addable, n - top)))
+        return row
 
-    extend(*add_element(poset, 0, poset.bit(ROOT), ROOT))
+    out: list[tuple[int, ...]] = []
+    prefix = [ROOT] * length  # positions below `depth` hold the numbering so far
+
+    def extend(depth, ideal, addable):
+        row = children(ideal, addable)
+        if depth < length - 1:
+            for x, child, grown in row:
+                prefix[depth] = x
+                extend(depth + 1, child, grown)
+            return
+        for x, _, _ in row:
+            prefix[depth] = x
+            out.append(tuple(prefix))
+        if limit is not None and len(out) > limit:
+            raise CapExceeded(f"more than {limit} numberings")
+
+    # the empty set's one child is the root, at position 0
+    extend(0, 0, poset.bit(ROOT))
     return out

@@ -6,6 +6,13 @@ they are comparable (position 0, the root, is never touched). On the
 indexed set of all fixed-length numberings of a window these moves are
 permutations; the group they generate is the symmetry group of the
 window's numberings, represented here by dense index arrays.
+
+`generate_group` realizes sigma_i without consulting the order: it
+exchanges positions i and i+1 of every numbering and looks the result
+up in the index of numberings. Two comparable entries come in order, so
+their exchange puts an element before one below it; that tuple is no
+numbering, the lookup misses, and the path stays fixed. Permutations
+are composed by `operator.itemgetter`.
 """
 
 from __future__ import annotations
@@ -33,15 +40,6 @@ ALLOWED_ORBIT_TAGS = (
 )
 
 
-def _swapped(poset: Poset, i: int, elems: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The tuple sigma_i makes of `elems`, or None when it fixes them
-    (the entries at positions i, i+1 are comparable)."""
-    a, b = elems[i], elems[i + 1]
-    if poset.leq(a, b):
-        return None
-    return elems[:i] + (b, a) + elems[i + 2:]
-
-
 def apply_sigma(poset: Poset, i: int, phi: tuple[int, ...]) -> tuple[int, ...]:
     """Swap positions i, i+1 of phi when their elements are incomparable.
 
@@ -49,16 +47,17 @@ def apply_sigma(poset: Poset, i: int, phi: tuple[int, ...]) -> tuple[int, ...]:
     than treated as fixed points. The swapped sequence is always again a
     valid numbering (the two elements are incomparable, so each prefix
     stays an ideal); the tests check this against brute-force numberings.
+    Raises ValueError when the entry at i+1 lies below the one at i, as
+    it never does in a numbering.
     """
     if not (1 <= i <= len(phi) - 2):
         raise ValueError(f"sigma index {i} out of range for length {len(phi)}")
-    swapped = _swapped(poset, i, phi)
-    if swapped is None:
+    a, b = phi[i], phi[i + 1]
+    if poset.leq(a, b):
         return phi
-    assert not poset.leq(phi[i + 1], phi[i]), (
-        "later entry below earlier one: invalid numbering"
-    )
-    return swapped
+    if poset.leq(b, a):
+        raise ValueError(f"{b} at position {i + 1} lies below {a} at position {i}: not a numbering")
+    return phi[:i] + (b, a) + phi[i + 2:]
 
 
 def orbit(phi: tuple[int, ...], window: PosetWindow, length: int | None = None) -> list[tuple[int, ...]]:
@@ -88,8 +87,10 @@ def identity_perm(n: int) -> tuple[int, ...]:
 
 
 def compose(p, q) -> tuple[int, ...]:
-    """Apply q first, then p."""
-    return tuple(p[x] for x in q)
+    """Apply q first, then p: the tuple of p[x] for x in q."""
+    if len(q) < 2:  # itemgetter of fewer than two indices returns no tuple
+        return tuple(p[x] for x in q)
+    return itemgetter(*q)(p)
 
 
 def perm_order(p, points=None) -> int:
@@ -240,17 +241,15 @@ def generate_group(window: PosetWindow, length: int, path_cap: int = PATH_CAP) -
     exist beyond the root). Raises CapExceeded when the path set outgrows
     `path_cap`.
     """
-    poset = window.poset
     paths = tuple(enumerate_numberings(window, length, limit=path_cap))
-    index = {p: k for k, p in enumerate(paths)}
+    index = dict(zip(paths, range(len(paths))))
     sigma_indices = tuple(range(1, max(length - 1, 1)))
     gens = []
     for i in sigma_indices:
-        perm = []
-        for k, p in enumerate(paths):
-            swapped = _swapped(poset, i, p)
-            perm.append(k if swapped is None else index[swapped])
-        gens.append(tuple(perm))
+        # every numbering with positions i, i+1 exchanged; a missed lookup
+        # (comparable entries, so no numbering) leaves the path fixed
+        swap = itemgetter(*range(i), i + 1, i, *range(i + 2, length))
+        gens.append(tuple(map(index.get, map(swap, paths), range(len(paths)))))
     return GroupHandle(
         window=window,
         length=length,

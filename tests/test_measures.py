@@ -209,6 +209,39 @@ def test_centrality_witnesses_match_per_path_oracle():
             ), (w.describe(), length)
 
 
+def test_is_central_on_a_one_path_handle():
+    # a chain has one numbering per length, so every generator is the
+    # one-point identity (0,)
+    w = build_chain_poset(5)
+    for length in range(1, 6):
+        handle = generate_group(w, length)
+        assert handle.n_paths == 1
+        assert all(gen == (0,) for gen in handle.generators)
+        report = is_central(handle, uniform_path_measure(handle))
+        assert report.central
+        assert report.invariance_witnesses == [] and report.fiber_witnesses == []
+
+
+def test_law_broken_only_by_the_last_generator():
+    # weights set by the last entry are invariant under sigma_1, sigma_2,
+    # which leave position 4 alone, and moved by sigma_3
+    w = build_antichain_poset(4)
+    handle = generate_group(w, 5)
+    raw = {p: Fraction(p[-1]) for p in handle.paths}
+    total = sum(raw.values())
+    law = {p: q / total for p, q in raw.items()}
+    report = is_central(handle, law)
+    expected = central_witnesses(w.poset, law, 5)
+    assert (report.invariance_witnesses, report.fiber_witnesses) == expected
+    assert report.invariance_witnesses == [
+        (3, (0, 1, 2, 3, 4)),
+        (3, (0, 1, 2, 4, 3)),
+        (3, (0, 1, 3, 2, 4)),
+        (3, (0, 1, 3, 4, 2)),
+        (3, (0, 1, 4, 2, 3)),
+    ]
+
+
 def test_markov_row_validation():
     g = build_graph(build_young_poset([2, 1]), 3)
     rows = {

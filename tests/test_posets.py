@@ -105,12 +105,19 @@ def test_box_222_has_48_full_numberings():
 
 
 def test_enumerations_match_oracles_everywhere():
+    # a cap of N passes with the full list, a cap of N - 1 raises, however
+    # the last row of last positions crosses it (at length 1, the root
+    # alone, a cap of 0 raises)
     for w in CORPUS:
         n = w.poset.n
         for length in range(1, n + 1):
             got = enumerate_numberings(w, length)
             assert got == brute_numberings(w.poset, length), (w.describe(), length)
             assert len(got) == bitmask_extension_count(w.poset, length)
+            assert enumerate_numberings(w, length, limit=len(got)) == got
+            with pytest.raises(CapExceeded) as info:
+                enumerate_numberings(w, length, limit=len(got) - 1)
+            assert str(info.value) == f"more than {len(got) - 1} numberings"
 
 
 def test_enumeration_is_lexicographic_and_capped():

@@ -7,6 +7,7 @@ import pytest
 
 from posetpaths import (
     CapExceeded,
+    addable_elements,
     apply_sigma,
     build_antichain_poset,
     build_box_poset,
@@ -19,6 +20,7 @@ from posetpaths import (
     group_order,
     local_indices,
     orbit,
+    parse_poset,
     verify_relations,
 )
 from posetpaths import symmetry
@@ -36,6 +38,27 @@ CORPUS = [
     build_chain_poset(6),
     build_antichain_poset(4),
 ]
+
+
+def _random_box_windows(seed, count):
+    """Random downward-closed windows of a 3x3 box, relabelled as file
+    posets: shapes beyond the fixed corpus."""
+    rng = random.Random(seed)
+    box = build_box_poset(2, (3, 3))
+    for _ in range(count):
+        ideal = {0}
+        for _ in range(rng.randrange(2, 7)):
+            frontier = addable_elements(box.poset, ideal)
+            if not frontier:
+                break
+            ideal.add(rng.choice(frontier))
+        ids = sorted(ideal)
+        relabel = {x: k for k, x in enumerate(ids)}
+        lines = [f"el {relabel[x]}" for x in ids]
+        for lo, hi in box.poset.covers:
+            if lo in ideal and hi in ideal:
+                lines.append(f"cov {relabel[lo]} {relabel[hi]}")
+        yield parse_poset("\n".join(lines))
 
 
 def test_sigma_swaps_incomparable_pair():
@@ -80,15 +103,17 @@ def test_sigma_is_involution_everywhere():
 
 def test_sigma_matches_independent_rule():
     # every prefix length, so each swap output is also checked to be a
-    # numbering; the group handle's generators are the same map on path ids
-    for w in CORPUS:
+    # numbering; the group handle's generators are the same map on path
+    # ids, including the comparable swaps that a missed lookup must fix
+    for w in CORPUS + list(_random_box_windows(23, 12)):
         for length in range(1, w.poset.n + 1):
             valid = brute_numberings(w.poset, length)
             handle = generate_group(w, length)
             assert list(handle.paths) == valid
+            assert list(handle.path_index.items()) == [(p, k) for k, p in enumerate(valid)]
             assert handle.sigma_indices == tuple(range(1, length - 1))
             for i, gen in zip(handle.sigma_indices, handle.generators):
-                assert gen == tuple(valid.index(sigma_map(w.poset, seq, i)) for seq in valid)
+                assert gen == tuple(valid.index(sigma_map(w.poset, seq, i)) for seq in valid), (w.poset, length, i)
             for phi in handle.paths:
                 for i in range(1, length - 1):
                     out = apply_sigma(w.poset, i, phi)
@@ -451,29 +476,43 @@ def test_local_orders_match_closure_oracle_per_pair_and_orbit(window):
 
 
 def test_random_windows_keep_relations():
-    # random downward-closed windows of a 3x3 box exercise shapes beyond
-    # the fixed corpus
-    rng = random.Random(5)
-    box = build_box_poset(2, (3, 3))
-    from posetpaths import addable_elements, parse_poset
-
-    for _ in range(10):
-        ideal = {0}
-        for _ in range(rng.randrange(2, 7)):
-            frontier = addable_elements(box.poset, ideal)
-            if not frontier:
-                break
-            ideal.add(rng.choice(frontier))
-        ids = sorted(ideal)
-        relabel = {x: k for k, x in enumerate(ids)}
-        lines = [f"el {relabel[x]}" for x in ids]
-        for lo, hi in box.poset.covers:
-            if lo in ideal and hi in ideal:
-                lines.append(f"cov {relabel[lo]} {relabel[hi]}")
-        sub = parse_poset("\n".join(lines))
+    for sub in _random_box_windows(5, 10):
         handle = generate_group(sub, sub.poset.n)
         assert verify_relations(handle).ok
         for i in local_indices(handle):
             rep = classify_local(handle, i)
             assert rep.product_order in (1, 2, 3, 6)
             assert rep.group_order in (1, 2, 4, 6, 12)
+
+
+def test_truncated_lengths_keep_comparable_swaps_fixed():
+    # young 2,2 at length 3: (0,1,2) and (0,1,3); 1 < 2 and 1 < 3, so
+    # the swapped (0,2,1) and (0,3,1) are no numberings and sigma_1 fixes both
+    handle = generate_group(build_young_poset([2, 2]), 3)
+    assert handle.paths == ((0, 1, 2), (0, 1, 3))
+    assert handle.generators == ((0, 1),)
+    # box 2,2 at length 3: 1 and 2 are incomparable and swap
+    assert generate_group(build_box_poset(2, (2, 2)), 3).generators == ((1, 0),)
+
+
+def test_apply_sigma_rejects_a_sequence_that_is_no_numbering():
+    # 2 lies above 1 on a chain, so (0, 2, 1) is no numbering; this must
+    # raise as a ValueError, which `python -O` keeps
+    w = build_chain_poset(3)
+    with pytest.raises(ValueError, match="not a numbering"):
+        apply_sigma(w.poset, 1, (0, 2, 1))
+    y = build_young_poset([2, 1])  # 1 below both 2 and 3
+    with pytest.raises(ValueError, match="not a numbering"):
+        apply_sigma(y.poset, 1, (0, 2, 1, 3))
+
+
+def test_compose_on_small_permutations():
+    assert compose((), ()) == ()
+    assert compose((0,), (0,)) == (0,)
+    assert compose((1, 0), (1, 0)) == (0, 1)
+    assert compose((0, 1), (1, 0)) == (1, 0)
+    assert compose([1, 0], (0, 1)) == (1, 0)  # a list operand still gives a tuple
+    assert compose(("a",), (0,)) == ("a",)
+    for p in itertools.permutations(range(4)):
+        for q in itertools.permutations(range(4)):
+            assert compose(p, q) == tuple(p[x] for x in q)
