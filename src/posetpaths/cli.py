@@ -150,7 +150,7 @@ def cmd_poset(args):
     stats = {
         "elements": p.n,
         "covers": len(p.covers),
-        "incomparable_pairs": len(p.incomparable_pairs()),
+        "incomparable_pairs": p.incomparable_count(),
     }
     if args.format == "csv":
         lines = [",".join(stats), _commas(stats.values())]
@@ -316,7 +316,11 @@ def cmd_measure_check(args):
         what = f"uniform:{length}"
     negative = []  # paths an over-large perturbation leaves with negative mass
     if args.perturb is not None:
-        measure = perturb_fiber(measure, Fraction(args.perturb))
+        try:
+            eps = Fraction(args.perturb)
+        except ZeroDivisionError:
+            raise ValueError(f"--perturb {args.perturb}: zero denominator") from None
+        measure = perturb_fiber(measure, eps)
         what += f"+perturb:{args.perturb}"
         negative = sorted(path for path, p in measure.items() if p < 0)
     config = {"poset": _poset_flag(args), "measure": what}

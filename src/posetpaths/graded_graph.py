@@ -177,11 +177,10 @@ def path_of(numbering: tuple[int, ...], g: GradedGraph) -> list[LevelVertex]:
         raise ValueError(
             f"numbering of length {len(numbering)} exceeds graph depth {g.depth}"
         )
-    out = []
-    seen: list[int] = []
-    for x in numbering:
-        seen.append(x)
-        out.append(g.vertex_of(seen))
+    out, mask = [], 0
+    for level, x in enumerate(numbering):
+        mask |= g.window.poset.bit(x)
+        out.append(g.vertex(level, g._index[level][mask]))
     return out
 
 

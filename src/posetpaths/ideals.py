@@ -134,13 +134,10 @@ def check_downward_closed(spec: IdealSpec, window: PosetWindow) -> None:
                 f"{spec.name()} names ids outside {window.describe()} "
                 f"(0..{poset.n - 1}): {','.join(map(str, outside))}"
             )
-    inside = [ideal_member(spec, poset.element(x)) for x in range(poset.n)]
-    for x in range(poset.n):
-        if not inside[x]:
-            continue
-        for lo in poset.lower_covers(x):
-            if not inside[lo]:
-                raise ValueError(
-                    f"{spec.name()} is not downward closed on {window.describe()}: "
-                    f"{x} in, lower cover {lo} out"
-                )
+    inside = poset.mask_of(x for x in range(poset.n) if ideal_member(spec, poset.element(x)))
+    hit = poset.missing_cover(inside)
+    if hit is not None:
+        raise ValueError(
+            f"{spec.name()} is not downward closed on {window.describe()}: "
+            f"{hit[0]} in, lower cover {hit[1]} out"
+        )

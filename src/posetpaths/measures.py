@@ -270,23 +270,20 @@ def path_measure(m: ExplicitMarkov) -> dict[tuple[int, ...], Fraction]:
         counts = nxt
     if sum(counts.values()) > PATH_CAP:
         raise CapExceeded(f"more than {PATH_CAP} paths under {m.name()}")
-    # the walk multiplies integer numerators and denominators and makes
-    # one Fraction per path
+    # paths grow one level at a time (no recursion, so any depth), multiplying
+    # integer numerators and denominators; one Fraction per path at the end
     terms = {
         key: [(elem, j, p.numerator, p.denominator) for elem, j, p in row if p]
         for key, row in m.rows.items()
     }
-    out: dict[tuple[int, ...], Fraction] = {}
-
-    def walk(level, index, prefix, num, den):
-        if level == m.depth:
-            out[prefix] = Fraction(num, den)
-            return
-        for elem, j, p_num, p_den in terms.get((level, index), ()):
-            walk(level + 1, j, prefix + (elem,), num * p_num, den * p_den)
-
-    walk(0, 0, (ROOT,), 1, 1)
-    return out
+    paths = [((ROOT,), 0, 1, 1)]  # (prefix, index at its level, numerator, denominator)
+    for level in range(m.depth):
+        paths = [
+            (prefix + (elem,), j, num * p_num, den * p_den)
+            for prefix, index, num, den in paths
+            for elem, j, p_num, p_den in terms.get((level, index), ())
+        ]
+    return {prefix: Fraction(num, den) for prefix, _, num, den in paths}
 
 
 def uniform_path_measure(handle: GroupHandle) -> dict[tuple[int, ...], Fraction]:
@@ -298,9 +295,7 @@ def perturb_fiber(measure, eps=Fraction(1, 10)):
     """Move mass eps between the two lexicographically first paths of the
     first endpoint fiber holding at least two paths; breaks centrality by
     construction."""
-    by_fiber = endpoint_fibers(sorted(measure))
-    for fiber_key in sorted(by_fiber, key=lambda f: tuple(sorted(f))):
-        paths = by_fiber[fiber_key]
+    for paths in endpoint_fibers(sorted(measure)).values():
         if len(paths) >= 2:
             out = dict(measure)
             out[paths[0]] = out[paths[0]] + eps
@@ -365,15 +360,13 @@ def is_central(handle: GroupHandle, measure) -> CentralityReport:
             inv_witnesses = [(i, handle.paths[k]) for k, j in enumerate(gen) if weights[k] != weights[j]][:5]
             break
 
-    def value(k):
-        return Fraction(*weights[k])
+    def value(path):
+        return Fraction(*weights[handle.path_index[path]])
 
     fiber_witnesses = []
-    fibers = endpoint_fibers(handle.paths)
-    for fiber_key in sorted(fibers, key=lambda f: tuple(sorted(f))):
-        group = [handle.path_index[p] for p in fibers[fiber_key]]
-        if len({weights[k] for k in group}) > 1:
-            fiber_witnesses.append((handle.paths[min(group, key=value)], handle.paths[max(group, key=value)]))
+    for fiber in endpoint_fibers(handle.paths).values():
+        if len({weights[handle.path_index[p]] for p in fiber}) > 1:
+            fiber_witnesses.append((min(fiber, key=value), max(fiber, key=value)))
     return CentralityReport(
         n_paths=handle.n_paths,
         length=handle.length,

@@ -105,11 +105,6 @@ class Poset:
             raise PosetFormatError(
                 f"id 0 must be the unique minimal element, found minimal ids {minimal}"
             )
-        rank = [0] * n
-        for r, x in enumerate(order):
-            rank[x] = r
-        self._rank = tuple(rank)
-
         self._bit = tuple(1 << (n - 1 - x) for x in range(n))
         above = [0] * n
         for x in reversed(order):
@@ -118,10 +113,10 @@ class Poset:
                 reach |= above[y]
             above[x] = reach
         self._above = tuple(above)
+        self._below = tuple(self.mask_of(ids) for ids in lower)  # lower-cover masks
         # per element: (bit, lower-cover mask) of each upper cover
         self._grow = tuple(
-            tuple((self._bit[y], self.mask_of(lower[y])) for y in upper[x])
-            for x in range(n)
+            tuple((self._bit[y], self._below[y]) for y in upper[x]) for x in range(n)
         )
 
     def leq(self, x: int, y: int) -> bool:
@@ -141,6 +136,20 @@ class Poset:
     def lower_covers(self, x: int) -> tuple[int, ...]:
         return self._lower[x]
 
+    def missing_cover(self, mask: int, among: int | None = None) -> tuple[int, int] | None:
+        """(x, lo): the least member x of the set `mask`, or of its part `among`
+        if given, with a lower cover outside the set, and lo the least such
+        cover. None when there is none: a set is an ideal exactly then."""
+        outside = ~mask
+        rest = mask if among is None else among
+        while rest:  # highest bit first: ascending id
+            top = rest.bit_length()
+            rest ^= 1 << (top - 1)
+            gap = self._below[self.n - top] & outside
+            if gap:
+                return self.n - top, self.n - gap.bit_length()
+        return None
+
     def element(self, x: int) -> Element:
         return Element(x, self.coords[x])
 
@@ -152,6 +161,11 @@ class Poset:
                 if not self.leq(x, y) and not self.leq(y, x):
                     out.append((x, y))
         return out
+
+    def incomparable_count(self) -> int:
+        """len(incomparable_pairs()), read off the reachability bitsets: of
+        the n(n-1)/2 pairs, x lies strictly below |up-set of x| - 1 others."""
+        return self.n * (self.n - 1) // 2 - sum(up.bit_count() - 1 for up in self._above)
 
     def __eq__(self, other):
         return (
@@ -333,19 +347,20 @@ def addable_elements(poset: Poset, ideal) -> list[int]:
     """Ids outside the ideal whose lower covers all lie inside it, ascending.
 
     Adding any returned id keeps the set downward closed. The input must
-    itself be downward closed: its ids are added with `add_element` in
-    topological order, and one that is not addable when its turn comes
-    has a lower cover missing from the set, which raises ValueError.
+    itself be downward closed, or ValueError is raised.
     """
     members = set(ideal)
     if not all(0 <= x < poset.n for x in members):
         raise ValueError(f"ids outside 0..{poset.n - 1} in {sorted(members)}")
-    mask, addable = 0, poset.bit(ROOT)
-    for x in sorted(members, key=poset._rank.__getitem__):
-        if not addable & poset.bit(x):
-            raise ValueError("input set is not downward closed")
-        mask, addable = add_element(poset, mask, addable, x)
-    return [x for x in range(poset.n) if addable & poset.bit(x)]
+    mask = poset.mask_of(members)
+    if poset.missing_cover(mask) is not None:
+        raise ValueError("input set is not downward closed")
+    # x is addable when the set with x added is still downward closed
+    return [
+        x
+        for x, bit in enumerate(poset._bit)
+        if not mask & bit and poset.missing_cover(mask | bit, bit) is None
+    ]
 
 
 def validate_numbering(poset: Poset, seq) -> tuple[int, ...]:
@@ -358,17 +373,18 @@ def validate_numbering(poset: Poset, seq) -> tuple[int, ...]:
         raise ValueError(f"position 0 must be the root, got {elems[0]}")
     if len(set(elems)) != len(elems):
         raise ValueError("numbering must be injective")
-    seen = set()
+    prefix = 0
     for pos, x in enumerate(elems):
         if not (0 <= x < poset.n):
             raise ValueError(f"id {x} outside poset")
-        missing = [lo for lo in poset.lower_covers(x) if lo not in seen]
-        if missing:
+        prefix |= poset.bit(x)
+        # the prefix before x is an ideal, so only x can miss a lower cover
+        if poset.missing_cover(prefix, poset.bit(x)) is not None:
+            missing = [lo for lo in poset.lower_covers(x) if not prefix & poset.bit(lo)]
             raise ValueError(
                 f"prefix through position {pos} is not an ideal: "
                 f"{x} needs {missing} first"
             )
-        seen.add(x)
     return elems
 
 
@@ -380,11 +396,13 @@ def enumerate_numberings(
     `limit` caps the number of numberings produced; exceeding it raises
     CapExceeded.
 
-    A depth-first search over prefixes. Many prefixes reach the same
+    A depth-first search over prefixes on an explicit stack, so the length
+    is not bounded by the recursion limit. Many prefixes reach the same
     ideal, so each ideal's child row, (x, ideal + x, addable after) for
     every addable x in ascending order, is built once and kept by ideal
-    mask. The last position is filled for a whole row before the cap is
-    checked, so `out` holds at most `limit` plus one row.
+    mask; an ideal short of the whole poset has a nonempty row, so
+    `rows.get(ideal) or build(...)` builds each row once. The last two
+    positions are filled from those rows at once, then the cap is checked.
     """
     poset = window.poset
     if not (1 <= length <= poset.n):
@@ -394,33 +412,42 @@ def enumerate_numberings(
 
     # taking addable bits from the highest down adds ids in increasing
     # order, which makes the output lexicographic
-    def children(ideal, addable):
-        row = rows.get(ideal)
-        if row is None:
-            row = rows[ideal] = []
-            rest = addable
-            while rest:
-                top = rest.bit_length()
-                rest ^= 1 << (top - 1)
-                row.append((n - top, *add_element(poset, ideal, addable, n - top)))
+    def build(ideal, addable):
+        row = rows[ideal] = []
+        rest = addable
+        while rest:
+            top = rest.bit_length()
+            rest ^= 1 << (top - 1)
+            row.append((n - top, *add_element(poset, ideal, addable, n - top)))
         return row
 
     out: list[tuple[int, ...]] = []
-    prefix = [ROOT] * length  # positions below `depth` hold the numbering so far
-
-    def extend(depth, ideal, addable):
-        row = children(ideal, addable)
-        if depth < length - 1:
-            for x, child, grown in row:
-                prefix[depth] = x
-                extend(depth + 1, child, grown)
-            return
-        for x, _, _ in row:
+    prefix = [ROOT] * length  # positions up to the current depth hold the numbering so far
+    last = length - 1
+    # the unread rest of the child row at each depth of the current branch,
+    # from the empty set's row (the root) down to depth last - 2
+    stack = [iter(build(0, poset.bit(ROOT)))]
+    while stack:
+        depth = len(stack) - 1
+        for x, child, grown in stack[-1]:
             prefix[depth] = x
-            out.append(tuple(prefix))
-        if limit is not None and len(out) > limit:
-            raise CapExceeded(f"more than {limit} numberings")
-
-    # the empty set's one child is the root, at position 0
-    extend(0, 0, poset.bit(ROOT))
+            if depth < last - 2:
+                stack.append(iter(rows.get(child) or build(child, grown)))
+                break
+            if depth == last:  # length 1: the root alone
+                out.append(tuple(prefix))
+            elif depth == last - 1:  # length 2
+                for z, _, _ in rows.get(child) or build(child, grown):
+                    prefix[last] = z
+                    out.append(tuple(prefix))
+            else:
+                for y, child, grown in rows.get(child) or build(child, grown):
+                    prefix[last - 1] = y
+                    for z, _, _ in rows.get(child) or build(child, grown):
+                        prefix[last] = z
+                        out.append(tuple(prefix))
+            if limit is not None and len(out) > limit:
+                raise CapExceeded(f"more than {limit} numberings")
+        else:
+            stack.pop()
     return out

@@ -18,6 +18,7 @@ are composed by `operator.itemgetter`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import lcm
 from operator import itemgetter
 
@@ -60,11 +61,9 @@ def apply_sigma(poset: Poset, i: int, phi: tuple[int, ...]) -> tuple[int, ...]:
     return phi[:i] + (b, a) + phi[i + 2:]
 
 
-def orbit(phi: tuple[int, ...], window: PosetWindow, length: int | None = None) -> list[tuple[int, ...]]:
+def orbit(phi: tuple[int, ...], window: PosetWindow) -> list[tuple[int, ...]]:
     """Closure of {phi} under every applicable involution, sorted."""
     poset = window.poset
-    if length is not None and len(phi) != length:
-        raise ValueError(f"numbering has length {len(phi)}, expected {length}")
     seen = {phi}
     frontier = [phi]
     while frontier:
@@ -307,49 +306,27 @@ class RelationReport:
         )
 
 
-def _first_moved(p, q) -> int:
-    for x, (a, b) in enumerate(zip(p, q)):
-        if a != b:
-            return x
-    return -1
+# the relation (sigma_i sigma_j)^m = 1 by its exponent m(i, j), i <= j
+_RELATION_NAMES = {1: "sigma^2", 6: "(sigma_i sigma_{i+1})^6", 2: "(sigma_i sigma_j)^2"}
 
 
 def verify_relations(handle: GroupHandle) -> RelationReport:
-    """Check, as exact permutation identities, that every generator squares
-    to the identity, distant generators commute, and adjacent products
-    have order dividing 6."""
-    gens = dict(zip(handle.sigma_indices, handle.generators))
+    """Check, as exact permutation identities, the Coxeter-matrix relations
+    (sigma_i sigma_j)^m(i, j) = 1 for every pair i <= j: m = 1 for i = j
+    (each generator is an involution), 6 for adjacent indices and 2 for
+    distant ones (they commute). A violation's witness is the least path
+    the power moves."""
     ident = identity_perm(handle.n_paths)
-    inv, comm, braid = [], [], []
-    for i, g in gens.items():
-        sq = compose(g, g)
-        if sq != ident:
-            inv.append(RelationViolation("sigma^2", i, i, _first_moved(sq, ident)))
-    idxs = list(gens)
-    for a in idxs:
-        for b in idxs:
-            if b <= a + 1:
-                continue
-            pq = compose(gens[a], gens[b])
-            sq = compose(pq, pq)
-            if sq != ident:
-                comm.append(RelationViolation("(sigma_i sigma_j)^2", a, b, _first_moved(sq, ident)))
-    for i in idxs:
-        if i + 1 not in gens:
-            continue
-        pq = compose(gens[i], gens[i + 1])
-        sixth = ident
-        for _ in range(6):
-            sixth = compose(pq, sixth)
-        if sixth != ident:
-            braid.append(RelationViolation("(sigma_i sigma_{i+1})^6", i, i + 1, _first_moved(sixth, ident)))
-    return RelationReport(
-        length=handle.length,
-        n_paths=handle.n_paths,
-        involution_violations=inv,
-        commuting_violations=comm,
-        braid_violations=braid,
-    )
+    found: dict[int, list[RelationViolation]] = {m: [] for m in _RELATION_NAMES}
+    gens = list(zip(handle.sigma_indices, handle.generators))
+    for a, (i, g) in enumerate(gens):
+        for j, h in gens[a:]:
+            m = 1 if j == i else 6 if j == i + 1 else 2
+            power = reduce(compose, [compose(g, h)] * m)
+            if power != ident:
+                moved = next(k for k, x in enumerate(power) if x != k)
+                found[m].append(RelationViolation(_RELATION_NAMES[m], i, j, moved))
+    return RelationReport(handle.length, handle.n_paths, found[1], found[2], found[6])
 
 
 @dataclass
@@ -433,8 +410,10 @@ def local_indices(handle: GroupHandle) -> list[int]:
 
 
 def endpoint_fibers(paths) -> dict[frozenset[int], list[tuple[int, ...]]]:
-    """Group numberings by the set of visited elements."""
+    """Group numberings by the set of visited elements. Fibers come in the
+    lexicographic order of their sorted endpoint sets; each lists its
+    paths in their order in `paths`."""
     out: dict[frozenset[int], list[tuple[int, ...]]] = {}
     for p in paths:
         out.setdefault(frozenset(p), []).append(p)
-    return out
+    return dict(sorted(out.items(), key=lambda item: sorted(item[0])))

@@ -167,6 +167,32 @@ def left_closure(generators, cap=None):
     return len(elements), diameter
 
 
+def relation_violations(sigma_indices, generators):
+    """The failed generator relations as (involution, commuting, braid)
+    lists of (i, j, witness), pairs in increasing (i, j) order. With
+    p(k) = g_i(g_j(k)), every point k must come back to itself after p is
+    applied once when i = j, six times when j = i + 1 and twice otherwise;
+    the witness is the least point that does not."""
+    gens = dict(zip(sigma_indices, generators))
+    found = ([], [], [])
+    for i, j in itertools.combinations_with_replacement(sorted(gens), 2):
+        if i == j:
+            kind, times = 0, 1
+        elif j == i + 1:
+            kind, times = 2, 6
+        else:
+            kind, times = 1, 2
+        a, b = gens[i], gens[j]
+        for k in range(len(a)):
+            x = k
+            for _ in range(times):
+                x = a[b[x]]
+            if x != k:
+                found[kind].append((i, j, k))
+                break
+    return found
+
+
 def central_witnesses(poset, measure, length):
     """Per-path centrality witnesses of an exact measure on numbering tuples.
 

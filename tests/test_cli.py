@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from posetpaths import (
@@ -7,7 +9,9 @@ from posetpaths import (
     build_box_poset,
     build_chain_poset,
     build_young_poset,
+    generate_group,
 )
+from posetpaths import cli
 from posetpaths.cli import main
 
 from oracles import brute_numberings
@@ -203,6 +207,74 @@ def test_group_hook_note_reports_orders(capsys):
     assert code == 0
     assert "order: cap-exceeded (1000)" in out
     assert "hook_note: cells=11 order=cap-exceeded factorial(cells)=39916800 factorial(cells-1)=3628800" in out
+
+
+def test_poset_counts_incomparable_pairs_of_a_large_box(capsys):
+    # box 15,15,15: C(3375, 2) pairs, of which 120^3 - 3375 are strictly comparable
+    code, out, _ = run(capsys, "poset", "--box", "15,15,15")
+    assert code == 0
+    assert "incomparable_pairs: 3969000\n" in out
+
+
+def _broken_group(window, length):
+    """The handle of `window` at `length` (antichain 4 at 5: 24 paths) with
+    sigma_1 replaced by sigma_2 and sigma_2 by a 5-cycle on paths 3..7."""
+    handle = generate_group(window, length)
+    cycle = list(range(handle.n_paths))
+    for a in range(5):
+        cycle[3 + a] = 3 + (a + 1) % 5
+    sigma_1, sigma_2, sigma_3 = handle.generators
+    return dataclasses.replace(handle, generators=(sigma_2, tuple(cycle), sigma_3))
+
+
+def test_group_reports_broken_relations(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "generate_group", lambda window, length, path_cap: _broken_group(window, length))
+    code, out, err = run(capsys, "group", "--antichain", "4", "--group-cap", "1000")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-7:] == [
+        "generators: 3",
+        "order: cap-exceeded (1000)",
+        "relations: VIOLATED",
+        "  violation sigma^2 i=2 j=2 witness_path=3",
+        "  violation (sigma_i sigma_j)^2 i=1 j=3 witness_path=0",
+        "  violation (sigma_i sigma_{i+1})^6 i=1 j=2 witness_path=5",
+        "  violation (sigma_i sigma_{i+1})^6 i=2 j=3 witness_path=2",
+    ]
+    code, out, err = run(capsys, "group", "--antichain", "4", "--group-cap", "1000", "--format", "csv")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-10:] == [
+        "paths,,,24,",
+        "generators,,,3,",
+        "order,,,cap-exceeded:1000,",
+        "relation_involution,,,fail,",
+        "relation_commuting,,,fail,",
+        "relation_braid6,,,fail,",
+        "violation,2,2,sigma^2,3",
+        "violation,1,3,(sigma_i sigma_j)^2,0",
+        "violation,1,2,(sigma_i sigma_{i+1})^6,5",
+        "violation,2,3,(sigma_i sigma_{i+1})^6,2",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv,code,line",
+    [
+        (("paths", "--chain", "1500"), 0, "paths: 1"),
+        (("measure", "check", "--chain", "1500"), 0, "central: yes"),
+        (("measure", "check", "--endpoint", "1400:0", "--chain", "1500"), 0, "central: yes"),
+        (("paths", "--antichain", "1200", "--path-cap", "10"), 3, "error: more than 10 numberings"),
+    ],
+)
+def test_windows_deeper_than_the_recursion_limit(argv, code, line, capsys):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert line in (out if code == 0 else err).splitlines()
+
+
+def test_measure_check_zero_denominator_perturbation_exits_2(capsys):
+    code, out, err = run(capsys, "measure", "check", "--young", "2,1", "--perturb", "1/0")
+    assert (code, out) == (2, "")
+    assert err == "error: --perturb 1/0: zero denominator\n"
 
 
 def test_measure_check_endpoint_central(capsys):

@@ -202,6 +202,13 @@ def test_path_numbering_round_trip():
         assert numbering_of(chain, g) == phi
 
 
+def test_path_of_is_the_chain_of_prefix_ideals():
+    for w in CORPUS:
+        g = build_graph(w, w.poset.n - 1)
+        for phi in enumerate_numberings(w, w.poset.n):
+            assert path_of(phi, g) == [g.vertex_of(phi[: k + 1]) for k in range(len(phi))]
+
+
 def test_path_of_young_21_example():
     w = build_young_poset([2, 1])
     g = build_graph(w, 3)

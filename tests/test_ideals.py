@@ -14,6 +14,7 @@ from posetpaths import (
     finite_set_ideal,
     ideal_member,
     parse_ideal,
+    parse_poset,
 )
 
 
@@ -117,3 +118,20 @@ def test_downward_closure_of_hooks_everywhere_in_window():
     for k in range(3):
         for l in range(3):
             check_downward_closed(HookIdeal(k, l), box)
+
+
+def test_downward_closure_errors_name_the_least_member_and_cover():
+    young = build_young_poset([3, 2])  # row-major: 1 2 3 / 4 5
+    # a coordinate ideal of a file window whose ids do not follow the order:
+    # 2 at (1,2) lies in the first row, its lower cover 1 at (5,5) does not
+    chain = parse_poset("el 0 1 1\nel 1 5 5\nel 2 1 2\ncov 0 1\ncov 1 2")
+    cases = [
+        (finite_set_ideal([2]), young, "set:2 is not downward closed on young[3,2]: 2 in, lower cover 1 out"),
+        (finite_set_ideal([1, 3, 5]), young, "set:1,3,5 is not downward closed on young[3,2]: 3 in, lower cover 2 out"),
+        (finite_set_ideal([1, 5]), young, "set:1,5 is not downward closed on young[3,2]: 5 in, lower cover 2 out"),
+        (HookIdeal(1, 0), chain, "hook:1,0 is not downward closed on file: 2 in, lower cover 1 out"),
+    ]
+    for spec, window, text in cases:
+        with pytest.raises(ValueError) as info:
+            check_downward_closed(spec, window)
+        assert str(info.value) == text

@@ -27,6 +27,7 @@ from posetpaths import (
     growth_to_numbering,
     is_central,
     parse_ideal,
+    parse_poset,
     parse_markov_kernel,
     path_measure,
     perturb_fiber,
@@ -240,6 +241,31 @@ def test_law_broken_only_by_the_last_generator():
         (3, (0, 1, 3, 4, 2)),
         (3, (0, 1, 4, 2, 3)),
     ]
+
+
+def test_fiber_checks_follow_the_sorted_endpoint_order():
+    # two chains 0 < 3 < 2 and 0 < 4 < 1 at length 4: the fiber ending in
+    # {0, 1, 3, 4} sorts first, although the first numbering, (0, 3, 2, 4),
+    # ends in {0, 2, 3, 4}
+    w = parse_poset("el 0\nel 1\nel 2\nel 3\nel 4\ncov 0 3\ncov 0 4\ncov 3 2\ncov 4 1")
+    handle = generate_group(w, 4)
+    assert handle.paths[0] == (0, 3, 2, 4)
+    uniform = uniform_path_measure(handle)
+    moved = perturb_fiber(uniform, Fraction(1, 12))
+    assert {p for p in uniform if moved[p] != uniform[p]} == {(0, 3, 4, 1), (0, 4, 1, 3)}
+    assert moved[(0, 3, 4, 1)] == uniform[(0, 3, 4, 1)] + Fraction(1, 12)
+    # weights 1..6 in path order are uneven on both fibers
+    law = {p: Fraction(k + 1, 21) for k, p in enumerate(handle.paths)}
+    report = is_central(handle, law)
+    assert report.fiber_witnesses == [((0, 3, 4, 1), (0, 4, 3, 1)), ((0, 3, 2, 4), (0, 4, 3, 2))]
+    assert (report.invariance_witnesses, report.fiber_witnesses) == central_witnesses(w.poset, law, 4)
+
+
+def test_exact_law_of_a_deep_window():
+    # one path of 1400 steps: the walk is as deep as the window
+    g = build_graph(build_chain_poset(1500), 1400)
+    law = path_measure(endpoint_measure(g, g.vertex(1400, 0)))
+    assert law == {tuple(range(1401)): 1}
 
 
 def test_markov_row_validation():

@@ -192,6 +192,58 @@ def test_leq_and_incomparable_pairs_match_cover_closure():
         assert p.incomparable_pairs() == expected, w.describe()
 
 
+def test_incomparable_count_matches_the_pair_list():
+    unordered = parse_poset("el 0\nel 1\nel 2\nel 3\nel 4\ncov 0 3\ncov 0 4\ncov 3 2\ncov 4 1")
+    for w in CORPUS + WINDOWS_64 + [unordered]:
+        assert w.poset.incomparable_count() == len(w.poset.incomparable_pairs()), w.describe()
+
+
+def test_missing_cover_agrees_with_the_ideal_oracle_on_random_subsets():
+    rng = random.Random(13)
+    for w in CORPUS + WINDOWS_64:
+        p = w.poset
+        leq = order_pairs(p)
+        lower = {x: sorted(lo for lo, hi in p.covers if hi == x) for x in range(p.n)}
+        for trial in range(60):
+            ids = {x for x in range(p.n) if rng.random() < 0.5}
+            if trial % 2:  # its down-set, an ideal
+                ids = {y for x in ids for y in range(p.n) if (y, x) in leq}
+            mask = p.mask_of(ids)
+            expected = next(((x, lo) for x in sorted(ids) for lo in lower[x] if lo not in ids), None)
+            assert p.missing_cover(mask) == expected, (w.describe(), ids)
+            assert (expected is None) == is_ideal(p, ids)
+            part = {x for x in ids if rng.random() < 0.5}  # `among` limits the search to these
+            expected = next(((x, lo) for x in sorted(part) for lo in lower[x] if lo not in ids), None)
+            assert p.missing_cover(mask, p.mask_of(part)) == expected, (w.describe(), ids, part)
+
+
+def test_closure_errors_keep_their_texts():
+    young = build_young_poset([2, 1]).poset  # 1 = (1,1) below 2 = (1,2) and 3 = (2,1)
+    box = build_box_poset(2, (2, 2)).poset  # 3 = (2,2) covers 1 = (1,2) and 2 = (2,1)
+    cases = [
+        (addable_elements, young, {0, 2}, "input set is not downward closed"),
+        (addable_elements, young, {2}, "input set is not downward closed"),
+        (addable_elements, young, {0, 4}, "ids outside 0..3 in [0, 4]"),
+        (validate_numbering, young, (), "numbering must contain at least the root"),
+        (validate_numbering, young, (1, 0), "position 0 must be the root, got 1"),
+        (validate_numbering, young, (0, 1, 1), "numbering must be injective"),
+        (validate_numbering, young, (0, 9, 2), "id 9 outside poset"),
+        (validate_numbering, young, (0, 2, 9), "prefix through position 1 is not an ideal: 2 needs [1] first"),
+        (validate_numbering, box, (0, 1, 3, 2), "prefix through position 2 is not an ideal: 3 needs [2] first"),
+        (validate_numbering, box, (0, 3, 1, 2), "prefix through position 1 is not an ideal: 3 needs [1, 2] first"),
+    ]
+    for check, poset, arg, text in cases:
+        with pytest.raises(ValueError) as info:
+            check(poset, arg)
+        assert str(info.value) == text, (check.__name__, arg)
+
+
+def test_enumeration_is_not_bounded_by_the_recursion_limit():
+    assert enumerate_numberings(build_chain_poset(1500), 1500) == [tuple(range(1500))]
+    with pytest.raises(CapExceeded, match="more than 3 numberings"):
+        enumerate_numberings(build_antichain_poset(1100), 1101, limit=3)
+
+
 def test_leq_on_file_poset_with_unordered_ids():
     # ids need not follow the order: 3 < 1 < 2 here
     w = parse_poset("el 0\nel 1\nel 2\nel 3\ncov 0 3\ncov 3 1\ncov 1 2\n")

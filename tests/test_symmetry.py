@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -26,7 +27,14 @@ from posetpaths import (
 from posetpaths import symmetry
 from posetpaths.symmetry import ALLOWED_ORBIT_TAGS, closure, compose, perm_order
 
-from oracles import brute_numberings, brute_orbit, brute_symmetry_group_order, left_closure, sigma_map
+from oracles import (
+    brute_numberings,
+    brute_orbit,
+    brute_symmetry_group_order,
+    left_closure,
+    relation_violations,
+    sigma_map,
+)
 
 CORPUS = [
     build_young_poset([2, 1]),
@@ -516,3 +524,83 @@ def test_compose_on_small_permutations():
     for p in itertools.permutations(range(4)):
         for q in itertools.permutations(range(4)):
             assert compose(p, q) == tuple(p[x] for x in q)
+
+
+def _violations(report):
+    return tuple(
+        [(v.i, v.j, v.witness_path) for v in found]
+        for found in (report.involution_violations, report.commuting_violations, report.braid_violations)
+    )
+
+
+def test_relation_report_names_each_broken_relation():
+    # antichain 4 at length 5 (24 paths) with sigma_1 replaced by sigma_2
+    # and sigma_2 by a 5-cycle on paths 3..7
+    handle = generate_group(build_antichain_poset(4), 5)
+    cycle = list(range(handle.n_paths))
+    for a in range(5):
+        cycle[3 + a] = 3 + (a + 1) % 5
+    sigma_1, sigma_2, sigma_3 = handle.generators
+    broken = dataclasses.replace(handle, generators=(sigma_2, tuple(cycle), sigma_3))
+    report = verify_relations(broken)
+    assert not report.ok
+    assert [(v.relation, v.i, v.j, v.witness_path) for v in report.involution_violations] == [("sigma^2", 2, 2, 3)]
+    assert [(v.relation, v.i, v.j, v.witness_path) for v in report.commuting_violations] == [
+        ("(sigma_i sigma_j)^2", 1, 3, 0)
+    ]
+    assert [(v.relation, v.i, v.j, v.witness_path) for v in report.braid_violations] == [
+        ("(sigma_i sigma_{i+1})^6", 1, 2, 5),
+        ("(sigma_i sigma_{i+1})^6", 2, 3, 2),
+    ]
+    # exchanging two involutions breaks only the commuting relation of the
+    # pair that becomes adjacent
+    swapped = verify_relations(dataclasses.replace(handle, generators=(sigma_2, sigma_1, sigma_3)))
+    assert _violations(swapped) == ([], [(1, 3, 0)], [])
+    assert (swapped.length, swapped.n_paths) == (5, 24)
+
+
+def test_relation_report_on_broken_generators_matches_oracle():
+    rng = random.Random(31)
+    windows = [w for w in CORPUS if w.family != "chain"] + [build_antichain_poset(5)]
+    filled = [0, 0, 0]
+    for _ in range(80):
+        w = rng.choice(windows)
+        handle = generate_group(w, rng.randint(3, w.poset.n))
+        gens = list(handle.generators)
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(gens))
+            kind = rng.randrange(3)
+            if kind == 0:  # any permutation
+                perm = list(range(handle.n_paths))
+                rng.shuffle(perm)
+            elif kind == 1:  # another generator
+                perm = gens[rng.randrange(len(gens))]
+            else:  # one transposition composed in
+                perm = list(gens[k])
+                a, b = rng.sample(range(handle.n_paths), 2)
+                perm[a], perm[b] = perm[b], perm[a]
+            gens[k] = tuple(perm)
+        broken = dataclasses.replace(handle, generators=tuple(gens))
+        report = verify_relations(broken)
+        expected = relation_violations(broken.sigma_indices, broken.generators)
+        assert _violations(report) == expected, (w.describe(), handle.length)
+        assert report.ok == (expected == ([], [], []))
+        assert {v.relation for v in report.involution_violations} <= {"sigma^2"}
+        assert {v.relation for v in report.commuting_violations} <= {"(sigma_i sigma_j)^2"}
+        assert {v.relation for v in report.braid_violations} <= {"(sigma_i sigma_{i+1})^6"}
+        filled = [f + bool(found) for f, found in zip(filled, expected)]
+    assert min(filled) >= 5, filled  # every list is exercised
+
+
+def test_endpoint_fibers_in_lexicographic_order_of_sorted_endpoints():
+    # two chains 0 < 3 < 2 and 0 < 4 < 1: the lexicographically first
+    # numbering, (0, 3, 2, 4), ends in {0, 2, 3, 4}, which sorts after {0, 1, 3, 4}
+    w = parse_poset("el 0\nel 1\nel 2\nel 3\nel 4\ncov 0 3\ncov 0 4\ncov 3 2\ncov 4 1")
+    paths = enumerate_numberings(w, 4)
+    assert paths[0] == (0, 3, 2, 4)
+    fibers = endpoint_fibers(paths)
+    assert list(fibers) == [frozenset({0, 1, 3, 4}), frozenset({0, 2, 3, 4})]
+    assert fibers[frozenset({0, 1, 3, 4})] == [(0, 3, 4, 1), (0, 4, 1, 3), (0, 4, 3, 1)]
+    for length in range(1, w.poset.n + 1):
+        keys = [sorted(f) for f in endpoint_fibers(enumerate_numberings(w, length))]
+        assert keys == sorted(keys)
