@@ -401,12 +401,17 @@ def enumerate_numberings(
     ideal, so each ideal's child row, (x, ideal + x, addable after) for
     every addable x in ascending order, is built once and kept by ideal
     mask; an ideal short of the whole poset has a nonempty row, so
-    `rows.get(ideal) or build(...)` builds each row once. The last two
-    positions are filled from those rows at once, then the cap is checked.
+    `rows.get(ideal) or build(...)` builds each row once. The last
+    position is filled for a whole row before the cap is checked, so
+    `out` holds at most `limit` plus one row.
     """
     poset = window.poset
     if not (1 <= length <= poset.n):
         raise ValueError(f"length must be in 1..{poset.n}, got {length}")
+    if length == 1:  # the empty set's one child, the root, alone
+        if limit is not None and limit < 1:
+            raise CapExceeded(f"more than {limit} numberings")
+        return [(ROOT,)]
     n = poset.n
     rows: dict[int, list[tuple[int, int, int]]] = {}
 
@@ -425,29 +430,23 @@ def enumerate_numberings(
     prefix = [ROOT] * length  # positions up to the current depth hold the numbering so far
     last = length - 1
     # the unread rest of the child row at each depth of the current branch,
-    # from the empty set's row (the root) down to depth last - 2
+    # from the empty set's row (the root) down to depth last - 1
     stack = [iter(build(0, poset.bit(ROOT)))]
     while stack:
         depth = len(stack) - 1
-        for x, child, grown in stack[-1]:
-            prefix[depth] = x
-            if depth < last - 2:
+        if depth < last - 1:
+            for x, child, grown in stack[-1]:
+                prefix[depth] = x
                 stack.append(iter(rows.get(child) or build(child, grown)))
                 break
-            if depth == last:  # length 1: the root alone
-                out.append(tuple(prefix))
-            elif depth == last - 1:  # length 2
-                for z, _, _ in rows.get(child) or build(child, grown):
-                    prefix[last] = z
-                    out.append(tuple(prefix))
             else:
-                for y, child, grown in rows.get(child) or build(child, grown):
-                    prefix[last - 1] = y
-                    for z, _, _ in rows.get(child) or build(child, grown):
-                        prefix[last] = z
-                        out.append(tuple(prefix))
+                stack.pop()
+            continue
+        for x, child, grown in stack.pop():
+            prefix[depth] = x
+            for z, _, _ in rows.get(child) or build(child, grown):
+                prefix[last] = z
+                out.append(tuple(prefix))
             if limit is not None and len(out) > limit:
                 raise CapExceeded(f"more than {limit} numberings")
-        else:
-            stack.pop()
     return out

@@ -7,6 +7,7 @@ no code with the implementations under test.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from fractions import Fraction
@@ -191,6 +192,17 @@ def relation_violations(sigma_indices, generators):
                 found[kind].append((i, j, k))
                 break
     return found
+
+
+def broken_handle(handle):
+    """A group handle with three generators (antichain 4 at length 5: 24
+    paths) with sigma_1 replaced by sigma_2 and sigma_2 by a 5-cycle on
+    paths 3..7, so each of the three relation kinds fails."""
+    cycle = list(range(handle.n_paths))
+    for a in range(5):
+        cycle[3 + a] = 3 + (a + 1) % 5
+    sigma_1, sigma_2, sigma_3 = handle.generators
+    return dataclasses.replace(handle, generators=(sigma_2, tuple(cycle), sigma_3))
 
 
 def central_witnesses(poset, measure, length):

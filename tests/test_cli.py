@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from posetpaths import (
@@ -14,7 +12,7 @@ from posetpaths import (
 from posetpaths import cli
 from posetpaths.cli import main
 
-from oracles import brute_numberings
+from oracles import broken_handle, brute_numberings
 
 CORPUS = [
     (("--young", "2,1"), build_young_poset([2, 1])),
@@ -216,19 +214,8 @@ def test_poset_counts_incomparable_pairs_of_a_large_box(capsys):
     assert "incomparable_pairs: 3969000\n" in out
 
 
-def _broken_group(window, length):
-    """The handle of `window` at `length` (antichain 4 at 5: 24 paths) with
-    sigma_1 replaced by sigma_2 and sigma_2 by a 5-cycle on paths 3..7."""
-    handle = generate_group(window, length)
-    cycle = list(range(handle.n_paths))
-    for a in range(5):
-        cycle[3 + a] = 3 + (a + 1) % 5
-    sigma_1, sigma_2, sigma_3 = handle.generators
-    return dataclasses.replace(handle, generators=(sigma_2, tuple(cycle), sigma_3))
-
-
 def test_group_reports_broken_relations(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "generate_group", lambda window, length, path_cap: _broken_group(window, length))
+    monkeypatch.setattr(cli, "generate_group", lambda window, length, path_cap: broken_handle(generate_group(window, length)))
     code, out, err = run(capsys, "group", "--antichain", "4", "--group-cap", "1000")
     assert (code, err) == (1, "")
     assert out.splitlines()[-7:] == [

@@ -18,6 +18,7 @@ from posetpaths import (
     serialize_poset,
     validate_numbering,
 )
+from posetpaths import posets
 
 from oracles import bitmask_extension_count, brute_numberings, ideal_levels, is_ideal, order_pairs
 
@@ -242,6 +243,23 @@ def test_enumeration_is_not_bounded_by_the_recursion_limit():
     assert enumerate_numberings(build_chain_poset(1500), 1500) == [tuple(range(1500))]
     with pytest.raises(CapExceeded, match="more than 3 numberings"):
         enumerate_numberings(build_antichain_poset(1100), 1101, limit=3)
+
+
+def test_enumeration_cap_fires_after_one_last_position_row(monkeypatch):
+    # antichain 2000 at length 3: the root's row (2,000 entries) and the
+    # first last-position row (1,999) are built, then the cap fires; nothing
+    # may build the other 1,999 rows of the last two levels first
+    calls = [0]
+    add_element = posets.add_element
+
+    def counted(*args):
+        calls[0] += 1
+        return add_element(*args)
+
+    monkeypatch.setattr(posets, "add_element", counted)
+    with pytest.raises(CapExceeded, match="more than 10 numberings"):
+        enumerate_numberings(build_antichain_poset(2000), 3, limit=10)
+    assert calls[0] <= 1 + 2000 + 1999
 
 
 def test_leq_on_file_poset_with_unordered_ids():

@@ -28,6 +28,7 @@ from posetpaths import symmetry
 from posetpaths.symmetry import ALLOWED_ORBIT_TAGS, closure, compose, perm_order
 
 from oracles import (
+    broken_handle,
     brute_numberings,
     brute_orbit,
     brute_symmetry_group_order,
@@ -534,15 +535,8 @@ def _violations(report):
 
 
 def test_relation_report_names_each_broken_relation():
-    # antichain 4 at length 5 (24 paths) with sigma_1 replaced by sigma_2
-    # and sigma_2 by a 5-cycle on paths 3..7
     handle = generate_group(build_antichain_poset(4), 5)
-    cycle = list(range(handle.n_paths))
-    for a in range(5):
-        cycle[3 + a] = 3 + (a + 1) % 5
-    sigma_1, sigma_2, sigma_3 = handle.generators
-    broken = dataclasses.replace(handle, generators=(sigma_2, tuple(cycle), sigma_3))
-    report = verify_relations(broken)
+    report = verify_relations(broken_handle(handle))
     assert not report.ok
     assert [(v.relation, v.i, v.j, v.witness_path) for v in report.involution_violations] == [("sigma^2", 2, 2, 3)]
     assert [(v.relation, v.i, v.j, v.witness_path) for v in report.commuting_violations] == [
@@ -554,6 +548,7 @@ def test_relation_report_names_each_broken_relation():
     ]
     # exchanging two involutions breaks only the commuting relation of the
     # pair that becomes adjacent
+    sigma_1, sigma_2, sigma_3 = handle.generators
     swapped = verify_relations(dataclasses.replace(handle, generators=(sigma_2, sigma_1, sigma_3)))
     assert _violations(swapped) == ([], [(1, 3, 0)], [])
     assert (swapped.length, swapped.n_paths) == (5, 24)
