@@ -206,7 +206,7 @@ def cmd_group(args):
         + report.braid_violations
     )
     if args.format == "csv":
-        order_text = stats.order if stats.order is not None else f"cap-exceeded:{stats.cap}"
+        order_text = stats.order if stats.order is not None else f"cap-exceeded:{args.group_cap}"
         lines = [
             "row,i,j,value,witness",
             f"paths,,,{handle.n_paths},",
@@ -225,7 +225,7 @@ def cmd_group(args):
         if stats.order is not None:
             lines.append(f"order: {stats.order} (diameter {stats.diameter})")
         else:
-            lines.append(f"order: cap-exceeded ({stats.cap})")
+            lines.append(f"order: cap-exceeded ({args.group_cap})")
         lines.append(f"relations: {'all hold' if report.ok else 'VIOLATED'}")
         for v in violations:
             lines.append(f"  violation {v.relation} i={v.i} j={v.j} witness_path={v.witness_path}")
@@ -291,13 +291,16 @@ def _parse_sampler(text: str, args, source):
 
 def _parse_ideals(texts, specs):
     """The `--ideal` specs; a `set:` ideal must be an ideal of every window
-    sampler's window, checked before any sampling."""
+    sampler's window, and no growth sampler takes one, checked before any
+    sampling."""
     ideals = [parse_ideal(t) for t in texts]
     for spec in specs:
         if isinstance(spec, ExplicitMarkov):
             for ideal in ideals:
                 if isinstance(ideal, FiniteSetIdeal):
                     check_downward_closed(ideal, spec.graph.window)
+    if any(isinstance(i, FiniteSetIdeal) for i in ideals) and not all(isinstance(s, ExplicitMarkov) for s in specs):
+        raise ValueError("finite-set ideals are window-bound; growth samplers have no ids")
     return ideals
 
 

@@ -8,9 +8,9 @@ centrality is an exact symmetry, and a tolerance would mask bugs.
 `is_central` reads that symmetry off a `symmetry.GroupHandle` the
 caller builds once with `generate_group`. Floating point enters only
 inside Monte Carlo sampling. Both Young growth samplers run on row
-insertion: Plancherel growth inserts i.i.d. uniform letters, the Thoma
-samplers letters drawn from alpha. RSK growth runs on per-row letter
-counts (`young.row_insert_counts`), Plancherel growth on `row_insert`.
+insertion and keep only the cells: Plancherel growth inserts i.i.d.
+uniform letters on `row_insert`, the Thoma samplers letters drawn from
+alpha (`thoma_word`) on per-row letter counts (`row_insert_counts`).
 
 Replica k of a Monte Carlo run is seeded with seed + k; sampler s of a
 comparison run gets base seed seed + s * 1_000_003. Identical seeds give
@@ -31,7 +31,6 @@ from numbers import Rational
 
 from .graded_graph import GradedGraph, LevelVertex, dimension, up_dimension_table
 from .ideals import (
-    FiniteSetIdeal,
     IdealSpec,
     ideal_member,
     member_coords,
@@ -67,8 +66,6 @@ class _YoungGrowth:
         prefix no longer than the one in the row above, and no row below
         a row whose first cell is outside it; bisection finds each prefix.
         """
-        if isinstance(ideal, FiniteSetIdeal):
-            raise ValueError("finite-set ideals are window-bound; growth samplers have no ids")
         total = 0
         prefix = path.n_steps
         for r, length in enumerate(path.shape(), start=1):
@@ -130,9 +127,9 @@ class ExplicitMarkov:
     """Per-vertex transition rows over the up-edges of a graded graph.
 
     Rows map (level, index) to tuples (added element, target index,
-    probability). Probabilities are exact rationals (ints or Fractions),
-    non-negative, and each row sums to exactly one; a float raises
-    ValueError.
+    probability). A row lists each element at most once; probabilities
+    are exact rationals (ints or Fractions), non-negative, and each row
+    sums to exactly one; a float raises ValueError.
     """
 
     has_ties = False
@@ -143,6 +140,8 @@ class ExplicitMarkov:
         self._name = name
         self.depth = depth if depth is not None else graph.depth
         for key, row in self.rows.items():
+            if len({elem for elem, _, _ in row}) < len(row):
+                raise ValueError(f"row {key} lists an element twice")
             if not all(isinstance(p, Rational) for _, _, p in row):
                 raise ValueError(f"row {key} has a probability that is not an exact rational")
             total = sum(p for _, _, p in row)
@@ -182,7 +181,7 @@ def parse_markov_kernel(graph: GradedGraph, text: str, name: str = "markov:file"
 
     Probabilities are exact rationals (`1/3`) or decimal literals, taken
     at face value as fractions (0.2 means exactly 1/5); rows may only use
-    edges of the graph.
+    edges of the graph, a vertex has one row and a row names an element once.
     """
     rows = {}
     row_lines = {}  # vertex -> line number of its row
@@ -200,6 +199,8 @@ def parse_markov_kernel(graph: GradedGraph, text: str, name: str = "markov:file"
             edge_targets = {elem: j for elem, j in graph.up_edges[level][index]}
         except (ValueError, IndexError) as exc:
             raise ValueError(f"line {lineno}: bad vertex {tokens[1]!r}") from exc
+        if (level, index) in row_lines:
+            raise ValueError(f"line {lineno}: row {level}:{index} repeats line {row_lines[level, index]}")
         row = []
         for tok in tokens[2:]:
             elem_text, _, prob_text = tok.partition(":")
@@ -311,7 +312,6 @@ class CentralityReport:
     given fiber transitivity)."""
 
     n_paths: int
-    length: int
     exact: bool  # always True: laws are exact rationals
     invariance_ok: bool
     invariance_witnesses: list[tuple[int, tuple[int, ...]]]
@@ -369,7 +369,6 @@ def is_central(handle: GroupHandle, measure) -> CentralityReport:
             fiber_witnesses.append((min(fiber, key=value), max(fiber, key=value)))
     return CentralityReport(
         n_paths=handle.n_paths,
-        length=handle.length,
         exact=True,
         invariance_ok=not inv_witnesses,
         invariance_witnesses=inv_witnesses,
@@ -414,22 +413,27 @@ def sample_plancherel(n_steps: int, seed: int) -> GrowthPath:
     return GrowthPath(tuple(row_insert(rows, rng.random()) for _ in range(n_steps)))
 
 
+def thoma_word(alpha: tuple[float, ...], n_steps: int, seed: int) -> list[int]:
+    """The n_steps i.i.d. letters, 0-based, that `sample_rsk_thoma` inserts
+    for this seed: letter a with probability alpha[a]."""
+    rng = random.Random(seed)
+    cum = list(itertools.accumulate(alpha))
+    cum[-1] = math.inf  # a draw at or above the float sum, which may end below 1, is the last letter
+    # one rng.random() per letter, in order: map stops when repeat does
+    return list(map(bisect.bisect_right, itertools.repeat(cum, n_steps), iter(rng.random, None)))
+
+
 def sample_rsk_thoma(alpha, n_steps: int, seed: int) -> GrowthPath:
     """Insert n i.i.d. letters drawn from alpha and record the shape growth.
 
-    The whole word is drawn first, then inserted on letter counts; the
-    cells are those `row_insert` gives. The shape never exceeds len(alpha)
-    rows; deterministic given the seed.
+    The whole word (`thoma_word`) is drawn first, then inserted on letter
+    counts; the path keeps only the cells, those `row_insert` gives. The
+    shape never exceeds len(alpha) rows; deterministic given the seed.
     """
     spec = RSKThoma(tuple(alpha))
     _check_steps(n_steps)
-    rng = random.Random(seed)
-    cum = list(itertools.accumulate(spec.alpha))
-    cum[-1] = math.inf  # a draw at or above the float sum, which may end below 1, is the last letter
-    # one rng.random() per letter, in order: map stops when repeat does
-    word = list(map(bisect.bisect_right, itertools.repeat(cum, n_steps), iter(rng.random, None)))
-    cells = row_insert_counts(word, len(spec.alpha))
-    return GrowthPath(tuple(cells), letters=tuple([letter + 1 for letter in word]))
+    word = thoma_word(spec.alpha, n_steps, seed)
+    return GrowthPath(tuple(row_insert_counts(word, len(spec.alpha))))
 
 
 def sample_markov(m: ExplicitMarkov, n_steps: int, seed: int) -> tuple[int, ...]:

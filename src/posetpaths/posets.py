@@ -153,18 +153,10 @@ class Poset:
     def element(self, x: int) -> Element:
         return Element(x, self.coords[x])
 
-    def incomparable_pairs(self) -> list[tuple[int, int]]:
-        """All pairs x < y (as ids) with neither leq(x,y) nor leq(y,x)."""
-        out = []
-        for x in range(self.n):
-            for y in range(x + 1, self.n):
-                if not self.leq(x, y) and not self.leq(y, x):
-                    out.append((x, y))
-        return out
-
     def incomparable_count(self) -> int:
-        """len(incomparable_pairs()), read off the reachability bitsets: of
-        the n(n-1)/2 pairs, x lies strictly below |up-set of x| - 1 others."""
+        """How many unordered pairs neither leq relates, read off the
+        reachability bitsets: of the n(n-1)/2 pairs, x lies strictly below
+        |up-set of x| - 1 others."""
         return self.n * (self.n - 1) // 2 - sum(up.bit_count() - 1 for up in self._above)
 
     def __eq__(self, other):
@@ -189,10 +181,6 @@ class PosetWindow:
     family: str
     params: tuple
     poset: Poset
-
-    @property
-    def n(self) -> int:
-        return self.poset.n
 
     def describe(self) -> str:
         if self.params:

@@ -207,7 +207,6 @@ class CayleyStats:
     order: int | None
     diameter: int | None
     capped: bool
-    cap: int
 
 
 @dataclass
@@ -269,14 +268,14 @@ def group_order(handle: GroupHandle, cap: int = GROUP_CAP) -> CayleyStats:
     decides.
     """
     if not handle.generators:
-        return CayleyStats(order=1, diameter=0, capped=False, cap=cap)
+        return CayleyStats(order=1, diameter=0, capped=False)
     if _orbit_exceeds_cap(handle.generators, cap):
-        return CayleyStats(order=None, diameter=None, capped=True, cap=cap)
+        return CayleyStats(order=None, diameter=None, capped=True)
     try:
         elements, diameter = closure(handle.generators, cap=cap)
     except CapExceeded:
-        return CayleyStats(order=None, diameter=None, capped=True, cap=cap)
-    return CayleyStats(order=len(elements), diameter=diameter, capped=False, cap=cap)
+        return CayleyStats(order=None, diameter=None, capped=True)
+    return CayleyStats(order=len(elements), diameter=diameter, capped=False)
 
 
 @dataclass(frozen=True)
@@ -291,8 +290,6 @@ class RelationViolation:
 class RelationReport:
     """Outcome of the generator-relation suite on one handle."""
 
-    length: int
-    n_paths: int
     involution_violations: list[RelationViolation]
     commuting_violations: list[RelationViolation]
     braid_violations: list[RelationViolation]
@@ -326,7 +323,7 @@ def verify_relations(handle: GroupHandle) -> RelationReport:
             if power != ident:
                 moved = next(k for k, x in enumerate(power) if x != k)
                 found[m].append(RelationViolation(_RELATION_NAMES[m], i, j, moved))
-    return RelationReport(handle.length, handle.n_paths, found[1], found[2], found[6])
+    return RelationReport(found[1], found[2], found[6])
 
 
 @dataclass
@@ -337,8 +334,6 @@ class LocalGroupReport:
     product_order: int
     group_order: int
     orbit_types: tuple[tuple[int, str], ...]  # (orbit size, tag), sorted
-    sigma_i_trivial: bool
-    sigma_next_trivial: bool
 
 
 def _orbits_of_pair(a, b):
@@ -399,8 +394,6 @@ def classify_local(handle: GroupHandle, i: int) -> LocalGroupReport:
         product_order=product_order,
         group_order=_dihedral_order(a != ident, b != ident, product_order),
         orbit_types=tuple(sorted(tags)),
-        sigma_i_trivial=a == ident,
-        sigma_next_trivial=b == ident,
     )
 
 

@@ -100,15 +100,10 @@ def growth_step_arrays(rows: list[int], k: int) -> tuple[list[int], list[float],
 
 @dataclass(frozen=True)
 class GrowthPath:
-    """A sampled growth of Young diagrams: the cell added at each step.
-
-    `letters` carries the inserted word of a path drawn by row insertion
-    from alpha, else None (Plancherel paths do not keep their uniform
-    letters).
-    """
+    """A sampled growth of Young diagrams: the cell added at each step, and
+    no letters (`measures.thoma_word` redraws an RSK path's word)."""
 
     cells: tuple[tuple[int, int], ...]
-    letters: tuple[int, ...] | None = None
 
     @property
     def n_steps(self) -> int:

@@ -426,6 +426,25 @@ def test_markov_kernel_missing_row_exit_2(tmp_path, capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # a later row for the same vertex used to replace the earlier one
+        ("row 0:0 1:1\nrow 1:0 2:1/2 3:1/2\nrow 1:0 2:1\nrow 2:0 3:1\nrow 2:1 2:1\n",
+         "line 3: row 1:0 repeats line 2"),
+        # an element listed twice used to give a path law summing to 1/2
+        ("row 0:0 1:1/2 1:1/2\nrow 1:0 2:1/2 3:1/2\nrow 2:0 3:1\nrow 2:1 2:1\n",
+         "row (0, 0) lists an element twice"),
+    ],
+    ids=["row", "element"],
+)
+def test_markov_kernel_repeat_exit_2(text, message, tmp_path, capsys):
+    kernel = tmp_path / "k.txt"
+    kernel.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "measure", "check", "--markov", str(kernel), "--young", "2,1", "--depth", "3")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_measure_freq_rsk_single_letter(capsys):
     code, out, _ = run(
         capsys, "measure", "freq", "--rsk", "1.0", "--ideal", "hook:1,0",
@@ -455,6 +474,27 @@ def test_measure_freq_endpoint_sampler(capsys):
     )
     assert code == 0
     assert "endpoint:6:0" in out
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("measure", "freq", "--rsk", "0.5,0.5"),
+        ("measure", "freq", "--plancherel"),
+        ("compare", "--sampler", "plancherel", "--sampler", "rsk:0.5,0.5"),
+    ],
+    ids=["rsk", "plancherel", "compare"],
+)
+def test_growth_sampler_rejects_a_set_ideal_before_sampling(command, monkeypatch, capsys):
+    from posetpaths import measures
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the ideals were checked")
+
+    monkeypatch.setattr(measures, "sample_plancherel", no_sampling)
+    monkeypatch.setattr(measures, "sample_rsk_thoma", no_sampling)
+    code, out, err = run(capsys, *command, "--ideal", "hook:1,0", "--ideal", "set:1", "--n", "2", "--replicas", "2")
+    assert (code, out, err) == (2, "", "error: finite-set ideals are window-bound; growth samplers have no ids\n")
 
 
 @pytest.mark.parametrize(
@@ -734,3 +774,38 @@ def test_import_builds_no_parser_and_main_builds_one():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["0", "1 [0, 0]"]
+
+
+def _readme_commands():
+    """(argv, exit code) for each command of the README's command-line
+    block: 1 for a line marked `# exits 1`, else 0. A trailing backslash
+    continues a command on the next line."""
+    import pathlib
+    import shlex
+
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv:
+            assert argv[0] == "posetpaths", line
+            out.append((argv[1:], 1 if "# exits 1" in line else 0))
+    return out
+
+
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv,expected", README_COMMANDS, ids=[" ".join(argv) for argv, _ in README_COMMANDS])
+def test_readme_command_exit_code(argv, expected, tmp_path, monkeypatch, capsys):
+    import pathlib
+    import shutil
+
+    from posetpaths import serialize_poset
+
+    (tmp_path / "p.txt").write_text(serialize_poset(build_young_poset([2, 1])), encoding="utf-8")
+    shutil.copy(pathlib.Path(__file__).resolve().parent / "golden" / "kernel.txt", tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == expected, err

@@ -39,7 +39,7 @@ from posetpaths import (
 )
 from posetpaths import measures
 from posetpaths.ideals import member_coords
-from posetpaths.measures import ExplicitMarkov
+from posetpaths.measures import ExplicitMarkov, thoma_word
 from posetpaths.young import GrowthPath, row_insert, tableau_count
 
 from oracles import central_witnesses, kernel_path_law, partitions_of
@@ -275,6 +275,10 @@ def test_markov_row_validation():
     }
     with pytest.raises(ValueError):
         ExplicitMarkov(g, rows, name="broken")
+    # one element listed twice: the row sums to 1, its path law to 1/2
+    rows = {(0, 0): ((1, 0, Fraction(1, 2)), (1, 0, Fraction(1, 2))), (1, 0): ((2, 0, 1),), (2, 0): ((3, 0, 1),)}
+    with pytest.raises(ValueError, match=r"row \(0, 0\) lists an element twice"):
+        ExplicitMarkov(g, rows, name="twice")
 
 
 def test_parse_markov_kernel_round_trip():
@@ -445,7 +449,7 @@ def test_rsk_row_one_dominates_letter_one_count():
     # is at least as long as the letter-1 count
     for seed in range(10):
         path = sample_rsk_thoma((0.7, 0.3), 500, seed)
-        ones = sum(1 for letter in path.letters if letter == 1)
+        ones = thoma_word((0.7, 0.3), 500, seed).count(0)  # letter 1 is 0-based 0
         assert path.shape()[0] >= ones
 
 
@@ -480,26 +484,32 @@ RSK_ALPHAS = [
 def test_rsk_cells_are_row_insertion_of_its_letters(alpha):
     for seed in range(5):
         path = sample_rsk_thoma(alpha, 600, seed)
-        assert len(path.letters) == 600
-        assert set(path.letters) <= set(range(1, len(alpha) + 1))
+        word = thoma_word(alpha, 600, seed)
+        assert len(word) == 600
+        assert set(word) <= set(range(len(alpha)))
         rows = []
-        assert path.cells == tuple(row_insert(rows, letter) for letter in path.letters)
+        assert path.cells == tuple(row_insert(rows, letter) for letter in word)
 
 
 @pytest.mark.parametrize("alpha", [(0.1,) * 10, UNIFORM_LONG], ids=lambda a: f"d{len(a)}")
 def test_rsk_draw_past_the_float_sum_is_the_last_letter(alpha, monkeypatch):
     top = list(itertools.accumulate(alpha))[-1]
     assert top < 1
-    draws = [top, math.nextafter(1.0, 0.0), 0.0, top]
 
     class Scripted(random.Random):
+        """Every generator replays the same draws, whatever its seed."""
+
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.draws = [top, math.nextafter(1.0, 0.0), 0.0, top]
+
         def random(self):
-            return draws.pop(0)
+            return self.draws.pop(0)
 
     monkeypatch.setattr(measures.random, "Random", Scripted)
     d = len(alpha)
+    assert thoma_word(alpha, 4, 0) == [d - 1, d - 1, 0, d - 1]
     path = sample_rsk_thoma(alpha, 4, 0)
-    assert path.letters == (d, d, 1, d)
     assert path.cells == ((1, 1), (1, 2), (2, 1), (1, 3))
 
 
@@ -755,7 +765,7 @@ def test_rsk_first_row_is_longest_weakly_increasing_subsequence():
     # independent characterization of the first-row length
     for seed in range(8):
         path = sample_rsk_thoma((0.4, 0.35, 0.25), 120, seed)
-        assert path.shape()[0] == _longest_weakly_increasing(path.letters)
+        assert path.shape()[0] == _longest_weakly_increasing(thoma_word((0.4, 0.35, 0.25), 120, seed))
 
 
 def test_plancherel_path_law_at_n3():

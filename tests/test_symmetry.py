@@ -403,7 +403,8 @@ def test_classify_local_chain_trivial():
     rep = classify_local(handle, 1)
     assert rep.product_order == 1
     assert rep.group_order == 1
-    assert rep.sigma_i_trivial and rep.sigma_next_trivial
+    ident = tuple(range(handle.n_paths))
+    assert handle.generator(1) == ident and handle.generator(2) == ident
     assert all(tag == "trivial" for _, tag in rep.orbit_types)
 
 
@@ -422,7 +423,8 @@ def test_classify_local_young31():
     rep = classify_local(handle, 1)
     assert rep.product_order == 2
     assert rep.group_order == 2
-    assert rep.sigma_i_trivial and not rep.sigma_next_trivial
+    ident = tuple(range(handle.n_paths))
+    assert handle.generator(1) == ident and handle.generator(2) != ident
     assert sorted(tag for _, tag in rep.orbit_types) == ["Z2-swap", "trivial"]
 
 
@@ -536,6 +538,7 @@ def _violations(report):
 
 def test_relation_report_names_each_broken_relation():
     handle = generate_group(build_antichain_poset(4), 5)
+    assert (handle.length, handle.n_paths) == (5, 24)
     report = verify_relations(broken_handle(handle))
     assert not report.ok
     assert [(v.relation, v.i, v.j, v.witness_path) for v in report.involution_violations] == [("sigma^2", 2, 2, 3)]
@@ -551,7 +554,6 @@ def test_relation_report_names_each_broken_relation():
     sigma_1, sigma_2, sigma_3 = handle.generators
     swapped = verify_relations(dataclasses.replace(handle, generators=(sigma_2, sigma_1, sigma_3)))
     assert _violations(swapped) == ([], [(1, 3, 0)], [])
-    assert (swapped.length, swapped.n_paths) == (5, 24)
 
 
 def test_relation_report_on_broken_generators_matches_oracle():
