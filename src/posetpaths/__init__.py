@@ -46,6 +46,7 @@ from .measures import (
     estimate_frequency,
     growth_to_numbering,
     is_central,
+    kernel_centrality,
     parse_markov_kernel,
     path_measure,
     perturb_fiber,

@@ -34,6 +34,7 @@ from .measures import (
     parse_markov_kernel,
     estimate_frequency,
     is_central,
+    kernel_centrality,
     path_measure,
     perturb_fiber,
     sample_plancherel,  # noqa: F401  (bench/spans.py traces the name here)
@@ -304,35 +305,8 @@ def _parse_ideals(texts, specs):
     return ideals
 
 
-def cmd_measure_check(args):
-    handle = None
-    if args.sampler is not None:
-        kernel = _parse_sampler(args.sampler, args, _window_source(args))
-        window, length = kernel.graph.window, kernel.depth + 1
-        measure = path_measure(kernel)
-        what = kernel.name()
-    else:
-        window = _resolve_window(args)
-        length = args.depth if args.depth is not None else window.poset.n
-        handle = generate_group(window, length)
-        measure = uniform_path_measure(handle)
-        what = f"uniform:{length}"
-    negative = []  # paths an over-large perturbation leaves with negative mass
-    if args.perturb is not None:
-        try:
-            eps = Fraction(args.perturb)
-        except ZeroDivisionError:
-            raise ValueError(f"--perturb {args.perturb}: zero denominator") from None
-        measure = perturb_fiber(measure, eps)
-        what += f"+perturb:{args.perturb}"
-        negative = sorted(path for path, p in measure.items() if p < 0)
-    config = {"poset": _poset_flag(args), "measure": what}
-    if negative:
-        lines = [f"perturbed_law: negative mass {measure[path]} on path {_commas(path)}" for path in negative]
-        return config, lines + ["central: NO"], EXIT_VIOLATION
-    if handle is None:  # a kernel's numberings are enumerated only for a law without negative mass
-        handle = generate_group(window, length)
-    report = is_central(handle, measure)
+def _centrality_lines(report):
+    """The body lines and exit code of one centrality report, from either route."""
     lines = [
         f"paths: {report.n_paths}",
         f"exact_arithmetic: {report.exact}",
@@ -343,7 +317,42 @@ def cmd_measure_check(args):
     lines.append(f"fiber_uniformity: {'pass' if report.fiber_ok else 'fail'}")
     lines += [f"  witness fiber: {_commas(lo)} vs {_commas(hi)}" for lo, hi in report.fiber_witnesses]
     lines.append(f"central: {'yes' if report.central else 'NO'}")
-    return config, lines, EXIT_OK if report.central else EXIT_VIOLATION
+    return lines, EXIT_OK if report.central else EXIT_VIOLATION
+
+
+def cmd_measure_check(args):
+    """A kernel is checked by one forward pass over its rows; the uniform
+    law and every perturbed law are listed and checked on the numberings'
+    group handle."""
+    config = {"poset": _poset_flag(args)}
+    handle = None
+    if args.sampler is not None:
+        kernel = _parse_sampler(args.sampler, args, _window_source(args))
+        config["measure"] = kernel.name()
+        if args.perturb is None:
+            return config, *_centrality_lines(kernel_centrality(kernel))
+        window, length = kernel.graph.window, kernel.depth + 1
+        measure = path_measure(kernel)
+    else:
+        window = _resolve_window(args)
+        length = args.depth if args.depth is not None else window.poset.n
+        handle = generate_group(window, length)
+        measure = uniform_path_measure(handle)
+        config["measure"] = f"uniform:{length}"
+    if args.perturb is not None:
+        try:
+            eps = Fraction(args.perturb)
+        except ZeroDivisionError:
+            raise ValueError(f"--perturb {args.perturb}: zero denominator") from None
+        measure = perturb_fiber(measure, eps)
+        config["measure"] += f"+perturb:{args.perturb}"
+        negative = sorted(path for path, p in measure.items() if p < 0)
+        if negative:  # paths an over-large perturbation leaves with negative mass
+            lines = [f"perturbed_law: negative mass {measure[path]} on path {_commas(path)}" for path in negative]
+            return config, lines + ["central: NO"], EXIT_VIOLATION
+    if handle is None:  # a kernel's numberings are enumerated only for a law without negative mass
+        handle = generate_group(window, length)
+    return config, *_centrality_lines(is_central(handle, measure))
 
 
 def _frequency_csv(args, specs, ideals, reports, **config):

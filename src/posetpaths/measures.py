@@ -5,8 +5,12 @@ involution preserves it; equivalently, when it is conditionally uniform
 on every endpoint fiber. Finite-truncation kernels and laws hold exact
 rationals only, and a float in a kernel row or a law raises ValueError:
 centrality is an exact symmetry, and a tolerance would mask bugs.
-`is_central` reads that symmetry off a `symmetry.GroupHandle` the
-caller builds once with `generate_group`. Floating point enters only
+Centrality has two routes, chosen by the kind of input. An explicit law
+goes to `is_central`, which reads the symmetry off a
+`symmetry.GroupHandle` the caller builds once with `generate_group`.
+A kernel goes to `kernel_centrality`, one forward pass over its rows
+that checks that every prefix reaching a vertex carries one mass, and
+lists neither paths nor numberings. Floating point enters only
 inside Monte Carlo sampling. Both Young growth samplers run on row
 insertion and keep only the cells: Plancherel growth inserts i.i.d.
 uniform letters on `row_insert`, the Thoma samplers letters drawn from
@@ -127,9 +131,10 @@ class ExplicitMarkov:
     """Per-vertex transition rows over the up-edges of a graded graph.
 
     Rows map (level, index) to tuples (added element, target index,
-    probability). A row lists each element at most once; probabilities
-    are exact rationals (ints or Fractions), non-negative, and each row
-    sums to exactly one; a float raises ValueError.
+    probability). Each entry is an up-edge of the graph and a row lists
+    each element at most once; probabilities are exact rationals (ints or
+    Fractions), non-negative, and each row sums to exactly one; a float
+    raises ValueError.
     """
 
     has_ties = False
@@ -139,9 +144,18 @@ class ExplicitMarkov:
         self.rows = dict(rows)
         self._name = name
         self.depth = depth if depth is not None else graph.depth
+        if not 0 <= self.depth <= graph.depth:
+            raise ValueError(f"depth {self.depth} is outside 0..{graph.depth}, the graph's depth")
         for key, row in self.rows.items():
+            level, index = key
+            if not (0 <= level <= graph.depth and 0 <= index < len(graph.levels[level])):
+                raise ValueError(f"row {key} is no vertex of the graph")
             if len({elem for elem, _, _ in row}) < len(row):
                 raise ValueError(f"row {key} lists an element twice")
+            edges = graph.up_edges[level][index]
+            for elem, j, _ in row:
+                if (elem, j) not in edges:
+                    raise ValueError(f"row {key} lists ({elem}, {j}), which is no up-edge of the graph")
             if not all(isinstance(p, Rational) for _, _, p in row):
                 raise ValueError(f"row {key} has a probability that is not an exact rational")
             total = sum(p for _, _, p in row)
@@ -309,7 +323,11 @@ def perturb_fiber(measure, eps=Fraction(1, 10)):
 class CentralityReport:
     """Both routes to centrality: generator invariance (the definition)
     and conditional uniformity on endpoint fibers (the characterization,
-    given fiber transitivity)."""
+    given fiber transitivity).
+
+    `phi` is set only by `kernel_centrality` on a central kernel: the mass
+    phi(w) that every prefix reaching vertex w = (level, index) carries,
+    for each vertex the kernel reaches."""
 
     n_paths: int
     exact: bool  # always True: laws are exact rationals
@@ -317,6 +335,7 @@ class CentralityReport:
     invariance_witnesses: list[tuple[int, tuple[int, ...]]]
     fiber_ok: bool
     fiber_witnesses: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    phi: dict[tuple[int, int], Fraction] | None = None
 
     @property
     def central(self) -> bool:
@@ -374,6 +393,82 @@ def is_central(handle: GroupHandle, measure) -> CentralityReport:
         invariance_witnesses=inv_witnesses,
         fiber_ok=not fiber_witnesses,
         fiber_witnesses=fiber_witnesses,
+    )
+
+
+def kernel_centrality(kernel: ExplicitMarkov) -> CentralityReport:
+    """Check a kernel's path law at its depth for centrality by one exact
+    forward pass over its rows: no path is listed and no group is built.
+
+    The law is central exactly when every prefix reaching a vertex w
+    carries one mass phi(w) (Vershik-Kerov). Level by level, every graph
+    in-edge u -> w of a reached w must carry phi(u) * p(u -> w) = phi(w);
+    an edge out of an unreached u, or of probability 0, carries 0. At the
+    first vertex w (lowest level L, then index) where in-edges adding x < y
+    disagree, v = w - x - y is reached (level L - 1 agrees), so the
+    parent-pointer prefix c to v and the continuation d from w along each
+    row's first positive edge give c.x.y.d and c.y.x.d: one endpoint
+    fiber, two masses, swapped by sigma_{L-1}. Each witness list holds that
+    one pair. Raises ValueError when the walk reaches a vertex below the
+    depth that has no row, as `is_central` does for a law summing below 1.
+    """
+    g = kernel.graph
+    phis = [{0: (1, 1)}]  # per level: reached index -> phi as a reduced (numerator, denominator)
+    parents = [{}]  # per level: reached index -> (index below, added element) of its first positive in-edge
+    conflict = None  # (level, index, {added element: (num, den)}) of the first disagreeing vertex
+    for level in range(kernel.depth):
+        phi = phis[level]
+        into: dict[int, list[tuple[int, int, int, int]]] = {}  # index above -> its in-edges (num, den, u, elem)
+        for u, edges in enumerate(g.up_edges[level]):
+            num, den = phi.get(u, (0, 1))
+            probs = {}
+            if num:
+                row = kernel.rows.get((level, u))
+                if row is None:
+                    raise ValueError(f"the kernel reaches {level}:{u}, which has no row")
+                probs = {elem: p for elem, _, p in row}
+            for elem, j in edges:
+                p = probs.get(elem, 0)
+                into.setdefault(j, []).append((num * p.numerator, den * p.denominator, u, elem))
+        above, links = {}, {}
+        for j, edges in sorted(into.items()):
+            num, den, u, elem = next((edge for edge in edges if edge[0]), (0, 1, None, None))
+            if not num:  # unreached
+                continue
+            bad = next((edge for edge in edges if edge[0] * den != num * edge[1]), None)
+            if bad is not None and conflict is None:
+                conflict = (level + 1, j, {elem: (num, den), bad[3]: bad[:2]})
+            common = math.gcd(num, den)
+            above[j] = (num // common, den // common)
+            links[j] = (u, elem)
+        phis.append(above)
+        parents.append(links)
+    n_paths = sum(g.dims[kernel.depth])
+    if conflict is None:
+        phi = {(level, j): Fraction(*pair) for level, above in enumerate(phis) for j, pair in above.items()}
+        return CentralityReport(
+            n_paths=n_paths, exact=True, invariance_ok=True, invariance_witnesses=[],
+            fiber_ok=True, fiber_witnesses=[], phi=phi,
+        )
+    level, w, masses = conflict
+    x, y = sorted(masses)
+    v = g.vertex_of(set(g.vertex(level, w).ideal) - {x, y}).index
+    head = []
+    for k in range(level - 2, 0, -1):
+        v, elem = parents[k][v]
+        head.append(elem)
+    tail = []
+    for k in range(level, kernel.depth):
+        elem, w = next((elem, j) for elem, j, p in kernel.rows[(k, w)] if p)
+        tail.append(elem)
+    c = (ROOT, *reversed(head))
+    first_xy, first_yx = c + (x, y, *tail), c + (y, x, *tail)
+    # c.x.y ends on the edge adding y, c.y.x on the one adding x; d scales both alike
+    (ny, dy), (nx, dx) = masses[y], masses[x]
+    lo, hi = (first_xy, first_yx) if ny * dx < nx * dy else (first_yx, first_xy)
+    return CentralityReport(
+        n_paths=n_paths, exact=True, invariance_ok=False, invariance_witnesses=[(level - 1, first_xy)],
+        fiber_ok=False, fiber_witnesses=[(lo, hi)],
     )
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from posetpaths import (
@@ -12,7 +14,7 @@ from posetpaths import (
 from posetpaths import cli
 from posetpaths.cli import main
 
-from oracles import broken_handle, brute_numberings
+from oracles import broken_handle, brute_numberings, kernel_path_law, sigma_map
 
 CORPUS = [
     (("--young", "2,1"), build_young_poset([2, 1])),
@@ -350,6 +352,20 @@ def test_measure_check_markov_file(tmp_path, capsys):
     )
     assert code == 1
     assert "central: NO" in out
+    # one witness of each kind: two numberings of one endpoint fiber, swapped
+    # by the printed sigma_i, lighter before heavier under the kernel's law
+    (witness,) = [line.split() for line in out.splitlines() if line.startswith("  witness: ")]
+    (fiber,) = [line.split() for line in out.splitlines() if line.startswith("  witness fiber: ")]
+    i = int(witness[1].removeprefix("sigma_"))
+    path, lo, hi = (tuple(map(int, text.split(","))) for text in (witness[-1], fiber[2], fiber[4]))
+    poset = build_young_poset([2, 1]).poset
+    assert {path, lo, hi} <= set(brute_numberings(poset, 4))
+    assert sorted(lo) == sorted(hi)
+    assert {path, sigma_map(poset, path, i)} == {lo, hi}
+    rows = {(0, 0): ((1, 0, 1),), (1, 0): ((2, 0, Fraction(1, 3)), (3, 1, Fraction(2, 3))),
+            (2, 0): ((3, 0, 1),), (2, 1): ((2, 0, 1),)}
+    law = kernel_path_law(rows, 3)
+    assert law.get(lo, 0) < law.get(hi, 0)
 
 
 def test_measure_check_markov_rejects_bad_row(tmp_path, capsys):
@@ -384,11 +400,31 @@ def test_measure_check_bad_endpoint_exit_2(endpoint, message, capsys):
 
 
 def test_measure_check_endpoint_path_cap_exit_3(capsys):
-    # the top of box 2,2,2,2 has 1,680,384 paths; the cap stops the walk before any is built
+    # the top of box 2,2,2,2 has 1,680,384 paths: the forward pass checks the
+    # kernel without listing them, and only a perturbed law, which needs the
+    # list, meets the path cap, before any path is built
     code, out, err = run(capsys, "measure", "check", "--endpoint", "15:0", "--box", "2,2,2,2")
+    assert (code, err) == (0, "")
+    assert {"paths: 1680384", "central: yes"} <= set(out.splitlines())
+    code, out, err = run(
+        capsys, "measure", "check", "--endpoint", "15:0", "--box", "2,2,2,2", "--perturb", "1/1000"
+    )
     assert code == 3
     assert "more than 100000 paths under endpoint:15:0" in err
     assert out == ""
+
+
+def test_measure_check_kernel_lists_no_path(monkeypatch, capsys):
+    # the box 3,3,3 top kernel is central by construction and has
+    # 6,405,442,434,150 paths: a check that lists them or their group fails here
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel check listed paths")
+
+    monkeypatch.setattr(cli, "path_measure", refuse)
+    monkeypatch.setattr(cli, "generate_group", refuse)
+    code, out, err = run(capsys, "measure", "check", "--endpoint", "26:0", "--box", "3,3,3")
+    assert (code, err) == (0, "")
+    assert {"paths: 6405442434150", "central: yes"} <= set(out.splitlines())
 
 
 def test_measure_check_rejects_two_kernels(tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import pathlib
 import random
 from fractions import Fraction
 from math import factorial
@@ -26,6 +27,7 @@ from posetpaths import (
     generate_group,
     growth_to_numbering,
     is_central,
+    kernel_centrality,
     parse_ideal,
     parse_poset,
     parse_markov_kernel,
@@ -40,9 +42,28 @@ from posetpaths import (
 from posetpaths import measures
 from posetpaths.ideals import member_coords
 from posetpaths.measures import ExplicitMarkov, thoma_word
+from posetpaths.posets import PATH_CAP
 from posetpaths.young import GrowthPath, row_insert, tableau_count
 
-from oracles import central_witnesses, kernel_path_law, partitions_of
+from oracles import (
+    brute_numberings,
+    central_witnesses,
+    ideal_levels,
+    kernel_path_law,
+    partitions_of,
+    sigma_map,
+)
+
+CORPUS = [
+    build_young_poset([2, 1]),
+    build_young_poset([3, 1]),
+    build_young_poset([3, 2]),
+    build_young_poset([2, 2, 1]),
+    build_box_poset(2, (3, 3)),
+    build_box_poset(3, (2, 2, 2)),
+    build_chain_poset(6),
+    build_antichain_poset(4),
+]
 
 
 # --- endpoint kernels ----------------------------------------------------
@@ -261,6 +282,152 @@ def test_fiber_checks_follow_the_sorted_endpoint_order():
     assert (report.invariance_witnesses, report.fiber_witnesses) == central_witnesses(w.poset, law, 4)
 
 
+def _oracle_verdict(kernel):
+    """Centrality of the kernel's listed path law by the per-path oracle."""
+    law = path_measure(kernel)
+    return central_witnesses(kernel.graph.window.poset, law, kernel.depth + 1) == ([], [])
+
+
+def _assert_witnesses_hold(kernel, report):
+    """The one witness pair: numberings of one endpoint fiber, swapped by the
+    printed sigma_i, lighter before heavier under the oracle's path law."""
+    (i, path), = report.invariance_witnesses
+    (lo, hi), = report.fiber_witnesses
+    poset = kernel.graph.window.poset
+    assert {path, lo, hi} <= set(brute_numberings(poset, kernel.depth + 1))
+    assert sorted(lo) == sorted(hi)
+    assert {path, sigma_map(poset, path, i)} == {lo, hi}
+    law = kernel_path_law(kernel.rows, kernel.depth)
+    assert law.get(lo, 0) < law.get(hi, 0)
+
+
+def _paths_up_to(edges, level, index):
+    """Oracle path counts u -> (level, index), for every u below it that has one."""
+    counts = {(level, index): 1}
+    for k in range(level - 1, -1, -1):
+        for i, row in enumerate(edges[k]):
+            total = sum(counts.get((k + 1, j), 0) for _, j in row)
+            if total:
+                counts[(k, i)] = total
+    return counts
+
+
+def test_kernel_centrality_of_endpoint_kernels_matches_the_oracle():
+    for w in CORPUS:
+        depth = w.poset.n - 1
+        g = build_graph(w, depth)
+        _, edges, dims = ideal_levels(w.poset, depth)
+        for level in range(depth + 1):
+            for i in range(len(g.levels[level])):
+                assert dims[level][i] <= PATH_CAP
+                kernel = endpoint_measure(g, g.vertex(level, i))
+                report = kernel_centrality(kernel)
+                assert report.central and _oracle_verdict(kernel), (w.describe(), level, i)
+                assert report.n_paths == sum(dims[level])
+                # phi(u) = dim(u -> v) / dim(v) on every vertex below v
+                below = _paths_up_to(edges, level, i)
+                assert report.phi == {u: Fraction(c, dims[level][i]) for u, c in below.items()}
+
+
+def test_kernel_centrality_of_the_golden_kernel():
+    g = build_graph(build_young_poset([2, 1]), 3)
+    text = (pathlib.Path(__file__).parent / "golden" / "kernel.txt").read_text(encoding="utf-8")
+    kernel = parse_markov_kernel(g, text)
+    report = kernel_centrality(kernel)
+    assert report.central and _oracle_verdict(kernel)
+    assert report.phi == {(0, 0): 1, (1, 0): 1, (2, 0): Fraction(1, 2), (2, 1): Fraction(1, 2),
+                          (3, 0): Fraction(1, 2)}
+
+
+def _random_rows(g, depth, rng):
+    """Rows over every vertex below the depth, weights 0..2 (one positive at least)."""
+    rows = {}
+    for level in range(depth):
+        for i, edges in enumerate(g.up_edges[level]):
+            weights = [rng.randrange(3) for _ in edges]
+            if not any(weights):
+                weights[rng.randrange(len(weights))] = 1
+            total = sum(weights)
+            rows[(level, i)] = tuple((e, j, Fraction(q, total)) for (e, j), q in zip(edges, weights))
+    return rows
+
+
+def _harmonic_rows(g, depth, rng):
+    """A central kernel: a random mixture, zeros included, of the endpoint laws
+    at the depth; p(u -> w) = phi(w) / phi(u) with phi = sum_v c_v dim(u -> v) / dim(v)."""
+    _, edges, dims = ideal_levels(g.window.poset, depth)
+    c = [rng.randrange(3) for _ in dims[depth]]
+    if not any(c):
+        c[0] = 1
+    phi = {}
+    for v, weight in enumerate(c):
+        for u, count in _paths_up_to(edges, depth, v).items():
+            phi[u] = phi.get(u, 0) + Fraction(weight * count, dims[depth][v] * sum(c))
+    rows = {}
+    for (level, i), mass in phi.items():
+        if level < depth and mass:
+            rows[(level, i)] = tuple(
+                (e, j, phi.get((level + 1, j), 0) / mass) for e, j in g.up_edges[level][i]
+            )
+    return rows, phi
+
+
+def test_kernel_centrality_of_random_kernels_matches_the_oracle():
+    rng = random.Random(17)
+    verdicts = []
+    for w, depth in [
+        (build_young_poset([3, 2, 1]), 6),
+        (build_young_poset([3, 3]), 6),
+        (build_box_poset(3, (2, 2, 2)), 5),
+        (build_antichain_poset(4), 3),
+    ]:
+        g = build_graph(w, depth)
+        for _ in range(12):
+            rows, phi = _harmonic_rows(g, depth, rng)
+            kernel = ExplicitMarkov(g, rows, name="harmonic", depth=depth)
+            report = kernel_centrality(kernel)
+            assert report.central and _oracle_verdict(kernel)
+            assert report.phi == {u: mass for u, mass in phi.items() if mass}
+            kernel = ExplicitMarkov(g, _random_rows(g, depth, rng), name="random", depth=depth)
+            report = kernel_centrality(kernel)
+            assert report.central == _oracle_verdict(kernel), w.describe()
+            verdicts.append(report.central)
+            if not report.central:
+                assert report.phi is None
+                _assert_witnesses_hold(kernel, report)
+    assert not all(verdicts), "no random kernel failed; the draw tests nothing"
+
+
+def test_kernel_centrality_catches_a_one_edge_perturbation_at_each_level():
+    for w in [build_young_poset([3, 2, 1]), build_box_poset(3, (2, 2, 2)), build_antichain_poset(4)]:
+        depth = w.poset.n - 1
+        g = build_graph(w, depth)
+        kernel = endpoint_measure(g, g.vertex(depth, 0))
+        caught = 0
+        for level in range(depth):
+            key = next((k for k in sorted(kernel.rows) if k[0] == level and len(kernel.rows[k]) > 1), None)
+            if key is None:  # every row at this level has one edge: nothing to move
+                continue
+            (e0, j0, p0), (e1, j1, p1), *rest = kernel.rows[key]
+            eps = min(p0, p1) / 2
+            moved = ExplicitMarkov(
+                g, {**kernel.rows, key: ((e0, j0, p0 + eps), (e1, j1, p1 - eps), *rest)}, name="moved"
+            )
+            report = kernel_centrality(moved)
+            assert not report.central and not _oracle_verdict(moved), (w.describe(), level)
+            _assert_witnesses_hold(moved, report)
+            caught += 1
+        # the root row and, below the top, the last level have one edge each at most
+        assert caught >= depth - 2
+
+
+def test_kernel_centrality_needs_a_row_where_it_walks():
+    g = build_graph(build_young_poset([2, 1]), 3)
+    rows = {(0, 0): ((1, 0, 1),), (1, 0): ((2, 0, Fraction(1, 2)), (3, 1, Fraction(1, 2))), (2, 0): ((3, 0, 1),)}
+    with pytest.raises(ValueError, match="the kernel reaches 2:1, which has no row"):
+        kernel_centrality(ExplicitMarkov(g, rows, name="holed"))
+
+
 def test_exact_law_of_a_deep_window():
     # one path of 1400 steps: the walk is as deep as the window
     g = build_graph(build_chain_poset(1500), 1400)
@@ -279,6 +446,24 @@ def test_markov_row_validation():
     rows = {(0, 0): ((1, 0, Fraction(1, 2)), (1, 0, Fraction(1, 2))), (1, 0): ((2, 0, 1),), (2, 0): ((3, 0, 1),)}
     with pytest.raises(ValueError, match=r"row \(0, 0\) lists an element twice"):
         ExplicitMarkov(g, rows, name="twice")
+
+
+def test_markov_rows_must_be_up_edges():
+    # on young 2,1 cell (2,1) is id 3 and cell (1,2) id 2: these rows add
+    # (2,1), then (1,2), then (1,1), and would walk 0,3,2,1, no numbering
+    g = build_graph(build_young_poset([2, 1]), 3)
+    rows = {(0, 0): ((3, 0, 1),), (1, 0): ((2, 0, 1),), (2, 0): ((1, 0, 1),)}
+    with pytest.raises(ValueError, match=r"row \(0, 0\) lists \(3, 0\), which is no up-edge of the graph"):
+        ExplicitMarkov(g, rows, name="x")
+    # an edge's element with another edge's target
+    rows = {(0, 0): ((1, 0, 1),), (1, 0): ((2, 1, 1),), (2, 1): ((2, 0, 1),)}
+    with pytest.raises(ValueError, match=r"row \(1, 0\) lists \(2, 1\)"):
+        ExplicitMarkov(g, rows, name="y")
+    for key in [(4, 0), (2, 2), (-1, 0)]:
+        with pytest.raises(ValueError, match="is no vertex of the graph"):
+            ExplicitMarkov(g, {key: ()}, name="z")
+    with pytest.raises(ValueError, match="depth 4 is outside 0..3"):
+        ExplicitMarkov(g, {}, name="deep", depth=4)
 
 
 def test_parse_markov_kernel_round_trip():
