@@ -20,6 +20,7 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
+from operator import itemgetter
 
 from .graded_graph import DEFAULT_VERTEX_CAP, build_graph
 from .ideals import FiniteSetIdeal, check_downward_closed, parse_ideal
@@ -183,7 +184,9 @@ def cmd_paths(args):
     config = {"poset": _poset_flag(args), "depth": length, "list": args.list, "path_cap": args.path_cap}
     lines = [f"paths: {len(paths)}"]
     if args.list:
-        lines += map(_commas, paths)
+        names = list(map(str, range(window.poset.n)))
+        # one gather per path; itemgetter of one index returns a bare string
+        lines += [",".join(itemgetter(*p)(names)) if len(p) > 1 else names[p[0]] for p in paths]
     return config, lines, EXIT_OK
 
 

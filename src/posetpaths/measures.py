@@ -158,10 +158,11 @@ class ExplicitMarkov:
                     raise ValueError(f"row {key} lists ({elem}, {j}), which is no up-edge of the graph")
             if not all(isinstance(p, Rational) for _, _, p in row):
                 raise ValueError(f"row {key} has a probability that is not an exact rational")
-            total = sum(p for _, _, p in row)
-            if total != 1:
-                raise ValueError(f"row {key} sums to {total}, not 1")
-            if any(p < 0 for _, _, p in row):
+            common = math.lcm(*[p.denominator for _, _, p in row])
+            total = sum([p.numerator * (common // p.denominator) for _, _, p in row])
+            if total != common:
+                raise ValueError(f"row {key} sums to {Fraction(total, common)}, not 1")
+            if any(p.numerator < 0 for _, _, p in row):
                 raise ValueError(f"row {key} has a negative probability")
 
     def name(self) -> str:
@@ -351,10 +352,8 @@ def is_central(handle: GroupHandle, measure) -> CentralityReport:
     """
     if not measure:
         raise ValueError("empty measure")
-    # normalized (numerator, denominator) pairs are equal exactly when the
-    # values are; sums and comparisons run on them without Fraction's
-    # per-operation gcd and mixed-type dispatch
-    weights = [(0, 1)] * handle.n_paths  # by path id, lexicographic
+    # masses as integers over one common denominator compare as the rationals do, without Fractions
+    weights = [(0, 1)] * handle.n_paths  # (numerator, denominator) by path id, lexicographic
     by_den: dict[int, int] = {}
     for key, p in measure.items():
         k = handle.path_index.get(key)
@@ -372,20 +371,20 @@ def is_central(handle: GroupHandle, measure) -> CentralityReport:
     if total != 1:
         raise ValueError(f"probabilities sum to {total}, not 1")
 
+    scaled = [num * (common // den) for num, den in weights]
     inv_witnesses = []
-    unmoved = tuple(weights)
+    unmoved = tuple(scaled)
     for i, gen in zip(handle.sigma_indices, handle.generators):
-        if compose(weights, gen) != unmoved:  # some path's weight differs from its image's
-            inv_witnesses = [(i, handle.paths[k]) for k, j in enumerate(gen) if weights[k] != weights[j]][:5]
+        if compose(scaled, gen) != unmoved:  # some path's weight differs from its image's
+            inv_witnesses = [(i, handle.paths[k]) for k, j in enumerate(gen) if scaled[k] != scaled[j]][:5]
             break
-
-    def value(path):
-        return Fraction(*weights[handle.path_index[path]])
 
     fiber_witnesses = []
     for fiber in endpoint_fibers(handle.paths).values():
-        if len({weights[handle.path_index[p]] for p in fiber}) > 1:
-            fiber_witnesses.append((min(fiber, key=value), max(fiber, key=value)))
+        keys = [scaled[handle.path_index[p]] for p in fiber]
+        lo, hi = min(keys), max(keys)
+        if lo != hi:  # the first lightest and the first heaviest, in path order
+            fiber_witnesses.append((fiber[keys.index(lo)], fiber[keys.index(hi)]))
     return CentralityReport(
         n_paths=handle.n_paths,
         exact=True,

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from math import lcm
-from operator import itemgetter
+from itertools import compress, count
+from operator import and_, itemgetter, ne
 
 from .posets import (
     PATH_CAP,
@@ -32,13 +33,16 @@ from .posets import (
 
 GROUP_CAP = 1_000_000  # default for the most group elements a closure lists
 
-ALLOWED_ORBIT_TAGS = (
-    "trivial",
-    "Z2-swap",
-    "3-cycle-class",
-    "S3-class",
-    "order-6-dihedral-class",
-)
+# an orbit's tag by its size and the order of <sigma_i, sigma_{i+1}> on it
+_ORBIT_TAGS = {
+    (1, 1): "trivial",
+    (2, 2): "Z2-swap",
+    (3, 6): "3-cycle-class",
+    (6, 6): "S3-class",
+    (6, 12): "order-6-dihedral-class",
+    (12, 12): "order-6-dihedral-class",
+}
+ALLOWED_ORBIT_TAGS = tuple(dict.fromkeys(_ORBIT_TAGS.values()))
 
 
 def apply_sigma(poset: Poset, i: int, phi: tuple[int, ...]) -> tuple[int, ...]:
@@ -90,20 +94,6 @@ def compose(p, q) -> tuple[int, ...]:
     if len(q) < 2:  # itemgetter of fewer than two indices returns no tuple
         return tuple(p[x] for x in q)
     return itemgetter(*q)(p)
-
-
-def perm_order(p, points=None) -> int:
-    """Order via lcm of cycle lengths; on the p-invariant set `points` only, if given."""
-    seen, order = set(), 1
-    for s in range(len(p)) if points is None else points:
-        length, x = 0, s
-        while x not in seen:
-            seen.add(x)
-            x = p[x]
-            length += 1
-        if length:
-            order = lcm(order, length)
-    return order
 
 
 def _orbit(generators, start, cap):
@@ -243,10 +233,12 @@ def generate_group(window: PosetWindow, length: int, path_cap: int = PATH_CAP) -
     index = dict(zip(paths, range(len(paths))))
     sigma_indices = tuple(range(1, max(length - 1, 1)))
     gens = []
+    order = list(range(length))  # the positions, with one pair i, i+1 exchanged at a time
     for i in sigma_indices:
         # every numbering with positions i, i+1 exchanged; a missed lookup
         # (comparable entries, so no numbering) leaves the path fixed
-        swap = itemgetter(*range(i), i + 1, i, *range(i + 2, length))
+        order[i - 1:i + 2] = i - 1, i + 1, i
+        swap = itemgetter(*order)
         gens.append(tuple(map(index.get, map(swap, paths), range(len(paths)))))
     return GroupHandle(
         window=window,
@@ -307,21 +299,46 @@ class RelationReport:
 _RELATION_NAMES = {1: "sigma^2", 6: "(sigma_i sigma_{i+1})^6", 2: "(sigma_i sigma_j)^2"}
 
 
+def _least_moved(p) -> int:
+    """The least point the permutation p moves, or len(p) if it moves none."""
+    return next(compress(count(), map(ne, p, count())), len(p))
+
+
 def verify_relations(handle: GroupHandle) -> RelationReport:
     """Check, as exact permutation identities, the Coxeter-matrix relations
     (sigma_i sigma_j)^m(i, j) = 1 for every pair i <= j: m = 1 for i = j
     (each generator is an involution), 6 for adjacent indices and 2 for
     distant ones (they commute). A violation's witness is the least path
-    the power moves."""
-    ident = identity_perm(handle.n_paths)
-    found: dict[int, list[RelationViolation]] = {m: [] for m in _RELATION_NAMES}
+    the power moves.
+
+    Generators g, h with disjoint supports (one may be the identity)
+    commute, so (gh)^m = g^m h^m moves what g^m or h^m moves; g^m comes
+    from g's square, computed once, and is the identity for an involution.
+    Only pairs with overlapping supports are composed; h moving the least
+    point g moves shows most overlaps at once. A pair led by the identity
+    is visited only when the other is no involution.
+    """
+    n = handle.n_paths
+    ident = identity_perm(n)
     gens = list(zip(handle.sigma_indices, handle.generators))
+    low = [n if g == ident else _least_moved(g) for _, g in gens]  # the least point each g moves
+    squares = {b: compose(g, g) for b, (_, g) in enumerate(gens) if low[b] < n}
+    # position in gens -> {m: the least point g^m moves} for m = 2, 6, for each g that is no involution
+    odd = {b: {2: _least_moved(sq), 6: _least_moved(compose(sq, compose(sq, sq)))} for b, sq in squares.items() if sq != ident}
+    found: dict[int, list[RelationViolation]] = {m: [] for m in _RELATION_NAMES}
     for a, (i, g) in enumerate(gens):
-        for j, h in gens[a:]:
-            m = 1 if j == i else 6 if j == i + 1 else 2
-            power = reduce(compose, [compose(g, h)] * m)
-            if power != ident:
-                moved = next(k for k, x in enumerate(power) if x != k)
+        if a in odd:
+            found[1].append(RelationViolation(_RELATION_NAMES[1], i, i, odd[a][2]))
+        x = low[a]
+        for b in range(a + 1, len(gens)) if x < n else [b for b in odd if b > a]:
+            j, h = gens[b]
+            m = 6 if j == i + 1 else 2
+            if x == n or low[b] == n or h[x] == x and not any(map(and_, map(ne, g, count()), map(ne, h, count()))):
+                moved = min(odd.get(a, {}).get(m, n), odd.get(b, {}).get(m, n))
+            else:
+                power = reduce(compose, [compose(g, h)] * m)
+                moved = n if power == ident else _least_moved(power)
+            if moved < n:
                 found[m].append(RelationViolation(_RELATION_NAMES[m], i, j, moved))
     return RelationReport(found[1], found[2], found[6])
 
@@ -336,65 +353,46 @@ class LocalGroupReport:
     orbit_types: tuple[tuple[int, str], ...]  # (orbit size, tag), sorted
 
 
-def _orbits_of_pair(a, b):
-    seen, orbits = set(), []
-    for s in range(len(a)):
-        if s not in seen:
-            seen.add(s)
-            orbit = [s]
-            for x in orbit:  # the list grows while it is read
-                for y in (a[x], b[x]):
-                    if y not in seen:
-                        seen.add(y)
-                        orbit.append(y)
-            orbits.append(orbit)
-    return orbits
-
-
-def _dihedral_order(a_moves: bool, b_moves: bool, product_order: int) -> int:
-    """Order of <a, b> for involutions a, b: 2*ord(ab), or 2 if one is the identity, 1 if both are."""
-    return 2 * product_order if a_moves and b_moves else 1 + (a_moves or b_moves)
-
-
 def classify_local(handle: GroupHandle, i: int) -> LocalGroupReport:
     """Orders and orbit structure of the pair (sigma_i, sigma_{i+1}).
 
-    Two involutions generate a dihedral group, on all paths and on each orbit.
-    The product order must land in {1, 2, 3, 6}; anything else would
-    falsify the adjacent-generator relation and raises.
+    An orbit of two involutions a, b is a path of k points linked in turn
+    by a and b, on which ab is a k-cycle and <a, b> has order k (k <= 2) or
+    2k; or a ring of 2m points, on which ab has two m-cycles, each the
+    b-image of the other, and <a, b> has order 2m. So one walk along each
+    cycle of ab classifies its orbit: a path if it holds b(s), else half a
+    ring. The product order, the lcm of the cycle lengths, must land in
+    {1, 2, 3, 6}, or the adjacent-generator relation fails and this
+    raises, for any two permutations; a generator that is no involution
+    raises next.
     """
-    a = handle.generator(i)
-    b = handle.generator(i + 1)
+    a, b = handle.generator(i), handle.generator(i + 1)
     ab = compose(a, b)
-    product_order = perm_order(ab)
+    seen = bytearray(len(ab))
+    product_order, tags = 1, []
+    for s in range(len(ab)):
+        if seen[s]:
+            continue
+        ring_half_seen = seen[b[s]]
+        x, length = s, 0
+        while not seen[x]:
+            seen[x] = 1
+            x = ab[x]
+            length += 1
+        product_order = lcm(product_order, length)
+        if not ring_half_seen:
+            size = length if seen[b[s]] else 2 * length
+            g = length if size == length <= 2 else 2 * length
+            tags.append((size, _ORBIT_TAGS.get((size, g), f"unexpected({size},{g})")))
     if product_order not in (1, 2, 3, 6):
-        raise ValueError(
-            f"product of adjacent involutions {i},{i + 1} has order {product_order}"
-        )
+        raise ValueError(f"product of adjacent involutions {i},{i + 1} has order {product_order}")
     ident = identity_perm(handle.n_paths)
-    tags = []
-    for orb in _orbits_of_pair(a, b):
-        moves = (any(a[x] != x for x in orb), any(b[x] != x for x in orb))
-        g = _dihedral_order(*moves, perm_order(ab, orb))
-        if g == 1:
-            tag = "trivial"
-        elif g == 2:
-            tag = "Z2-swap"
-        elif g == 6 and len(orb) == 3:
-            tag = "3-cycle-class"
-        elif g == 6 and len(orb) == 6:
-            tag = "S3-class"
-        elif g == 12:
-            tag = "order-6-dihedral-class"
-        else:
-            tag = f"unexpected({len(orb)},{g})"
-        tags.append((len(orb), tag))
-    return LocalGroupReport(
-        i=i,
-        product_order=product_order,
-        group_order=_dihedral_order(a != ident, b != ident, product_order),
-        orbit_types=tuple(sorted(tags)),
-    )
+    for k, g in ((i, a), (i + 1, b)):
+        if compose(g, g) != ident:
+            raise ValueError(f"sigma_{k} is not an involution")
+    moving = (a != ident) + (b != ident)  # <a, b> has order 1, 2 or 2 * ord(ab)
+    group_order = 2 * product_order if moving == 2 else 1 + moving
+    return LocalGroupReport(i=i, product_order=product_order, group_order=group_order, orbit_types=tuple(sorted(tags)))
 
 
 def local_indices(handle: GroupHandle) -> list[int]:

@@ -168,6 +168,68 @@ def left_closure(generators, cap=None):
     return len(elements), diameter
 
 
+def perm_order(p):
+    """Order of the permutation tuple p: the lcm of its cycle lengths."""
+    seen, lengths = set(), []
+    for s in range(len(p)):
+        length, x = 0, s
+        while x not in seen:
+            seen.add(x)
+            x = p[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return lcm(lengths)
+
+
+def restricted_pairs(a, b):
+    """(a, b) relabelled onto each orbit of <a, b>, found by a search from each point."""
+    seen = set()
+    for s in range(len(a)):
+        if s in seen:
+            continue
+        orb = {s}
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y in (a[x], b[x]):
+                if y not in orb:
+                    orb.add(y)
+                    stack.append(y)
+        seen |= orb
+        points = sorted(orb)
+        pos = {x: k for k, x in enumerate(points)}
+        yield tuple(pos[a[x]] for x in points), tuple(pos[b[x]] for x in points)
+
+
+def local_class(i, a, b):
+    """(product order, group order, sorted (orbit size, tag) pairs) of the
+    pair (a, b) = (sigma_i, sigma_{i+1}), by closing <a, b> and <ab> on each
+    orbit of <a, b>. An orbit's tag names the order g of <a, b> on it:
+    1 trivial, 2 Z2-swap, 6 on 3 points 3-cycle-class, 6 on 6 points
+    S3-class, 12 order-6-dihedral-class, else unexpected(size,g). Raises
+    ValueError when the order of ab is outside {1, 2, 3, 6}, and then
+    when a or b is no involution."""
+    orbits = list(restricted_pairs(a, b))
+    product = lcm(left_closure([tuple(ra[y] for y in rb)])[0] for ra, rb in orbits)
+    if product not in (1, 2, 3, 6):
+        raise ValueError(f"product of adjacent involutions {i},{i + 1} has order {product}")
+    for k, g in ((i, a), (i + 1, b)):
+        if any(g[g[x]] != x for x in range(len(g))):
+            raise ValueError(f"sigma_{k} is not an involution")
+    tags = []
+    for ra, rb in orbits:
+        size, g = len(ra), left_closure([ra, rb])[0]
+        if g in (1, 2, 12):
+            tag = {1: "trivial", 2: "Z2-swap", 12: "order-6-dihedral-class"}[g]
+        elif g == 6 and size in (3, 6):
+            tag = "3-cycle-class" if size == 3 else "S3-class"
+        else:
+            tag = f"unexpected({size},{g})"
+        tags.append((size, tag))
+    return product, left_closure([a, b])[0], sorted(tags)
+
+
 def relation_violations(sigma_indices, generators):
     """The failed generator relations as (involution, commuting, braid)
     lists of (i, j, witness), pairs in increasing (i, j) order. With

@@ -111,6 +111,16 @@ def test_paths_list_matches_brute_numberings_on_corpus(capsys):
             assert body[1:] == [",".join(map(str, seq)) for seq in expected], (flag, length)
 
 
+def test_paths_list_spells_multi_digit_ids(capsys):
+    # antichain 12 has ids up to 11; the root alone is the length-1 numbering
+    w = build_antichain_poset(12)
+    for length in (1, 2, 3):
+        code, out, _ = run(capsys, "paths", "--antichain", "12", "--depth", str(length), "--list")
+        assert code == 0
+        body = [line for line in out.splitlines() if not line.startswith("#")]
+        assert body[1:] == [",".join(map(str, seq)) for seq in brute_numberings(w.poset, length)], length
+
+
 def test_graph_vertex_cap_exit_code(capsys):
     code, out, err = run(capsys, "graph", "--box", "3,3,3", "--vertex-cap", "100")
     assert code == 3

@@ -22,6 +22,7 @@ from posetpaths import (
     build_young_poset,
     compare_frequency_profiles,
     dimension,
+    endpoint_fibers,
     endpoint_measure,
     estimate_frequency,
     generate_group,
@@ -229,6 +230,54 @@ def test_centrality_witnesses_match_per_path_oracle():
             assert (report.invariance_witnesses, report.fiber_witnesses) == central_witnesses(
                 w.poset, law, length
             ), (w.describe(), length)
+
+
+def test_fiber_witness_ties_keep_path_order():
+    # antichain 3 at length 4: six paths in one fiber. Masses mix the int 0
+    # with Fractions over 6 and 3; the lightest (0) and the heaviest (1/3)
+    # are each shared by two paths, and the first of each must be named
+    handle = generate_group(build_antichain_poset(3), 4)
+    p = handle.paths
+    law = {p[0]: Fraction(1, 6), p[1]: 0, p[2]: Fraction(1, 3), p[3]: 0, p[4]: Fraction(2, 6), p[5]: Fraction(1, 6)}
+    report = is_central(handle, law)
+    assert report.fiber_witnesses == [(p[1], p[2])]
+    # many fibers with ties, against a Fraction-keyed min and max in path order
+    rng = random.Random(5)
+    for w, length in [(build_box_poset(3, (2, 2, 3)), 7), (build_young_poset([4, 3, 2, 1]), 8)]:
+        handle = generate_group(w, length)
+        raw = {q: rng.choice([0, Fraction(1, 3), Fraction(2, 6), Fraction(1, 2), Fraction(1)]) for q in handle.paths}
+        total = sum(raw.values())
+        law = {q: m / total if m else 0 for q, m in raw.items()}
+
+        def value(q):
+            return Fraction(law[q])
+
+        expected = [
+            (min(fiber, key=value), max(fiber, key=value))
+            for fiber in endpoint_fibers(handle.paths).values()
+            if len({value(q) for q in fiber}) > 1
+        ]
+        assert len(expected) >= 5
+        assert is_central(handle, law).fiber_witnesses == expected, w.describe()
+
+
+def test_markov_row_sums_and_signs_on_integers():
+    g = build_graph(build_young_poset([2, 1]), 3)
+    (e1, j1), (e2, j2) = g.up_edges[1][0]
+    for row, message in [
+        (((e1, j1, 1), (e2, j2, 1)), r"row \(1, 0\) sums to 2, not 1"),
+        (((e1, j1, Fraction(1, 3)), (e2, j2, Fraction(1, 6))), r"row \(1, 0\) sums to 1/2, not 1"),
+        (((e1, j1, 1), (e2, j2, Fraction(1, 2))), r"row \(1, 0\) sums to 3/2, not 1"),
+        ((), r"row \(1, 0\) sums to 0, not 1"),
+        (((e1, j1, Fraction(3, 2)), (e2, j2, Fraction(-1, 2))), r"row \(1, 0\) has a negative probability"),
+        (((e1, j1, 2), (e2, j2, -1)), r"row \(1, 0\) has a negative probability"),
+        (((e1, j1, Fraction(1, 2)), (e2, j2, 0.5)), r"row \(1, 0\) has a probability that is not an exact rational"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ExplicitMarkov(g, {(0, 0): ((1, 0, 1),), (1, 0): row}, name="row")
+    # exact sums over mixed denominators pass
+    kernel = ExplicitMarkov(g, {(0, 0): ((1, 0, 1),), (1, 0): ((e1, j1, Fraction(1, 3)), (e2, j2, Fraction(4, 6)))}, name="ok")
+    assert kernel.rows[(1, 0)][1][2] == Fraction(2, 3)
 
 
 def test_is_central_on_a_one_path_handle():

@@ -25,7 +25,7 @@ from posetpaths import (
     verify_relations,
 )
 from posetpaths import symmetry
-from posetpaths.symmetry import ALLOWED_ORBIT_TAGS, closure, compose, perm_order
+from posetpaths.symmetry import ALLOWED_ORBIT_TAGS, closure, compose
 
 from oracles import (
     broken_handle,
@@ -33,7 +33,10 @@ from oracles import (
     brute_orbit,
     brute_symmetry_group_order,
     left_closure,
+    local_class,
+    perm_order,
     relation_violations,
+    restricted_pairs,
     sigma_map,
 )
 
@@ -442,48 +445,108 @@ def test_local_reports_on_corpus_within_allowed_structure():
 TAG_ORDER = {"trivial": 1, "Z2-swap": 2, "3-cycle-class": 6, "S3-class": 6, "order-6-dihedral-class": 12}
 
 
-def _restricted_pairs(a, b):
-    """(a, b) relabelled onto each orbit of <a, b>, found by a search from each point."""
-    seen = set()
-    for s in range(len(a)):
-        if s in seen:
-            continue
-        orb = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in (a[x], b[x]):
-                if y not in orb:
-                    orb.add(y)
-                    stack.append(y)
-        seen |= orb
-        points = sorted(orb)
-        pos = {x: k for k, x in enumerate(points)}
-        yield tuple(pos[a[x]] for x in points), tuple(pos[b[x]] for x in points)
-
-
 @pytest.mark.parametrize(
     "window",
     [
         build_young_poset([4, 3, 2, 1]),
+        build_young_poset([3, 2, 1]),
         build_young_poset([3, 3]),
         build_young_poset([4, 2, 1]),
         build_box_poset(3, (2, 2, 3)),
+        build_antichain_poset(3),
+        build_antichain_poset(4),
         build_antichain_poset(5),
+        build_antichain_poset(6),
         build_young_poset([4, 1]),  # a hook: sigma_1 is the identity, sigma_2 is not
         build_chain_poset(5),  # every generator is the identity
     ],
     ids=lambda w: w.describe(),
 )
 def test_local_orders_match_closure_oracle_per_pair_and_orbit(window):
-    handle = generate_group(window, window.poset.n)
-    for i in local_indices(handle):
-        a, b = handle.generator(i), handle.generator(i + 1)
-        rep = classify_local(handle, i)
-        assert rep.group_order == left_closure([a, b])[0], i
-        assert rep.product_order == left_closure([compose(a, b)])[0], i
-        expected = sorted((len(ra), left_closure([ra, rb])[0]) for ra, rb in _restricted_pairs(a, b))
-        assert sorted((size, TAG_ORDER[tag]) for size, tag in rep.orbit_types) == expected, i
+    for length in (window.poset.n - 1, window.poset.n):
+        handle = generate_group(window, length)
+        for i in local_indices(handle):
+            a, b = handle.generator(i), handle.generator(i + 1)
+            rep = classify_local(handle, i)
+            assert rep.group_order == left_closure([a, b])[0], i
+            assert rep.product_order == left_closure([compose(a, b)])[0], i
+            expected = sorted((len(ra), left_closure([ra, rb])[0]) for ra, rb in restricted_pairs(a, b))
+            assert sorted((size, TAG_ORDER[tag]) for size, tag in rep.orbit_types) == expected, i
+            assert (rep.product_order, rep.group_order, list(rep.orbit_types)) == local_class(i, a, b), i
+
+
+def _local_class_or_error(classify, *args):
+    try:
+        return classify(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _cycles(n, *cycles):
+    """The permutation of range(n) with the given cycles."""
+    perm = list(range(n))
+    for cycle in cycles:
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[x] = y
+    return tuple(perm)
+
+
+def test_classify_local_on_broken_handles_matches_oracle():
+    handle = generate_group(build_antichain_poset(4), 5)  # 24 paths, sigma_1..sigma_3
+
+    def outcome(h, i):
+        got = _local_class_or_error(classify_local, h, i)
+        if not isinstance(got, str):
+            got = (got.product_order, got.group_order, list(got.orbit_types))
+        return got, _local_class_or_error(local_class, i, h.generator(i), h.generator(i + 1))
+
+    broken = broken_handle(handle)
+    assert [outcome(broken, i) for i in (1, 2)] == [
+        ("product of adjacent involutions 1,2 has order 30",) * 2,
+        ("product of adjacent involutions 2,3 has order 4",) * 2,
+    ]
+    n, ident = handle.n_paths, tuple(range(handle.n_paths))
+    pairs = {
+        # a ring of four points: ab has order 2, <a, b> order 4 on it
+        "ring 4": (_cycles(n, (0, 1), (2, 3)), _cycles(n, (0, 2), (1, 3))),
+        # a path of four points and a ring of eight: ab has order 4
+        "path 4": (_cycles(n, (0, 1), (2, 3)), _cycles(n, (1, 2))),
+        "ring 8": (_cycles(n, (0, 1), (2, 3), (4, 5), (6, 7)), _cycles(n, (1, 2), (3, 4), (5, 6), (7, 0))),
+        "path 5": (_cycles(n, (0, 1), (2, 3)), _cycles(n, (1, 2), (3, 4))),
+        # ab of order 3 from a generator that is no involution
+        "3-cycle": (_cycles(n, (0, 1, 2)), ident),
+        "ring 12 and path 6": (
+            _cycles(n, *[(k, k + 1) for k in range(0, 12, 2)], (12, 13), (14, 15), (16, 17)),
+            _cycles(n, *[(k, (k + 1) % 12) for k in range(1, 12, 2)], (13, 14), (15, 16)),
+        ),
+    }
+    expected = {
+        "ring 4": (2, 4, [(1, "trivial")] * 20 + [(4, "unexpected(4,4)")]),
+        "path 4": "product of adjacent involutions 1,2 has order 4",
+        "ring 8": "product of adjacent involutions 1,2 has order 4",
+        "path 5": "product of adjacent involutions 1,2 has order 5",
+        "3-cycle": "sigma_1 is not an involution",
+        "ring 12 and path 6": (6, 12, [(1, "trivial")] * 6 + [(6, "order-6-dihedral-class"), (12, "order-6-dihedral-class")]),
+    }
+    for name, (a, b) in pairs.items():
+        h = dataclasses.replace(handle, generators=(a, b, handle.generators[2]))
+        got, oracle = outcome(h, 1)
+        assert got == oracle == expected[name], name
+    # randomly broken generators, as in the relation-report test
+    rng = random.Random(47)
+    for _ in range(60):
+        gens = list(handle.generators)
+        k = rng.randrange(3)
+        perm = list(gens[k])
+        x, y = rng.sample(range(n), 2)
+        perm[x], perm[y] = perm[y], perm[x]
+        if rng.random() < 0.5:
+            rng.shuffle(perm)
+        gens[k] = tuple(perm)
+        h = dataclasses.replace(handle, generators=tuple(gens))
+        for i in (1, 2):
+            got, oracle = outcome(h, i)
+            assert got == oracle, (gens, i)
 
 
 def test_random_windows_keep_relations():
@@ -587,6 +650,80 @@ def test_relation_report_on_broken_generators_matches_oracle():
         assert {v.relation for v in report.braid_violations} <= {"(sigma_i sigma_{i+1})^6"}
         filled = [f + bool(found) for f, found in zip(filled, expected)]
     assert min(filled) >= 5, filled  # every list is exercised
+
+
+def test_relation_shortcuts_match_oracle():
+    # chain windows: one numbering, and every generator is the identity
+    for w in (build_chain_poset(6), build_chain_poset(40)):
+        for length in range(1, w.poset.n + 1):
+            handle = generate_group(w, length)
+            report = verify_relations(handle)
+            assert report.ok
+            assert _violations(report) == relation_violations(handle.sigma_indices, handle.generators) == ([], [], [])
+    handle = generate_group(build_antichain_poset(4), 5)  # 24 paths, sigma_1..sigma_3
+    n, ident = handle.n_paths, tuple(range(handle.n_paths))
+    cases = [
+        # pairwise disjoint supports, all involutions: every relation holds
+        ((_cycles(n, (0, 1), (2, 3)), _cycles(n, (4, 5)), _cycles(n, (6, 7), (8, 9))), ([], [], [])),
+        # disjoint supports: a 3-cycle, a transposition and a 4-cycle; the
+        # 3-cycle's sixth power and the transposition's are the identity
+        ((_cycles(n, (0, 1, 2)), _cycles(n, (5, 6)), _cycles(n, (10, 11, 12, 13))),
+         ([(1, 1, 0), (3, 3, 10)], [(1, 3, 0)], [(2, 3, 10)])),
+        # identities beside generators that are no involution
+        ((ident, _cycles(n, (3, 4, 5)), ident), ([(2, 2, 3)], [], [])),
+        ((ident, _cycles(n, (7, 8, 9, 6)), ident), ([(2, 2, 6)], [], [(1, 2, 6), (2, 3, 6)])),
+        ((_cycles(n, (9, 8)), ident, _cycles(n, (20, 21, 22, 23))), ([(3, 3, 20)], [(1, 3, 20)], [(2, 3, 20)])),
+        # overlapping supports, composed in full: paths of four and of three points
+        ((_cycles(n, (0, 1), (2, 3)), _cycles(n, (1, 2)), _cycles(n, (2, 4))), ([], [(1, 3, 2)], [(1, 2, 0)])),
+    ]
+    for gens, expected in cases:
+        broken = dataclasses.replace(handle, generators=gens)
+        assert _violations(verify_relations(broken)) == relation_violations(broken.sigma_indices, gens) == expected
+
+
+def test_relation_report_on_identity_and_disjoint_generators_matches_oracle():
+    rng = random.Random(53)
+    windows = [w for w in CORPUS if w.family != "chain"] + [build_antichain_poset(5)]
+    filled = [0, 0, 0]
+    for _ in range(120):
+        w = rng.choice(windows)
+        handle = generate_group(w, rng.randint(3, w.poset.n))
+        n, gens = handle.n_paths, list(handle.generators)
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(gens))
+            kind = rng.randrange(4)
+            if kind == 0:  # the identity
+                perm = list(range(n))
+            elif kind == 1:  # a random permutation of a few points no other generator moves
+                free = [x for x in range(n) if all(g[x] == x for j, g in enumerate(gens) if j != k)]
+                points = rng.sample(free, min(len(free), rng.randint(2, 4)))
+                perm = list(range(n))
+                for x, y in zip(points, rng.sample(points, len(points))):
+                    perm[x] = y
+            elif kind == 2:  # one transposition composed in
+                perm = list(gens[k])
+                a, b = rng.sample(range(n), 2)
+                perm[a], perm[b] = perm[b], perm[a]
+            else:  # any permutation
+                perm = list(range(n))
+                rng.shuffle(perm)
+            gens[k] = tuple(perm)
+        broken = dataclasses.replace(handle, generators=tuple(gens))
+        expected = relation_violations(broken.sigma_indices, broken.generators)
+        assert _violations(verify_relations(broken)) == expected, (w.describe(), handle.length, gens)
+        filled = [f + bool(found) for f, found in zip(filled, expected)]
+    assert min(filled) >= 5, filled  # every list is exercised
+
+
+def test_relations_on_a_deep_chain_compose_nothing(monkeypatch):
+    # group --chain 1500: one numbering, 1498 identity generators and
+    # 1,122,751 pairs, each decided without a composition
+    handle = generate_group(build_chain_poset(1500), 1500)
+    calls = []
+    real = symmetry.compose
+    monkeypatch.setattr(symmetry, "compose", lambda p, q: calls.append(len(q)) or real(p, q))
+    assert verify_relations(handle).ok
+    assert calls == []
 
 
 def test_endpoint_fibers_in_lexicographic_order_of_sorted_endpoints():
