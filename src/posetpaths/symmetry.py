@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from math import lcm
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import and_, itemgetter, ne
 
 from .posets import (
@@ -96,7 +96,7 @@ def compose(p, q) -> tuple[int, ...]:
     return itemgetter(*q)(p)
 
 
-def _orbit(generators, start, cap):
+def _orbit(generators, start, cap, head=None):
     """Breadth-first orbit of the point tuple `start`, each generator g
     taking t to (g[t[0]], g[t[1]], ...). Identity generators are skipped.
 
@@ -110,6 +110,10 @@ def _orbit(generators, start, cap):
     largest descent b, which neither rule skips (the first would put u a
     level down, the second would give u the larger descent a). Involution
     and commutation are read off the generators, never assumed.
+
+    With `head`, the first `head` points of a tuple must determine the
+    rest: the search returns None as soon as a new tuple agrees there with
+    one found before.
 
     Returns (tuples as a set-like view, the largest level). Raises
     CapExceeded past `cap` tuples.
@@ -125,6 +129,7 @@ def _orbit(generators, start, cap):
                 skip |= 1 << a
         moves.append((g, 1 << b, skip))
     index = {start: 0}  # tuple -> discovery number
+    heads = {start[:head]}  # the first `head` points of each tuple found
     size = 1
     frontier, descents = [start], [0]
     diameter = 0
@@ -142,6 +147,11 @@ def _orbit(generators, start, cap):
                 u = image(g)
                 k = index.setdefault(u, size)  # hashed once per move
                 if k == size:
+                    if head is not None:
+                        key = u[:head]
+                        if key in heads:
+                            return None
+                        heads.add(key)
                     size += 1
                     nxt.append(u)
                     nxt_descents.append(bit)
@@ -160,7 +170,9 @@ def closure(generators, cap: int | None = None):
     of the identity tuple, each element left-multiplied by the generators
     and pruned as in `_orbit`. Level d holds the elements whose shortest
     word in the generators has d letters, so the diameter is the Cayley
-    graph's.
+    graph's. The identity tuple is the base of every group, and
+    `group_order` falls back to it when a shorter base fails its
+    certificate.
 
     Returns (elements as a set-like view, diameter). Raises CapExceeded
     past `cap`.
@@ -170,26 +182,25 @@ def closure(generators, cap: int | None = None):
     return _orbit(generators, identity_perm(len(generators[0])), cap)
 
 
-def _orbit_exceeds_cap(generators, cap: int) -> bool:
-    """True when the orbit of the point tuple (0, ..., k-1) has more than
-    `cap` members, so the group, at least that large, has too; False when
-    the bound cannot decide.
-
-    k (at least 2) is the least length with more than `cap` tuples of
-    distinct points.
-    """
-    n = len(generators[0])
-    k, tuples = 2, n * (n - 1)  # itemgetter needs two or more indices to return a tuple
-    while tuples <= cap and k < n:
-        tuples *= n - k
-        k += 1
-    if tuples <= cap:
-        return False
-    try:
-        _orbit(generators, tuple(range(k)), cap)
-    except CapExceeded:
-        return True
-    return False
+def _orbit_minima(generators) -> list[int]:
+    """The least point of each orbit of the generators on points, in
+    increasing order."""
+    seen = bytearray(len(generators[0]))
+    minima = []
+    for s in range(len(seen)):
+        if seen[s]:
+            continue
+        minima.append(s)
+        seen[s] = 1
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for g in generators:
+                y = g[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+    return minima
 
 
 @dataclass
@@ -251,20 +262,49 @@ def generate_group(window: PosetWindow, length: int, path_cap: int = PATH_CAP) -
 
 
 def group_order(handle: GroupHandle, cap: int = GROUP_CAP) -> CayleyStats:
-    """Exact order by closure, or a capped report when the group has more
-    than `cap` elements.
+    """Exact order and Cayley diameter, or a capped report exactly when the
+    group G has more than `cap` elements. Raises ValueError for a cap
+    below 1.
 
-    The orbit bound runs first: the images of a point tuple under G number
-    |G| / |stabilizer| <= |G|, so an orbit of more than `cap` tuples proves
-    |G| > cap without listing a group element. Otherwise the closure
-    decides.
+    The orbit of a point tuple T has |G| / |G_T| <= |G| members, and T is a
+    base when its stabilizer G_T is trivial. T is (0, ..., k-1), where k
+    (at least 2) is the least length with more than `cap` tuples of
+    distinct points, followed by the least point of each orbit of G on
+    points that those k miss.
+      - Bound: an orbit of (0, ..., k-1) with more than `cap` members
+        proves |G| > cap, before anything else is computed.
+      - Certificate: T is walked in step with c(T) for every generator c,
+        as the orbit of T followed by the other points of c_1(T), c_2(T),
+        ..., which T must determine. Then w(T) -> w(c(T)) is well
+        defined, so G_T fixes each c(T), is normalized by every
+        generator and fixes the whole orbit of T: every point of every
+        orbit T meets, which is every point. So G_T is trivial, |G| is
+        the orbit's size, g -> g(T) maps the Cayley graph onto the
+        orbit's search graph, and the depth is the diameter. Conversely,
+        a trivial G_T always passes.
+      - Otherwise the base widens to every point, and `closure` lists G.
     """
-    if not handle.generators:
+    if cap < 1:
+        raise ValueError(f"group cap must be at least 1, got {cap}")
+    gens = handle.generators
+    if not gens:
         return CayleyStats(order=1, diameter=0, capped=False)
-    if _orbit_exceeds_cap(handle.generators, cap):
-        return CayleyStats(order=None, diameter=None, capped=True)
+    n = len(gens[0])
+    k, tuples = 2, n * (n - 1)  # itemgetter needs two or more indices to return a tuple
+    while tuples <= cap and k < n:
+        tuples *= n - k
+        k += 1
     try:
-        elements, diameter = closure(handle.generators, cap=cap)
+        certified = None
+        if tuples > cap:  # else (0, ..., k-1) holds every point: the base is the identity
+            base = tuple(range(k))
+            _orbit(gens, base, cap)  # the bound
+            base += tuple(p for p in _orbit_minima(gens) if p >= k)
+            if len(base) < n:
+                # the points of every c(T) beyond T: the walk's tuples hold at most n points
+                shadow = set(chain.from_iterable(itemgetter(*base)(c) for c in gens)).difference(base)
+                certified = _orbit(gens, base + tuple(sorted(shadow)), cap, head=len(base))
+        elements, diameter = certified or closure(gens, cap=cap)
     except CapExceeded:
         return CayleyStats(order=None, diameter=None, capped=True)
     return CayleyStats(order=len(elements), diameter=diameter, capped=False)

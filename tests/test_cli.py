@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,19 @@ def test_group_hook_note_reports_orders(capsys):
     assert code == 0
     assert "order: cap-exceeded (1000)" in out
     assert "hook_note: cells=11 order=cap-exceeded factorial(cells)=39916800 factorial(cells-1)=3628800" in out
+
+
+def test_group_antichain_7_orders_5040_paths_without_listing_them(capsys):
+    # listing the group held 5,040 permutations of 5,040 paths, about 200 MB
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "group", "--antichain", "7")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "order: 5040 (diameter 21)" in out.splitlines()
+    assert peak < 20 * 2**20, peak
 
 
 def test_poset_counts_incomparable_pairs_of_a_large_box(capsys):

@@ -25,7 +25,7 @@ from posetpaths import (
     verify_relations,
 )
 from posetpaths import symmetry
-from posetpaths.symmetry import ALLOWED_ORBIT_TAGS, closure, compose
+from posetpaths.symmetry import ALLOWED_ORBIT_TAGS, GroupHandle, closure, compose
 
 from oracles import (
     broken_handle,
@@ -319,6 +319,105 @@ def test_group_order_cap_flagging():
     assert stats.capped and stats.order is None
     stats = group_order(handle, cap=10**6)
     assert stats.order == 24 and not stats.capped
+
+
+def test_group_order_rejects_a_cap_below_one():
+    # capped exactly when |G| > cap cannot hold for cap 0: even the trivial group exceeds it
+    for handle in (generate_group(build_chain_poset(4), 4), generate_group(build_antichain_poset(3), 4)):
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                group_order(handle, cap=cap)
+        assert group_order(handle, cap=1).capped == (handle.n_paths > 1)
+
+
+def _random_block_generators(rng):
+    """Generators that act on disjoint blocks of points, each block by the
+    identity, an involution or any permutation, with fixed points between:
+    several orbits, and direct factors that a base must meet one by one."""
+    n = rng.randint(3, 8)
+    points = rng.sample(range(n), n)
+    blocks, at = [], 0
+    while at < n:
+        size = rng.choice((1, 1, 2, 3, 4))
+        blocks.append(points[at:at + size])
+        at += size
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        perm = list(range(n))
+        for block in blocks:
+            kind = rng.random()
+            if kind < 0.3:
+                continue
+            image = list(block)
+            if kind < 0.65:
+                sub = _random_involution(rng, len(block))
+                image = [block[x] for x in sub]
+            else:
+                rng.shuffle(image)
+            for x, y in zip(block, image):
+                perm[x] = y
+        gens.append(tuple(perm))
+    return gens
+
+
+def _bare_handle(gens):
+    return GroupHandle(window=None, length=0, paths=(), sigma_indices=tuple(range(1, len(gens) + 1)), generators=tuple(gens))
+
+
+def test_group_order_matches_oracle_on_random_generator_sets():
+    # fixed points, several orbits and non-involutions: the base needs a
+    # point of every orbit, and the certificate must see a stabilizer
+    # that the first k points leave
+    rng = random.Random(19)
+    sets = [_random_block_generators(rng) for _ in range(150)] + _hand_built_generator_sets()
+    sets.append(broken_handle(generate_group(build_antichain_poset(4), 5)).generators)
+    for gens in sets:
+        try:
+            order, diameter = left_closure(gens, cap=10**4)
+            caps = (1, 3, 10, 100, 10**6)
+        except RuntimeError:  # the broken handle's group: every cap up to 10**4 is exceeded
+            order, diameter, caps = None, None, (1, 3, 10, 100, 10**4)
+        for cap in caps:
+            stats = group_order(_bare_handle(gens), cap=cap)
+            if order is None or order > cap:
+                assert (stats.order, stats.diameter, stats.capped) == (None, None, True), (gens, cap)
+            else:
+                assert (stats.order, stats.diameter, stats.capped) == (order, diameter, False), (gens, cap)
+
+
+def test_group_order_falls_back_to_closure_when_the_base_fails(monkeypatch):
+    # young 5,2 at length 6: the short base has a nontrivial stabilizer
+    calls = []
+    listed = symmetry.closure
+
+    def counted(generators, cap=None):
+        calls.append(cap)
+        return listed(generators, cap)
+
+    monkeypatch.setattr(symmetry, "closure", counted)
+    handle = generate_group(build_young_poset([5, 2]), 6)
+    assert left_closure(handle.generators) == (2880, 24)
+    stats = group_order(handle)
+    assert (stats.order, stats.diameter, stats.capped) == (2880, 24, False)
+    assert calls == [symmetry.GROUP_CAP]
+
+
+def test_group_order_certifies_antichain_groups_without_listing_them(monkeypatch):
+    # S_n on the n! numberings acts regularly on the orbit of a short
+    # tuple; the diameter is the number of inversions of the longest word
+    def no_closure(generators, cap=None):
+        raise AssertionError("closure called")
+
+    expected = {5: left_closure(generate_group(build_antichain_poset(5), 6).generators),
+                6: left_closure(generate_group(build_antichain_poset(6), 7).generators)}
+    assert expected == {5: (120, 10), 6: (720, 15)}
+    expected[7] = (5040, 21)
+    monkeypatch.setattr(symmetry, "closure", no_closure)
+    for a, (order, diameter) in expected.items():
+        handle = generate_group(build_antichain_poset(a), a + 1)
+        stats = group_order(handle)
+        assert (stats.order, stats.diameter, stats.capped) == (order, diameter, False), a
+        assert group_order(handle, cap=order - 1).capped
 
 
 def test_path_cap_enforced():
