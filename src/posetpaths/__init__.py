@@ -29,9 +29,8 @@ from .ideals import (
     FullIdeal,
     HookIdeal,
     IdealSpec,
-    check_downward_closed,
     finite_set_ideal,
-    ideal_member,
+    ideal_mask,
     parse_ideal,
 )
 from .measures import (
@@ -58,7 +57,6 @@ from .measures import (
 )
 from .posets import (
     CapExceeded,
-    Element,
     Poset,
     PosetFormatError,
     PosetWindow,

@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .graded_graph import DEFAULT_VERTEX_CAP, build_graph
-from .ideals import FiniteSetIdeal, check_downward_closed, parse_ideal
+from .ideals import FiniteSetIdeal, ideal_mask, member_coords, parse_ideal
 from .measures import (
     FREQUENCY_CSV_HEADER,
     ExplicitMarkov,
@@ -294,17 +294,19 @@ def _parse_sampler(text: str, args, source):
 
 
 def _parse_ideals(texts, specs):
-    """The `--ideal` specs; a `set:` ideal must be an ideal of every window
-    sampler's window, and no growth sampler takes one, checked before any
-    sampling."""
+    """The `--ideal` specs, each checked against every sampler before any
+    sampling: an ideal of every window sampler's window (`ideal_mask`), and
+    a coordinate ideal of the plane for a growth sampler."""
     ideals = [parse_ideal(t) for t in texts]
-    for spec in specs:
-        if isinstance(spec, ExplicitMarkov):
-            for ideal in ideals:
-                if isinstance(ideal, FiniteSetIdeal):
-                    check_downward_closed(ideal, spec.graph.window)
-    if any(isinstance(i, FiniteSetIdeal) for i in ideals) and not all(isinstance(s, ExplicitMarkov) for s in specs):
-        raise ValueError("finite-set ideals are window-bound; growth samplers have no ids")
+    windows = [spec.graph.window for spec in specs if isinstance(spec, ExplicitMarkov)]
+    for window in windows:
+        for ideal in ideals:
+            ideal_mask(ideal, window)
+    if len(windows) < len(specs):  # a growth sampler reads cells (row, col)
+        for ideal in ideals:
+            if isinstance(ideal, FiniteSetIdeal):
+                raise ValueError("finite-set ideals are window-bound; growth samplers have no ids")
+            member_coords(ideal, (1, 1))
     return ideals
 
 

@@ -6,15 +6,18 @@ boundedly many pairwise incomparable elements no matter how large the
 window. `full` is the nonproper ideal, `set:` an explicit finite ideal
 of one window.
 
-Membership convention: the root belongs to every ideal (it lies below
-everything), so specs never reject id 0.
+Membership has one route per kind of point: `member_coords` for a point
+of the ambient family (the growth samplers' cells), `ideal_mask` for the
+elements of one window, which also checks that the spec is an ideal of
+it. The root belongs to every ideal (it lies below everything), so
+`ideal_mask` never rejects id 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .posets import Element, PosetWindow, ROOT
+from .posets import PosetWindow, ROOT
 
 
 @dataclass(frozen=True)
@@ -108,24 +111,12 @@ def member_coords(spec: IdealSpec, coords: tuple[int, ...]) -> bool:
     raise ValueError(f"{spec.name()} has no coordinate membership")
 
 
-def ideal_member(spec: IdealSpec, element: Element) -> bool:
-    """Membership of one poset element; the root is in every ideal."""
-    if element.id == ROOT:
-        return True
-    if isinstance(spec, FullIdeal):
-        return True
-    if isinstance(spec, FiniteSetIdeal):
-        return element.id in spec.ids
-    if element.coords is None:
-        raise ValueError(
-            f"coordinate-free element id {element.id} queried against {spec.name()}"
-        )
-    return member_coords(spec, element.coords)
-
-
-def check_downward_closed(spec: IdealSpec, window: PosetWindow) -> None:
-    """Raise if the spec is no ideal of the window: a finite set naming an id
-    outside it, or some window element in the spec while a lower cover is not."""
+def ideal_mask(spec: IdealSpec, window: PosetWindow) -> int:
+    """The window's elements in the spec, root included, as a poset bitmask
+    (see `Poset.bit`). Raises ValueError when the spec is no ideal of the
+    window: a finite set naming an id outside it, a coordinate spec meeting
+    an element without coordinates or with too few or too many, or some
+    window element in the spec while a lower cover is not."""
     poset = window.poset
     if isinstance(spec, FiniteSetIdeal):
         outside = sorted(i for i in spec.ids if not 0 <= i < poset.n)
@@ -134,10 +125,21 @@ def check_downward_closed(spec: IdealSpec, window: PosetWindow) -> None:
                 f"{spec.name()} names ids outside {window.describe()} "
                 f"(0..{poset.n - 1}): {','.join(map(str, outside))}"
             )
-    inside = poset.mask_of(x for x in range(poset.n) if ideal_member(spec, poset.element(x)))
+        inside = poset.mask_of(spec.ids)
+    elif isinstance(spec, FullIdeal):
+        inside = poset.mask_of(range(poset.n))
+    else:
+        inside = poset.bit(ROOT)
+        for x in range(1, poset.n):
+            coords = poset.coords[x]
+            if coords is None:
+                raise ValueError(f"coordinate-free element id {x} queried against {spec.name()}")
+            if member_coords(spec, coords):
+                inside |= poset.bit(x)
     hit = poset.missing_cover(inside)
     if hit is not None:
         raise ValueError(
             f"{spec.name()} is not downward closed on {window.describe()}: "
             f"{hit[0]} in, lower cover {hit[1]} out"
         )
+    return inside

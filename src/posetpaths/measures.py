@@ -33,12 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .graded_graph import GradedGraph, LevelVertex, dimension, up_dimension_table
-from .ideals import (
-    IdealSpec,
-    ideal_member,
-    member_coords,
-)
+from .graded_graph import GradedGraph, LevelVertex, up_dimension_table
+from .ideals import IdealSpec, ideal_mask, member_coords
 from .posets import PATH_CAP, ROOT, CapExceeded, PosetWindow, build_young_poset, validate_numbering
 from .posets import enumerate_numberings  # noqa: F401  (bench/spans.py traces the name here)
 from .symmetry import apply_sigma  # noqa: F401  (bench/spans.py traces the name here)
@@ -143,6 +139,7 @@ class ExplicitMarkov:
         self.graph = graph
         self.rows = dict(rows)
         self._name = name
+        self._masks: dict[IdealSpec, int] = {}  # ideal -> its `ideal_mask` on the window
         self.depth = depth if depth is not None else graph.depth
         if not 0 <= self.depth <= graph.depth:
             raise ValueError(f"depth {self.depth} is outside 0..{graph.depth}, the graph's depth")
@@ -176,9 +173,12 @@ class ExplicitMarkov:
         return sample_markov(self, n_steps, seed)
 
     def hits(self, path: tuple[int, ...], ideal: IdealSpec) -> int:
-        """How many of the sampled elements, the root excluded, lie in the ideal."""
-        poset = self.graph.window.poset
-        return sum(1 for x in path[1:] if ideal_member(ideal, poset.element(x)))
+        """How many of the sampled elements, the root excluded, lie in the
+        ideal: one popcount against the ideal's mask, built once per ideal."""
+        mask = self._masks.get(ideal)
+        if mask is None:
+            mask = self._masks[ideal] = ideal_mask(ideal, self.graph.window)
+        return (self.graph.window.poset.mask_of(path) & mask).bit_count() - 1
 
     def text(self, path: tuple[int, ...]) -> str:
         return ",".join(str(x) for x in path)
@@ -254,8 +254,6 @@ def endpoint_measure(g: GradedGraph, v: LevelVertex) -> ExplicitMarkov:
     Transition u -> w gets probability (paths w->v) / (paths u->v); the
     products along any root-to-v path telescope to 1/dimension(v).
     """
-    if dimension(g, v) < 1:
-        raise ValueError(f"vertex {v.describe()} is unreachable")
     table = up_dimension_table(g, v)
     rows = {}
     for level in range(v.level):
@@ -275,12 +273,17 @@ def endpoint_measure(g: GradedGraph, v: LevelVertex) -> ExplicitMarkov:
 def path_measure(m: ExplicitMarkov) -> dict[tuple[int, ...], Fraction]:
     """Exact law on root-based paths of the kernel's depth. Raises
     CapExceeded, before any path is built, when more than PATH_CAP paths
-    carry positive probability (for an endpoint kernel, dimension(v))."""
+    carry positive probability (for an endpoint kernel, dimension(v)), and
+    ValueError when they reach a vertex below the depth that has no row,
+    as `kernel_centrality` does."""
     counts = {0: 1}  # index at the current level -> positive-probability paths to it
     for level in range(m.depth):
         nxt: dict[int, int] = {}
         for i, c in counts.items():
-            for _, j, p in m.rows.get((level, i), ()):
+            row = m.rows.get((level, i))
+            if row is None:
+                raise ValueError(f"the kernel reaches {level}:{i}, which has no row")
+            for _, j, p in row:
                 if p:
                     nxt[j] = nxt.get(j, 0) + c
         counts = nxt
@@ -297,7 +300,7 @@ def path_measure(m: ExplicitMarkov) -> dict[tuple[int, ...], Fraction]:
         paths = [
             (prefix + (elem,), j, num * p_num, den * p_den)
             for prefix, index, num, den in paths
-            for elem, j, p_num, p_den in terms.get((level, index), ())
+            for elem, j, p_num, p_den in terms[(level, index)]
         ]
     return {prefix: Fraction(num, den) for prefix, _, num, den in paths}
 

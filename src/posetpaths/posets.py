@@ -31,12 +31,6 @@ class CapExceeded(RuntimeError):
     """An enumeration or closure grew past its configured cap."""
 
 
-@dataclass(frozen=True)
-class Element:
-    id: int
-    coords: tuple[int, ...] | None = None
-
-
 class Poset:
     """Immutable finite poset given by its cover relations.
 
@@ -149,9 +143,6 @@ class Poset:
             if gap:
                 return self.n - top, self.n - gap.bit_length()
         return None
-
-    def element(self, x: int) -> Element:
-        return Element(x, self.coords[x])
 
     def incomparable_count(self) -> int:
         """How many unordered pairs neither leq relates, read off the

@@ -62,6 +62,47 @@ def test_poset_file_round_trip(tmp_path, capsys):
     assert body in out2
 
 
+def test_poset_csv(capsys):
+    code, out, err = run(capsys, "poset", "--young", "2,1", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "# posetpaths poset", "# format=csv", "# poset=young=2,1",
+        "elements,covers,incomparable_pairs", "4,3,1",
+        "el 0", "el 1 1 1", "el 2 1 2", "el 3 2 1", "cov 0 1", "cov 1 2", "cov 1 3",
+    ]
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("el 0\nel 0\n", "line 2: duplicate element id 0"),
+        ("el 0\nel 1\ncov 0\n", "line 3: cov takes two ids"),
+        ("el 0\nedge 0 1\n", "line 2: unknown directive 'edge'"),
+        ("el 0\nel x\n", "line 2: cannot parse 'el x'"),
+    ],
+    ids=["duplicate-id", "cov-arity", "unknown-directive", "unparsable"],
+)
+def test_poset_file_format_errors_exit_2(text, message, tmp_path, capsys):
+    f = tmp_path / "p.txt"
+    f.write_text(text, encoding="utf-8")
+    assert run(capsys, "poset", "--file", str(f)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("paths", "--chain", "3", "--depth", "0"), "length must be in 1..3, got 0"),
+        (("measure", "freq", "--endpoint", "3:0", "--ideal", "full"),
+         "a poset source is required (--young/--box/--chain/--antichain/--file)"),
+        (("measure", "check", "--chain", "3", "--perturb", "1/10"), "no fiber with two or more paths"),
+        (("measure", "freq", "--plancherel", "--ideal", "full", "--replicas", "0"), "replicas must be >= 1"),
+    ],
+    ids=["depth-0", "no-poset", "no-fiber-of-two", "replicas-0"],
+)
+def test_input_errors_exit_2_with_one_error_line(argv, message, capsys):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_poset_rejects_bad_partition(capsys):
     code, _, err = run(capsys, "poset", "--young", "1,2")
     assert code == 2
@@ -180,6 +221,12 @@ def test_group_chain_trivial(capsys):
     code, out, _ = run(capsys, "group", "--chain", "6", "--depth", "6")
     assert code == 0
     assert "order: 1" in out
+
+
+def test_group_of_one_numbering_has_order_1(capsys):
+    code, out, _ = run(capsys, "group", "--chain", "3", "--depth", "2")
+    assert code == 0
+    assert out.splitlines()[-4:] == ["paths: 1", "generators: 0", "order: 1 (diameter 0)", "relations: all hold"]
 
 
 def test_group_local_young31(capsys):
@@ -586,6 +633,37 @@ def test_window_sampler_rejects_a_set_that_is_no_ideal_of_the_window(ideal, mess
         capsys, *command, "--young", "2,1", "--ideal", "hook:1,0", "--ideal", ideal, "--n", "2", "--replicas", "2"
     )
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # growth samplers read cells (row, col): a spec over another axis count fails at (1,1)
+        (("measure", "freq", "--plancherel", "--ideal", "rays:1", "--n", "100000", "--replicas", "1"),
+         "rays ideal over 1 axes queried with (1, 1)"),
+        (("compare", "--sampler", "plancherel", "--sampler", "rsk:0.5,0.5", "--ideal", "hook:1,0",
+          "--ideal", "rays:1,2,3"), "rays ideal over 3 axes queried with (1, 1)"),
+        (("measure", "freq", "--endpoint", "3:0", "--antichain", "4", "--ideal", "hook:1,0"),
+         "coordinate-free element id 1 queried against hook:1,0"),
+        (("measure", "freq", "--endpoint", "3:0", "--box", "2,2,2", "--ideal", "hook:1,0"),
+         "hook ideal needs 2 coordinates, got (1, 1, 2)"),
+        # 2 at (1,2) lies in the first row, its lower cover 1 at (5,5) does not
+        (("measure", "freq", "--endpoint", "2:0", "--file", "f.txt", "--ideal", "hook:1,0"),
+         "hook:1,0 is not downward closed on file: 2 in, lower cover 1 out"),
+    ],
+    ids=["plancherel-axes", "compare-axes", "coordinate-free", "box-axes", "file-not-closed"],
+)
+def test_coordinate_ideal_faults_exit_2_before_sampling(argv, message, tmp_path, monkeypatch, capsys):
+    from posetpaths import measures
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the ideals were checked")
+
+    for name in ("sample_markov", "sample_plancherel", "sample_rsk_thoma"):
+        monkeypatch.setattr(measures, name, no_sampling)
+    (tmp_path / "f.txt").write_text("el 0 1 1\nel 1 5 5\nel 2 1 2\ncov 0 1\ncov 1 2\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_measure_freq_byte_identical_runs(tmp_path, capsys):

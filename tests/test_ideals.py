@@ -1,45 +1,68 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from posetpaths import (
     AxisRaysIdeal,
-    Element,
     FullIdeal,
     HookIdeal,
+    ROOT,
     build_antichain_poset,
     build_box_poset,
+    build_chain_poset,
     build_young_poset,
-    check_downward_closed,
     finite_set_ideal,
-    ideal_member,
+    ideal_mask,
     parse_ideal,
     parse_poset,
 )
+from posetpaths.ideals import member_coords
+
+
+def ids_of(window, mask):
+    """The ids of a poset bitmask, ascending."""
+    return [x for x in range(window.poset.n) if mask & window.poset.bit(x)]
 
 
 def test_hook_first_row():
     spec = HookIdeal(1, 0)
-    assert ideal_member(spec, Element(5, (1, 5)))
-    assert not ideal_member(spec, Element(6, (2, 1)))
+    assert member_coords(spec, (1, 5))
+    assert not member_coords(spec, (2, 1))
 
 
 def test_hook_first_row_or_column():
     spec = HookIdeal(1, 1)
-    assert ideal_member(spec, Element(3, (2, 1)))
-    assert ideal_member(spec, Element(2, (1, 9)))
-    assert not ideal_member(spec, Element(4, (2, 2)))
+    assert member_coords(spec, (2, 1))
+    assert member_coords(spec, (1, 9))
+    assert not member_coords(spec, (2, 2))
 
 
 def test_full_contains_everything():
     spec = FullIdeal()
-    for el in [Element(0), Element(3, (2, 2)), Element(9)]:
-        assert ideal_member(spec, el)
+    for coords in [(1,), (2, 2), (9, 9, 9)]:
+        assert member_coords(spec, coords)
+    # the antichain's elements have no coordinates, and all of them are in
+    window = build_antichain_poset(3)
+    assert ids_of(window, ideal_mask(spec, window)) == [0, 1, 2, 3]
 
 
 def test_root_belongs_to_every_spec():
-    for spec in [FullIdeal(), HookIdeal(1, 0), AxisRaysIdeal((0, 0, 1)), finite_set_ideal([4])]:
-        assert ideal_member(spec, Element(0))
+    # young windows give the root no coordinates; the box root (1,1,1) lies
+    # on no ray of rays:0,0,0
+    young = build_young_poset([2, 1])
+    box = build_box_poset(3, (2, 2, 2))
+    cases = [
+        (FullIdeal(), young),
+        (HookIdeal(0, 0), young),
+        (AxisRaysIdeal((0, 0, 0)), box),
+        (AxisRaysIdeal((0, 0, 1)), box),
+        (finite_set_ideal([1]), young),
+    ]
+    for spec, window in cases:
+        assert ideal_mask(spec, window) & window.poset.bit(ROOT), spec.name()
+    assert ideal_mask(AxisRaysIdeal((0, 0, 0)), box) == box.poset.bit(ROOT)
 
 
 def test_axis_rays_generalizes_hook():
@@ -47,35 +70,65 @@ def test_axis_rays_generalizes_hook():
     rays = AxisRaysIdeal((2, 1))
     for r in range(1, 5):
         for c in range(1, 5):
-            el = Element(1, (r, c))
-            assert ideal_member(hook, el) == ideal_member(rays, el)
+            assert member_coords(hook, (r, c)) == member_coords(rays, (r, c))
+    window = build_box_poset(2, (4, 4))
+    assert ideal_mask(hook, window) == ideal_mask(rays, window)
 
 
 def test_axis_rays_d3():
     spec = AxisRaysIdeal((1, 0, 2))
-    assert ideal_member(spec, Element(1, (1, 5, 5)))
-    assert ideal_member(spec, Element(2, (4, 4, 2)))
-    assert not ideal_member(spec, Element(3, (2, 2, 3)))
+    assert member_coords(spec, (1, 5, 5))
+    assert member_coords(spec, (4, 4, 2))
+    assert not member_coords(spec, (2, 2, 3))
 
 
 def test_coordinate_free_element_rejected():
     w = build_antichain_poset(3)
-    with pytest.raises(ValueError):
-        ideal_member(HookIdeal(1, 0), w.poset.element(2))
+    with pytest.raises(ValueError, match="^coordinate-free element id 1 queried against hook:1,0$"):
+        ideal_mask(HookIdeal(1, 0), w)
 
 
 def test_wrong_arity_rejected():
     with pytest.raises(ValueError):
-        ideal_member(HookIdeal(1, 0), Element(1, (1, 2, 3)))
+        member_coords(HookIdeal(1, 0), (1, 2, 3))
     with pytest.raises(ValueError):
-        ideal_member(AxisRaysIdeal((1, 1)), Element(1, (1, 2, 3)))
+        member_coords(AxisRaysIdeal((1, 1)), (1, 2, 3))
+    # box 2,2,2 lists (1,1,2) first after the root
+    with pytest.raises(ValueError, match=r"^hook ideal needs 2 coordinates, got \(1, 1, 2\)$"):
+        ideal_mask(HookIdeal(1, 0), build_box_poset(3, (2, 2, 2)))
+    with pytest.raises(ValueError, match=r"^rays ideal over 1 axes queried with \(1, 1\)$"):
+        ideal_mask(AxisRaysIdeal((1,)), build_young_poset([2, 1]))
+    # the chain's coordinates are single: a hook never fits, one ray does
+    chain = build_chain_poset(4)
+    with pytest.raises(ValueError, match="hook ideal needs 2 coordinates"):
+        ideal_mask(HookIdeal(1, 1), chain)
+    assert ids_of(chain, ideal_mask(AxisRaysIdeal((2,)), chain)) == [0, 1]
 
 
 def test_finite_set_ideal_membership():
-    spec = finite_set_ideal([1, 3])
-    assert ideal_member(spec, Element(1))
-    assert ideal_member(spec, Element(3))
-    assert not ideal_member(spec, Element(2))
+    young = build_young_poset([3, 2])  # row-major: 1 2 3 / 4 5
+    assert ids_of(young, ideal_mask(finite_set_ideal([1, 2, 4]), young)) == [0, 1, 2, 4]
+    assert ids_of(young, ideal_mask(finite_set_ideal([]), young)) == [0]
+    with pytest.raises(ValueError, match="has no coordinate membership"):
+        member_coords(finite_set_ideal([1]), (1, 1))
+
+
+def test_ideal_mask_matches_coordinate_membership_on_windows():
+    windows = [
+        build_young_poset([4, 3, 1]),
+        build_box_poset(2, (3, 4)),
+        build_box_poset(3, (2, 3, 2)),
+        build_chain_poset(5),
+    ]
+    for window in windows:
+        poset = window.poset
+        d = len(poset.coords[1])
+        specs = [FullIdeal()]
+        specs += [HookIdeal(k, l) for k in range(3) for l in range(3)] if d == 2 else []
+        specs += [AxisRaysIdeal(rays) for rays in itertools.product(range(3), repeat=d)]
+        for spec in specs:
+            expected = [0] + [x for x in range(1, poset.n) if member_coords(spec, poset.coords[x])]
+            assert ids_of(window, ideal_mask(spec, window)) == expected, (window.describe(), spec.name())
 
 
 def test_parse_ideal_round_trips():
@@ -100,24 +153,25 @@ def test_downward_closure_on_windows():
     young = build_young_poset([3, 2])
     box = build_box_poset(2, (3, 3))
     box3 = build_box_poset(3, (2, 2, 2))
-    check_downward_closed(FullIdeal(), young)
-    check_downward_closed(HookIdeal(1, 0), young)
-    check_downward_closed(HookIdeal(0, 1), box)
-    check_downward_closed(HookIdeal(2, 1), box)
-    check_downward_closed(AxisRaysIdeal((1, 1, 0)), box3)
+    assert ids_of(young, ideal_mask(FullIdeal(), young)) == [0, 1, 2, 3, 4, 5]
+    assert ids_of(young, ideal_mask(HookIdeal(1, 0), young)) == [0, 1, 2, 3]
+    # box 3,3 ids follow (1,1), (1,2), (1,3), (2,1), ...: column 1 is 0, 3, 6
+    assert ids_of(box, ideal_mask(HookIdeal(0, 1), box)) == [0, 3, 6]
+    assert ids_of(box, ideal_mask(HookIdeal(2, 1), box)) == [0, 1, 2, 3, 4, 5, 6]
+    assert ids_of(box3, ideal_mask(AxisRaysIdeal((1, 1, 0)), box3)) == [0, 1, 2, 3, 4, 5]
     # a finite set missing an interior element is not downward closed
     with pytest.raises(ValueError):
-        check_downward_closed(finite_set_ideal([2]), young)
+        ideal_mask(finite_set_ideal([2]), young)
     # nor is a set naming an id the window does not have (young 3,2 has ids 0..5)
     with pytest.raises(ValueError, match=r"set:1,6 names ids outside young\[3,2\] \(0..5\): 6"):
-        check_downward_closed(finite_set_ideal([1, 6]), young)
+        ideal_mask(finite_set_ideal([1, 6]), young)
 
 
 def test_downward_closure_of_hooks_everywhere_in_window():
     box = build_box_poset(2, (4, 4))
     for k in range(3):
         for l in range(3):
-            check_downward_closed(HookIdeal(k, l), box)
+            ideal_mask(HookIdeal(k, l), box)
 
 
 def test_downward_closure_errors_name_the_least_member_and_cover():
@@ -133,5 +187,5 @@ def test_downward_closure_errors_name_the_least_member_and_cover():
     ]
     for spec, window, text in cases:
         with pytest.raises(ValueError) as info:
-            check_downward_closed(spec, window)
+            ideal_mask(spec, window)
         assert str(info.value) == text

@@ -471,10 +471,17 @@ def test_kernel_centrality_catches_a_one_edge_perturbation_at_each_level():
 
 
 def test_kernel_centrality_needs_a_row_where_it_walks():
+    # the forward pass and the exact law refuse the same holed kernels alike
     g = build_graph(build_young_poset([2, 1]), 3)
     rows = {(0, 0): ((1, 0, 1),), (1, 0): ((2, 0, Fraction(1, 2)), (3, 1, Fraction(1, 2))), (2, 0): ((3, 0, 1),)}
-    with pytest.raises(ValueError, match="the kernel reaches 2:1, which has no row"):
-        kernel_centrality(ExplicitMarkov(g, rows, name="holed"))
+    holed = [
+        (ExplicitMarkov(g, rows, name="holed"), "2:1"),
+        (ExplicitMarkov(g, {(0, 0): ((1, 0, 1),)}, name="x", depth=2), "1:0"),
+    ]
+    for kernel, vertex in holed:
+        for check in (kernel_centrality, path_measure):
+            with pytest.raises(ValueError, match=f"^the kernel reaches {vertex}, which has no row$"):
+                check(kernel)
 
 
 def test_exact_law_of_a_deep_window():
@@ -822,6 +829,36 @@ def test_growth_hits_match_per_cell_count():
     for ideal in [finite_set_ideal([1]), parse_ideal("rays:1,1,1")]:
         with pytest.raises(ValueError):
             PlancherelYoung().hits(paths[0], ideal)
+
+
+def test_window_hits_match_per_element_count(monkeypatch):
+    # hits is one popcount against the ideal's mask; the oracle tests every
+    # sampled element but the root, and the mask is built once per ideal
+    from posetpaths import FiniteSetIdeal
+
+    built = []
+    real_mask = measures.ideal_mask
+    monkeypatch.setattr(measures, "ideal_mask", lambda spec, window: built.append(spec) or real_mask(spec, window))
+    cases = [
+        (build_young_poset([3, 2]), ["full", "hook:0,0", "hook:1,0", "hook:1,1", "rays:2,1", "set:1,2,4"]),
+        (build_box_poset(3, (2, 3, 2)), ["full", "rays:1,1,1", "rays:2,0,1", "set:1,2,3"]),
+        (build_chain_poset(6), ["full", "rays:3", "set:1,2"]),
+    ]
+    for window, texts in cases:
+        poset = window.poset
+        g = build_graph(window, poset.n - 1)
+        kernel = endpoint_measure(g, g.vertex(poset.n - 1, 0))
+        ideals = [parse_ideal(t) for t in texts]
+        built.clear()
+        for seed in range(12):
+            path = kernel.sample(poset.n - 1, seed)
+            for ideal in ideals:
+                if isinstance(ideal, FiniteSetIdeal):
+                    expected = sum(1 for x in path[1:] if x in ideal.ids)
+                else:
+                    expected = sum(1 for x in path[1:] if member_coords(ideal, poset.coords[x]))
+                assert kernel.hits(path, ideal) == expected, (path, ideal.name())
+        assert built == ideals, window.describe()
 
 
 def test_step_cap_boundary(monkeypatch):
