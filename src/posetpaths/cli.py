@@ -69,8 +69,11 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-def _ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t != ""]
+def _ints(flag: str, text: str) -> list[int]:
+    """A comma-separated integer flag's value; an empty field is an error."""
+    if "" in text.split(","):
+        raise ValueError(f"--{flag} {text}: empty field")
+    return [int(t) for t in text.split(",")]
 
 
 def _commas(values) -> str:
@@ -126,9 +129,9 @@ def _resolve_window(args):
     if all(getattr(args, k) is None for k in _POSET_SOURCES):
         raise ValueError("a poset source is required (--young/--box/--chain/--antichain/--file)")
     if args.young is not None:
-        return build_young_poset(_ints(args.young))
+        return build_young_poset(_ints("young", args.young))
     if args.box is not None:
-        bounds = _ints(args.box)
+        bounds = _ints("box", args.box)
         return build_box_poset(len(bounds), bounds)
     if args.chain is not None:
         return build_chain_poset(args.chain)
@@ -194,6 +197,12 @@ def cmd_group(args):
     window = _resolve_window(args)
     length = args.depth if args.depth is not None else window.poset.n
     handle = generate_group(window, length, path_cap=args.path_cap)
+    local = local_indices(handle)
+    if isinstance(args.local, int):  # checked before the relations and the order
+        if args.local not in local:
+            span = f"1..{local[-1]}" if local else "none"
+            raise ValueError(f"--local {args.local}: the local indices at length {length} are {span}")
+        local = [args.local]
     report = verify_relations(handle)
     stats = group_order(handle, cap=args.group_cap)
     config = {
@@ -245,10 +254,9 @@ def cmd_group(args):
                 f"factorial(cells-1)={factorial(cells - 1)}"
             )
     if args.local is not None:
-        idxs = local_indices(handle) if args.local == "all" else [args.local]
-        if idxs and args.format == "csv":
+        if local and args.format == "csv":
             lines.append("local,i,product_order,group_order,orbits")
-        for i in idxs:
+        for i in local:
             rep = classify_local(handle, i)
             tags = " ".join(f"{size}:{tag}" for size, tag in rep.orbit_types)
             if args.format == "csv":
@@ -351,7 +359,7 @@ def cmd_measure_check(args):
             raise ValueError(f"--perturb {args.perturb}: zero denominator") from None
         measure = perturb_fiber(measure, eps)
         config["measure"] += f"+perturb:{args.perturb}"
-        negative = sorted(path for path, p in measure.items() if p < 0)
+        negative = sorted(path for path, p in measure.items() if p.numerator < 0)
         if negative:  # paths an over-large perturbation leaves with negative mass
             lines = [f"perturbed_law: negative mass {measure[path]} on path {_commas(path)}" for path in negative]
             return config, lines + ["central: NO"], EXIT_VIOLATION

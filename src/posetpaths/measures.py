@@ -407,20 +407,20 @@ def kernel_centrality(kernel: ExplicitMarkov) -> CentralityReport:
     in-edge u -> w of a reached w must carry phi(u) * p(u -> w) = phi(w);
     an edge out of an unreached u, or of probability 0, carries 0. At the
     first vertex w (lowest level L, then index) where in-edges adding x < y
-    disagree, v = w - x - y is reached (level L - 1 agrees), so the
-    parent-pointer prefix c to v and the continuation d from w along each
-    row's first positive edge give c.x.y.d and c.y.x.d: one endpoint
-    fiber, two masses, swapped by sigma_{L-1}. Each witness list holds that
-    one pair. Raises ValueError when the walk reaches a vertex below the
-    depth that has no row, as `is_central` does for a law summing below 1.
+    disagree, v = w - x - y is reached (level L - 1 agrees), so the prefix
+    c to v back along each vertex's first positive in-edge and the
+    continuation d from w along each row's first positive edge give
+    c.x.y.d and c.y.x.d: one endpoint fiber, two masses, swapped by
+    sigma_{L-1}. Each witness list holds that one pair. Raises ValueError
+    when the walk reaches a vertex below the depth that has no row, as
+    `is_central` does for a law summing below 1.
     """
     g = kernel.graph
-    phis = [{0: (1, 1)}]  # per level: reached index -> phi as a reduced (numerator, denominator)
-    parents = [{}]  # per level: reached index -> (index below, added element) of its first positive in-edge
+    phis = [{0: (1, 1)}]  # per level: reached index -> phi as a reduced (numerator, denominator), index ascending
     conflict = None  # (level, index, {added element: (num, den)}) of the first disagreeing vertex
     for level in range(kernel.depth):
         phi = phis[level]
-        into: dict[int, list[tuple[int, int, int, int]]] = {}  # index above -> its in-edges (num, den, u, elem)
+        into = [[] for _ in g.levels[level + 1]]  # per index above: its in-edges (num, den, elem), source ascending
         for u, edges in enumerate(g.up_edges[level]):
             num, den = phi.get(u, (0, 1))
             probs = {}
@@ -431,20 +431,18 @@ def kernel_centrality(kernel: ExplicitMarkov) -> CentralityReport:
                 probs = {elem: p for elem, _, p in row}
             for elem, j in edges:
                 p = probs.get(elem, 0)
-                into.setdefault(j, []).append((num * p.numerator, den * p.denominator, u, elem))
-        above, links = {}, {}
-        for j, edges in sorted(into.items()):
-            num, den, u, elem = next((edge for edge in edges if edge[0]), (0, 1, None, None))
+                into[j].append((num * p.numerator, den * p.denominator, elem))
+        above = {}
+        for j, edges in enumerate(into):
+            num, den, elem = next((edge for edge in edges if edge[0]), (0, 1, None))
             if not num:  # unreached
                 continue
             bad = next((edge for edge in edges if edge[0] * den != num * edge[1]), None)
             if bad is not None and conflict is None:
-                conflict = (level + 1, j, {elem: (num, den), bad[3]: bad[:2]})
+                conflict = (level + 1, j, {elem: (num, den), bad[2]: bad[:2]})
             common = math.gcd(num, den)
             above[j] = (num // common, den // common)
-            links[j] = (u, elem)
         phis.append(above)
-        parents.append(links)
     n_paths = sum(g.dims[kernel.depth])
     if conflict is None:
         phi = {(level, j): Fraction(*pair) for level, above in enumerate(phis) for j, pair in above.items()}
@@ -456,8 +454,8 @@ def kernel_centrality(kernel: ExplicitMarkov) -> CentralityReport:
     x, y = sorted(masses)
     v = g.vertex_of(set(g.vertex(level, w).ideal) - {x, y}).index
     head = []
-    for k in range(level - 2, 0, -1):
-        v, elem = parents[k][v]
+    for k in range(level - 2, 0, -1):  # back from v along each first positive in-edge
+        v, elem = next((u, elem) for u in phis[k - 1] for elem, j, p in kernel.rows[(k - 1, u)] if j == v and p)
         head.append(elem)
     tail = []
     for k in range(level, kernel.depth):

@@ -378,11 +378,12 @@ def enumerate_numberings(
     A depth-first search over prefixes on an explicit stack, so the length
     is not bounded by the recursion limit. Many prefixes reach the same
     ideal, so each ideal's child row, (x, ideal + x, addable after) for
-    every addable x in ascending order, is built once and kept by ideal
-    mask; an ideal short of the whole poset has a nonempty row, so
-    `rows.get(ideal) or build(...)` builds each row once. The last
-    position is filled for a whole row before the cap is checked, so
-    `out` holds at most `limit` plus one row.
+    each addable x in ascending order, is kept by ideal mask and built as
+    the walk reads it: a capped walk builds no row it never reached. The
+    walk holds one ideal per depth and never re-enters a row it is still
+    reading, so a row read again is complete (and nonempty short of the
+    whole poset). The last position is filled for a whole row before the
+    cap is checked, so `out` holds at most `limit` plus one row.
     """
     poset = window.poset
     if not (1 <= length <= poset.n):
@@ -403,14 +404,14 @@ def enumerate_numberings(
             top = rest.bit_length()
             rest ^= 1 << (top - 1)
             row.append((n - top, *add_element(poset, ideal, addable, n - top)))
-        return row
+            yield row[-1]
 
     out: list[tuple[int, ...]] = []
     prefix = [ROOT] * length  # positions up to the current depth hold the numbering so far
     last = length - 1
     # the unread rest of the child row at each depth of the current branch,
     # from the empty set's row (the root) down to depth last - 1
-    stack = [iter(build(0, poset.bit(ROOT)))]
+    stack = [build(0, poset.bit(ROOT))]
     while stack:
         depth = len(stack) - 1
         if depth < last - 1:

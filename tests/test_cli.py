@@ -947,3 +947,74 @@ def test_readme_command_exit_code(argv, expected, tmp_path, monkeypatch, capsys)
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, *argv)
     assert code == expected, err
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (("graph", "--box", "2,,2"), "error: --box 2,,2: empty field"),
+        (("graph", "--box", "2,2,"), "error: --box 2,2,: empty field"),
+        (("poset", "--young", "2,,1"), "error: --young 2,,1: empty field"),
+    ],
+)
+def test_empty_fields_in_integer_lists_exit_2(argv, line, capsys):
+    # an empty field used to be dropped: box 2,,2 built the 2-d box 2,2
+    assert run(capsys, *argv) == (2, "", line + "\n")
+
+
+def test_group_local_index_is_checked_before_relations_and_order(monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before --local was checked")
+
+    monkeypatch.setattr(cli, "verify_relations", unreachable)
+    monkeypatch.setattr(cli, "group_order", unreachable)
+    expected = "error: --local 5: the local indices at length 7 are 1..4\n"
+    assert run(capsys, "group", "--young", "3,3", "--local", "5") == (2, "", expected)
+    expected = "error: --local 1: the local indices at length 3 are none\n"
+    assert run(capsys, "group", "--young", "2,1", "--depth", "3", "--local", "1") == (2, "", expected)
+
+
+def test_capped_antichain_walk_stays_small(capsys):
+    # the first descent used to build rows of 2,000, 1,999, ... entries,
+    # about 1.2 GB, before the cap fired
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "paths", "--antichain", "2000", "--path-cap", "10")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (3, "", "error: more than 10 numberings\n")
+    assert peak < 30 * 2**20, peak
+
+
+def test_plancherel_frequency_of_one_replica_has_zero_stderr(capsys):
+    argv = ("measure", "freq", "--plancherel", "--ideal", "hook:1,0", "--n", "10", "--replicas", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == 'plancherel,"hook:1,0",10,1,0.4,0.0,0'
+
+
+@pytest.mark.parametrize(
+    "argv,files,line",
+    [
+        (("measure", "sample", "--plancherel", "--n", "0"), {}, "error: n_steps must be >= 1"),
+        (("poset", "--chain", "0"), {}, "error: chain length must be >= 1"),
+        (("poset", "--antichain", "0"), {}, "error: antichain size must be >= 1"),
+        (("poset", "--file", "p.txt"), {"p.txt": "el 0\nel 1\ncov 0 1\ncov 1 1\n"}, "error: self-cover on id 1"),
+        (
+            ("measure", "freq", "--plancherel", "--ideal", "rays:1,-1"),
+            {},
+            "error: rays need one count >= 0 per axis",
+        ),
+        (
+            ("measure", "check", "--markov", "k.txt", "--young", "2,1"),
+            {"k.txt": "row 0:0 1:x\n"},
+            "error: line 1: bad entry '1:x'",
+        ),
+    ],
+)
+def test_input_errors_exit_2_with_one_line(argv, files, line, tmp_path, monkeypatch, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", line + "\n")

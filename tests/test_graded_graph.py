@@ -253,3 +253,28 @@ def test_graph_csv_shape():
     assert lines[0] == "level,index,ideal,dim"
     assert lines[1] == "0,0,0,1"
     assert lines[-1] == "3,0,0 1 2 3,2"
+
+
+def test_numbering_of_rejects_chains_that_are_no_paths():
+    g = build_graph(build_young_poset([2, 1]), 3)
+    root, one, two, top = g.vertex(0, 0), g.vertex_of((0, 1)), g.vertex_of((0, 1, 2)), g.vertex(3, 0)
+    with pytest.raises(ValueError, match="must start at the root vertex"):
+        numbering_of([one, two], g)
+    with pytest.raises(ValueError, match="must climb one level per step"):
+        numbering_of([root, one, top], g)
+    assert numbering_of([root, one, two], g) == (0, 1, 2)
+    g = build_graph(build_young_poset([3, 2]), 3)
+    chain = [g.vertex_of(ideal) for ideal in ((0,), (0, 1), (0, 1, 4), (0, 1, 2, 3))]
+    with pytest.raises(ValueError, match=r"\{0 1 2 3\} does not cover \{0 1 4\}"):
+        numbering_of(chain, g)
+
+
+def test_path_of_rejects_a_numbering_past_the_graph_depth():
+    g = build_graph(build_young_poset([2, 1]), 2)
+    with pytest.raises(ValueError, match="numbering of length 4 exceeds graph depth 2"):
+        path_of((0, 1, 2, 3), g)
+
+
+def test_up_dimension_is_zero_from_above():
+    g = build_graph(build_young_poset([2, 1]), 3)
+    assert up_dimension(g, g.vertex(3, 0), g.vertex_of((0, 1))) == 0

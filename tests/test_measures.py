@@ -1081,3 +1081,19 @@ def test_tableau_count_consistency_with_graph_dims():
         w = build_young_poset(lam)
         g = build_graph(w, w.poset.n - 1)
         assert dimension(g, g.vertex(w.poset.n - 1, 0)) == tableau_count(lam)
+
+
+def test_is_central_rejects_negative_mass():
+    handle = generate_group(build_young_poset([2, 1]), 4)
+    law = {(0, 1, 2, 3): Fraction(3, 2), (0, 1, 3, 2): Fraction(-1, 2)}  # sums to 1
+    with pytest.raises(ValueError, match="negative probability"):
+        is_central(handle, law)
+
+
+def test_sample_markov_stops_at_a_holed_row():
+    # the kernel reaches 1:0, which has no row
+    g = build_graph(build_young_poset([2, 1]), 3)
+    m = ExplicitMarkov(g, {(0, 0): ((1, 0, 1),)}, name="holed", depth=2)
+    assert sample_markov(m, 1, 0) == (0, 1)
+    with pytest.raises(ValueError, match="kernel has no row at level 1 index 0"):
+        sample_markov(m, 2, 0)

@@ -408,3 +408,25 @@ def test_parse_rejects_dangling_and_sparse_ids():
 def test_parse_comments_and_blanks():
     w = parse_poset("# a chain\nel 0  # root\n\nel 1\ncov 0 1\n")
     assert w.poset.n == 2
+
+
+def test_capped_walk_builds_only_the_rows_it_reads(monkeypatch):
+    # antichain 600 at full length: the first descent reads one entry of
+    # each row on its way down, so the cap fires after a few hundred added
+    # elements; building every entered row in full took about 180,000
+    calls = [0]
+    add_element = posets.add_element
+
+    def counted(*args):
+        calls[0] += 1
+        return add_element(*args)
+
+    monkeypatch.setattr(posets, "add_element", counted)
+    with pytest.raises(CapExceeded, match="more than 10 numberings"):
+        enumerate_numberings(build_antichain_poset(600), 601, limit=10)
+    assert calls[0] <= 1200, calls[0]
+
+
+def test_poset_rejects_a_cover_with_a_dangling_id():
+    with pytest.raises(PosetFormatError, match=r"dangling id in cover \(0, 5\)"):
+        posets.Poset(2, [(0, 5)])

@@ -837,3 +837,8 @@ def test_endpoint_fibers_in_lexicographic_order_of_sorted_endpoints():
     for length in range(1, w.poset.n + 1):
         keys = [sorted(f) for f in endpoint_fibers(enumerate_numberings(w, length))]
         assert keys == sorted(keys)
+
+
+def test_closure_needs_a_generator():
+    with pytest.raises(ValueError, match="need at least one generator"):
+        closure([])
