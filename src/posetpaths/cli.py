@@ -69,11 +69,16 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-def _ints(flag: str, text: str) -> list[int]:
-    """A comma-separated integer flag's value; an empty field is an error."""
-    if "" in text.split(","):
-        raise ValueError(f"--{flag} {text}: empty field")
-    return [int(t) for t in text.split(",")]
+def _numbers(given: str, text: str, kind=int) -> list:
+    """A comma-separated list read field by field with `kind`; an error starts with `given`."""
+    values = []
+    for t in text.split(","):
+        try:
+            values.append(kind(t))
+        except ValueError:
+            what = f"{t!r} is not {'an integer' if kind is int else 'a number'}" if t else "empty field"
+            raise ValueError(f"{given}: {what}") from None
+    return values
 
 
 def _commas(values) -> str:
@@ -129,9 +134,9 @@ def _resolve_window(args):
     if all(getattr(args, k) is None for k in _POSET_SOURCES):
         raise ValueError("a poset source is required (--young/--box/--chain/--antichain/--file)")
     if args.young is not None:
-        return build_young_poset(_ints("young", args.young))
+        return build_young_poset(_numbers(f"--young {args.young}", args.young))
     if args.box is not None:
-        bounds = _ints("box", args.box)
+        bounds = _numbers(f"--box {args.box}", args.box)
         return build_box_poset(len(bounds), bounds)
     if args.chain is not None:
         return build_chain_poset(args.chain)
@@ -284,7 +289,8 @@ def _parse_sampler(text: str, args, source):
     if t == "plancherel":
         return PlancherelYoung()
     if kind == "rsk":
-        return RSKThoma(tuple(float(x) for x in rest.split(",")))
+        given = f"--sampler {t}" if args.command == "compare" else f"--rsk {rest}"
+        return RSKThoma(tuple(_numbers(given, rest, float)))
     if kind == "endpoint":
         try:
             level, index = (int(x) for x in rest.split(":"))

@@ -11,10 +11,10 @@ goes to `is_central`, which reads the symmetry off a
 A kernel goes to `kernel_centrality`, one forward pass over its rows
 that checks that every prefix reaching a vertex carries one mass, and
 lists neither paths nor numberings. Floating point enters only
-inside Monte Carlo sampling. Both Young growth samplers run on row
-insertion and keep only the cells: Plancherel growth inserts i.i.d.
-uniform letters on `row_insert`, the Thoma samplers letters drawn from
-alpha (`thoma_word`) on per-row letter counts (`row_insert_counts`).
+inside Monte Carlo sampling. Both Young growth samplers keep the word
+whose row insertion is the growth (`GrowthPath`): Plancherel growth
+i.i.d. uniform letters, the Thoma samplers letters drawn from alpha
+(`thoma_word`), inserted on per-row letter counts (`row_insert_counts`).
 
 Replica k of a Monte Carlo run is seeded with seed + k; sampler s of a
 comparison run gets base seed seed + s * 1_000_003. Identical seeds give
@@ -34,20 +34,13 @@ from fractions import Fraction
 from numbers import Rational
 
 from .graded_graph import GradedGraph, LevelVertex, up_dimension_table
-from .ideals import IdealSpec, ideal_mask, member_coords
+from .ideals import AxisRaysIdeal, FullIdeal, HookIdeal, IdealSpec, ideal_mask, member_coords
 from .posets import PATH_CAP, ROOT, CapExceeded, PosetWindow, build_young_poset, validate_numbering
 from .posets import enumerate_numberings  # noqa: F401  (bench/spans.py traces the name here)
 from .symmetry import apply_sigma  # noqa: F401  (bench/spans.py traces the name here)
 from .symmetry import GroupHandle, compose, endpoint_fibers
-from .young import (
-    GrowthPath,
-    additions,
-    check_partition,
-    row_insert,
-    row_insert_counts,
-    tableau_count,
-)
-from .young import corner_probabilities, growth_step_arrays  # noqa: F401  (only bench/spans.py's KERNELS use them; delete both once it drops them)
+from .young import GrowthPath, additions, check_partition, tableau_count
+from .young import corner_probabilities, growth_step_arrays, row_insert  # noqa: F401  (only bench/spans.py's KERNELS use them; delete them once it drops them)
 
 STEP_CAP = 10_000_000  # most steps one growth sample, or all replicas of one estimate, draw
 
@@ -59,22 +52,15 @@ class _YoungGrowth:
     has_ties = False
 
     def hits(self, path: GrowthPath, ideal: IdealSpec) -> int:
-        """How many of the sampled cells lie in the ideal.
-
-        The cells of a path are those of its final shape. A coordinate
-        ideal is downward closed, so it meets each row of that shape in a
-        prefix no longer than the one in the row above, and no row below
-        a row whose first cell is outside it; bisection finds each prefix.
-        """
-        total = 0
-        prefix = path.n_steps
-        for r, length in enumerate(path.shape(), start=1):
-            if not member_coords(ideal, (r, 1)):
-                break
-            cols = range(2, min(length, prefix) + 1)
-            prefix = 1 + bisect.bisect_left(cols, True, key=lambda c: not member_coords(ideal, (r, c)))
-            total += prefix
-        return total
+        """How many of the sampled cells, those of the final shape, lie in the ideal: a
+        hook or two-axis rays ideal k,l holds its first k rows and l columns."""
+        if isinstance(ideal, FullIdeal):
+            return path.n_steps
+        if isinstance(ideal, HookIdeal):
+            return path.hook_cells(ideal.rows, ideal.cols)
+        if not (isinstance(ideal, AxisRaysIdeal) and len(ideal.rays) == 2):
+            member_coords(ideal, (1, 1))  # a set or wrong-axis spec: raises its ValueError
+        return path.hook_cells(*ideal.rays)
 
     def text(self, path: GrowthPath) -> str:
         return "step,row,col\n" + "\n".join([f"{k},{r},{c}" for k, (r, c) in enumerate(path.cells, start=1)])
@@ -497,15 +483,14 @@ def _check_steps(n_steps: int) -> None:
 def sample_plancherel(n_steps: int, seed: int) -> GrowthPath:
     """One trajectory of the dimension-proportional growth process.
 
-    Row-inserts i.i.d. uniform letters and records the shape growth: the
-    letters' relative order is a uniform permutation, whose recording
-    tableau grows by the exact Plancherel transitions (Kerov-Vershik).
+    Keeps i.i.d. uniform letters, whose row insertion is the shape growth:
+    their relative order is a uniform permutation, whose recording tableau
+    grows by the exact Plancherel transitions (Kerov-Vershik).
     Deterministic given the seed.
     """
     _check_steps(n_steps)
     rng = random.Random(seed)
-    rows: list[list[float]] = []
-    return GrowthPath(tuple(row_insert(rows, rng.random()) for _ in range(n_steps)))
+    return GrowthPath(word=list(itertools.islice(iter(rng.random, None), n_steps)))
 
 
 def thoma_word(alpha: tuple[float, ...], n_steps: int, seed: int) -> list[int]:
@@ -521,14 +506,13 @@ def thoma_word(alpha: tuple[float, ...], n_steps: int, seed: int) -> list[int]:
 def sample_rsk_thoma(alpha, n_steps: int, seed: int) -> GrowthPath:
     """Insert n i.i.d. letters drawn from alpha and record the shape growth.
 
-    The whole word (`thoma_word`) is drawn first, then inserted on letter
-    counts; the path keeps only the cells, those `row_insert` gives. The
-    shape never exceeds len(alpha) rows; deterministic given the seed.
+    The path keeps the word (`thoma_word`), inserted on letter counts when
+    its cells are first read. The shape never exceeds len(alpha) rows;
+    deterministic given the seed.
     """
     spec = RSKThoma(tuple(alpha))
     _check_steps(n_steps)
-    word = thoma_word(spec.alpha, n_steps, seed)
-    return GrowthPath(tuple(row_insert_counts(word, len(spec.alpha))))
+    return GrowthPath(word=thoma_word(spec.alpha, n_steps, seed), alphabet=len(spec.alpha))
 
 
 def sample_markov(m: ExplicitMarkov, n_steps: int, seed: int) -> tuple[int, ...]:

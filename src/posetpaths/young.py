@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass
+import itertools
 from math import factorial
 
 
@@ -98,16 +98,24 @@ def growth_step_arrays(rows: list[int], k: int) -> tuple[list[int], list[float],
     return add_idx, xs, ys
 
 
-@dataclass(frozen=True)
 class GrowthPath:
-    """A sampled growth of Young diagrams: the cell added at each step, and
-    no letters (`measures.thoma_word` redraws an RSK path's word)."""
+    """A sampled growth of Young diagrams: the cell added at each step, or the word whose row
+    insertion adds them when first read (letters 0..alphabet-1 on counts, real ones if 0)."""
 
-    cells: tuple[tuple[int, int], ...]
+    def __init__(self, cells=(), word=None, alphabet: int = 0):
+        if word is None:
+            self.cells = tuple(cells)
+        self.word, self.alphabet, self._passes = word, alphabet, {}
+        self.n_steps = len(self.cells if word is None else word)
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.cells)
+    def __eq__(self, other):
+        return isinstance(other, GrowthPath) and self.cells == other.cells
+
+    @functools.cached_property
+    def cells(self) -> tuple[tuple[int, int], ...]:
+        if self.alphabet:
+            return tuple(row_insert_counts(self.word, self.alphabet))
+        return tuple(map(row_insert, itertools.repeat([]), self.word))  # all letters into one tableau
 
     def shape(self) -> tuple[int, ...]:
         """The final diagram's row lengths, computed once per path: a
@@ -119,6 +127,22 @@ class GrowthPath:
         # each row grows left to right, so its last cell's column is its length
         last = dict(self.cells)
         return tuple(last[r] for r in sorted(last))
+
+    def hook_cells(self, k: int, l: int) -> int:
+        """How many cells of the final shape lie in its first k rows or first l
+        columns. A real-letter word is not inserted: lambda_1..lambda_k and
+        lambda'_1..lambda'_l come from Greene passes (`row_lengths`), once each."""
+        if self.word is None or self.alphabet:
+            shape = self.shape()
+            return sum(shape[:k]) + sum(min(p, l) for p in shape[k:])
+        rows = self._greene(k, False)
+        return sum(rows) + sum(self._greene(l, True)) - sum(min(p, l) for p in rows)
+
+    def _greene(self, k: int, strict: bool) -> list[int]:
+        # the lengths read so far in this direction, and the passes still to make
+        done, passes = self._passes.setdefault(strict, ([], _greene_passes(reversed(self.word) if strict else self.word, strict)))
+        done.extend(itertools.islice(passes, max(0, k - len(done))))
+        return done[:k]
 
     def shapes(self):
         """The increasing chain of diagrams, one per step."""
@@ -162,6 +186,32 @@ def row_insert(rows: list[list[int]], letter: int) -> tuple[int, int]:
         row[k], x = x, row[k]
     rows.append([x])
     return (len(rows), 1)
+
+
+def _greene_passes(word, strict: bool):
+    """Row lengths of the insertion tableau of `word`, one per pass: row r is filled from the letters
+    row r - 1 bumped. A strict row bumps the leftmost entry >= the letter, a weak one the leftmost >."""
+    place = bisect.bisect_left if strict else bisect.bisect_right
+    while True:
+        row, bumped = [], []
+        for x in word:
+            i = place(row, x)
+            if i == len(row):
+                row.append(x)
+            else:
+                bumped.append(row[i])
+                row[i] = x
+        if not row:
+            return
+        yield len(row)
+        word = bumped
+
+
+def row_lengths(word, k: int, strict: bool = False) -> tuple[int, ...]:
+    """lambda_1..lambda_k of the shape `row_insert` gives the word, or fewer: by
+    Greene's theorem their sum is the most letters k disjoint weakly increasing
+    subsequences cover. Strict passes over the reversed word give lambda'_1..lambda'_k."""
+    return tuple(itertools.islice(_greene_passes(word, strict), k))
 
 
 def row_insert_counts(word, d: int) -> list[tuple[int, int]]:

@@ -962,6 +962,23 @@ def test_empty_fields_in_integer_lists_exit_2(argv, line, capsys):
     assert run(capsys, *argv) == (2, "", line + "\n")
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (("poset", "--young", "2,x"), "error: --young 2,x: 'x' is not an integer"),
+        (("graph", "--box", "2,1.5"), "error: --box 2,1.5: '1.5' is not an integer"),
+        (("measure", "sample", "--rsk", "0.5,x"), "error: --rsk 0.5,x: 'x' is not a number"),
+        (("measure", "sample", "--rsk", ","), "error: --rsk ,: empty field"),
+        (
+            ("compare", "--sampler", "rsk:0.5,x", "--sampler", "plancherel", "--ideal", "full"),
+            "error: --sampler rsk:0.5,x: 'x' is not a number",
+        ),
+    ],
+)
+def test_unreadable_numbers_name_the_flag_and_exit_2(argv, line, capsys):
+    assert run(capsys, *argv) == (2, "", line + "\n")
+
+
 def test_group_local_index_is_checked_before_relations_and_order(monkeypatch, capsys):
     def unreachable(*args, **kwargs):
         raise AssertionError("ran before --local was checked")

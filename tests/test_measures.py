@@ -1097,3 +1097,23 @@ def test_sample_markov_stops_at_a_holed_row():
     assert sample_markov(m, 1, 0) == (0, 1)
     with pytest.raises(ValueError, match="kernel has no row at level 1 index 0"):
         sample_markov(m, 2, 0)
+
+
+def test_plancherel_hook_frequencies_insert_no_letter(monkeypatch):
+    # hook:1,0 and hook:0,1 are read off the word by Greene's passes; the
+    # expected counts come from the cells of the same seeds' paths
+    from posetpaths import young
+
+    hooks = [HookIdeal(1, 0), HookIdeal(0, 1)]
+    expected = [
+        [sum(member_coords(h, cell) for cell in sample_plancherel(200, 5 + k).cells) / 200 for k in range(3)]
+        for h in hooks
+    ]
+
+    def unreachable(rows, letter):
+        raise AssertionError("a hook frequency inserted a letter")
+
+    monkeypatch.setattr(young, "row_insert", unreachable)
+    monkeypatch.setattr(measures, "row_insert", unreachable)
+    reports = estimate_frequency(PlancherelYoung(), hooks, 200, 3, 5)
+    assert [list(r.values) for r in reports] == expected

@@ -16,6 +16,7 @@ from posetpaths.young import (
     growth_step_arrays,
     row_insert,
     row_insert_counts,
+    row_lengths,
     tableau_count,
 )
 
@@ -119,6 +120,34 @@ def test_row_insert_counts_matches_row_insert_on_random_words(d):
         used = rng.sample(range(d), rng.randint(1, d))
         word = [rng.choice(used) for _ in range(n)]
         assert row_insert_counts(word, d) == list_route(word), (d, n, used)
+
+
+def assert_greene_matches_insertion(word):
+    shape = GrowthPath(list_route(word)).shape()
+    conj = conjugate(shape)
+    for k in range(len(shape) + 2):
+        assert row_lengths(word, k) == shape[:k], (word, k)
+    for l in range(len(conj) + 2):
+        assert row_lengths(word[::-1], l, strict=True) == conj[:l], (word, l)
+
+
+def test_greene_row_and_column_passes_on_every_short_word():
+    for d in (1, 2, 3):
+        for n in range(8):
+            for word in itertools.product(range(d), repeat=n):
+                assert_greene_matches_insertion(word)
+
+
+def test_greene_row_and_column_passes_on_random_words_with_ties():
+    # letters come from a small pool, so most words repeat some of them
+    rng = random.Random(23)
+    for trial in range(600):
+        n = rng.randint(1, 60)
+        if trial % 2:
+            pool = [rng.random() for _ in range(rng.randint(1, 8))]
+        else:
+            pool = range(rng.randint(1, 8))
+        assert_greene_matches_insertion([rng.choice(pool) for _ in range(n)])
 
 
 def test_corner_routes_match_the_exact_plancherel_step():
