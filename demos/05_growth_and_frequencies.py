@@ -2,10 +2,11 @@
 Diagram growth processes and frequency functions
 ================================================
 
-Two families of central growth processes on Young diagrams: the
-dimension-proportional one (transition probability proportional to the
-number of standard fillings of the grown shape) and the row-insertion
-family driven by i.i.d. letters. The frequency of an ideal is the
+Central growth processes on Young diagrams, one spec `Thoma(alpha)` for
+both kinds shown here: the dimension-proportional one, `Thoma()`
+(transition probability proportional to the number of standard fillings
+of the grown shape), and the row-insertion family driven by i.i.d.
+letters with probabilities alpha. The frequency of an ideal is the
 fraction of the first n added cells landing in it; for the
 dimension-proportional process every fixed union of rows and columns has
 vanishing frequency, while row insertion pins row frequencies to the
@@ -14,8 +15,7 @@ letter probabilities.
 
 from posetpaths import (
     HookIdeal,
-    PlancherelYoung,
-    RSKThoma,
+    Thoma,
     compare_frequency_profiles,
     estimate_frequency,
     plancherel_transition,
@@ -39,17 +39,17 @@ print("rsk shape:", rsk.shape(), "row fraction:", rsk.shape()[0] / 2000)
 
 # Frequency estimates: single row/column ideals get tiny weight under the
 # dimension-proportional process...
-(row,) = estimate_frequency(PlancherelYoung(), [HookIdeal(1, 0)], 1600, 40, seed=11)
+(row,) = estimate_frequency(Thoma(), [HookIdeal(1, 0)], 1600, 40, seed=11)
 print(f"plancherel hook:1,0 estimate {row.estimate:.4f} stderr {row.stderr:.4f}")
 
 # ...while the two-letter insertion process keeps the first row at its
 # letter frequency.
-(rep,) = estimate_frequency(RSKThoma((0.7, 0.3)), [HookIdeal(1, 0)], 1600, 40, seed=11)
+(rep,) = estimate_frequency(Thoma((0.7, 0.3)), [HookIdeal(1, 0)], 1600, 40, seed=11)
 print(f"rsk(0.7,0.3) hook:1,0 estimate {rep.estimate:.4f} stderr {rep.stderr:.4f}")
 
 # Frequency profiles on single-row ideals separate different parameters.
 table = compare_frequency_profiles(
-    [RSKThoma((0.7, 0.3)), RSKThoma((0.6, 0.4))],
+    [Thoma((0.7, 0.3)), Thoma((0.6, 0.4))],
     [HookIdeal(1, 0)],
     n_steps=1600,
     replicas=40,

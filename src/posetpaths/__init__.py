@@ -38,8 +38,7 @@ from .measures import (
     ComparisonTable,
     ExplicitMarkov,
     FrequencyReport,
-    PlancherelYoung,
-    RSKThoma,
+    Thoma,
     compare_frequency_profiles,
     endpoint_measure,
     estimate_frequency,

@@ -27,8 +27,7 @@ from .ideals import FiniteSetIdeal, ideal_mask, member_coords, parse_ideal
 from .measures import (
     FREQUENCY_CSV_HEADER,
     ExplicitMarkov,
-    PlancherelYoung,
-    RSKThoma,
+    Thoma,
     compare_frequency_profiles,
     csv_field,
     endpoint_measure,
@@ -286,11 +285,9 @@ def _parse_sampler(text: str, args, source):
     window, graph = source
     t = text.strip()
     kind, _, rest = t.partition(":")
-    if t == "plancherel":
-        return PlancherelYoung()
-    if kind == "rsk":
+    if t == "plancherel" or kind == "rsk":  # a Thoma point: alpha empty for Plancherel growth
         given = f"--sampler {t}" if args.command == "compare" else f"--rsk {rest}"
-        return RSKThoma(tuple(_numbers(given, rest, float)))
+        return Thoma(tuple(_numbers(given, rest, float)) if kind == "rsk" else ())
     if kind == "endpoint":
         try:
             level, index = (int(x) for x in rest.split(":"))
@@ -344,11 +341,17 @@ def cmd_measure_check(args):
     law and every perturbed law are listed and checked on the numberings'
     group handle."""
     config = {"poset": _poset_flag(args)}
+    try:  # read before any law is listed, which may hit a cap first
+        eps = None if args.perturb is None else Fraction(args.perturb)
+    except ZeroDivisionError:
+        raise ValueError(f"--perturb {args.perturb}: zero denominator") from None
+    except ValueError:
+        raise ValueError(f"--perturb {args.perturb}: not a rational number") from None
     handle = None
     if args.sampler is not None:
         kernel = _parse_sampler(args.sampler, args, _window_source(args))
         config["measure"] = kernel.name()
-        if args.perturb is None:
+        if eps is None:
             return config, *_centrality_lines(kernel_centrality(kernel))
         window, length = kernel.graph.window, kernel.depth + 1
         measure = path_measure(kernel)
@@ -358,11 +361,7 @@ def cmd_measure_check(args):
         handle = generate_group(window, length)
         measure = uniform_path_measure(handle)
         config["measure"] = f"uniform:{length}"
-    if args.perturb is not None:
-        try:
-            eps = Fraction(args.perturb)
-        except ZeroDivisionError:
-            raise ValueError(f"--perturb {args.perturb}: zero denominator") from None
+    if eps is not None:
         measure = perturb_fiber(measure, eps)
         config["measure"] += f"+perturb:{args.perturb}"
         negative = sorted(path for path, p in measure.items() if p.numerator < 0)

@@ -11,10 +11,11 @@ goes to `is_central`, which reads the symmetry off a
 A kernel goes to `kernel_centrality`, one forward pass over its rows
 that checks that every prefix reaching a vertex carries one mass, and
 lists neither paths nor numberings. Floating point enters only
-inside Monte Carlo sampling. Both Young growth samplers keep the word
-whose row insertion is the growth (`GrowthPath`): Plancherel growth
-i.i.d. uniform letters, the Thoma samplers letters drawn from alpha
-(`thoma_word`), inserted on per-row letter counts (`row_insert_counts`).
+inside Monte Carlo sampling. One spec, `Thoma(alpha)`, covers Young
+growth, and its path keeps the word whose row insertion is the growth
+(`GrowthPath`), drawn by one letter stream (`thoma_word`): with an empty
+alpha, Plancherel growth, i.i.d. uniform letters; otherwise letters
+drawn from alpha, inserted on per-row letter counts (`row_insert_counts`).
 
 Replica k of a Monte Carlo run is seeded with seed + k; sampler s of a
 comparison run gets base seed seed + s * 1_000_003. Identical seeds give
@@ -45,11 +46,37 @@ from .young import corner_probabilities, growth_step_arrays, row_insert  # noqa:
 STEP_CAP = 10_000_000  # most steps one growth sample, or all replicas of one estimate, draw
 
 
-class _YoungGrowth:
-    """The growth samplers' points are the added cells, read by coordinates."""
+@dataclass(frozen=True)
+class Thoma:
+    """Young growth at a Thoma point with beta = 0: row insertion of i.i.d.
+    letters (`thoma_word`), whose points are the added cells (row, col).
 
+    An empty `alpha` is Plancherel growth (gamma = 1), uniform real letters.
+    Otherwise `alpha` are the letter probabilities: strictly positive,
+    summing to one. Tied entries are legal but flagged, since row
+    frequencies only identify the parameters when they are distinct.
+    """
+
+    alpha: tuple[float, ...] = ()
     family = "young-growth"
-    has_ties = False
+
+    def __post_init__(self):
+        if not all(math.isfinite(a) for a in self.alpha):
+            raise ValueError(f"alpha entries must be finite, got {self.alpha}")
+        if any(a <= 0 for a in self.alpha):
+            raise ValueError(f"alpha entries must be positive, got {self.alpha}")
+        if self.alpha and abs(sum(self.alpha) - 1.0) > 1e-9:
+            raise ValueError(f"alpha must sum to 1, got {sum(self.alpha)}")
+
+    @property
+    def has_ties(self) -> bool:
+        return len(set(self.alpha)) < len(self.alpha)
+
+    def name(self) -> str:
+        return "rsk:" + ",".join(repr(a) for a in self.alpha) if self.alpha else "plancherel"
+
+    def sample(self, n_steps: int, seed: int) -> GrowthPath:
+        return sample_rsk_thoma(self.alpha, n_steps, seed) if self.alpha else sample_plancherel(n_steps, seed)
 
     def hits(self, path: GrowthPath, ideal: IdealSpec) -> int:
         """How many of the sampled cells, those of the final shape, lie in the ideal: a
@@ -64,49 +91,6 @@ class _YoungGrowth:
 
     def text(self, path: GrowthPath) -> str:
         return "step,row,col\n" + "\n".join([f"{k},{r},{c}" for k, (r, c) in enumerate(path.cells, start=1)])
-
-
-@dataclass(frozen=True)
-class PlancherelYoung(_YoungGrowth):
-    """Dimension-proportional growth on Young diagrams."""
-
-    def name(self) -> str:
-        return "plancherel"
-
-    def sample(self, n_steps: int, seed: int) -> GrowthPath:
-        return sample_plancherel(n_steps, seed)
-
-
-@dataclass(frozen=True)
-class RSKThoma(_YoungGrowth):
-    """Shape growth of row insertion applied to i.i.d. letters.
-
-    `alpha` are the letter probabilities: strictly positive, summing to
-    one. Tied entries are legal but flagged, since row frequencies only
-    identify the parameters when they are distinct.
-    """
-
-    alpha: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.alpha:
-            raise ValueError("alpha must be nonempty")
-        if not all(math.isfinite(a) for a in self.alpha):
-            raise ValueError(f"alpha entries must be finite, got {self.alpha}")
-        if any(a <= 0 for a in self.alpha):
-            raise ValueError(f"alpha entries must be positive, got {self.alpha}")
-        if abs(sum(self.alpha) - 1.0) > 1e-9:
-            raise ValueError(f"alpha must sum to 1, got {sum(self.alpha)}")
-
-    @property
-    def has_ties(self) -> bool:
-        return len(set(self.alpha)) < len(self.alpha)
-
-    def name(self) -> str:
-        return "rsk:" + ",".join(repr(a) for a in self.alpha)
-
-    def sample(self, n_steps: int, seed: int) -> GrowthPath:
-        return sample_rsk_thoma(self.alpha, n_steps, seed)
 
 
 class ExplicitMarkov:
@@ -174,7 +158,7 @@ class ExplicitMarkov:
 # family its points live in (specs are only compared within one);
 # `has_ties`; sample(n_steps, seed), one path; hits(path, ideal), how many
 # of the path's points lie in the ideal; text(path), the path as text.
-CentralMeasureSpec = PlancherelYoung | RSKThoma | ExplicitMarkov
+CentralMeasureSpec = Thoma | ExplicitMarkov
 
 
 def parse_markov_kernel(graph: GradedGraph, text: str, name: str = "markov:file") -> ExplicitMarkov:
@@ -438,7 +422,8 @@ def kernel_centrality(kernel: ExplicitMarkov) -> CentralityReport:
         )
     level, w, masses = conflict
     x, y = sorted(masses)
-    v = g.vertex_of(set(g.vertex(level, w).ideal) - {x, y}).index
+    bit = g.window.poset.bit
+    v = g._index[level - 2][g.levels[level][w] & ~(bit(x) | bit(y))]  # w's mask with x and y cleared
     head = []
     for k in range(level - 2, 0, -1):  # back from v along each first positive in-edge
         v, elem = next((u, elem) for u in phis[k - 1] for elem, j, p in kernel.rows[(k - 1, u)] if j == v and p)
@@ -489,18 +474,19 @@ def sample_plancherel(n_steps: int, seed: int) -> GrowthPath:
     Deterministic given the seed.
     """
     _check_steps(n_steps)
-    rng = random.Random(seed)
-    return GrowthPath(word=list(itertools.islice(iter(rng.random, None), n_steps)))
+    return GrowthPath(word=thoma_word((), n_steps, seed))
 
 
-def thoma_word(alpha: tuple[float, ...], n_steps: int, seed: int) -> list[int]:
-    """The n_steps i.i.d. letters, 0-based, that `sample_rsk_thoma` inserts
-    for this seed: letter a with probability alpha[a]."""
-    rng = random.Random(seed)
+def thoma_word(alpha: tuple[float, ...], n_steps: int, seed: int) -> list:
+    """The n_steps i.i.d. letters a growth sampler inserts for this seed, one
+    rng.random() draw each: with an empty alpha the draws themselves, else
+    the 0-based letter a with probability alpha[a]."""
+    draws = itertools.islice(iter(random.Random(seed).random, None), n_steps)
+    if not alpha:
+        return list(draws)
     cum = list(itertools.accumulate(alpha))
     cum[-1] = math.inf  # a draw at or above the float sum, which may end below 1, is the last letter
-    # one rng.random() per letter, in order: map stops when repeat does
-    return list(map(bisect.bisect_right, itertools.repeat(cum, n_steps), iter(rng.random, None)))
+    return list(map(bisect.bisect_right, itertools.repeat(cum), draws))
 
 
 def sample_rsk_thoma(alpha, n_steps: int, seed: int) -> GrowthPath:
@@ -510,13 +496,17 @@ def sample_rsk_thoma(alpha, n_steps: int, seed: int) -> GrowthPath:
     its cells are first read. The shape never exceeds len(alpha) rows;
     deterministic given the seed.
     """
-    spec = RSKThoma(tuple(alpha))
+    alpha = Thoma(tuple(alpha)).alpha
+    if not alpha:
+        raise ValueError("alpha must be nonempty")
     _check_steps(n_steps)
-    return GrowthPath(word=thoma_word(spec.alpha, n_steps, seed), alphabet=len(spec.alpha))
+    return GrowthPath(word=thoma_word(alpha, n_steps, seed), alphabet=len(alpha))
 
 
 def sample_markov(m: ExplicitMarkov, n_steps: int, seed: int) -> tuple[int, ...]:
     """Walk an explicit kernel for n_steps edges from the root."""
+    if m.depth == 0:
+        raise ValueError(f"{m.name()} ends at the root: it has no step to sample")
     if not (1 <= n_steps <= m.depth):
         raise ValueError(f"kernel supports 1..{m.depth} steps, asked for {n_steps}")
     rng = random.Random(seed)

@@ -12,8 +12,7 @@ from fractions import Fraction
 
 from posetpaths import (
     HookIdeal,
-    PlancherelYoung,
-    RSKThoma,
+    Thoma,
     build_antichain_poset,
     build_box_poset,
     build_chain_poset,
@@ -155,7 +154,7 @@ def test_criterion_06_fiber_transitivity():
 def test_criterion_07_plancherel_zero_frequency():
     with criterion(7, "Plancherel frequency small on single rows/columns"):
         t0 = time.perf_counter()
-        row, col = estimate_frequency(PlancherelYoung(), [HookIdeal(1, 0), HookIdeal(0, 1)], 2500, 100, 7)
+        row, col = estimate_frequency(Thoma(), [HookIdeal(1, 0), HookIdeal(0, 1)], 2500, 100, 7)
         elapsed = time.perf_counter() - t0
         assert row.estimate <= 0.10, row
         assert col.estimate <= 0.10, col
@@ -164,10 +163,10 @@ def test_criterion_07_plancherel_zero_frequency():
 
 def test_criterion_08_thoma_identification():
     with criterion(8, "row-insertion frequencies identify the parameters"):
-        (rep,) = estimate_frequency(RSKThoma((0.7, 0.3)), [HookIdeal(1, 0)], 5000, 100, 7)
+        (rep,) = estimate_frequency(Thoma((0.7, 0.3)), [HookIdeal(1, 0)], 5000, 100, 7)
         assert 0.65 <= rep.estimate <= 0.75, rep
         table = compare_frequency_profiles(
-            [RSKThoma((0.7, 0.3)), RSKThoma((0.6, 0.4))],
+            [Thoma((0.7, 0.3)), Thoma((0.6, 0.4))],
             [HookIdeal(1, 0)],
             n_steps=5000,
             replicas=100,

@@ -337,6 +337,33 @@ def test_measure_check_zero_denominator_perturbation_exits_2(capsys):
     assert err == "error: --perturb 1/0: zero denominator\n"
 
 
+@pytest.mark.parametrize("text", ["abc", "nan", "inf", "0.1.2", ""])
+def test_measure_check_unreadable_perturbation_names_the_flag(text, capsys):
+    # box 3,3,3 lists more than PATH_CAP numberings: the flag is read first
+    for window in [("--young", "3,2"), ("--box", "3,3,3"), ("--box", "3,3,3", "--endpoint", "26:0")]:
+        code, out, err = run(capsys, "measure", "check", *window, "--perturb", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: --perturb {text}: not a rational number\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [("measure", "freq", "--ideal", "full", "--n", "1"), ("measure", "sample")], ids=["freq", "sample"]
+)
+def test_sampling_a_depth_0_kernel_exits_2_naming_it(argv, monkeypatch, capsys):
+    from posetpaths import measures
+
+    def no_sampling(*_):
+        raise AssertionError("no random draw before the depth is checked")
+
+    monkeypatch.setattr(measures.random, "Random", no_sampling)
+    code, out, err = run(capsys, *argv, "--endpoint", "0:0", "--young", "2,1")
+    assert (code, out) == (2, "")
+    assert err == "error: endpoint:0:0 ends at the root: it has no step to sample\n"
+    code, out, _ = run(capsys, "measure", "check", "--endpoint", "0:0", "--young", "2,1")
+    assert code == 0
+    assert "paths: 1" in out.splitlines() and "central: yes" in out.splitlines()
+
+
 def test_measure_check_endpoint_central(capsys):
     code, out, _ = run(capsys, "measure", "check", "--endpoint", "3:0", "--young", "2,1")
     assert code == 0

@@ -13,8 +13,7 @@ from posetpaths import (
     CapExceeded,
     FullIdeal,
     HookIdeal,
-    PlancherelYoung,
-    RSKThoma,
+    Thoma,
     build_antichain_poset,
     build_box_poset,
     build_chain_poset,
@@ -654,19 +653,53 @@ def test_sample_plancherel_second_cell_split():
 
 def test_rsk_alpha_validation():
     with pytest.raises(ValueError):
-        RSKThoma(())
+        sample_rsk_thoma((), 5, 0)
     with pytest.raises(ValueError):
-        RSKThoma((0.7, 0.2))
+        Thoma((0.7, 0.2))
     with pytest.raises(ValueError):
-        RSKThoma((1.2, -0.2))
-    assert RSKThoma((0.5, 0.5)).has_ties
-    assert not RSKThoma((0.7, 0.3)).has_ties
+        Thoma((1.2, -0.2))
+    assert Thoma((0.5, 0.5)).has_ties
+    assert not Thoma((0.7, 0.3)).has_ties
+
+
+def test_thoma_spec_samples_through_the_module_samplers():
+    for n, seed in [(1, 0), (7, 3), (200, 11)]:
+        assert Thoma().sample(n, seed) == sample_plancherel(n, seed)
+        for alpha in [(1.0,), (0.7, 0.3), (0.5, 0.3, 0.2)]:
+            assert Thoma(alpha).sample(n, seed) == sample_rsk_thoma(alpha, n, seed)
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_thoma_word_without_alpha_is_the_plancherel_word(n):
+    for seed in range(50):
+        rng = random.Random(seed)
+        word = thoma_word((), n, seed)
+        assert word == [rng.random() for _ in range(n)]
+        assert word == sample_plancherel(n, seed).word
+
+
+def test_thoma_spec_names_family_and_ties():
+    spec = Thoma()
+    assert (spec.alpha, spec.name(), spec.family, spec.has_ties) == ((), "plancherel", "young-growth", False)
+    assert Thoma((0.7, 0.3)).name() == "rsk:0.7,0.3"
+    assert Thoma((0.7, 0.3)).family == spec.family
+
+
+@pytest.mark.parametrize(
+    "alpha,message",
+    [((0.5, -0.5, 1.0), "positive"), ((0.0, 1.0), "positive"), ((0.7, 0.2), "sum to 1"), ((0.6, 0.6), "sum to 1")],
+)
+def test_thoma_spec_rejects_bad_alpha(alpha, message):
+    with pytest.raises(ValueError, match=message):
+        Thoma(alpha)
+    with pytest.raises(ValueError, match=message):
+        sample_rsk_thoma(alpha, 5, 0)
 
 
 @pytest.mark.parametrize("alpha", [(math.nan,), (0.5, math.nan), (math.inf,), (0.5, math.inf)])
 def test_rsk_alpha_rejects_non_finite(alpha):
     with pytest.raises(ValueError, match="finite"):
-        RSKThoma(alpha)
+        Thoma(alpha)
     with pytest.raises(ValueError, match="finite"):
         sample_rsk_thoma(alpha, 5, 0)
 
@@ -674,7 +707,7 @@ def test_rsk_alpha_rejects_non_finite(alpha):
 def test_rsk_single_letter_single_row():
     path = sample_rsk_thoma((1.0,), 50, 3)
     assert path.shape() == (50,)
-    (rep,) = estimate_frequency(RSKThoma((1.0,)), [HookIdeal(1, 0)], 50, 5, 3)
+    (rep,) = estimate_frequency(Thoma((1.0,)), [HookIdeal(1, 0)], 50, 5, 3)
     assert rep.estimate == 1.0 and rep.stderr == 0.0
 
 
@@ -777,14 +810,14 @@ def test_plancherel_first_row_near_two_sqrt_n():
 
 
 def test_full_ideal_estimates_exactly_one():
-    (rep,) = estimate_frequency(PlancherelYoung(), [FullIdeal()], 100, 10, 5)
+    (rep,) = estimate_frequency(Thoma(), [FullIdeal()], 100, 10, 5)
     assert rep.estimate == 1.0
     assert rep.stderr == 0.0
 
 
 def test_frequency_reports_deterministic():
-    (a,) = estimate_frequency(PlancherelYoung(), [HookIdeal(1, 0)], 200, 10, 42)
-    (b,) = estimate_frequency(PlancherelYoung(), [HookIdeal(1, 0)], 200, 10, 42)
+    (a,) = estimate_frequency(Thoma(), [HookIdeal(1, 0)], 200, 10, 42)
+    (b,) = estimate_frequency(Thoma(), [HookIdeal(1, 0)], 200, 10, 42)
     assert a == b
     assert a.csv_row() == b.csv_row()
 
@@ -792,18 +825,18 @@ def test_frequency_reports_deterministic():
 def test_frequency_monotone_under_ideal_inclusion():
     # nested hooks on identical sampled paths
     chains = [HookIdeal(1, 0), HookIdeal(1, 1), HookIdeal(2, 1), HookIdeal(2, 2)]
-    reports = estimate_frequency(PlancherelYoung(), chains, 300, 8, 17)
+    reports = estimate_frequency(Thoma(), chains, 300, 8, 17)
     for a, b in zip(reports, reports[1:]):
         for va, vb in zip(a.values, b.values):
             assert va <= vb
-    rsk_reports = estimate_frequency(RSKThoma((0.6, 0.3, 0.1)), chains, 300, 8, 17)
+    rsk_reports = estimate_frequency(Thoma((0.6, 0.3, 0.1)), chains, 300, 8, 17)
     for a, b in zip(rsk_reports, rsk_reports[1:]):
         for va, vb in zip(a.values, b.values):
             assert va <= vb
 
 
 def test_frequency_estimates_in_unit_interval():
-    for spec in [PlancherelYoung(), RSKThoma((0.7, 0.3))]:
+    for spec in [Thoma(), Thoma((0.7, 0.3))]:
         for rep in estimate_frequency(spec, [HookIdeal(1, 0), HookIdeal(0, 2), FullIdeal()], 150, 6, 9):
             assert 0.0 <= rep.estimate <= 1.0
 
@@ -812,7 +845,7 @@ def test_finite_set_ideal_incompatible_with_growth_sampler():
     from posetpaths import finite_set_ideal
 
     with pytest.raises(ValueError):
-        estimate_frequency(PlancherelYoung(), [finite_set_ideal([1])], 10, 2, 1)
+        estimate_frequency(Thoma(), [finite_set_ideal([1])], 10, 2, 1)
 
 
 def test_growth_hits_match_per_cell_count():
@@ -823,12 +856,12 @@ def test_growth_hits_match_per_cell_count():
     for path in paths:
         for ideal in ideals:
             expected = sum(member_coords(ideal, cell) for cell in path.cells)
-            assert PlancherelYoung().hits(path, ideal) == expected, (path.shape(), ideal.name())
+            assert Thoma().hits(path, ideal) == expected, (path.shape(), ideal.name())
     from posetpaths import finite_set_ideal
 
     for ideal in [finite_set_ideal([1]), parse_ideal("rays:1,1,1")]:
         with pytest.raises(ValueError):
-            PlancherelYoung().hits(paths[0], ideal)
+            Thoma().hits(paths[0], ideal)
 
 
 def test_window_hits_match_per_element_count(monkeypatch):
@@ -869,7 +902,7 @@ def test_step_cap_boundary(monkeypatch):
         sample_plancherel(13, 1)
     with pytest.raises(CapExceeded):
         sample_rsk_thoma((0.5, 0.5), 13, 1)
-    (rep,) = estimate_frequency(PlancherelYoung(), [FullIdeal()], 4, 3, 1)
+    (rep,) = estimate_frequency(Thoma(), [FullIdeal()], 4, 3, 1)
     assert rep.replicas == 3
 
     def no_sampling(*args):
@@ -877,9 +910,9 @@ def test_step_cap_boundary(monkeypatch):
 
     monkeypatch.setattr(measures, "sample_plancherel", no_sampling)
     with pytest.raises(CapExceeded):
-        estimate_frequency(PlancherelYoung(), [FullIdeal()], 4, 4, 1)
+        estimate_frequency(Thoma(), [FullIdeal()], 4, 4, 1)
     with pytest.raises(CapExceeded):
-        compare_frequency_profiles([PlancherelYoung(), PlancherelYoung()], [FullIdeal()], 7, 2, 1)
+        compare_frequency_profiles([Thoma(), Thoma()], [FullIdeal()], 7, 2, 1)
 
 
 def test_markov_sampler_frequency():
@@ -937,16 +970,16 @@ def test_growth_to_numbering_round_trip():
 
 def test_compare_requires_two_samplers_same_family():
     with pytest.raises(ValueError):
-        compare_frequency_profiles([PlancherelYoung()], [HookIdeal(1, 0)], 10, 2, 1)
+        compare_frequency_profiles([Thoma()], [HookIdeal(1, 0)], 10, 2, 1)
     g = build_graph(build_young_poset([2, 1]), 3)
     m = endpoint_measure(g, g.vertex(3, 0))
     with pytest.raises(ValueError):
-        compare_frequency_profiles([PlancherelYoung(), m], [HookIdeal(1, 0)], 3, 2, 1)
+        compare_frequency_profiles([Thoma(), m], [HookIdeal(1, 0)], 3, 2, 1)
 
 
 def test_compare_distinguishes_rsk_alphas():
     table = compare_frequency_profiles(
-        [RSKThoma((0.7, 0.3)), RSKThoma((0.6, 0.4))],
+        [Thoma((0.7, 0.3)), Thoma((0.6, 0.4))],
         [HookIdeal(1, 0)],
         n_steps=1500,
         replicas=30,
@@ -966,20 +999,20 @@ def test_compare_needs_two_replicas(monkeypatch):
     monkeypatch.setattr(measures, "sample_plancherel", no_sampling)
     for replicas in (1, 0, -3):
         with pytest.raises(ValueError, match="at least 2 replicas"):
-            compare_frequency_profiles([PlancherelYoung(), PlancherelYoung()], [HookIdeal(1, 0)], 100, replicas, 1)
+            compare_frequency_profiles([Thoma(), Thoma()], [HookIdeal(1, 0)], 100, replicas, 1)
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
 def test_compare_rejects_bad_threshold(threshold):
     with pytest.raises(ValueError, match="threshold"):
         compare_frequency_profiles(
-            [RSKThoma((0.7, 0.3)), RSKThoma((0.6, 0.4))], [HookIdeal(1, 0)], 10, 2, 1, threshold
+            [Thoma((0.7, 0.3)), Thoma((0.6, 0.4))], [HookIdeal(1, 0)], 10, 2, 1, threshold
         )
 
 
 def test_compare_same_law_indistinguishable():
     table = compare_frequency_profiles(
-        [PlancherelYoung(), PlancherelYoung()],
+        [Thoma(), Thoma()],
         [HookIdeal(1, 0), HookIdeal(0, 1), HookIdeal(2, 2)],
         n_steps=400,
         replicas=30,
@@ -991,7 +1024,7 @@ def test_compare_same_law_indistinguishable():
 
 def test_compare_plancherel_vs_rsk_distinguished():
     table = compare_frequency_profiles(
-        [PlancherelYoung(), RSKThoma((0.7, 0.3))],
+        [Thoma(), Thoma((0.7, 0.3))],
         [HookIdeal(1, 0)],
         n_steps=1000,
         replicas=20,
@@ -1115,5 +1148,5 @@ def test_plancherel_hook_frequencies_insert_no_letter(monkeypatch):
 
     monkeypatch.setattr(young, "row_insert", unreachable)
     monkeypatch.setattr(measures, "row_insert", unreachable)
-    reports = estimate_frequency(PlancherelYoung(), hooks, 200, 3, 5)
+    reports = estimate_frequency(Thoma(), hooks, 200, 3, 5)
     assert [list(r.values) for r in reports] == expected
