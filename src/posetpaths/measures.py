@@ -16,6 +16,9 @@ growth, and its path keeps the word whose row insertion is the growth
 (`GrowthPath`), drawn by one letter stream (`thoma_word`): with an empty
 alpha, Plancherel growth, i.i.d. uniform letters; otherwise letters
 drawn from alpha, inserted on per-row letter counts (`row_insert_counts`).
+Insertion yields one row index per step and the final shape; frequencies
+read the shape, and a sample dump reads each column off its row's
+running length, so no (row, col) tuple is built.
 
 Replica k of a Monte Carlo run is seeded with seed + k; sampler s of a
 comparison run gets base seed seed + s * 1_000_003. Identical seeds give
@@ -75,6 +78,9 @@ class Thoma:
     def name(self) -> str:
         return "rsk:" + ",".join(repr(a) for a in self.alpha) if self.alpha else "plancherel"
 
+    def check_steps(self, n_steps: int) -> None:
+        _check_steps(n_steps)
+
     def sample(self, n_steps: int, seed: int) -> GrowthPath:
         return sample_rsk_thoma(self.alpha, n_steps, seed) if self.alpha else sample_plancherel(n_steps, seed)
 
@@ -90,7 +96,15 @@ class Thoma:
         return path.hook_cells(*ideal.rays)
 
     def text(self, path: GrowthPath) -> str:
-        return "step,row,col\n" + "\n".join([f"{k},{r},{c}" for k, (r, c) in enumerate(path.cells, start=1)])
+        """One `step,row,col` line per step; a cell's column is its row's running length."""
+        rows, shape = path.insertion
+        num = list(map(str, range(len(rows) + 1)))
+        length = [0] * (len(shape) + 1)
+        lines = []
+        for k, r in zip(num[1:], rows):
+            length[r] += 1
+            lines.append(f"{k},{num[r]},{num[length[r]]}")
+        return "step,row,col\n" + "\n".join(lines)
 
 
 class ExplicitMarkov:
@@ -139,6 +153,12 @@ class ExplicitMarkov:
     def family(self) -> str:
         return f"window:{self.graph.window.describe()}"
 
+    def check_steps(self, n_steps: int) -> None:
+        if self.depth == 0:
+            raise ValueError(f"{self.name()} ends at the root: it has no step to sample")
+        if not 1 <= n_steps <= self.depth:
+            raise ValueError(f"{self.name()} supports 1..{self.depth} steps, asked for {n_steps}")
+
     def sample(self, n_steps: int, seed: int) -> tuple[int, ...]:
         return sample_markov(self, n_steps, seed)
 
@@ -156,8 +176,10 @@ class ExplicitMarkov:
 
 # The sampler interface every spec shares: name(); `family`, the poset
 # family its points live in (specs are only compared within one);
-# `has_ties`; sample(n_steps, seed), one path; hits(path, ideal), how many
-# of the path's points lie in the ideal; text(path), the path as text.
+# `has_ties`; check_steps(n_steps), which raises ValueError or CapExceeded
+# for a path length it cannot sample; sample(n_steps, seed), one path;
+# hits(path, ideal), how many of the path's points lie in the ideal;
+# text(path), the path as text.
 CentralMeasureSpec = Thoma | ExplicitMarkov
 
 
@@ -505,10 +527,7 @@ def sample_rsk_thoma(alpha, n_steps: int, seed: int) -> GrowthPath:
 
 def sample_markov(m: ExplicitMarkov, n_steps: int, seed: int) -> tuple[int, ...]:
     """Walk an explicit kernel for n_steps edges from the root."""
-    if m.depth == 0:
-        raise ValueError(f"{m.name()} ends at the root: it has no step to sample")
-    if not (1 <= n_steps <= m.depth):
-        raise ValueError(f"kernel supports 1..{m.depth} steps, asked for {n_steps}")
+    m.check_steps(n_steps)
     rng = random.Random(seed)
     level, index = 0, 0
     elems = [ROOT]
@@ -667,6 +686,8 @@ def compare_frequency_profiles(
     families = {s.family for s in specs}
     if len(families) != 1:
         raise ValueError(f"samplers over mixed poset families: {sorted(families)}")
+    for spec in specs:  # before any sampler samples
+        spec.check_steps(n_steps)
     grid = [
         estimate_frequency(spec, ideals, n_steps, replicas, seed + s * 1_000_003)
         for s, spec in enumerate(specs)

@@ -112,21 +112,29 @@ class GrowthPath:
         return isinstance(other, GrowthPath) and self.cells == other.cells
 
     @functools.cached_property
-    def cells(self) -> tuple[tuple[int, int], ...]:
+    def insertion(self) -> tuple[list[int], tuple[int, ...]]:
+        """The 1-based row of each step's cell and the final row lengths, computed
+        once per path: a frequency estimate reads the lengths for every ideal it scores."""
+        if self.word is None:
+            rows = [r for r, _ in self.cells]
+            return rows, tuple(map(rows.count, range(1, max(rows, default=0) + 1)))
         if self.alphabet:
-            return tuple(row_insert_counts(self.word, self.alphabet))
-        return tuple(map(row_insert, itertools.repeat([]), self.word))  # all letters into one tableau
-
-    def shape(self) -> tuple[int, ...]:
-        """The final diagram's row lengths, computed once per path: a
-        frequency estimate reads them for every ideal it scores."""
-        return self._shape
+            return row_insert_counts(self.word, self.alphabet)
+        return row_insert_word(self.word)
 
     @functools.cached_property
-    def _shape(self) -> tuple[int, ...]:
-        # each row grows left to right, so its last cell's column is its length
-        last = dict(self.cells)
-        return tuple(last[r] for r in sorted(last))
+    def cells(self) -> tuple[tuple[int, int], ...]:
+        rows, shape = self.insertion
+        length = [0] * (len(shape) + 1)  # a row's running length is its new cell's column
+        out = []
+        for r in rows:
+            length[r] += 1
+            out.append((r, length[r]))
+        return tuple(out)
+
+    def shape(self) -> tuple[int, ...]:
+        """The final diagram's row lengths."""
+        return self.insertion[1]
 
     def hook_cells(self, k: int, l: int) -> int:
         """How many cells of the final shape lie in its first k rows or first l
@@ -148,7 +156,7 @@ class GrowthPath:
         """The increasing chain of diagrams, one per step."""
         rows: list[int] = []
         out = []
-        for r, c in self.cells:
+        for r in self.insertion[0]:
             if r == len(rows) + 1:
                 rows.append(0)
             rows[r - 1] += 1
@@ -175,7 +183,8 @@ def row_insert(rows: list[list[int]], letter: int) -> tuple[int, int]:
     """Standard row insertion; returns the (row, col) of the new cell, 1-based.
 
     Rows are weakly increasing; the inserted letter bumps the leftmost
-    strictly greater entry.
+    strictly greater entry. The word routes (`row_insert_word`,
+    `row_insert_counts`) are pinned to this one letter at a time.
     """
     x = letter
     for r, row in enumerate(rows):
@@ -214,32 +223,55 @@ def row_lengths(word, k: int, strict: bool = False) -> tuple[int, ...]:
     return tuple(itertools.islice(_greene_passes(word, strict), k))
 
 
-def row_insert_counts(word, d: int) -> list[tuple[int, int]]:
+def row_insert_word(word) -> tuple[list[int], tuple[int, ...]]:
+    """Row-insert a word into an empty tableau, as `row_insert` does letter by
+    letter, and return the 1-based row each letter's cell lands in and the
+    final row lengths. Any comparable letters do; the real-letter growth uses it."""
+    tableau: list[list] = []
+    rows: list[int] = []
+    add = rows.append
+    for x in word:
+        r = 0
+        for row in tableau:
+            r += 1
+            k = bisect.bisect_right(row, x)
+            if k == len(row):
+                row.append(x)
+                add(r)
+                break
+            row[k], x = x, row[k]
+        else:
+            tableau.append([x])
+            add(len(tableau))
+    return rows, tuple(map(len, tableau))
+
+
+def row_insert_counts(word, d: int) -> tuple[list[int], tuple[int, ...]]:
     """Row-insert a word over the letters 0..d-1 into an empty tableau and
-    return the cell each letter adds, as `row_insert` would.
+    return what `row_insert_word` does: the 1-based row each letter's cell
+    lands in, and the final row lengths, read off the count rows.
 
     A row is a list allocated when the row first appears: its largest
     letter, its length, then the multiplicity of each letter (letter a at
-    index a + 2). Inserting a into a row adds the cell (row, length + 1)
-    when a is at least the row's largest letter; otherwise a takes one
-    copy of the smallest letter b > a the row holds, and b moves on to the
-    next row. A step costs O(d) integer operations and a row holds d + 2
-    entries, so on alphabets much larger than a row is long, `row_insert`
-    is cheaper.
+    index a + 2). Inserting a into a row lengthens it by one when a is at
+    least the row's largest letter; otherwise a takes one copy of the
+    smallest letter b > a the row holds, and b moves on to the next row.
+    A step costs O(d) integer operations and a row holds d + 2 entries, so
+    on alphabets much larger than a row is long, `row_insert_word` is cheaper.
     """
-    rows: list[list[int]] = []
-    cells = []
-    add = cells.append
+    count_rows: list[list[int]] = []
+    rows: list[int] = []
+    add = rows.append
     for x in word:
         x += 2
         r = 0
-        for row in rows:
+        for row in count_rows:
             r += 1
             if x >= row[0]:
                 row[0] = x
                 row[x] += 1
                 row[1] += 1
-                add((r, row[1]))
+                add(r)
                 break
             b = x + 1
             while not row[b]:
@@ -254,6 +286,6 @@ def row_insert_counts(word, d: int) -> list[tuple[int, int]]:
             row[0] = x
             row[1] = 1
             row[x] = 1
-            rows.append(row)
-            add((len(rows), 1))
-    return cells
+            count_rows.append(row)
+            add(len(count_rows))
+    return rows, tuple([row[1] for row in count_rows])

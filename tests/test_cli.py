@@ -364,6 +364,26 @@ def test_sampling_a_depth_0_kernel_exits_2_naming_it(argv, monkeypatch, capsys):
     assert "paths: 1" in out.splitlines() and "central: yes" in out.splitlines()
 
 
+def test_compare_checks_every_sampler_steps_before_sampling(monkeypatch, capsys):
+    # the second kernel stops at level 2: the first must not walk 1,000 paths first
+    from posetpaths import measures
+
+    calls = []
+    sample_markov = measures.sample_markov
+
+    def counted(*args):
+        calls.append(args)
+        return sample_markov(*args)
+
+    monkeypatch.setattr(measures, "sample_markov", counted)
+    code, out, err = run(
+        capsys, "compare", "--young", "3,2,1", "--sampler", "endpoint:6:0", "--sampler", "endpoint:2:0",
+        "--ideal", "full", "--n", "4", "--replicas", "1000",
+    )
+    assert (code, out, len(calls)) == (2, "", 0)
+    assert err == "error: endpoint:2:0 supports 1..2 steps, asked for 4\n"
+
+
 def test_measure_check_endpoint_central(capsys):
     code, out, _ = run(capsys, "measure", "check", "--endpoint", "3:0", "--young", "2,1")
     assert code == 0

@@ -4,6 +4,7 @@ import itertools
 import math
 import pathlib
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -1143,10 +1144,41 @@ def test_plancherel_hook_frequencies_insert_no_letter(monkeypatch):
         for h in hooks
     ]
 
-    def unreachable(rows, letter):
+    def unreachable(*args):
         raise AssertionError("a hook frequency inserted a letter")
 
     monkeypatch.setattr(young, "row_insert", unreachable)
+    monkeypatch.setattr(young, "row_insert_word", unreachable)
     monkeypatch.setattr(measures, "row_insert", unreachable)
     reports = estimate_frequency(Thoma(), hooks, 200, 3, 5)
     assert [list(r.values) for r in reports] == expected
+
+
+def test_thoma_frequencies_build_no_cells(monkeypatch):
+    # every ideal a growth sampler scores reads the shape off the count rows;
+    # the expected counts come from the cells of the same seeds' paths
+    alpha = (0.5, 0.3, 0.2)
+    ideals = [parse_ideal(t) for t in ("hook:1,0", "hook:0,1", "rays:1,1", "full")]
+    expected = [
+        [sum(member_coords(ideal, cell) for cell in sample_rsk_thoma(alpha, 500, k).cells) / 500 for k in range(5)]
+        for ideal in ideals
+    ]
+
+    def unreadable(path):
+        raise AssertionError("a frequency built the cells")
+
+    monkeypatch.setattr(GrowthPath, "cells", property(unreadable))
+    reports = estimate_frequency(Thoma(alpha), ideals, 500, 5, 0)
+    assert [list(r.values) for r in reports] == expected
+
+
+def test_thoma_hook_frequencies_fit_in_a_few_megabytes():
+    # 200,000 steps: the word and one row index per step, no cell tuples
+    hooks = [HookIdeal(1, 0), HookIdeal(0, 1)]
+    tracemalloc.start()
+    try:
+        estimate_frequency(Thoma((0.5, 0.3, 0.2)), hooks, 200_000, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from posetpaths import build_young_poset, enumerate_numberings
-from posetpaths.measures import plancherel_transition
+from posetpaths.measures import plancherel_transition, thoma_word
 from posetpaths.young import (
     GrowthPath,
     additions,
@@ -16,6 +16,7 @@ from posetpaths.young import (
     growth_step_arrays,
     row_insert,
     row_insert_counts,
+    row_insert_word,
     row_lengths,
     tableau_count,
 )
@@ -100,16 +101,19 @@ def test_row_insert_rows_bounded_by_alphabet():
         assert len(upper) >= len(lower)
 
 
-def list_route(word):
-    rows = []
-    return [row_insert(rows, x) for x in word]
+def reference_pair(word):
+    """The (rows, shape) pair of a word, by `row_insert` one letter at a time."""
+    tableau = []
+    cells = [row_insert(tableau, x) for x in word]
+    return [r for r, _ in cells], tuple(map(len, tableau))
 
 
 def test_row_insert_counts_matches_row_insert_on_every_short_word():
     for d in (1, 2, 3):
         for k in range(8):
             for word in itertools.product(range(d), repeat=k):
-                assert row_insert_counts(word, d) == list_route(word), word
+                assert row_insert_counts(word, d) == reference_pair(word), word
+                assert row_insert_word(word) == reference_pair(word), word
 
 
 @pytest.mark.parametrize("d", [*range(1, 18), 64])
@@ -119,11 +123,19 @@ def test_row_insert_counts_matches_row_insert_on_random_words(d):
     for n in (1, 40, 3000):
         used = rng.sample(range(d), rng.randint(1, d))
         word = [rng.choice(used) for _ in range(n)]
-        assert row_insert_counts(word, d) == list_route(word), (d, n, used)
+        assert row_insert_counts(word, d) == reference_pair(word), (d, n, used)
+        assert row_insert_word(word) == reference_pair(word), (d, n, used)
+
+
+@pytest.mark.parametrize("n", [1, 2, 2500])
+def test_row_insert_word_matches_row_insert_on_plancherel_words(n):
+    for seed in range(10):
+        word = thoma_word((), n, seed)
+        assert row_insert_word(word) == reference_pair(word), (n, seed)
 
 
 def assert_greene_matches_insertion(word):
-    shape = GrowthPath(list_route(word)).shape()
+    shape = reference_pair(word)[1]
     conj = conjugate(shape)
     for k in range(len(shape) + 2):
         assert row_lengths(word, k) == shape[:k], (word, k)
