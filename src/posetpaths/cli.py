@@ -520,6 +520,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except MemoryError:  # a run past the memory it has is capped, not a violation
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_CAP
     except (PosetFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -40,14 +40,16 @@ class GradedGraph:
     """Per level: ideal masks (`levels`), their addable masks and their
     exact root path counts (`dims`); edges and vertices are decoded on demand.
 
-    The build runs on the bitmask ideal core of `posets`: `add_element`
-    gives each new child mask its addable mask, and a child's dimension
-    accumulates over the edges that reach it. Ids are bits n-1-x, so a
-    level's masks sorted in descending order list its ideals
-    lexicographically. `up_edges[k][i]`, the (added id, index at level
-    k+1) rows sorted by added id, is derived on first read. Raises
-    CapExceeded when the graph would hold more than `vertex_cap`
-    vertices, the root included.
+    The build runs on the bitmask ideal core of `posets`: each new child
+    mask gets its addable mask by `add_element`'s step, written inline
+    (tests/test_graded_graph.py pins it against `addable_elements` on
+    every vertex), and a child's dimension accumulates over the edges
+    that reach it. Ids are bits n-1-x, so a level's masks sorted in
+    descending order list its ideals lexicographically.
+    `up_edges[k][i]`, the (added id, index at level k+1) rows sorted by
+    added id, is derived on first read. Raises CapExceeded when the
+    graph would hold more than `vertex_cap` vertices, the root included;
+    the count is checked after each parent's children.
     """
 
     def __init__(self, window: PosetWindow, depth: int, vertex_cap: int = DEFAULT_VERTEX_CAP):
@@ -58,26 +60,32 @@ class GradedGraph:
             )
         self.window = window
         self.depth = depth
-        n = poset.n
+        n, grow = poset.n, poset._grow
         root, root_addable = add_element(poset, 0, poset.bit(ROOT), ROOT)
         masks, addables, dims = [root], [root_addable], [1]
         self.levels, self._addables, self.dims = [masks], [addables], [dims]
         total = 1
         for _ in range(depth):
             children: dict[int, list[int]] = {}  # child mask -> [its addable mask, its dim]
+            get = children.get
             for mask, addable, dim in zip(masks, addables, dims):
                 rest = addable
                 while rest:
                     bit = rest & -rest
                     rest ^= bit
-                    entry = children.get(mask | bit)
+                    child = mask | bit
+                    entry = get(child)
                     if entry is not None:
                         entry[1] += dim
                         continue
-                    total += 1
-                    if total > vertex_cap:
-                        raise CapExceeded(f"graph exceeds {vertex_cap} vertices")
-                    children[mask | bit] = [add_element(poset, mask, addable, n - bit.bit_length())[1], dim]
+                    grown = addable ^ bit  # add_element(poset, mask, addable, x)[1], inline
+                    for up, needs in grow[n - bit.bit_length()]:
+                        if needs & child == needs:
+                            grown |= up
+                    children[child] = [grown, dim]
+                if total + len(children) > vertex_cap:  # children only grow: exact verdict
+                    raise CapExceeded(f"graph exceeds {vertex_cap} vertices")
+            total += len(children)
             masks = sorted(children, reverse=True)
             addables = [children[m][0] for m in masks]
             dims = [children[m][1] for m in masks]
@@ -126,14 +134,32 @@ class GradedGraph:
         raise KeyError(f"ideal {key} not in graph (depth {self.depth})")
 
     def csv(self) -> str:
-        """Per-level dump: level,index,ideal,dim (ideal ids space-joined)."""
+        """Per-level dump: level,index,ideal,dim (ideal ids space-joined).
+
+        Each mask splits into a high half (ids 0..n-low-1, the root among
+        them, so never empty) and a low half; each half's id string is
+        decoded once per call, the low one with its leading space.
+        """
         n = self.window.poset.n
-        ids, width = [str(x) for x in range(n)], f"0{n}b"
+        low = n // 2
+        high_ids = [str(x) for x in range(n - low)]
+        low_ids = [f" {x}" for x in range(n - low, n)]
+        high_width, low_width, low_mask = f"0{n - low}b", f"0{low}b", (1 << low) - 1
+        high_text: dict[int, str] = {}
+        low_text: dict[int, str] = {}
         lines = ["level,index,ideal,dim"]
         for level, (masks, dims) in enumerate(zip(self.levels, self.dims)):
             for i, (mask, dim) in enumerate(zip(masks, dims)):
-                ideal = " ".join(compress(ids, format(mask, width).encode().translate(_BITS)))
-                lines.append(f"{level},{i},{ideal},{dim}")
+                high, rest = mask >> low, mask & low_mask
+                head = high_text.get(high)
+                if head is None:
+                    bits = format(high, high_width).encode().translate(_BITS)
+                    head = high_text[high] = " ".join(compress(high_ids, bits))
+                tail = low_text.get(rest)
+                if tail is None:
+                    bits = format(rest, low_width).encode().translate(_BITS)
+                    tail = low_text[rest] = "".join(compress(low_ids, bits))
+                lines.append(f"{level},{i},{head}{tail},{dim}")
         return "\n".join(lines) + "\n"
 
 

@@ -119,6 +119,20 @@ def ideal_levels(poset, depth):
     return levels, edges, dims
 
 
+def graph_csv(g):
+    """`GradedGraph.csv` with each mask decoded on its own: its n-digit
+    binary spelling, translated to falsy/truthy bytes, selects its ids."""
+    n = g.window.poset.n
+    ids, width = [str(x) for x in range(n)], f"0{n}b"
+    bits = bytes.maketrans(b"01", b"\x00\x01")
+    lines = ["level,index,ideal,dim"]
+    for level, (masks, dims) in enumerate(zip(g.levels, g.dims)):
+        for i, (mask, dim) in enumerate(zip(masks, dims)):
+            ideal = " ".join(itertools.compress(ids, format(mask, width).encode().translate(bits)))
+            lines.append(f"{level},{i},{ideal},{dim}")
+    return "\n".join(lines) + "\n"
+
+
 def sigma_map(poset, seq, i):
     """Independent adjacent-swap rule: swap iff the two entries are incomparable."""
     a, b = seq[i], seq[i + 1]

@@ -170,6 +170,18 @@ def test_graph_vertex_cap_exit_code(capsys):
     assert out == ""
     code, _, _ = run(capsys, "graph", "--box", "3,3,3", "--vertex-cap", "979")
     assert code == 0
+    assert run(capsys, "graph", "--vertex-cap", "500", "--box", "3,3,3") == (
+        3, "", "error: graph exceeds 500 vertices\n"
+    )
+
+
+def test_memory_exhaustion_exits_3_with_one_error_line(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # reads cmd_group anew
+    monkeypatch.setattr(cli, "cmd_group", exhausted)
+    assert run(capsys, "group", "--box", "2,2,3", "--depth", "7") == (3, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize(

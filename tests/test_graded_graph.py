@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from posetpaths import (
     CapExceeded,
+    addable_elements,
     build_antichain_poset,
     build_box_poset,
     build_chain_poset,
@@ -13,13 +16,14 @@ from posetpaths import (
     endpoint_measure,
     enumerate_numberings,
     numbering_of,
+    parse_poset,
     path_measure,
     path_of,
     up_dimension,
 )
 from posetpaths.young import tableau_count
 
-from oracles import brute_numberings, ideal_levels, partitions_of
+from oracles import brute_numberings, graph_csv, ideal_levels, partitions_of
 
 CORPUS = [
     build_young_poset([2, 1]),
@@ -31,6 +35,13 @@ CORPUS = [
     build_chain_poset(6),
     build_antichain_poset(4),
 ]
+
+# a --file poset that is no product: ids out of order (4 < 1, 7 < 3), two
+# covers below 1 and below 3, and a branch 4 < 6 < 5 with nothing above it
+FILE_WINDOW = parse_poset(
+    "el 0\nel 1\nel 2\nel 3\nel 4\nel 5\nel 6\nel 7\nel 8\n"
+    "cov 0 4\ncov 0 2\ncov 4 1\ncov 2 1\ncov 2 7\ncov 4 6\ncov 7 3\ncov 1 3\ncov 6 5\ncov 1 8\n"
+)
 
 
 def test_chain_graph_is_a_path():
@@ -124,10 +135,23 @@ def test_vertex_counts_levels_from_either_end_as_it_counts_indices():
 
 
 def test_vertex_cap():
+    # the cap is checked once per parent row: caps inside a level, at its
+    # last vertex and one past it must all give the exact verdict
     w = build_box_poset(3, (3, 3, 3))  # 979 ideals
-    assert sum(len(lvl) for lvl in build_graph(w, 26, vertex_cap=979).levels) == 979
-    with pytest.raises(CapExceeded):
-        build_graph(w, 26, vertex_cap=978)
+    sizes = [len(lvl) for lvl in build_graph(w, 26).levels]
+    totals = list(itertools.accumulate(sizes))  # vertices through each level
+    assert totals[-1] == 979
+    caps = {c for t, s in zip(totals, sizes) for c in (t - s + 1, t - s // 2, t - 1, t, t + 1)}
+    for cap in sorted(c for c in caps if c >= 1):
+        if cap < 979:
+            with pytest.raises(CapExceeded, match=f"graph exceeds {cap} vertices"):
+                build_graph(w, 26, vertex_cap=cap)
+        else:
+            assert sum(len(lvl) for lvl in build_graph(w, 26, vertex_cap=cap).levels) == 979
+    for depth in (1, 5, 13):
+        assert len(build_graph(w, depth, vertex_cap=totals[depth]).levels) == depth + 1
+        with pytest.raises(CapExceeded):
+            build_graph(w, depth, vertex_cap=totals[depth] - 1)
 
 
 def test_young_32_top_dim_is_5():
@@ -141,9 +165,23 @@ def test_root_dimension_is_one():
         assert dimension(g, g.vertex(0, 0)) == 1
 
 
-def test_edges_match_addable_elements():
-    from posetpaths import addable_elements
+@pytest.mark.parametrize(
+    "window", [*CORPUS, FILE_WINDOW, build_chain_poset(1)], ids=lambda w: w.describe()
+)
+def test_inline_child_step_matches_addable_elements(window):
+    # the build grows each child's addable mask as add_element does, inline
+    poset = window.poset
+    full = poset.n - 1
+    for depth in sorted({full // 2, full}):
+        g = build_graph(window, depth)
+        assert g.dims == ideal_levels(poset, depth)[2], depth
+        for k, addables in enumerate(g._addables):
+            for i, addable in enumerate(addables):
+                ideal = g.vertex(k, i).ideal
+                assert addable == poset.mask_of(addable_elements(poset, ideal)), (depth, ideal)
 
+
+def test_edges_match_addable_elements():
     for w in CORPUS:
         g = build_graph(w, w.poset.n - 1)
         for level in range(g.depth):
@@ -253,6 +291,32 @@ def test_graph_csv_shape():
     assert lines[0] == "level,index,ideal,dim"
     assert lines[1] == "0,0,0,1"
     assert lines[-1] == "3,0,0 1 2 3,2"
+
+
+@pytest.mark.parametrize(
+    "window,depth",
+    [
+        (build_chain_poset(1), 0),  # n = 1: the low half holds no id
+        (build_chain_poset(2), 1),
+        (build_young_poset([2, 1]), 3),
+        (build_box_poset(2, (3, 3)), 8),  # odd n
+        (FILE_WINDOW, 8),
+        (build_box_poset(3, (3, 3, 3)), 26),
+        (build_box_poset(3, (3, 3, 3)), 5),
+        (build_young_poset([7, 6, 5, 4, 3, 2, 1]), 9),
+        (build_antichain_poset(60), 2),  # n = 61: a 31-bit high half
+        (build_antichain_poset(63), 2),  # n = 64: both halves past one 30-bit digit
+        (build_antichain_poset(64), 2),  # n = 65
+        (build_box_poset(3, (4, 4, 4)), 7),
+        (build_chain_poset(70), 69),
+    ],
+    ids=lambda v: v.describe() if hasattr(v, "describe") else f"depth{v}",
+)
+def test_csv_matches_decoding_each_mask_on_its_own(window, depth):
+    g = build_graph(window, depth)
+    got, want = g.csv(), graph_csv(g)
+    same = got == want  # name the first differing row, not a diff of the whole dump
+    assert same, next(pair for pair in zip(got.split("\n"), want.split("\n")) if pair[0] != pair[1])
 
 
 def test_numbering_of_rejects_chains_that_are_no_paths():
