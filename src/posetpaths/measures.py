@@ -42,7 +42,7 @@ from .ideals import AxisRaysIdeal, FullIdeal, HookIdeal, IdealSpec, ideal_mask, 
 from .posets import PATH_CAP, ROOT, CapExceeded, PosetWindow, build_young_poset, validate_numbering
 from .posets import enumerate_numberings  # noqa: F401  (bench/spans.py traces the name here)
 from .symmetry import apply_sigma  # noqa: F401  (bench/spans.py traces the name here)
-from .symmetry import GroupHandle, compose, endpoint_fibers
+from .symmetry import GroupHandle, compose, endpoint_fibers, fiber_ids
 from .young import GrowthPath, additions, check_partition, tableau_count
 from .young import corner_probabilities, growth_step_arrays, row_insert  # noqa: F401  (only bench/spans.py's KERNELS use them; delete them once it drops them)
 
@@ -375,11 +375,11 @@ def is_central(handle: GroupHandle, measure) -> CentralityReport:
             break
 
     fiber_witnesses = []
-    for fiber in endpoint_fibers(handle.paths).values():
-        keys = [scaled[handle.path_index[p]] for p in fiber]
+    for ids in fiber_ids(handle):
+        keys = [scaled[k] for k in ids]
         lo, hi = min(keys), max(keys)
         if lo != hi:  # the first lightest and the first heaviest, in path order
-            fiber_witnesses.append((fiber[keys.index(lo)], fiber[keys.index(hi)]))
+            fiber_witnesses.append((handle.paths[ids[keys.index(lo)]], handle.paths[ids[keys.index(hi)]]))
     return CentralityReport(
         n_paths=handle.n_paths,
         exact=True,

@@ -13,12 +13,17 @@ up in the index of numberings. Two comparable entries come in order, so
 their exchange puts an element before one below it; that tuple is no
 numbering, the lookup misses, and the path stays fixed. Permutations
 are composed by `operator.itemgetter`.
+
+The pairwise facts (which generators are involutions, which pairs
+commute, each adjacent product sigma_i sigma_{i+1}) form one table per
+handle with one skip mask per generator, built by `_pair_facts`: the
+relation check leaves it behind, and `group_order`'s walks and
+`classify_local` read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from math import lcm
 from itertools import chain, compress, count
 from operator import and_, itemgetter, ne
@@ -96,9 +101,11 @@ def compose(p, q) -> tuple[int, ...]:
     return itemgetter(*q)(p)
 
 
-def _orbit(generators, start, cap, head=None):
+def _orbit(generators, start, cap, skips, head=None):
     """Breadth-first orbit of the point tuple `start`, each generator g
-    taking t to (g[t[0]], g[t[1]], ...). Identity generators are skipped.
+    taking t to (g[t[0]], g[t[1]], ...). `skips` is the generators'
+    skip-mask list from `_pair_facts`; identity generators (mask None) are
+    skipped.
 
     Each tuple of the newest level keeps a bitmask of its descents: the
     generators that reached it from the level below. Extending t = g_a(r),
@@ -108,8 +115,9 @@ def _orbit(generators, start, cap, head=None):
         g_b(r) by the larger letter a.
     No tuple is lost: u on level d+1 is reached from g_b^-1(u) by its
     largest descent b, which neither rule skips (the first would put u a
-    level down, the second would give u the larger descent a). Involution
-    and commutation are read off the generators, never assumed.
+    level down, the second would give u the larger descent a). The skip
+    mask of g_b holds bit b for the first rule and bit a for the second,
+    read off the generators, never assumed.
 
     With `head`, the first `head` points of a tuple must determine the
     rest: the search returns None as soon as a new tuple agrees there with
@@ -118,16 +126,8 @@ def _orbit(generators, start, cap, head=None):
     Returns (tuples as a set-like view, the largest level). Raises
     CapExceeded past `cap` tuples.
     """
-    ident = identity_perm(len(generators[0]))
-    gens = [g for g in generators if g != ident]
-    after = [itemgetter(*g) for g in gens]  # after[b](h) is h * g_b, g_b applied first
-    moves = []  # (generator, its bit, descents at which it is skipped)
-    for b, g in enumerate(gens):
-        skip = 1 << b if after[b](g) == ident else 0
-        for a in range(b + 1, len(gens)):
-            if after[a](g) == after[b](gens[a]):
-                skip |= 1 << a
-        moves.append((g, 1 << b, skip))
+    # (generator, its bit, descents at which it is skipped)
+    moves = [(g, 1 << b, skip) for b, (g, skip) in enumerate(zip(generators, skips)) if skip is not None]
     index = {start: 0}  # tuple -> discovery number
     heads = {start[:head]}  # the first `head` points of each tuple found
     size = 1
@@ -172,14 +172,15 @@ def closure(generators, cap: int | None = None):
     word in the generators has d letters, so the diameter is the Cayley
     graph's. The identity tuple is the base of every group, and
     `group_order` falls back to it when a shorter base fails its
-    certificate.
+    certificate. The skip masks come from `_pair_facts` on the bare list.
 
     Returns (elements as a set-like view, diameter). Raises CapExceeded
     past `cap`.
     """
     if not generators:
         raise ValueError("need at least one generator")
-    return _orbit(generators, identity_perm(len(generators[0])), cap)
+    labels = range(0, 2 * len(generators), 2)  # no two adjacent: no products are taken
+    return _orbit(generators, identity_perm(len(generators[0])), cap, _pair_facts(generators, labels)[0][0])
 
 
 def _orbit_minima(generators) -> list[int]:
@@ -220,10 +221,21 @@ class GroupHandle:
     sigma_indices: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
     path_index: dict = field(default_factory=dict, repr=False)  # numbering -> id
+    # tables read off the generators or the paths: name -> (the tuple read, table)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_paths(self) -> int:
         return len(self.paths)
+
+    def _derived(self, name: str, source, build):
+        """build(source), computed once per handle. The table is kept beside
+        the very tuple it was read from and rebuilt when that field is
+        rebound; a handle made by `dataclasses.replace` starts empty."""
+        hit = self._cache.get(name)
+        if hit is None or hit[0] is not source:
+            hit = self._cache[name] = (source, build(source))
+        return hit[1]
 
     def generator(self, i: int) -> tuple[int, ...]:
         try:
@@ -283,6 +295,7 @@ def group_order(handle: GroupHandle, cap: int = GROUP_CAP) -> CayleyStats:
         orbit's search graph, and the depth is the diameter. Conversely,
         a trivial G_T always passes.
       - Otherwise the base widens to every point, and `closure` lists G.
+    Both walks on T read their skip masks from the handle's pair table.
     """
     if cap < 1:
         raise ValueError(f"group cap must be at least 1, got {cap}")
@@ -297,13 +310,14 @@ def group_order(handle: GroupHandle, cap: int = GROUP_CAP) -> CayleyStats:
     try:
         certified = None
         if tuples > cap:  # else (0, ..., k-1) holds every point: the base is the identity
+            skips = _pair_table(handle)[0]
             base = tuple(range(k))
-            _orbit(gens, base, cap)  # the bound
+            _orbit(gens, base, cap, skips)  # the bound
             base += tuple(p for p in _orbit_minima(gens) if p >= k)
             if len(base) < n:
                 # the points of every c(T) beyond T: the walk's tuples hold at most n points
                 shadow = set(chain.from_iterable(itemgetter(*base)(c) for c in gens)).difference(base)
-                certified = _orbit(gens, base + tuple(sorted(shadow)), cap, head=len(base))
+                certified = _orbit(gens, base + tuple(sorted(shadow)), cap, skips, head=len(base))
         elements, diameter = certified or closure(gens, cap=cap)
     except CapExceeded:
         return CayleyStats(order=None, diameter=None, capped=True)
@@ -344,42 +358,86 @@ def _least_moved(p) -> int:
     return next(compress(count(), map(ne, p, count())), len(p))
 
 
+def _pair_facts(generators, labels):
+    """The generator-pair table of permutation tuples with increasing
+    integer `labels`, and the violated relations, as ((skips, products),
+    {m: [RelationViolation]}) with m from `_RELATION_NAMES`.
+
+    skips[b] is None when g_b is the identity, which no walk moves by;
+    else it is `_orbit`'s skip mask of g_b: bit b when g_b is an
+    involution, bit a for each a > b whose g_a (no identity) commutes with
+    g_b. products maps each label i with a next label i + 1 to g_i g_{i+1}.
+
+    Each g is squared once. Generators g, h with disjoint supports (one
+    may be the identity) commute, and (gh)^m = g^m h^m moves what g^m or
+    h^m moves; g^m comes from g's square and is the identity for an
+    involution. Only pairs with overlapping supports are composed, once
+    each as gh; h moving the least point g moves shows most overlaps at
+    once. Then (gh)^2 = 1 decides commutation only when g and h are both
+    involutions (gh = (gh)^-1 = hg); otherwise gh is compared with hg. An
+    adjacent pair's (gh)^6 is ((gh)^3)^2.
+    """
+    n = len(generators[0]) if generators else 0
+    ident = identity_perm(n)
+    low = [n if g == ident else _least_moved(g) for g in generators]  # the least point each g moves
+    squares = {b: compose(g, g) for b, g in enumerate(generators) if low[b] < n}
+    # position -> {m: the least point g^m moves} for m = 2, 6, for each g that is no involution
+    odd = {b: {2: _least_moved(sq), 6: _least_moved(compose(sq, compose(sq, sq)))} for b, sq in squares.items() if sq != ident}
+    skips = [None if x == n else 0 if b in odd else 1 << b for b, x in enumerate(low)]
+    products = {}
+    found: dict[int, list[RelationViolation]] = {m: [] for m in _RELATION_NAMES}
+    for a, (i, g) in enumerate(zip(labels, generators)):
+        adjacent = a + 1 < len(generators) and labels[a + 1] == i + 1  # with the next generator
+        if a in odd:
+            found[1].append(RelationViolation(_RELATION_NAMES[1], i, i, odd[a][2]))
+        x = low[a]
+        if x == n:  # the identity: gh = h, so only an h that is no involution fails a relation
+            if adjacent:
+                products[i] = generators[a + 1]
+            for b in odd:
+                m = 6 if adjacent and b == a + 1 else 2
+                if b > a and odd[b][m] < n:
+                    found[m].append(RelationViolation(_RELATION_NAMES[m], i, labels[b], odd[b][m]))
+            continue
+        for b in range(a + 1, len(generators)):
+            h = generators[b]
+            m = 6 if adjacent and b == a + 1 else 2
+            if low[b] == n or h[x] == x and not any(map(and_, map(ne, g, count()), map(ne, h, count()))):
+                if low[b] < n:
+                    skips[a] |= 1 << b
+                if m == 6:
+                    products[i] = g if low[b] == n else compose(g, h)
+                moved = min(odd.get(a, {}).get(m, n), odd.get(b, {}).get(m, n))
+            else:
+                gh = compose(g, h)
+                gh2 = compose(gh, gh)
+                if (gh2 == ident) if a not in odd and b not in odd else (gh == compose(h, g)):
+                    skips[a] |= 1 << b
+                if m == 6:
+                    products[i] = gh
+                power = compose(gh3 := compose(gh2, gh), gh3) if m == 6 else gh2
+                moved = n if power == ident else _least_moved(power)
+            if moved < n:
+                found[m].append(RelationViolation(_RELATION_NAMES[m], i, labels[b], moved))
+    return (skips, products), found
+
+
+def _pair_table(handle: GroupHandle):
+    """The handle's generator-pair table (skips, products), built once per
+    generators tuple; `verify_relations` leaves it behind."""
+    return handle._derived("pairs", handle.generators, lambda gens: _pair_facts(gens, handle.sigma_indices)[0])
+
+
 def verify_relations(handle: GroupHandle) -> RelationReport:
     """Check, as exact permutation identities, the Coxeter-matrix relations
     (sigma_i sigma_j)^m(i, j) = 1 for every pair i <= j: m = 1 for i = j
     (each generator is an involution), 6 for adjacent indices and 2 for
     distant ones (they commute). A violation's witness is the least path
-    the power moves.
-
-    Generators g, h with disjoint supports (one may be the identity)
-    commute, so (gh)^m = g^m h^m moves what g^m or h^m moves; g^m comes
-    from g's square, computed once, and is the identity for an involution.
-    Only pairs with overlapping supports are composed; h moving the least
-    point g moves shows most overlaps at once. A pair led by the identity
-    is visited only when the other is no involution.
+    the power moves. One walk over the generator pairs, `_pair_facts`,
+    checks them and leaves the handle's pair table behind.
     """
-    n = handle.n_paths
-    ident = identity_perm(n)
-    gens = list(zip(handle.sigma_indices, handle.generators))
-    low = [n if g == ident else _least_moved(g) for _, g in gens]  # the least point each g moves
-    squares = {b: compose(g, g) for b, (_, g) in enumerate(gens) if low[b] < n}
-    # position in gens -> {m: the least point g^m moves} for m = 2, 6, for each g that is no involution
-    odd = {b: {2: _least_moved(sq), 6: _least_moved(compose(sq, compose(sq, sq)))} for b, sq in squares.items() if sq != ident}
-    found: dict[int, list[RelationViolation]] = {m: [] for m in _RELATION_NAMES}
-    for a, (i, g) in enumerate(gens):
-        if a in odd:
-            found[1].append(RelationViolation(_RELATION_NAMES[1], i, i, odd[a][2]))
-        x = low[a]
-        for b in range(a + 1, len(gens)) if x < n else [b for b in odd if b > a]:
-            j, h = gens[b]
-            m = 6 if j == i + 1 else 2
-            if x == n or low[b] == n or h[x] == x and not any(map(and_, map(ne, g, count()), map(ne, h, count()))):
-                moved = min(odd.get(a, {}).get(m, n), odd.get(b, {}).get(m, n))
-            else:
-                power = reduce(compose, [compose(g, h)] * m)
-                moved = n if power == ident else _least_moved(power)
-            if moved < n:
-                found[m].append(RelationViolation(_RELATION_NAMES[m], i, j, moved))
+    table, found = _pair_facts(handle.generators, handle.sigma_indices)
+    handle._derived("pairs", handle.generators, lambda gens: table)  # what `_pair_table` reads
     return RelationReport(found[1], found[2], found[6])
 
 
@@ -404,10 +462,12 @@ def classify_local(handle: GroupHandle, i: int) -> LocalGroupReport:
     ring. The product order, the lcm of the cycle lengths, must land in
     {1, 2, 3, 6}, or the adjacent-generator relation fails and this
     raises, for any two permutations; a generator that is no involution
-    raises next.
+    raises next. The product ab and the involution flags come from the
+    handle's pair table.
     """
-    a, b = handle.generator(i), handle.generator(i + 1)
-    ab = compose(a, b)
+    _, b = handle.generator(i), handle.generator(i + 1)  # each raises for a missing index
+    skips, products = _pair_table(handle)
+    ab = products[i]
     seen = bytearray(len(ab))
     product_order, tags = 1, []
     for s in range(len(ab)):
@@ -426,11 +486,11 @@ def classify_local(handle: GroupHandle, i: int) -> LocalGroupReport:
             tags.append((size, _ORBIT_TAGS.get((size, g), f"unexpected({size},{g})")))
     if product_order not in (1, 2, 3, 6):
         raise ValueError(f"product of adjacent involutions {i},{i + 1} has order {product_order}")
-    ident = identity_perm(handle.n_paths)
-    for k, g in ((i, a), (i + 1, b)):
-        if compose(g, g) != ident:
+    p = handle.sigma_indices.index(i)  # sigma_{i+1} is the next generator
+    for k, q in ((i, p), (i + 1, p + 1)):
+        if skips[q] is not None and not skips[q] >> q & 1:
             raise ValueError(f"sigma_{k} is not an involution")
-    moving = (a != ident) + (b != ident)  # <a, b> has order 1, 2 or 2 * ord(ab)
+    moving = (skips[p] is not None) + (skips[p + 1] is not None)  # <a, b> has order 1, 2 or 2 * ord(ab)
     group_order = 2 * product_order if moving == 2 else 1 + moving
     return LocalGroupReport(i=i, product_order=product_order, group_order=group_order, orbit_types=tuple(sorted(tags)))
 
@@ -440,11 +500,24 @@ def local_indices(handle: GroupHandle) -> list[int]:
     return [i for i in handle.sigma_indices if i + 1 in handle.sigma_indices]
 
 
+def _endpoint_fiber_ids(paths) -> dict[frozenset[int], list[int]]:
+    """Positions in `paths` grouped by the set of visited elements, in the
+    lexicographic order of the sorted endpoint sets."""
+    out: dict[frozenset[int], list[int]] = {}
+    for k, p in enumerate(paths):
+        out.setdefault(frozenset(p), []).append(k)
+    return dict(sorted(out.items(), key=lambda item: sorted(item[0])))
+
+
 def endpoint_fibers(paths) -> dict[frozenset[int], list[tuple[int, ...]]]:
     """Group numberings by the set of visited elements. Fibers come in the
     lexicographic order of their sorted endpoint sets; each lists its
     paths in their order in `paths`."""
-    out: dict[frozenset[int], list[tuple[int, ...]]] = {}
-    for p in paths:
-        out.setdefault(frozenset(p), []).append(p)
-    return dict(sorted(out.items(), key=lambda item: sorted(item[0])))
+    paths = list(paths)
+    return {key: [paths[k] for k in ids] for key, ids in _endpoint_fiber_ids(paths).items()}
+
+
+def fiber_ids(handle: GroupHandle) -> list[list[int]]:
+    """The handle's endpoint fibers as lists of path ids, in the order of
+    `endpoint_fibers(handle.paths)`; built once per handle."""
+    return handle._derived("fibers", handle.paths, lambda paths: list(_endpoint_fiber_ids(paths).values()))

@@ -270,6 +270,27 @@ def relation_violations(sigma_indices, generators):
     return found
 
 
+def pair_masks(generators):
+    """Per generator g_b: None when it moves no point, else a bitmask with
+    bit b when g_b(g_b(x)) == x for every point x, and bit a, for each
+    later g_a that moves a point, when g_a(g_b(x)) == g_b(g_a(x)) for
+    every x."""
+    points = range(len(generators[0]))
+    moving = [any(g[x] != x for x in points) for g in generators]
+    masks = []
+    for b, g in enumerate(generators):
+        if not moving[b]:
+            masks.append(None)
+            continue
+        mask = 1 << b if all(g[g[x]] == x for x in points) else 0
+        for a in range(b + 1, len(generators)):
+            h = generators[a]
+            if moving[a] and all(h[g[x]] == g[h[x]] for x in points):
+                mask |= 1 << a
+        masks.append(mask)
+    return masks
+
+
 def broken_handle(handle):
     """A group handle with three generators (antichain 4 at length 5: 24
     paths) with sigma_1 replaced by sigma_2 and sigma_2 by a 5-cycle on

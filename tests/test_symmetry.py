@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import random
@@ -25,6 +26,7 @@ from posetpaths import (
     verify_relations,
 )
 from posetpaths import symmetry
+from posetpaths.cli import main
 from posetpaths.symmetry import ALLOWED_ORBIT_TAGS, GroupHandle, closure, compose
 
 from oracles import (
@@ -34,6 +36,7 @@ from oracles import (
     brute_symmetry_group_order,
     left_closure,
     local_class,
+    pair_masks,
     perm_order,
     relation_violations,
     restricted_pairs,
@@ -261,7 +264,7 @@ def test_closure_matches_left_multiplication_oracle():
                 if u not in seen:
                     seen.add(u)
                     frontier.append(u)
-        assert set(symmetry._orbit(gens, (0, 1), None)[0]) == seen, gens
+        assert set(symmetry._orbit(gens, (0, 1), None, symmetry._pair_facts(gens, range(0, 2 * len(gens), 2))[0][0])[0]) == seen, gens
 
 
 def test_group_order_cap_verdict_is_order_above_cap():
@@ -823,6 +826,156 @@ def test_relations_on_a_deep_chain_compose_nothing(monkeypatch):
     monkeypatch.setattr(symmetry, "compose", lambda p, q: calls.append(len(q)) or real(p, q))
     assert verify_relations(handle).ok
     assert calls == []
+
+
+def _table_handles():
+    """Every corpus window at every length, the random block-generator sets
+    and the hand-built sets as bare handles (non-involutions and identities
+    among them), and the broken handle."""
+    handles = [generate_group(w, length) for w in CORPUS for length in range(1, w.poset.n + 1)]
+    rng = random.Random(19)
+    sets = [_random_block_generators(rng) for _ in range(150)] + _hand_built_generator_sets()
+    handles += [_bare_handle(gens) for gens in sets]
+    handles.append(broken_handle(generate_group(build_antichain_poset(4), 5)))
+    return handles
+
+
+def test_pair_table_matches_direct_composition():
+    # skip masks and adjacent products against g(h(x)) == h(g(x)) point by
+    # point, whether verify_relations filled the table or not
+    for handle in _table_handles():
+        gens = handle.generators
+        masks = pair_masks(gens) if gens else []
+        products = {i: tuple(handle.generator(i)[x] for x in handle.generator(i + 1)) for i in local_indices(handle)}
+        for checked in (False, True):
+            h = dataclasses.replace(handle)
+            if checked:
+                verify_relations(h)
+            assert symmetry._pair_table(h) == (masks, products), (gens, checked)
+        if gens:  # the route closure takes from a bare generator list, with no adjacent labels
+            assert symmetry._pair_facts(list(gens), range(0, 2 * len(gens), 2))[0] == (masks, {}), gens
+
+
+def test_group_answers_match_oracles_with_and_without_the_relation_check():
+    for handle in _table_handles():
+        gens = handle.generators
+        try:
+            expected_order = left_closure(gens, cap=10**4) if gens else (1, 0)
+        except RuntimeError:
+            expected_order = None
+        relations = relation_violations(handle.sigma_indices, gens)
+        local = [_local_class_or_error(local_class, i, handle.generator(i), handle.generator(i + 1))
+                 for i in local_indices(handle)]
+        for checked in (True, False):
+            h = dataclasses.replace(handle)
+            if checked:
+                assert _violations(verify_relations(h)) == relations, gens
+            stats = group_order(h, cap=10**4)
+            got = (stats.order, stats.diameter) if not stats.capped else None
+            assert got == expected_order, (gens, checked)
+            reports = [_local_class_or_error(classify_local, h, i) for i in local_indices(h)]
+            got = [r if isinstance(r, str) else (r.product_order, r.group_order, list(r.orbit_types)) for r in reports]
+            assert got == local, (gens, checked)
+            if not checked:
+                assert _violations(verify_relations(h)) == relations, gens
+        if gens and expected_order is not None:
+            elements, diameter = closure(gens, cap=10**4)
+            assert (len(elements), diameter) == expected_order, gens
+
+
+def _count_generator_pairs(monkeypatch, gens):
+    """Patch `compose` and `itemgetter` in symmetry to count the full-length
+    compositions of two generators, by unordered pair of positions."""
+    n = len(gens[0])
+    position = {}
+    for k, g in enumerate(gens):
+        position.setdefault(tuple(g), k)
+    pairs = []
+    real = symmetry.itemgetter
+
+    def record(p, q):
+        if len(p) == len(q) == n and tuple(p) in position and tuple(q) in position:
+            pairs.append(frozenset((position[tuple(p)], position[tuple(q)])))
+
+    def compose(p, q):
+        record(p, q)
+        return tuple(p[x] for x in q)
+
+    def itemgetter(*items):
+        get = real(*items)
+
+        def counted(p):
+            record(p, items)
+            return get(p)
+        return counted
+
+    monkeypatch.setattr(symmetry, "compose", compose)
+    monkeypatch.setattr(symmetry, "itemgetter", itemgetter)
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "window, cap",
+    [
+        (build_young_poset([4, 3, 2, 1]), 1000),
+        (build_box_poset(2, (3, 3)), 20_000),
+        (build_box_poset(3, (2, 2, 2)), 20_000),
+        (build_antichain_poset(5), symmetry.GROUP_CAP),
+        (build_antichain_poset(6), symmetry.GROUP_CAP),
+    ],
+    ids=lambda v: v.describe() if hasattr(v, "describe") else str(v),
+)
+def test_the_relation_check_leaves_nothing_to_compose(monkeypatch, window, cap):
+    # group orders decided without listing the group: after the relation
+    # check, neither the order nor the local classes compose a generator pair
+    handle = generate_group(window, window.poset.n)
+    monkeypatch.setattr(symmetry, "closure", lambda generators, cap=None: pytest.fail("closure called"))
+    pairs = _count_generator_pairs(monkeypatch, handle.generators)
+    verify_relations(handle)
+    assert pairs and max(collections.Counter(pairs).values()) == 1
+    pairs.clear()
+    group_order(handle, cap=cap)
+    for i in local_indices(handle):
+        classify_local(handle, i)
+    assert pairs == []
+
+
+@pytest.mark.parametrize(
+    "argv, window",
+    [
+        (["--young", "4,3,2,1", "--group-cap", "1000"], build_young_poset([4, 3, 2, 1])),
+        (["--antichain", "6"], build_antichain_poset(6)),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v.describe(),
+)
+def test_group_command_composes_each_generator_pair_at_most_once(monkeypatch, capsys, argv, window):
+    gens = generate_group(window, window.poset.n).generators
+    pairs = _count_generator_pairs(monkeypatch, gens)
+    assert main(["group", *argv, "--local", "all"]) == 0
+    assert "relations: all hold" in capsys.readouterr().out
+    assert pairs and max(collections.Counter(pairs).values()) == 1
+
+
+def test_a_replaced_handle_reads_no_stale_table():
+    handle = generate_group(build_antichain_poset(4), 5)
+    verify_relations(handle)
+    broken = broken_handle(handle)
+    assert symmetry._pair_table(broken)[0] == pair_masks(broken.generators) != pair_masks(handle.generators)
+    assert symmetry._pair_table(handle)[0] == pair_masks(handle.generators)
+    handle.generators = broken.generators  # a rebound field is read afresh
+    assert symmetry._pair_table(handle) == symmetry._pair_table(broken)
+    assert _local_class_or_error(classify_local, handle, 1) == "product of adjacent involutions 1,2 has order 30"
+
+
+def test_fiber_ids_follow_endpoint_fibers_once_per_handle():
+    for w in CORPUS:
+        for length in range(1, w.poset.n + 1):
+            handle = generate_group(w, length)
+            ids = symmetry.fiber_ids(handle)
+            assert [[handle.paths[k] for k in f] for f in ids] == list(endpoint_fibers(handle.paths).values())
+            assert symmetry.fiber_ids(handle) is ids
+    shorter = dataclasses.replace(handle, paths=handle.paths[:-1])
+    assert symmetry.fiber_ids(shorter) == list(symmetry._endpoint_fiber_ids(shorter.paths).values())
 
 
 def test_endpoint_fibers_in_lexicographic_order_of_sorted_endpoints():
