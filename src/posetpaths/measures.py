@@ -10,7 +10,9 @@ goes to `is_central`, which reads the symmetry off a
 `symmetry.GroupHandle` the caller builds once with `generate_group`.
 A kernel goes to `kernel_centrality`, one forward pass over its rows
 that checks that every prefix reaching a vertex carries one mass, and
-lists neither paths nor numberings. Floating point enters only
+lists neither paths nor numberings. A kernel is checked once, when it is
+built: its rows, then a row at every vertex it reaches before its depth,
+so the walks that read it check nothing again. Floating point enters only
 inside Monte Carlo sampling. One spec, `Thoma(alpha)`, covers Young
 growth, and its path keeps the word whose row insertion is the growth
 (`GrowthPath`), drawn by one letter stream (`thoma_word`): with an empty
@@ -42,7 +44,7 @@ from .ideals import AxisRaysIdeal, FullIdeal, HookIdeal, IdealSpec, ideal_mask, 
 from .posets import PATH_CAP, ROOT, CapExceeded, PosetWindow, build_young_poset, validate_numbering
 from .posets import enumerate_numberings  # noqa: F401  (bench/spans.py traces the name here)
 from .symmetry import apply_sigma  # noqa: F401  (bench/spans.py traces the name here)
-from .symmetry import GroupHandle, compose, endpoint_fibers, fiber_ids
+from .symmetry import GroupHandle, compose, endpoint_fibers
 from .young import GrowthPath, additions, check_partition, tableau_count
 from .young import corner_probabilities, growth_step_arrays, row_insert  # noqa: F401  (only bench/spans.py's KERNELS use them; delete them once it drops them)
 
@@ -114,12 +116,15 @@ class ExplicitMarkov:
     probability). Each entry is an up-edge of the graph and a row lists
     each element at most once; probabilities are exact rationals (ints or
     Fractions), non-negative, and each row sums to exactly one; a float
-    raises ValueError.
+    raises ValueError. Every vertex the kernel reaches with positive
+    probability below its depth needs a row: the first one that has none,
+    in (level, index) order, raises ValueError, naming through `lines` (row
+    -> line number, from a kernel file) the line whose edge leads there.
     """
 
     has_ties = False
 
-    def __init__(self, graph: GradedGraph, rows, name: str, depth: int | None = None):
+    def __init__(self, graph: GradedGraph, rows, name: str, depth: int | None = None, lines: dict | None = None):
         self.graph = graph
         self.rows = dict(rows)
         self._name = name
@@ -145,6 +150,17 @@ class ExplicitMarkov:
                 raise ValueError(f"row {key} sums to {Fraction(total, common)}, not 1")
             if any(p.numerator < 0 for _, _, p in row):
                 raise ValueError(f"row {key} has a negative probability")
+        reached = {0: None}  # index at the current level -> (source index, element) of the first edge into it
+        for level in range(self.depth):
+            nxt = {}
+            for i in sorted(reached):
+                row = self.rows.get((level, i))
+                if row is None:
+                    raise ValueError(_no_row(level, i, reached[i], lines))
+                for elem, j, p in row:
+                    if p:
+                        nxt.setdefault(j, (i, elem))
+            reached = nxt
 
     def name(self) -> str:
         return self._name
@@ -172,6 +188,14 @@ class ExplicitMarkov:
 
     def text(self, path: tuple[int, ...]) -> str:
         return ",".join(str(x) for x in path)
+
+
+def _no_row(level: int, index: int, via, lines) -> str:
+    if lines is None:
+        return f"the kernel reaches {level}:{index}, which has no row"
+    if via is None:
+        return f"the kernel starts at {level}:{index}, which has no row"
+    return f"line {lines[level - 1, via[0]]}: element {via[1]} leads to {level}:{index}, which has no row"
 
 
 # The sampler interface every spec shares: name(); `family`, the poset
@@ -225,19 +249,7 @@ def parse_markov_kernel(graph: GradedGraph, text: str, name: str = "markov:file"
         row_lines[(level, index)] = lineno
     if not rows:
         raise ValueError("kernel file declares no rows")
-    depth = 1 + max(level for level, _ in rows)
-    # every vertex reached with positive probability before the depth needs a row
-    reached = {(0, 0): "the kernel starts at"}  # vertex -> what reaches it first
-    for level in range(1, depth + 1):
-        nxt = {}
-        for key, how in sorted(reached.items()):
-            if key not in rows:
-                raise ValueError(f"{how} {key[0]}:{key[1]}, which has no row")
-            for elem, j, p in rows[key]:
-                if p:
-                    nxt.setdefault((level, j), f"line {row_lines[key]}: element {elem} leads to")
-        reached = nxt
-    return ExplicitMarkov(graph, rows, name=name, depth=depth)
+    return ExplicitMarkov(graph, rows, name=name, depth=1 + max(level for level, _ in rows), lines=row_lines)
 
 
 def endpoint_measure(g: GradedGraph, v: LevelVertex) -> ExplicitMarkov:
@@ -265,17 +277,12 @@ def endpoint_measure(g: GradedGraph, v: LevelVertex) -> ExplicitMarkov:
 def path_measure(m: ExplicitMarkov) -> dict[tuple[int, ...], Fraction]:
     """Exact law on root-based paths of the kernel's depth. Raises
     CapExceeded, before any path is built, when more than PATH_CAP paths
-    carry positive probability (for an endpoint kernel, dimension(v)), and
-    ValueError when they reach a vertex below the depth that has no row,
-    as `kernel_centrality` does."""
+    carry positive probability (for an endpoint kernel, dimension(v))."""
     counts = {0: 1}  # index at the current level -> positive-probability paths to it
     for level in range(m.depth):
         nxt: dict[int, int] = {}
         for i, c in counts.items():
-            row = m.rows.get((level, i))
-            if row is None:
-                raise ValueError(f"the kernel reaches {level}:{i}, which has no row")
-            for _, j, p in row:
+            for _, j, p in m.rows[(level, i)]:
                 if p:
                     nxt[j] = nxt.get(j, 0) + c
         counts = nxt
@@ -325,8 +332,8 @@ class CentralityReport:
     phi(w) that every prefix reaching vertex w = (level, index) carries,
     for each vertex the kernel reaches."""
 
+    exact = True  # a constant, no field: laws and kernels are exact rationals, and a float raises
     n_paths: int
-    exact: bool  # always True: laws are exact rationals
     invariance_ok: bool
     invariance_witnesses: list[tuple[int, tuple[int, ...]]]
     fiber_ok: bool
@@ -375,14 +382,13 @@ def is_central(handle: GroupHandle, measure) -> CentralityReport:
             break
 
     fiber_witnesses = []
-    for ids in fiber_ids(handle):
+    for ids in handle.fiber_ids:
         keys = [scaled[k] for k in ids]
         lo, hi = min(keys), max(keys)
         if lo != hi:  # the first lightest and the first heaviest, in path order
             fiber_witnesses.append((handle.paths[ids[keys.index(lo)]], handle.paths[ids[keys.index(hi)]]))
     return CentralityReport(
         n_paths=handle.n_paths,
-        exact=True,
         invariance_ok=not inv_witnesses,
         invariance_witnesses=inv_witnesses,
         fiber_ok=not fiber_witnesses,
@@ -403,9 +409,8 @@ def kernel_centrality(kernel: ExplicitMarkov) -> CentralityReport:
     c to v back along each vertex's first positive in-edge and the
     continuation d from w along each row's first positive edge give
     c.x.y.d and c.y.x.d: one endpoint fiber, two masses, swapped by
-    sigma_{L-1}. Each witness list holds that one pair. Raises ValueError
-    when the walk reaches a vertex below the depth that has no row, as
-    `is_central` does for a law summing below 1.
+    sigma_{L-1}. Each witness list holds that one pair. Every vertex the
+    pass reaches has a row: the kernel checked that when it was built.
     """
     g = kernel.graph
     phis = [{0: (1, 1)}]  # per level: reached index -> phi as a reduced (numerator, denominator), index ascending
@@ -415,12 +420,7 @@ def kernel_centrality(kernel: ExplicitMarkov) -> CentralityReport:
         into = [[] for _ in g.levels[level + 1]]  # per index above: its in-edges (num, den, elem), source ascending
         for u, edges in enumerate(g.up_edges[level]):
             num, den = phi.get(u, (0, 1))
-            probs = {}
-            if num:
-                row = kernel.rows.get((level, u))
-                if row is None:
-                    raise ValueError(f"the kernel reaches {level}:{u}, which has no row")
-                probs = {elem: p for elem, _, p in row}
+            probs = {elem: p for elem, _, p in kernel.rows[(level, u)]} if num else {}
             for elem, j in edges:
                 p = probs.get(elem, 0)
                 into[j].append((num * p.numerator, den * p.denominator, elem))
@@ -439,7 +439,7 @@ def kernel_centrality(kernel: ExplicitMarkov) -> CentralityReport:
     if conflict is None:
         phi = {(level, j): Fraction(*pair) for level, above in enumerate(phis) for j, pair in above.items()}
         return CentralityReport(
-            n_paths=n_paths, exact=True, invariance_ok=True, invariance_witnesses=[],
+            n_paths=n_paths, invariance_ok=True, invariance_witnesses=[],
             fiber_ok=True, fiber_witnesses=[], phi=phi,
         )
     level, w, masses = conflict
@@ -460,7 +460,7 @@ def kernel_centrality(kernel: ExplicitMarkov) -> CentralityReport:
     (ny, dy), (nx, dx) = masses[y], masses[x]
     lo, hi = (first_xy, first_yx) if ny * dx < nx * dy else (first_yx, first_xy)
     return CentralityReport(
-        n_paths=n_paths, exact=True, invariance_ok=False, invariance_witnesses=[(level - 1, first_xy)],
+        n_paths=n_paths, invariance_ok=False, invariance_witnesses=[(level - 1, first_xy)],
         fiber_ok=False, fiber_witnesses=[(lo, hi)],
     )
 
@@ -496,7 +496,7 @@ def sample_plancherel(n_steps: int, seed: int) -> GrowthPath:
     Deterministic given the seed.
     """
     _check_steps(n_steps)
-    return GrowthPath(word=thoma_word((), n_steps, seed))
+    return GrowthPath(thoma_word((), n_steps, seed))
 
 
 def thoma_word(alpha: tuple[float, ...], n_steps: int, seed: int) -> list:
@@ -522,7 +522,7 @@ def sample_rsk_thoma(alpha, n_steps: int, seed: int) -> GrowthPath:
     if not alpha:
         raise ValueError("alpha must be nonempty")
     _check_steps(n_steps)
-    return GrowthPath(word=thoma_word(alpha, n_steps, seed), alphabet=len(alpha))
+    return GrowthPath(thoma_word(alpha, n_steps, seed), alphabet=len(alpha))
 
 
 def sample_markov(m: ExplicitMarkov, n_steps: int, seed: int) -> tuple[int, ...]:
@@ -532,14 +532,11 @@ def sample_markov(m: ExplicitMarkov, n_steps: int, seed: int) -> tuple[int, ...]
     level, index = 0, 0
     elems = [ROOT]
     for _ in range(n_steps):
-        row = m.rows.get((level, index))
-        if not row:
-            raise ValueError(f"kernel has no row at level {level} index {index}")
         u = rng.random()
         acc = 0.0
         # zero-probability edges are never taken; without a break, float
         # round-off picks the last positive edge
-        for elem, j, p in [edge for edge in row if edge[2]]:
+        for elem, j, p in [edge for edge in m.rows[(level, index)] if edge[2]]:
             acc += float(p)
             if u < acc:
                 break
@@ -551,7 +548,6 @@ def sample_markov(m: ExplicitMarkov, n_steps: int, seed: int) -> tuple[int, ...]
 def growth_to_numbering(path: GrowthPath) -> tuple[PosetWindow, tuple[int, ...]]:
     """Materialize the smallest Young window containing a growth path and
     re-express the path as a numbering of it."""
-    path.validate()
     window = build_young_poset(path.shape())
     ids = {window.poset.coords[x]: x for x in range(1, window.poset.n)}
     elems = [ROOT] + [ids[cell] for cell in path.cells]

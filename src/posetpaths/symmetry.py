@@ -15,14 +15,17 @@ numbering, the lookup misses, and the path stays fixed. Permutations
 are composed by `operator.itemgetter`.
 
 The pairwise facts (which generators are involutions, which pairs
-commute, each adjacent product sigma_i sigma_{i+1}) form one table per
-handle with one skip mask per generator, built by `_pair_facts`: the
-relation check leaves it behind, and `group_order`'s walks and
-`classify_local` read it.
+commute, each adjacent product sigma_i sigma_{i+1}, and the violated
+relations) form one table per handle, `GroupHandle.pair_facts`, built by
+`_pair_facts` on first read: the relation check reads its violations,
+and `group_order`'s walks and `classify_local` its skip masks and
+products. A handle is frozen, so no table outlives the fields it was
+read from; `dataclasses.replace` gives a handle whose tables start empty.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from math import lcm
 from itertools import chain, compress, count
@@ -211,9 +214,10 @@ class CayleyStats:
     capped: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupHandle:
-    """Involution generators realized on the indexed numbering set."""
+    """Involution generators realized on the indexed numbering set, with
+    the tables read off them built once per handle."""
 
     window: PosetWindow
     length: int
@@ -221,21 +225,22 @@ class GroupHandle:
     sigma_indices: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
     path_index: dict = field(default_factory=dict, repr=False)  # numbering -> id
-    # tables read off the generators or the paths: name -> (the tuple read, table)
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_paths(self) -> int:
         return len(self.paths)
 
-    def _derived(self, name: str, source, build):
-        """build(source), computed once per handle. The table is kept beside
-        the very tuple it was read from and rebuilt when that field is
-        rebound; a handle made by `dataclasses.replace` starts empty."""
-        hit = self._cache.get(name)
-        if hit is None or hit[0] is not source:
-            hit = self._cache[name] = (source, build(source))
-        return hit[1]
+    @functools.cached_property
+    def pair_facts(self):
+        """The generator-pair table and the violated relations,
+        `_pair_facts(generators, sigma_indices)`."""
+        return _pair_facts(self.generators, self.sigma_indices)
+
+    @functools.cached_property
+    def fiber_ids(self) -> list[list[int]]:
+        """The endpoint fibers as lists of path ids, in the order of
+        `endpoint_fibers(paths)`."""
+        return list(_endpoint_fiber_ids(self.paths).values())
 
     def generator(self, i: int) -> tuple[int, ...]:
         try:
@@ -295,7 +300,7 @@ def group_order(handle: GroupHandle, cap: int = GROUP_CAP) -> CayleyStats:
         orbit's search graph, and the depth is the diameter. Conversely,
         a trivial G_T always passes.
       - Otherwise the base widens to every point, and `closure` lists G.
-    Both walks on T read their skip masks from the handle's pair table.
+    Both walks on T read their skip masks from the handle's pair facts.
     """
     if cap < 1:
         raise ValueError(f"group cap must be at least 1, got {cap}")
@@ -310,7 +315,7 @@ def group_order(handle: GroupHandle, cap: int = GROUP_CAP) -> CayleyStats:
     try:
         certified = None
         if tuples > cap:  # else (0, ..., k-1) holds every point: the base is the identity
-            skips = _pair_table(handle)[0]
+            skips = handle.pair_facts[0][0]
             base = tuple(range(k))
             _orbit(gens, base, cap, skips)  # the bound
             base += tuple(p for p in _orbit_minima(gens) if p >= k)
@@ -422,23 +427,17 @@ def _pair_facts(generators, labels):
     return (skips, products), found
 
 
-def _pair_table(handle: GroupHandle):
-    """The handle's generator-pair table (skips, products), built once per
-    generators tuple; `verify_relations` leaves it behind."""
-    return handle._derived("pairs", handle.generators, lambda gens: _pair_facts(gens, handle.sigma_indices)[0])
-
-
 def verify_relations(handle: GroupHandle) -> RelationReport:
     """Check, as exact permutation identities, the Coxeter-matrix relations
     (sigma_i sigma_j)^m(i, j) = 1 for every pair i <= j: m = 1 for i = j
     (each generator is an involution), 6 for adjacent indices and 2 for
     distant ones (they commute). A violation's witness is the least path
-    the power moves. One walk over the generator pairs, `_pair_facts`,
-    checks them and leaves the handle's pair table behind.
+    the power moves. The violations come from the handle's pair facts,
+    one walk over the generator pairs, which `group_order` and
+    `classify_local` then read without composing a pair again.
     """
-    table, found = _pair_facts(handle.generators, handle.sigma_indices)
-    handle._derived("pairs", handle.generators, lambda gens: table)  # what `_pair_table` reads
-    return RelationReport(found[1], found[2], found[6])
+    found = handle.pair_facts[1]
+    return RelationReport(list(found[1]), list(found[2]), list(found[6]))
 
 
 @dataclass
@@ -463,10 +462,10 @@ def classify_local(handle: GroupHandle, i: int) -> LocalGroupReport:
     {1, 2, 3, 6}, or the adjacent-generator relation fails and this
     raises, for any two permutations; a generator that is no involution
     raises next. The product ab and the involution flags come from the
-    handle's pair table.
+    handle's pair facts.
     """
     _, b = handle.generator(i), handle.generator(i + 1)  # each raises for a missing index
-    skips, products = _pair_table(handle)
+    skips, products = handle.pair_facts[0]
     ab = products[i]
     seen = bytearray(len(ab))
     product_order, tags = 1, []
@@ -515,9 +514,3 @@ def endpoint_fibers(paths) -> dict[frozenset[int], list[tuple[int, ...]]]:
     paths in their order in `paths`."""
     paths = list(paths)
     return {key: [paths[k] for k in ids] for key, ids in _endpoint_fiber_ids(paths).items()}
-
-
-def fiber_ids(handle: GroupHandle) -> list[list[int]]:
-    """The handle's endpoint fibers as lists of path ids, in the order of
-    `endpoint_fibers(handle.paths)`; built once per handle."""
-    return handle._derived("fibers", handle.paths, lambda paths: list(_endpoint_fiber_ids(paths).values()))

@@ -2,7 +2,9 @@
 
 Partitions are weakly decreasing tuples of positive ints. Cells are
 (row, col), 1-based. Standard tableaux are counted by the hook-length
-product; the lattice recursion that checks it lives in the tests' oracles.
+product; the lattice recursion that checks it lives in the tests' oracles,
+as do the cell-validity walk and shape chain of a growth path, which is
+built from its word alone (`GrowthPath`).
 """
 
 from __future__ import annotations
@@ -99,25 +101,17 @@ def growth_step_arrays(rows: list[int], k: int) -> tuple[list[int], list[float],
 
 
 class GrowthPath:
-    """A sampled growth of Young diagrams: the cell added at each step, or the word whose row
-    insertion adds them when first read (letters 0..alphabet-1 on counts, real ones if 0)."""
+    """A sampled growth of Young diagrams, kept as the word whose row insertion adds
+    its cells when first read (letters 0..alphabet-1 on counts, real ones if 0)."""
 
-    def __init__(self, cells=(), word=None, alphabet: int = 0):
-        if word is None:
-            self.cells = tuple(cells)
+    def __init__(self, word, alphabet: int = 0):
         self.word, self.alphabet, self._passes = word, alphabet, {}
-        self.n_steps = len(self.cells if word is None else word)
-
-    def __eq__(self, other):
-        return isinstance(other, GrowthPath) and self.cells == other.cells
+        self.n_steps = len(word)
 
     @functools.cached_property
     def insertion(self) -> tuple[list[int], tuple[int, ...]]:
         """The 1-based row of each step's cell and the final row lengths, computed
         once per path: a frequency estimate reads the lengths for every ideal it scores."""
-        if self.word is None:
-            rows = [r for r, _ in self.cells]
-            return rows, tuple(map(rows.count, range(1, max(rows, default=0) + 1)))
         if self.alphabet:
             return row_insert_counts(self.word, self.alphabet)
         return row_insert_word(self.word)
@@ -140,7 +134,7 @@ class GrowthPath:
         """How many cells of the final shape lie in its first k rows or first l
         columns. A real-letter word is not inserted: lambda_1..lambda_k and
         lambda'_1..lambda'_l come from Greene passes (`row_lengths`), once each."""
-        if self.word is None or self.alphabet:
+        if self.alphabet:
             shape = self.shape()
             return sum(shape[:k]) + sum(min(p, l) for p in shape[k:])
         rows = self._greene(k, False)
@@ -151,32 +145,6 @@ class GrowthPath:
         done, passes = self._passes.setdefault(strict, ([], _greene_passes(reversed(self.word) if strict else self.word, strict)))
         done.extend(itertools.islice(passes, max(0, k - len(done))))
         return done[:k]
-
-    def shapes(self):
-        """The increasing chain of diagrams, one per step."""
-        rows: list[int] = []
-        out = []
-        for r in self.insertion[0]:
-            if r == len(rows) + 1:
-                rows.append(0)
-            rows[r - 1] += 1
-            out.append(tuple(rows))
-        return out
-
-    def validate(self) -> None:
-        """Every step must add an addable cell of the current diagram."""
-        rows: list[int] = []
-        for k, (r, c) in enumerate(self.cells):
-            if r < 1 or r > len(rows) + 1:
-                raise ValueError(f"step {k}: row {r} skips a row")
-            cur = rows[r - 1] if r <= len(rows) else 0
-            if c != cur + 1:
-                raise ValueError(f"step {k}: cell {(r, c)} does not extend row {r}")
-            if r >= 2 and rows[r - 2] < c:
-                raise ValueError(f"step {k}: cell {(r, c)} overhangs row above")
-            if r > len(rows):
-                rows.append(0)
-            rows[r - 1] += 1
 
 
 def row_insert(rows: list[list[int]], letter: int) -> tuple[int, int]:

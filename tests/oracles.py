@@ -410,6 +410,24 @@ def removals(parts):
     return out
 
 
+def growth_shapes(cells):
+    """The diagram after each step of a growth given as 1-based cells
+    (row, col), in order. Raises ValueError at the first cell that does
+    not extend its row by one, skips a row or overhangs the row above."""
+    rows: list[int] = []
+    out = []
+    for k, (r, c) in enumerate(cells):
+        if not 1 <= r <= len(rows) + 1:
+            raise ValueError(f"step {k}: row {r} skips a row")
+        if r > len(rows):
+            rows.append(0)
+        if c != rows[r - 1] + 1 or r >= 2 and rows[r - 2] < c:
+            raise ValueError(f"step {k}: cell {(r, c)} is not addable")
+        rows[r - 1] = c
+        out.append(tuple(rows))
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def tableau_count_recursive(parts):
     """Standard tableaux by the lattice recursion over removable corners,

@@ -49,6 +49,7 @@ from posetpaths.young import GrowthPath, row_insert, tableau_count
 from oracles import (
     brute_numberings,
     central_witnesses,
+    growth_shapes,
     ideal_levels,
     kernel_path_law,
     partitions_of,
@@ -275,8 +276,8 @@ def test_markov_row_sums_and_signs_on_integers():
     ]:
         with pytest.raises(ValueError, match=message):
             ExplicitMarkov(g, {(0, 0): ((1, 0, 1),), (1, 0): row}, name="row")
-    # exact sums over mixed denominators pass
-    kernel = ExplicitMarkov(g, {(0, 0): ((1, 0, 1),), (1, 0): ((e1, j1, Fraction(1, 3)), (e2, j2, Fraction(4, 6)))}, name="ok")
+    # exact sums over mixed denominators pass (depth 2: no row is needed above level 1)
+    kernel = ExplicitMarkov(g, {(0, 0): ((1, 0, 1),), (1, 0): ((e1, j1, Fraction(1, 3)), (e2, j2, Fraction(4, 6)))}, name="ok", depth=2)
     assert kernel.rows[(1, 0)][1][2] == Fraction(2, 3)
 
 
@@ -471,17 +472,19 @@ def test_kernel_centrality_catches_a_one_edge_perturbation_at_each_level():
 
 
 def test_kernel_centrality_needs_a_row_where_it_walks():
-    # the forward pass and the exact law refuse the same holed kernels alike
+    # a holed kernel is refused when it is built, before the forward pass or
+    # the exact law could walk it; a zero-probability edge reaches nothing
     g = build_graph(build_young_poset([2, 1]), 3)
     rows = {(0, 0): ((1, 0, 1),), (1, 0): ((2, 0, Fraction(1, 2)), (3, 1, Fraction(1, 2))), (2, 0): ((3, 0, 1),)}
-    holed = [
-        (ExplicitMarkov(g, rows, name="holed"), "2:1"),
-        (ExplicitMarkov(g, {(0, 0): ((1, 0, 1),)}, name="x", depth=2), "1:0"),
-    ]
-    for kernel, vertex in holed:
-        for check in (kernel_centrality, path_measure):
-            with pytest.raises(ValueError, match=f"^the kernel reaches {vertex}, which has no row$"):
-                check(kernel)
+    # both 2:1 (reached first, by the row's first entry) and 2:0 lack a row: the lower index is named
+    both = {(0, 0): ((1, 0, 1),), (1, 0): ((3, 1, Fraction(1, 2)), (2, 0, Fraction(1, 2)))}
+    for holed, depth, vertex in [(rows, None, "2:1"), ({(0, 0): ((1, 0, 1),)}, 2, "1:0"), ({}, 1, "0:0"), (both, 3, "2:0")]:
+        with pytest.raises(ValueError, match=f"^the kernel reaches {vertex}, which has no row$"):
+            ExplicitMarkov(g, holed, name="holed", depth=depth)
+    kernel = ExplicitMarkov(g, {**rows, (1, 0): ((2, 0, 1), (3, 1, 0))}, name="zero edge")
+    assert not kernel_centrality(kernel).central  # one of the fiber's two paths carries all the mass
+    assert path_measure(kernel) == {(0, 1, 2, 3): 1}
+    assert ExplicitMarkov(g, {}, name="root", depth=0).depth == 0
 
 
 def test_exact_law_of_a_deep_window():
@@ -611,8 +614,8 @@ def test_sample_plancherel_first_cell():
 def test_sample_plancherel_deterministic_and_valid():
     a = sample_plancherel(64, 123)
     b = sample_plancherel(64, 123)
-    assert a == b
-    a.validate()
+    assert (a.word, a.cells) == (b.word, b.cells)
+    growth_shapes(a.cells)
     window, numbering = growth_to_numbering(a)
     assert len(numbering) == 65
 
@@ -632,7 +635,7 @@ def test_row_insertion_reproduces_exact_plancherel_law():
         for cells, count in tally.items():
             law = Fraction(1)
             shape: tuple[int, ...] = ()
-            for mu in GrowthPath(cells).shapes():
+            for mu in growth_shapes(cells):
                 law *= dict(plancherel_transition(shape))[mu]
                 shape = mu
             assert Fraction(count, factorial(n)) == law, cells
@@ -665,9 +668,11 @@ def test_rsk_alpha_validation():
 
 def test_thoma_spec_samples_through_the_module_samplers():
     for n, seed in [(1, 0), (7, 3), (200, 11)]:
-        assert Thoma().sample(n, seed) == sample_plancherel(n, seed)
+        a, b = Thoma().sample(n, seed), sample_plancherel(n, seed)
+        assert (a.word, a.cells) == (b.word, b.cells)
         for alpha in [(1.0,), (0.7, 0.3), (0.5, 0.3, 0.2)]:
-            assert Thoma(alpha).sample(n, seed) == sample_rsk_thoma(alpha, n, seed)
+            a, b = Thoma(alpha).sample(n, seed), sample_rsk_thoma(alpha, n, seed)
+            assert (a.word, a.cells) == (b.word, b.cells)
 
 
 @pytest.mark.parametrize("n", [1, 7, 1000])
@@ -716,7 +721,7 @@ def test_rsk_two_letters_at_most_two_rows():
     for seed in range(10):
         path = sample_rsk_thoma((0.5, 0.5), 200, seed)
         assert len(path.shape()) <= 2
-        path.validate()
+        growth_shapes(path.cells)
 
 
 def test_rsk_row_one_dominates_letter_one_count():
@@ -729,7 +734,8 @@ def test_rsk_row_one_dominates_letter_one_count():
 
 
 def test_rsk_deterministic():
-    assert sample_rsk_thoma((0.6, 0.4), 100, 11) == sample_rsk_thoma((0.6, 0.4), 100, 11)
+    a, b = sample_rsk_thoma((0.6, 0.4), 100, 11), sample_rsk_thoma((0.6, 0.4), 100, 11)
+    assert (a.word, a.cells) == (b.word, b.cells)
 
 
 def uniform_ending_below_one(d_min):
@@ -1125,11 +1131,14 @@ def test_is_central_rejects_negative_mass():
 
 
 def test_sample_markov_stops_at_a_holed_row():
-    # the kernel reaches 1:0, which has no row
+    # a kernel that reaches 1:0, which has no row, is refused when it is
+    # built; cut at depth 1 it samples its one step
     g = build_graph(build_young_poset([2, 1]), 3)
-    m = ExplicitMarkov(g, {(0, 0): ((1, 0, 1),)}, name="holed", depth=2)
+    with pytest.raises(ValueError, match="^the kernel reaches 1:0, which has no row$"):
+        ExplicitMarkov(g, {(0, 0): ((1, 0, 1),)}, name="holed", depth=2)
+    m = ExplicitMarkov(g, {(0, 0): ((1, 0, 1),)}, name="holed", depth=1)
     assert sample_markov(m, 1, 0) == (0, 1)
-    with pytest.raises(ValueError, match="kernel has no row at level 1 index 0"):
+    with pytest.raises(ValueError, match="supports 1..1 steps, asked for 2"):
         sample_markov(m, 2, 0)
 
 

@@ -851,7 +851,7 @@ def test_pair_table_matches_direct_composition():
             h = dataclasses.replace(handle)
             if checked:
                 verify_relations(h)
-            assert symmetry._pair_table(h) == (masks, products), (gens, checked)
+            assert h.pair_facts[0] == (masks, products), (gens, checked)
         if gens:  # the route closure takes from a bare generator list, with no adjacent labels
             assert symmetry._pair_facts(list(gens), range(0, 2 * len(gens), 2))[0] == (masks, {}), gens
 
@@ -960,22 +960,24 @@ def test_a_replaced_handle_reads_no_stale_table():
     handle = generate_group(build_antichain_poset(4), 5)
     verify_relations(handle)
     broken = broken_handle(handle)
-    assert symmetry._pair_table(broken)[0] == pair_masks(broken.generators) != pair_masks(handle.generators)
-    assert symmetry._pair_table(handle)[0] == pair_masks(handle.generators)
-    handle.generators = broken.generators  # a rebound field is read afresh
-    assert symmetry._pair_table(handle) == symmetry._pair_table(broken)
-    assert _local_class_or_error(classify_local, handle, 1) == "product of adjacent involutions 1,2 has order 30"
+    assert broken.pair_facts[0][0] == pair_masks(broken.generators) != pair_masks(handle.generators)
+    assert handle.pair_facts[0][0] == pair_masks(handle.generators)
+    with pytest.raises(dataclasses.FrozenInstanceError):  # no field can be rebound under a table
+        handle.generators = broken.generators
+    assert handle.pair_facts[0][0] == pair_masks(handle.generators)
+    assert _local_class_or_error(classify_local, broken, 1) == "product of adjacent involutions 1,2 has order 30"
+    assert _local_class_or_error(classify_local, handle, 1) != _local_class_or_error(classify_local, broken, 1)
 
 
 def test_fiber_ids_follow_endpoint_fibers_once_per_handle():
     for w in CORPUS:
         for length in range(1, w.poset.n + 1):
             handle = generate_group(w, length)
-            ids = symmetry.fiber_ids(handle)
+            ids = handle.fiber_ids
             assert [[handle.paths[k] for k in f] for f in ids] == list(endpoint_fibers(handle.paths).values())
-            assert symmetry.fiber_ids(handle) is ids
+            assert handle.fiber_ids is ids
     shorter = dataclasses.replace(handle, paths=handle.paths[:-1])
-    assert symmetry.fiber_ids(shorter) == list(symmetry._endpoint_fiber_ids(shorter.paths).values())
+    assert shorter.fiber_ids == list(symmetry._endpoint_fiber_ids(shorter.paths).values())
 
 
 def test_endpoint_fibers_in_lexicographic_order_of_sorted_endpoints():

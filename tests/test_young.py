@@ -21,7 +21,7 @@ from posetpaths.young import (
     tableau_count,
 )
 
-from oracles import partitions_of, removals, tableau_count_recursive
+from oracles import growth_shapes, partitions_of, removals, tableau_count_recursive
 
 
 def test_check_partition():
@@ -174,13 +174,16 @@ def test_corner_routes_match_the_exact_plancherel_step():
 
 
 def test_growth_path_validation():
-    good = GrowthPath(((1, 1), (2, 1), (1, 2)))
-    good.validate()
-    assert good.shape() == (2, 1)
-    assert good.shapes() == [(1,), (1, 1), (2, 1)]
-    with pytest.raises(ValueError):
-        GrowthPath(((1, 2),)).validate()
-    with pytest.raises(ValueError):
-        GrowthPath(((1, 1), (3, 1))).validate()
-    with pytest.raises(ValueError):
-        GrowthPath(((1, 1), (2, 1), (2, 2))).validate()
+    # the cells a word inserts, read against the tests' own validity walk
+    path = GrowthPath([2, 1, 3])
+    assert path.cells == ((1, 1), (2, 1), (1, 2))
+    assert path.shape() == (2, 1)
+    assert growth_shapes(path.cells) == [(1,), (1, 1), (2, 1)]
+    for cells in [((1, 2),), ((1, 1), (3, 1)), ((1, 1), (2, 1), (2, 2))]:
+        with pytest.raises(ValueError):
+            growth_shapes(cells)
+    for seed in range(20):
+        rng = random.Random(seed)
+        word = [rng.randrange(4) for _ in range(30)]
+        for path in (GrowthPath(word), GrowthPath(word, alphabet=4)):
+            assert growth_shapes(path.cells)[-1] == path.shape()
