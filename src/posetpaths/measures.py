@@ -156,10 +156,15 @@ class ExplicitMarkov:
             for i in sorted(reached):
                 row = self.rows.get((level, i))
                 if row is None:
-                    raise ValueError(_no_row(level, i, reached[i], lines))
+                    via, here = reached[i], f"{level}:{i}, which has no row"
+                    if lines is None:
+                        raise ValueError(f"the kernel reaches {here}")
+                    if via is None:
+                        raise ValueError(f"the kernel starts at {here}")
+                    raise ValueError(f"line {lines[level - 1, via[0]]}: element {via[1]} leads to {here}")
                 for elem, j, p in row:
-                    if p:
-                        nxt.setdefault(j, (i, elem))
+                    if j not in nxt and p:
+                        nxt[j] = (i, elem)
             reached = nxt
 
     def name(self) -> str:
@@ -188,14 +193,6 @@ class ExplicitMarkov:
 
     def text(self, path: tuple[int, ...]) -> str:
         return ",".join(str(x) for x in path)
-
-
-def _no_row(level: int, index: int, via, lines) -> str:
-    if lines is None:
-        return f"the kernel reaches {level}:{index}, which has no row"
-    if via is None:
-        return f"the kernel starts at {level}:{index}, which has no row"
-    return f"line {lines[level - 1, via[0]]}: element {via[1]} leads to {level}:{index}, which has no row"
 
 
 # The sampler interface every spec shares: name(); `family`, the poset
