@@ -552,6 +552,9 @@ def test_parse_markov_kernel_rejects_missing_rows():
         parse_markov_kernel(g, "row 0:0 1:1\nrow 1:0 2:1/2 3:1/2\nrow 2:0 3:1\n")
     with pytest.raises(ValueError, match="the kernel starts at 0:0, which has no row"):
         parse_markov_kernel(g, "row 1:0 2:1\n")
+    # the row checks come before the walk: a holed file with a bad row names the row
+    with pytest.raises(ValueError, match=r"^row \(1, 0\) sums to 2/3, not 1$"):
+        parse_markov_kernel(g, "row 0:0 1:1\nrow 1:0 2:1/3 3:1/3\nrow 2:0 3:1\n")
     # a zero-probability edge may lead to a vertex without a row
     kernel = parse_markov_kernel(g, "row 0:0 1:1\nrow 1:0 2:1 3:0\nrow 2:0 3:1\n")
     assert path_measure(kernel) == {(0, 1, 2, 3): Fraction(1)}
