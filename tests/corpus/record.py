@@ -2,7 +2,8 @@
 
 Each `*.txt` file beside this script holds one `posetpaths` command line
 per line (blank lines and `#` comments are skipped); kernel files named
-by `--markov` live under `kernels/`, relative to this directory. A
+by `--markov` live under `kernels/` and poset files named by `--file`
+under `posets/`, relative to this directory. A
 command's record is its line, exit code, stdout and stderr; a file's
 digest is the sha256 of its records in order. `digests.json` keeps that
 digest per file and, to name the first command whose output moved, a
