@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
 from operator import itemgetter
@@ -428,6 +429,11 @@ def cmd_compare(args):
 def _add_leaf(subparsers, name: str, func, help: str, poset_required: bool) -> argparse.ArgumentParser:
     """A subcommand that `main` runs: its poset flags, `--out` and its `cmd_*`."""
     p = subparsers.add_parser(name, help=help)
+    # argparse reads a word after a flag as its value only if the word does
+    # not look like an option, and takes only -1 and -0.5 for negative
+    # numbers; no flag starts with "-" and a digit, so -1/3 and -1:0 are
+    # values too, as they are when written after "="
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     _add_poset_args(p, required=poset_required)
     p.add_argument("--out", default=None, metavar="PATH", help="write the output here instead of stdout")
     p.set_defaults(func=func)

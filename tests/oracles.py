@@ -42,9 +42,13 @@ def is_ideal(poset, ids):
 
 
 def brute_numberings(poset, length):
-    """All valid numberings by filtering raw permutations of non-root ids.
+    """All valid numberings by filtering permutations of non-root ids.
 
-    Exponential; fine for the corpus posets (at most 8 non-root elements).
+    The permutations are grown one position at a time, and a partial one is
+    dropped at the first element placed before something below it, so no
+    permutation that shares that prefix is built. The survivors are sorted.
+    The work is the number of valid prefixes times the poset size: fine up
+    to some tens of thousands of numberings.
     """
     leq = order_pairs(poset)
     below = {
@@ -52,15 +56,14 @@ def brute_numberings(poset, length):
         for x in range(poset.n)
     }
     out = []
-    for perm in itertools.permutations(range(1, poset.n), length - 1):
-        seq = (0,) + perm
-        ok = True
-        for pos, x in enumerate(seq):
-            if not below[x] <= set(seq[:pos]):
-                ok = False
-                break
-        if ok:
+    seqs = [(0,)]
+    while seqs:
+        seq = seqs.pop()
+        if len(seq) == length:
             out.append(seq)
+            continue
+        placed = set(seq)
+        seqs += [seq + (x,) for x in range(1, poset.n) if x not in placed and below[x] <= placed]
     return sorted(out)
 
 

@@ -359,6 +359,33 @@ def test_measure_check_unreadable_perturbation_names_the_flag(text, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value, window",
+    [
+        ("--perturb", "-1/3", ("--young", "2,1")),
+        ("--perturb", "-5", ("--young", "2,1")),
+        ("--perturb", "-.5", ("--endpoint", "3:0", "--young", "2,1")),
+        ("--perturb", "-1/0", ("--young", "2,1")),
+        ("--endpoint", "-1:0", ("--young", "3,2,1")),
+        ("--endpoint", "-1", ("--young", "3,2,1")),
+    ],
+)
+def test_a_negative_value_reads_the_same_as_its_equals_spelling(flag, value, window, capsys):
+    # argparse alone took only -1 and -0.5 as values after a flag, so
+    # "--perturb -1/3" and "--endpoint -1:0" exited 2 with "expected one argument"
+    joined = run(capsys, "measure", "check", *window, f"{flag}={value}")
+    assert run(capsys, "measure", "check", *window, flag, value) == joined
+    assert "expected one argument" not in joined[2]
+
+
+def test_a_flag_whose_value_is_missing_is_still_rejected(capsys):
+    for argv in [("--perturb", "--young", "2,1"), ("--young", "3,2,1", "--endpoint", "--depth", "2")]:
+        with pytest.raises(SystemExit) as info:
+            main(["measure", "check", *argv])
+        assert info.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv", [("measure", "freq", "--ideal", "full", "--n", "1"), ("measure", "sample")], ids=["freq", "sample"]
 )
 def test_sampling_a_depth_0_kernel_exits_2_naming_it(argv, monkeypatch, capsys):

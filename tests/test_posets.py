@@ -133,6 +133,51 @@ def test_enumerations_match_oracles_everywhere():
             assert str(info.value) == f"more than {len(got) - 1} numberings"
 
 
+# long narrow windows, where most ideals at the glue depth are reached by
+# more than one prefix, and a wide one at short lengths (no ideal glued)
+# up to lengths where the glue starts
+GLUED = [
+    (build_young_poset([4, 3, 2, 1]), range(1, 12)),
+    (build_young_poset([5, 3, 2, 1]), range(1, 13)),
+    (build_box_poset(3, (2, 2, 3)), range(1, 13)),
+    (build_antichain_poset(8), range(4, 10)),
+]
+
+
+def test_glued_enumerations_match_the_brute_oracle_at_caps_n_n_minus_1_and_1():
+    for w, lengths in GLUED:
+        for length in lengths:
+            expected = brute_numberings(w.poset, length)
+            n = len(expected)
+            assert enumerate_numberings(w, length) == expected, (w.describe(), length)
+            for cap in (n, n - 1, 1):
+                if cap >= n:
+                    assert enumerate_numberings(w, length, limit=cap) == expected
+                elif cap >= 1:
+                    with pytest.raises(CapExceeded) as info:
+                        enumerate_numberings(w, length, limit=cap)
+                    assert str(info.value) == f"more than {cap} numberings", (w.describe(), length, cap)
+
+
+def test_a_glued_block_is_checked_against_the_cap_before_it_is_appended():
+    # in each window the last numbering's ideal at the glue depth was first
+    # reached by an earlier prefix, so the last block is glued and no walked
+    # row follows it: only the check before the block can see the cap of
+    # N - 1 pass
+    for w, length in [
+        (build_young_poset([4, 3, 2, 1]), 11),
+        (build_box_poset(3, (2, 2, 3)), 12),
+        (build_antichain_poset(7), 8),
+    ]:
+        paths = enumerate_numberings(w, length)
+        stop = length - 1 - posets.KEPT_TAIL
+        *rest, final = paths
+        head = final[: stop + 1]
+        assert any(set(p[: stop + 1]) == set(head) and p[: stop + 1] != head for p in rest)
+        with pytest.raises(CapExceeded, match=f"more than {len(paths) - 1} numberings"):
+            enumerate_numberings(w, length, limit=len(paths) - 1)
+
+
 def test_enumeration_is_lexicographic_and_capped():
     w = build_antichain_poset(4)
     paths = enumerate_numberings(w, 5)
