@@ -21,7 +21,7 @@ from .young import check_partition
 
 ROOT = 0
 PATH_CAP = 100_000  # default cap on the numberings, or kernel paths, one enumeration or exact law lists
-KEPT_TAIL = 4  # positions past the glue depth of `enumerate_numberings` (at least 2), whose completions it keeps per ideal
+KEPT_TAIL = 4  # positions (at least 2) past the depth where `enumerate_numberings` glues kept completions
 
 
 class PosetFormatError(ValueError):
@@ -385,30 +385,22 @@ def enumerate_numberings(
     reading, so a row read again is complete (and nonempty short of the
     whole poset).
 
-    A numbering is a maximal path in the lattice of ideals, so every
-    prefix that reaches an ideal continues with the same completions. At
-    the glue depth `stop = length - 1 - KEPT_TAIL` the walk lists an
-    ideal's completions only for the first prefix that reaches it, and
-    keeps just the slice of `out` they fill. When a later prefix reaches
-    the ideal, that slice is cut past `stop` into suffixes (once, on this
-    first reuse, so an ideal never reached again costs no copy) and the
-    walk appends `head + suffix` for each instead of walking the subtree;
-    a glued block keeps the lexicographic order, since its head is fixed
-    and its suffixes are in order. At most one suffix is kept per listed
-    numbering.
+    Every prefix that reaches an ideal continues with the same completions,
+    so at the glue depth `stop = length - 1 - KEPT_TAIL` only the first
+    prefix to reach an ideal walks them; the walk keeps the slice of `out`
+    they fill. A later prefix cuts that slice into suffixes past `stop` (on
+    the first reuse, so an ideal never reached again costs no copy) and
+    appends `head + suffix` for each, in order: at most one suffix is kept
+    per listed numbering. A glued numbering costs one tuple, as a walked one
+    does, so gluing saves the rows below `stop`. KEPT_TAIL is 4: at 2 a
+    narrow window's blocks hold one or two completions and their
+    bookkeeping outweighs the rows skipped (box 2,2,3 at full length took
+    1.3 times the unglued time); at 5 no window shorter than 8 glues, since
+    two prefixes share an ideal only from depth 2 on.
 
-    KEPT_TAIL is 4. A glued numbering costs one tuple, as a walked one
-    does, so gluing saves the rows walked below `stop`, and it pays where
-    those are many per numbering: long narrow windows. At 2 a narrow
-    window's blocks hold one or two completions, and the bookkeeping per
-    block outweighs the rows it skips (box 2,2,3 at full length took 1.3
-    times the unglued walk's time); a deeper glue skips more rows per
-    block but reaches fewer shared ideals, since two prefixes share an
-    ideal only from depth 2 on, so at 5 no window shorter than 8 glues.
-
-    The last position is filled for a whole row before the cap is checked,
-    and a glued block is checked before it is appended, so `out` holds at
-    most `limit` plus one row, and a glued block never passes the limit.
+    The cap is checked after each row of last positions is filled and
+    before each glued block, so `out` holds at most `limit` plus one row and
+    a glued block never passes the limit.
     """
     poset = window.poset
     if not (1 <= length <= poset.n):
@@ -434,12 +426,9 @@ def enumerate_numberings(
     out: list[tuple[int, ...]] = []
     prefix = [ROOT] * length  # positions up to the current depth hold the numbering so far
     last = length - 1
-    stop = last - KEPT_TAIL  # the glue depth: completions past it are kept per ideal
-    # the ideal at the glue depth whose completions the walk is listing, and
-    # where in `out` they start
-    opened = None
-    # each ideal listed at the glue depth: the slice of `out` it filled, then,
-    # once a later prefix reaches it, the suffixes past `stop` of that slice
+    stop = last - KEPT_TAIL
+    opened = None  # (ideal, start in `out`) of the completions being walked at `stop`
+    # per ideal at `stop`: the slice of `out` it filled, then its suffixes
     kept: dict[int, slice | list[tuple[int, ...]]] = {}
     # the unread rest of the child row at each depth of the current branch,
     # from the empty set's row (the root) down to depth last - 1
@@ -447,13 +436,13 @@ def enumerate_numberings(
     while stack:
         depth = len(stack) - 1
         if depth == stop:
-            if opened is not None:  # the walk is back: all its completions are listed
+            if opened is not None:  # back from walking them: all are listed
                 kept[opened[0]] = slice(opened[1], len(out))
                 opened = None
             for x, child, grown in stack[-1]:
                 prefix[depth] = x
                 block = kept.get(child)
-                if block is None:  # the first prefix to reach this ideal walks on
+                if block is None:
                     opened = child, len(out)
                     stack.append(iter(rows.get(child) or build(child, grown)))
                     break

@@ -133,9 +133,9 @@ def test_enumerations_match_oracles_everywhere():
             assert str(info.value) == f"more than {len(got) - 1} numberings"
 
 
-# long narrow windows, where most ideals at the glue depth are reached by
-# more than one prefix, and a wide one at short lengths (no ideal glued)
-# up to lengths where the glue starts
+# long narrow windows, whose ideals at the glue depth are mostly reached by
+# more than one prefix, and a wide one from short lengths, where nothing is
+# glued, to its full length
 GLUED = [
     (build_young_poset([4, 3, 2, 1]), range(1, 12)),
     (build_young_poset([5, 3, 2, 1]), range(1, 13)),
