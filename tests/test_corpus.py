@@ -25,7 +25,7 @@ EXPECTED = json.loads(record.DIGESTS.read_text(encoding="utf-8"))
 
 
 def test_the_corpus_is_recorded_file_by_file():
-    assert sorted(EXPECTED) == record.names() == ["compare", "group", "measure", "paths"]
+    assert sorted(EXPECTED) == record.names() == ["compare", "graph", "group", "measure", "paths", "poset"]
     assert sum(len(record.commands(name)) for name in EXPECTED) >= 300
 
 
