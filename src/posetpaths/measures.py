@@ -120,6 +120,10 @@ class ExplicitMarkov:
     probability below its depth needs a row: the first one that has none,
     in (level, index) order, raises ValueError, naming through `lines` (row
     -> line number, from a kernel file) the line whose edge leads there.
+
+    `rows` keeps the rows as given; `terms` keeps each row's positive
+    entries as integers (added element, target index, numerator,
+    denominator), read once when the row is checked, for the walks.
     """
 
     has_ties = False
@@ -127,6 +131,7 @@ class ExplicitMarkov:
     def __init__(self, graph: GradedGraph, rows, name: str, depth: int | None = None, lines: dict | None = None):
         self.graph = graph
         self.rows = dict(rows)
+        self.terms = {}
         self._name = name
         self._masks: dict[IdealSpec, int] = {}  # ideal -> its `ideal_mask` on the window
         self.depth = depth if depth is not None else graph.depth
@@ -142,19 +147,27 @@ class ExplicitMarkov:
             for elem, j, _ in row:
                 if (elem, j) not in edges:
                     raise ValueError(f"row {key} lists ({elem}, {j}), which is no up-edge of the graph")
-            if not all(isinstance(p, Rational) for _, _, p in row):
+            # each probability's numerator and denominator, read once
+            entries = [(elem, j, p.numerator, p.denominator) for elem, j, p in row
+                       if type(p) is Fraction or type(p) is int or isinstance(p, Rational)]
+            if len(entries) < len(row):
                 raise ValueError(f"row {key} has a probability that is not an exact rational")
-            common = math.lcm(*[p.denominator for _, _, p in row])
-            total = sum([p.numerator * (common // p.denominator) for _, _, p in row])
+            common = math.lcm(*[den for _, _, _, den in entries])
+            total, negative = 0, False
+            for _, _, num, den in entries:
+                total += num * (common // den)
+                if num < 0:
+                    negative = True
             if total != common:
                 raise ValueError(f"row {key} sums to {Fraction(total, common)}, not 1")
-            if any(p.numerator < 0 for _, _, p in row):
+            if negative:
                 raise ValueError(f"row {key} has a negative probability")
+            self.terms[key] = tuple([entry for entry in entries if entry[2]])
         reached = {0: None}  # index at the current level -> (source index, element) of the first edge into it
         for level in range(self.depth):
             nxt = {}
             for i in sorted(reached):
-                row = self.rows.get((level, i))
+                row = self.terms.get((level, i))
                 if row is None:
                     via, here = reached[i], f"{level}:{i}, which has no row"
                     if lines is None:
@@ -162,8 +175,8 @@ class ExplicitMarkov:
                     if via is None:
                         raise ValueError(f"the kernel starts at {here}")
                     raise ValueError(f"line {lines[level - 1, via[0]]}: element {via[1]} leads to {here}")
-                for elem, j, p in row:
-                    if j not in nxt and p:
+                for elem, j, _, _ in row:
+                    if j not in nxt:
                         nxt[j] = (i, elem)
             reached = nxt
 
@@ -279,18 +292,14 @@ def path_measure(m: ExplicitMarkov) -> dict[tuple[int, ...], Fraction]:
     for level in range(m.depth):
         nxt: dict[int, int] = {}
         for i, c in counts.items():
-            for _, j, p in m.rows[(level, i)]:
-                if p:
-                    nxt[j] = nxt.get(j, 0) + c
+            for _, j, _, _ in m.terms[(level, i)]:
+                nxt[j] = nxt.get(j, 0) + c
         counts = nxt
     if sum(counts.values()) > PATH_CAP:
         raise CapExceeded(f"more than {PATH_CAP} paths under {m.name()}")
     # paths grow one level at a time (no recursion, so any depth), multiplying
     # integer numerators and denominators; one Fraction per path at the end
-    terms = {
-        key: [(elem, j, p.numerator, p.denominator) for elem, j, p in row if p]
-        for key, row in m.rows.items()
-    }
+    terms = m.terms
     paths = [((ROOT,), 0, 1, 1)]  # (prefix, index at its level, numerator, denominator)
     for level in range(m.depth):
         paths = [
@@ -358,7 +367,7 @@ def is_central(handle: GroupHandle, measure) -> CentralityReport:
         k = handle.path_index.get(key)
         if k is None:
             raise ValueError(f"{key} is not a numbering of length {handle.length} of this window")
-        if not isinstance(p, Rational):
+        if not (type(p) is Fraction or type(p) is int or isinstance(p, Rational)):
             raise ValueError(f"probability {p!r} of {key} is not an exact rational")
         num, den = p.numerator, p.denominator
         if num < 0:
@@ -417,10 +426,10 @@ def kernel_centrality(kernel: ExplicitMarkov) -> CentralityReport:
         into = [[] for _ in g.levels[level + 1]]  # per index above: its in-edges (num, den, elem), source ascending
         for u, edges in enumerate(g.up_edges[level]):
             num, den = phi.get(u, (0, 1))
-            probs = {elem: p for elem, _, p in kernel.rows[(level, u)]} if num else {}
+            probs = {elem: (p_num, p_den) for elem, _, p_num, p_den in kernel.terms[(level, u)]} if num else {}
             for elem, j in edges:
-                p = probs.get(elem, 0)
-                into[j].append((num * p.numerator, den * p.denominator, elem))
+                p_num, p_den = probs.get(elem, (0, 1))
+                into[j].append((num * p_num, den * p_den, elem))
         above = {}
         for j, edges in enumerate(into):
             num, den, elem = next((edge for edge in edges if edge[0]), (0, 1, None))
@@ -445,11 +454,11 @@ def kernel_centrality(kernel: ExplicitMarkov) -> CentralityReport:
     v = g._index[level - 2][g.levels[level][w] & ~(bit(x) | bit(y))]  # w's mask with x and y cleared
     head = []
     for k in range(level - 2, 0, -1):  # back from v along each first positive in-edge
-        v, elem = next((u, elem) for u in phis[k - 1] for elem, j, p in kernel.rows[(k - 1, u)] if j == v and p)
+        v, elem = next((u, elem) for u in phis[k - 1] for elem, j, _, _ in kernel.terms[(k - 1, u)] if j == v)
         head.append(elem)
     tail = []
     for k in range(level, kernel.depth):
-        elem, w = next((elem, j) for elem, j, p in kernel.rows[(k, w)] if p)
+        elem, w = kernel.terms[(k, w)][0][:2]
         tail.append(elem)
     c = (ROOT, *reversed(head))
     first_xy, first_yx = c + (x, y, *tail), c + (y, x, *tail)

@@ -7,12 +7,16 @@ indexed set of all fixed-length numberings of a window these moves are
 permutations; the group they generate is the symmetry group of the
 window's numberings, represented here by dense index arrays.
 
-`generate_group` realizes sigma_i without consulting the order: it
-exchanges positions i and i+1 of every numbering and looks the result
-up in the index of numberings. Two comparable entries come in order, so
-their exchange puts an element before one below it; that tuple is no
-numbering, the lookup misses, and the path stays fixed. Permutations
-are composed by `operator.itemgetter`.
+`generate_group` enumerates and indexes the numberings; the handle's
+`generators` realize sigma_i when it is first read, without consulting
+the order: every numbering has positions i and i+1 exchanged and is
+looked up in the index of numberings. Two comparable entries come in
+order, so their exchange puts an element before one below it; that
+tuple is no numbering, the lookup misses, and the path stays fixed. A
+reader that stops early (a centrality check stops at the first sigma_i
+that moves mass) realizes no generator past it; a reader of every
+generator takes them once as one tuple. Permutations are composed by
+`operator.itemgetter`.
 
 The pairwise facts (which generators are involutions, which pairs
 commute, each adjacent product sigma_i sigma_{i+1}, and the violated
@@ -180,6 +184,7 @@ def closure(generators, cap: int | None = None):
     Returns (elements as a set-like view, diameter). Raises CapExceeded
     past `cap`.
     """
+    generators = tuple(generators)
     if not generators:
         raise ValueError("need at least one generator")
     labels = range(0, 2 * len(generators), 2)  # no two adjacent: no products are taken
@@ -214,16 +219,50 @@ class CayleyStats:
     capped: bool
 
 
+class _Sigmas:
+    """The involutions of a handle as permutations of path ids, position b
+    (sigma_i for i = sigma_indices[b]) realized when it is first read and
+    kept: every path with positions i, i+1 exchanged, looked up in the
+    path index; a missed lookup (comparable entries, so no numbering)
+    leaves the path fixed. Equal to the tuple of the realized permutations.
+    """
+
+    def __init__(self, paths, index, sigma_indices, length):
+        self._paths, self._index, self._indices, self._length = paths, index, sigma_indices, length
+        self._perms = [None] * len(sigma_indices)
+
+    def __len__(self) -> int:
+        return len(self._perms)
+
+    def __getitem__(self, b: int) -> tuple[int, ...]:
+        perm = self._perms[b]
+        if perm is None:
+            i = self._indices[b]
+            order = list(range(self._length))
+            order[i], order[i + 1] = i + 1, i
+            paths = self._paths
+            perm = self._perms[b] = tuple(map(self._index.get, map(itemgetter(*order), paths), range(len(paths))))
+        return perm
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._perms)))
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == other
+
+
 @dataclass(frozen=True)
 class GroupHandle:
-    """Involution generators realized on the indexed numbering set, with
-    the tables read off them built once per handle."""
+    """Involution generators on the indexed numbering set, each realized
+    on first read (any sequence of permutation tuples will do, as in
+    `dataclasses.replace(handle, generators=...)`), with the tables read
+    off them built once per handle."""
 
     window: PosetWindow
     length: int
     paths: tuple[tuple[int, ...], ...]
     sigma_indices: tuple[int, ...]
-    generators: tuple[tuple[int, ...], ...]
+    generators: tuple[tuple[int, ...], ...] | _Sigmas
     path_index: dict = field(default_factory=dict, repr=False)  # numbering -> id
 
     @property
@@ -234,7 +273,7 @@ class GroupHandle:
     def pair_facts(self):
         """The generator-pair table and the violated relations,
         `_pair_facts(generators, sigma_indices)`."""
-        return _pair_facts(self.generators, self.sigma_indices)
+        return _pair_facts(tuple(self.generators), self.sigma_indices)
 
     @functools.cached_property
     def fiber_ids(self) -> list[list[int]]:
@@ -250,8 +289,9 @@ class GroupHandle:
 
 
 def generate_group(window: PosetWindow, length: int, path_cap: int = PATH_CAP) -> GroupHandle:
-    """Enumerate all length-`length` numberings and realize each involution
-    as a permutation of their lexicographic indices.
+    """Enumerate all length-`length` numberings and index them
+    lexicographically; the handle realizes each involution as a
+    permutation of those indices when it is first read.
 
     Involution indices run over 1..length-2 (positions i, i+1 must both
     exist beyond the root). Raises CapExceeded when the path set outgrows
@@ -260,20 +300,12 @@ def generate_group(window: PosetWindow, length: int, path_cap: int = PATH_CAP) -
     paths = tuple(enumerate_numberings(window, length, limit=path_cap))
     index = dict(zip(paths, range(len(paths))))
     sigma_indices = tuple(range(1, max(length - 1, 1)))
-    gens = []
-    order = list(range(length))  # the positions, with one pair i, i+1 exchanged at a time
-    for i in sigma_indices:
-        # every numbering with positions i, i+1 exchanged; a missed lookup
-        # (comparable entries, so no numbering) leaves the path fixed
-        order[i - 1:i + 2] = i - 1, i + 1, i
-        swap = itemgetter(*order)
-        gens.append(tuple(map(index.get, map(swap, paths), range(len(paths)))))
     return GroupHandle(
         window=window,
         length=length,
         paths=paths,
         sigma_indices=sigma_indices,
-        generators=tuple(gens),
+        generators=_Sigmas(paths, index, sigma_indices, length),
         path_index=index,
     )
 
@@ -304,7 +336,7 @@ def group_order(handle: GroupHandle, cap: int = GROUP_CAP) -> CayleyStats:
     """
     if cap < 1:
         raise ValueError(f"group cap must be at least 1, got {cap}")
-    gens = handle.generators
+    gens = tuple(handle.generators)
     if not gens:
         return CayleyStats(order=1, diameter=0, capped=False)
     n = len(gens[0])

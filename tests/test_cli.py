@@ -439,6 +439,61 @@ def test_measure_check_perturbed_fails(capsys):
     assert "witness: sigma_" in out
 
 
+def _realized(monkeypatch, capsys, *argv):
+    """Run `argv` and return its exit code and stdout, the sigma indices
+    realized during the run, in order, and how many of them were realized
+    by the time `generate_group` returned. A realization gathers every path
+    through one `itemgetter` of the positions with i and i+1 exchanged."""
+    from posetpaths import symmetry
+
+    real_itemgetter, real_generate = symmetry.itemgetter, cli.generate_group
+    realized, at_return = [], []
+
+    def itemgetter(*order):
+        moved = [k for k, x in enumerate(order) if k != x]
+        if len(order) > 2 and len(moved) == 2 and order[moved[0]] == moved[1] == moved[0] + 1:
+            realized.append(moved[0])
+        return real_itemgetter(*order)
+
+    def generate_group(*args, **kwargs):
+        handle = real_generate(*args, **kwargs)
+        at_return.append(len(realized))
+        return handle
+
+    monkeypatch.setattr(symmetry, "itemgetter", itemgetter)
+    monkeypatch.setattr(cli, "generate_group", generate_group)
+    code, out, _ = run(capsys, *argv)
+    return code, out, realized, at_return
+
+
+def test_a_perturbed_law_realizes_generators_up_to_the_first_that_moves_mass(monkeypatch, capsys):
+    code, out, realized, at_return = _realized(
+        monkeypatch, capsys, "measure", "check", "--young", "4,3,2,1", "--perturb", "1/1000"
+    )
+    assert code == 1
+    assert "  witness: sigma_4 moves mass on path 0,1,2,3,4,5,6,7,8,9,10" in out.splitlines()
+    assert realized == [1, 2, 3, 4] and at_return == [0]
+
+
+def test_a_law_with_negative_mass_realizes_no_generator(monkeypatch, capsys):
+    code, out, realized, at_return = _realized(
+        monkeypatch, capsys, "measure", "check", "--young", "4,4,3,2", "--perturb", "1/1000"
+    )
+    assert code == 1
+    assert any(line.startswith("perturbed_law: negative mass ") for line in out.splitlines())
+    assert realized == [] and at_return == [0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("measure", "check", "--young", "4,3,2,1"),
+    ("group", "--young", "4,3,2,1", "--group-cap", "1000", "--local", "all"),
+])
+def test_readers_of_every_generator_realize_each_once(argv, monkeypatch, capsys):
+    code, _, realized, at_return = _realized(monkeypatch, capsys, *argv)
+    assert code == 0
+    assert sorted(realized) == list(range(1, 10)) and at_return == [0]
+
+
 def test_measure_check_over_large_perturbation_exits_1(capsys):
     # young 2,1 has two full numberings of mass 1/2 each; the golden case
     # check_perturb_negative pins the stdout of --perturb 5

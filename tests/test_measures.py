@@ -101,6 +101,21 @@ def test_endpoint_rows_sum_to_one_exactly():
                 assert all(isinstance(p, Fraction) for _, _, p in row)
 
 
+def test_kernel_terms_are_the_positive_entries_of_its_rows_as_integers():
+    # the walks read `terms`; `rows` stays the Fractions as given, zeros kept
+    g = build_graph(build_young_poset([3, 2]), 5)
+    kernels = [endpoint_measure(g, g.vertex(5, 0))]
+    row = ((2, 0, Fraction(0)), (4, 1, 1))  # a zero entry and a bare int
+    kernels.append(ExplicitMarkov(g, {(0, 0): ((1, 0, Fraction(1)),), (1, 0): row}, name="zero", depth=2))
+    for m in kernels:
+        assert m.terms.keys() == m.rows.keys()
+        for key, row in m.rows.items():
+            assert m.terms[key] == tuple((e, j, p.numerator, p.denominator) for e, j, p in row if p)
+            assert all(type(n) is int and type(d) is int for _, _, n, d in m.terms[key])
+    assert kernels[1].rows[(1, 0)] == row
+    assert path_measure(kernels[1]) == {(0, 1, 4): Fraction(1)}
+
+
 def test_endpoint_path_measure_is_uniform_on_fiber():
     g = build_graph(build_box_poset(2, (3, 3)), 6)
     for i in range(len(g.levels[6])):

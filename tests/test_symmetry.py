@@ -148,6 +148,37 @@ def test_sigma_commutes_at_distance():
                 assert ij == ji
 
 
+def test_generators_are_realized_on_first_read_as_apply_sigma_and_a_lookup():
+    # every corpus window at every length, plus the long narrow windows of
+    # the command corpus; positions are read last to first, so each
+    # realization stands alone, and a second read returns the kept tuple
+    windows = CORPUS + [build_young_poset([4, 3, 2, 1]), build_young_poset([5, 3, 2, 1]), build_box_poset(3, (2, 2, 3))]
+    for w in windows:
+        for length in range(1, w.poset.n + 1):
+            handle = generate_group(w, length)
+            assert len(handle.generators) == len(handle.sigma_indices)
+            got = {}
+            for b in reversed(range(len(handle.sigma_indices))):
+                i = handle.sigma_indices[b]
+                got[b] = handle.generators[b]
+                expected = tuple(handle.path_index[apply_sigma(w.poset, i, p)] for p in handle.paths)
+                assert got[b] == expected, (w.describe(), length, i)
+            assert all(handle.generators[b] is g for b, g in got.items())
+            assert list(handle.generators) == [got[b] for b in range(len(got))]
+            assert handle.generators == tuple(handle.generators)
+
+
+def test_readers_of_every_generator_accept_any_sequence():
+    # a replaced handle may hold a tuple or a list; the answers match the
+    # handle whose generators are realized on first read
+    handle = generate_group(build_young_poset([3, 2]), 5)
+    expected = (group_order(handle), verify_relations(handle), classify_local(handle, 1))
+    for gens in (tuple(handle.generators), list(handle.generators)):
+        h = dataclasses.replace(handle, generators=gens)
+        assert (group_order(h), verify_relations(h), classify_local(h, 1)) == expected
+        assert closure(gens) == closure(handle.generators)
+
+
 def test_generate_group_trivial_on_chain():
     handle = generate_group(build_chain_poset(4), 4)
     assert handle.n_paths == 1
