@@ -356,7 +356,9 @@ def is_central(handle: GroupHandle, measure) -> CentralityReport:
     fiber-conditional uniformity.
 
     `measure` maps numberings (tuples of ids) that `handle` lists to exact
-    rational probabilities summing to one; a float raises ValueError.
+    rational probabilities summing to one; a float raises ValueError. The
+    generators are read in order up to the first that moves mass, so the
+    handle realizes none past it, and none for a law this refuses.
     """
     if not measure:
         raise ValueError("empty measure")

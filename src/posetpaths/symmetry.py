@@ -234,7 +234,9 @@ class _Sigmas:
     def __len__(self) -> int:
         return len(self._perms)
 
-    def __getitem__(self, b: int) -> tuple[int, ...]:
+    def __getitem__(self, b):
+        if isinstance(b, slice):
+            return tuple(map(self.__getitem__, range(len(self._perms))[b]))
         perm = self._perms[b]
         if perm is None:
             i = self._indices[b]
@@ -245,7 +247,8 @@ class _Sigmas:
         return perm
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self._perms)))
+        perms = self._perms
+        return iter(perms) if None not in perms else map(self.__getitem__, range(len(perms)))
 
     def __eq__(self, other) -> bool:
         return tuple(self) == other

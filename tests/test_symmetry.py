@@ -166,6 +166,7 @@ def test_generators_are_realized_on_first_read_as_apply_sigma_and_a_lookup():
             assert all(handle.generators[b] is g for b, g in got.items())
             assert list(handle.generators) == [got[b] for b in range(len(got))]
             assert handle.generators == tuple(handle.generators)
+            assert generate_group(w, length).generators[1::2] == tuple(handle.generators)[1::2]  # unread slots
 
 
 def test_readers_of_every_generator_accept_any_sequence():
