@@ -451,7 +451,7 @@ def _realized(monkeypatch, capsys, *argv):
 
     def itemgetter(*order):
         moved = [k for k, x in enumerate(order) if k != x]
-        if len(order) > 2 and len(moved) == 2 and order[moved[0]] == moved[1] == moved[0] + 1:
+        if len(order) > 2 and len(moved) == 2 and moved[1] == moved[0] + 1 == order[moved[0]] and order[moved[1]] == moved[0]:
             realized.append(moved[0])
         return real_itemgetter(*order)
 
