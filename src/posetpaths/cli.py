@@ -263,7 +263,8 @@ def cmd_group(args):
             lines.append("local,i,product_order,group_order,orbits")
         for i in local:
             rep = classify_local(handle, i)
-            tags = " ".join(f"{size}:{tag}" for size, tag in rep.orbit_types)
+            orbits = rep.orbit_types  # sorted: each kind's text is made once and repeated
+            tags = " ".join(" ".join([f"{size}:{tag}"] * orbits.count((size, tag))) for size, tag in dict.fromkeys(orbits))
             if args.format == "csv":
                 lines.append(f"local,{i},{rep.product_order},{rep.group_order},{tags}")
             else:

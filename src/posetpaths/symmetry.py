@@ -19,12 +19,13 @@ generator takes them once as one tuple. Permutations are composed by
 `operator.itemgetter`.
 
 The pairwise facts (which generators are involutions, which pairs
-commute, each adjacent product sigma_i sigma_{i+1}, and the violated
-relations) form one table per handle, `GroupHandle.pair_facts`, built by
-`_pair_facts` on first read: the relation check reads its violations,
-and `group_order`'s walks and `classify_local` its skip masks and
-products. A handle is frozen, so no table outlives the fields it was
-read from; `dataclasses.replace` gives a handle whose tables start empty.
+commute, and the violated relations) form one table per handle,
+`GroupHandle.pair_facts`, built by `_pair_facts` on first read: the
+relation check reads its violations, `group_order`'s walks its skip
+masks. The local classes of (sigma_i, sigma_{i+1}) are counts on the
+ideal lattice (`_local_classes`), set by the window and length alone. A
+handle is frozen, so no table outlives the fields it was read from;
+`dataclasses.replace` gives a handle whose tables start empty.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from math import lcm
 from itertools import chain, compress, count
 from operator import and_, itemgetter, ne
 
+from .graded_graph import build_graph
 from .posets import (
     PATH_CAP,
     CapExceeded,
@@ -45,16 +47,11 @@ from .posets import (
 
 GROUP_CAP = 1_000_000  # default for the most group elements a closure lists
 
-# an orbit's tag by its size and the order of <sigma_i, sigma_{i+1}> on it
-_ORBIT_TAGS = {
-    (1, 1): "trivial",
-    (2, 2): "Z2-swap",
-    (3, 6): "3-cycle-class",
-    (6, 6): "S3-class",
-    (6, 12): "order-6-dihedral-class",
-    (12, 12): "order-6-dihedral-class",
-}
-ALLOWED_ORBIT_TAGS = tuple(dict.fromkeys(_ORBIT_TAGS.values()))
+# an orbit's tag by its size: an orbit of <sigma_i, sigma_{i+1}> is the set
+# of orderings of three elements that keep a numbering, and the pair acts
+# on 1, 2, 3 and 6 of them as a group of order 1, 2, 6 and 6
+_ORBIT_TAGS = {1: "trivial", 2: "Z2-swap", 3: "3-cycle-class", 6: "S3-class"}
+ALLOWED_ORBIT_TAGS = tuple(_ORBIT_TAGS.values())
 
 
 def apply_sigma(poset: Poset, i: int, phi: tuple[int, ...]) -> tuple[int, ...]:
@@ -187,8 +184,8 @@ def closure(generators, cap: int | None = None):
     generators = tuple(generators)
     if not generators:
         raise ValueError("need at least one generator")
-    labels = range(0, 2 * len(generators), 2)  # no two adjacent: no products are taken
-    return _orbit(generators, identity_perm(len(generators[0])), cap, _pair_facts(generators, labels)[0][0])
+    labels = range(0, 2 * len(generators), 2)  # no two adjacent: no sixth power is taken
+    return _orbit(generators, identity_perm(len(generators[0])), cap, _pair_facts(generators, labels)[0])
 
 
 def _orbit_minima(generators) -> list[int]:
@@ -258,8 +255,8 @@ class _Sigmas:
 class GroupHandle:
     """Involution generators on the indexed numbering set, each realized
     on first read (any sequence of permutation tuples will do, as in
-    `dataclasses.replace(handle, generators=...)`), with the tables read
-    off them built once per handle."""
+    `dataclasses.replace(handle, generators=...)`), and tables built once
+    per handle; the local classes follow the window, not the generators."""
 
     window: PosetWindow
     length: int
@@ -277,6 +274,12 @@ class GroupHandle:
         """The generator-pair table and the violated relations,
         `_pair_facts(generators, sigma_indices)`."""
         return _pair_facts(tuple(self.generators), self.sigma_indices)
+
+    @functools.cached_property
+    def local_classes(self) -> dict[int, tuple[int, int, dict[int, int]]]:
+        """`_local_classes(window, length)`, read by `classify_local`, under
+        a vertex cap of n_paths * length, which no window reaches."""
+        return _local_classes(self.window, self.length, self.n_paths * self.length)
 
     @functools.cached_property
     def fiber_ids(self) -> list[list[int]]:
@@ -350,7 +353,7 @@ def group_order(handle: GroupHandle, cap: int = GROUP_CAP) -> CayleyStats:
     try:
         certified = None
         if tuples > cap:  # else (0, ..., k-1) holds every point: the base is the identity
-            skips = handle.pair_facts[0][0]
+            skips = handle.pair_facts[0]
             base = tuple(range(k))
             _orbit(gens, base, cap, skips)  # the bound
             base += tuple(p for p in _orbit_minima(gens) if p >= k)
@@ -400,13 +403,12 @@ def _least_moved(p) -> int:
 
 def _pair_facts(generators, labels):
     """The generator-pair table of permutation tuples with increasing
-    integer `labels`, and the violated relations, as ((skips, products),
+    integer `labels`, and the violated relations, as (skips,
     {m: [RelationViolation]}) with m from `_RELATION_NAMES`.
 
     skips[b] is None when g_b is the identity, which no walk moves by;
     else it is `_orbit`'s skip mask of g_b: bit b when g_b is an
-    involution, bit a for each a > b whose g_a (no identity) commutes with
-    g_b. products maps each label i with a next label i + 1 to g_i g_{i+1}.
+    involution, bit a for each a > b whose g_a (no identity) commutes with g_b.
 
     Each g is squared once. Generators g, h with disjoint supports (one
     may be the identity) commute, and (gh)^m = g^m h^m moves what g^m or
@@ -424,7 +426,6 @@ def _pair_facts(generators, labels):
     # position -> {m: the least point g^m moves} for m = 2, 6, for each g that is no involution
     odd = {b: {2: _least_moved(sq), 6: _least_moved(compose(sq, compose(sq, sq)))} for b, sq in squares.items() if sq != ident}
     skips = [None if x == n else 0 if b in odd else 1 << b for b, x in enumerate(low)]
-    products = {}
     found: dict[int, list[RelationViolation]] = {m: [] for m in _RELATION_NAMES}
     for a, (i, g) in enumerate(zip(labels, generators)):
         adjacent = a + 1 < len(generators) and labels[a + 1] == i + 1  # with the next generator
@@ -432,8 +433,6 @@ def _pair_facts(generators, labels):
             found[1].append(RelationViolation(_RELATION_NAMES[1], i, i, odd[a][2]))
         x = low[a]
         if x == n:  # the identity: gh = h, so only an h that is no involution fails a relation
-            if adjacent:
-                products[i] = generators[a + 1]
             for b in odd:
                 m = 6 if adjacent and b == a + 1 else 2
                 if b > a and odd[b][m] < n:
@@ -445,21 +444,17 @@ def _pair_facts(generators, labels):
             if low[b] == n or h[x] == x and not any(map(and_, map(ne, g, count()), map(ne, h, count()))):
                 if low[b] < n:
                     skips[a] |= 1 << b
-                if m == 6:
-                    products[i] = g if low[b] == n else compose(g, h)
                 moved = min(odd.get(a, {}).get(m, n), odd.get(b, {}).get(m, n))
             else:
                 gh = compose(g, h)
                 gh2 = compose(gh, gh)
                 if (gh2 == ident) if a not in odd and b not in odd else (gh == compose(h, g)):
                     skips[a] |= 1 << b
-                if m == 6:
-                    products[i] = gh
                 power = compose(gh3 := compose(gh2, gh), gh3) if m == 6 else gh2
                 moved = n if power == ident else _least_moved(power)
             if moved < n:
                 found[m].append(RelationViolation(_RELATION_NAMES[m], i, labels[b], moved))
-    return (skips, products), found
+    return skips, found
 
 
 def verify_relations(handle: GroupHandle) -> RelationReport:
@@ -468,8 +463,8 @@ def verify_relations(handle: GroupHandle) -> RelationReport:
     (each generator is an involution), 6 for adjacent indices and 2 for
     distant ones (they commute). A violation's witness is the least path
     the power moves. The violations come from the handle's pair facts,
-    one walk over the generator pairs, which `group_order` and
-    `classify_local` then read without composing a pair again.
+    one walk over the generator pairs, whose skip masks `group_order`
+    then reads without composing a pair again.
     """
     found = handle.pair_facts[1]
     return RelationReport(list(found[1]), list(found[2]), list(found[6]))
@@ -485,48 +480,51 @@ class LocalGroupReport:
     orbit_types: tuple[tuple[int, str], ...]  # (orbit size, tag), sorted
 
 
-def classify_local(handle: GroupHandle, i: int) -> LocalGroupReport:
-    """Orders and orbit structure of the pair (sigma_i, sigma_{i+1}).
+def _local_classes(window: PosetWindow, length: int, vertex_cap: int) -> dict[int, tuple[int, int, dict[int, int]]]:
+    """(product order, group order, {orbit size: count} by size) of the pair
+    (sigma_i, sigma_{i+1}) per local index i at length `length`. The pair
+    moves positions i..i+2 only, so an orbit is the set of up-paths
+    u -> v1 -> v2 -> w from a prefix ideal u at level i-1 to one w at
+    level i+2: 1, 2, 3 or 6 paths, on which sigma_i sigma_{i+1} has order
+    1, 2, 3 and 3, and dim(u) N(w) orbits, N(w) counting the paths from w
+    to the top. sigma_i moves a numbering exactly when some ideal at level
+    i-1 has two addable elements. Raises CapExceeded past `vertex_cap`
+    vertices; each is a prefix ideal, so there are at most n_paths * length."""
+    g = build_graph(window, length - 1, vertex_cap)
+    edges = g.up_edges  # per level, per ideal: (added id, index one level up)
+    up = [[1] * len(g.levels[-1])]  # N, from the top level down to level 3
+    for rows in edges[length - 2:2:-1]:
+        above = up[-1]
+        up.append([sum(above[j] for _, j in row) for row in rows])
+    up.reverse()  # up[k] is level k + 3
+    moves = [any(len(row) > 1 for row in rows) for rows in edges]  # sigma_{k+1} moves
+    out = {}
+    for i in range(1, length - 2):
+        sizes = {}
+        for row, dim in zip(edges[i - 1], g.dims[i - 1]):
+            ends = {}  # w -> the number of up-paths from u
+            for _, v1 in row:
+                for _, v2 in edges[i][v1]:
+                    for _, w in edges[i + 1][v2]:
+                        ends[w] = ends.get(w, 0) + 1
+            for w, size in ends.items():
+                sizes[size] = sizes.get(size, 0) + dim * up[i - 1][w]
+        product_order = lcm(*(min(size, 3) for size in sizes))
+        moving = moves[i - 1] + moves[i]  # the pair's group has order 1, 2 or 2 * product_order
+        out[i] = product_order, 2 * product_order if moving == 2 else 1 + moving, dict(sorted(sizes.items()))
+    return out
 
-    An orbit of two involutions a, b is a path of k points linked in turn
-    by a and b, on which ab is a k-cycle and <a, b> has order k (k <= 2) or
-    2k; or a ring of 2m points, on which ab has two m-cycles, each the
-    b-image of the other, and <a, b> has order 2m. So one walk along each
-    cycle of ab classifies its orbit: a path if it holds b(s), else half a
-    ring. The product order, the lcm of the cycle lengths, must land in
-    {1, 2, 3, 6}, or the adjacent-generator relation fails and this
-    raises, for any two permutations; a generator that is no involution
-    raises next. The product ab and the involution flags come from the
-    handle's pair facts.
-    """
-    _, b = handle.generator(i), handle.generator(i + 1)  # each raises for a missing index
-    skips, products = handle.pair_facts[0]
-    ab = products[i]
-    seen = bytearray(len(ab))
-    product_order, tags = 1, []
-    for s in range(len(ab)):
-        if seen[s]:
-            continue
-        ring_half_seen = seen[b[s]]
-        x, length = s, 0
-        while not seen[x]:
-            seen[x] = 1
-            x = ab[x]
-            length += 1
-        product_order = lcm(product_order, length)
-        if not ring_half_seen:
-            size = length if seen[b[s]] else 2 * length
-            g = length if size == length <= 2 else 2 * length
-            tags.append((size, _ORBIT_TAGS.get((size, g), f"unexpected({size},{g})")))
-    if product_order not in (1, 2, 3, 6):
-        raise ValueError(f"product of adjacent involutions {i},{i + 1} has order {product_order}")
-    p = handle.sigma_indices.index(i)  # sigma_{i+1} is the next generator
-    for k, q in ((i, p), (i + 1, p + 1)):
-        if skips[q] is not None and not skips[q] >> q & 1:
-            raise ValueError(f"sigma_{k} is not an involution")
-    moving = (skips[p] is not None) + (skips[p + 1] is not None)  # <a, b> has order 1, 2 or 2 * ord(ab)
-    group_order = 2 * product_order if moving == 2 else 1 + moving
-    return LocalGroupReport(i=i, product_order=product_order, group_order=group_order, orbit_types=tuple(sorted(tags)))
+
+def classify_local(handle: GroupHandle, i: int) -> LocalGroupReport:
+    """Orders and orbit structure of the pair (sigma_i, sigma_{i+1}), from
+    the handle's table of local classes (`_local_classes`), which depend
+    on its window and length only. No generator is realized."""
+    missing = [k for k in (i, i + 1) if k not in handle.sigma_indices]
+    if missing:
+        raise ValueError(f"no involution with index {missing[0]} at length {handle.length}")
+    product_order, group_order, sizes = handle.local_classes[i]
+    tags = chain.from_iterable([(size, _ORBIT_TAGS[size])] * count for size, count in sizes.items())
+    return LocalGroupReport(i, product_order, group_order, tuple(tags))
 
 
 def local_indices(handle: GroupHandle) -> list[int]:

@@ -42,6 +42,7 @@ from oracles import (
     restricted_pairs,
     sigma_map,
 )
+from test_posets import GLUED
 
 CORPUS = [
     build_young_poset([2, 1]),
@@ -296,7 +297,7 @@ def test_closure_matches_left_multiplication_oracle():
                 if u not in seen:
                     seen.add(u)
                     frontier.append(u)
-        assert set(symmetry._orbit(gens, (0, 1), None, symmetry._pair_facts(gens, range(0, 2 * len(gens), 2))[0][0])[0]) == seen, gens
+        assert set(symmetry._orbit(gens, (0, 1), None, symmetry._pair_facts(gens, range(0, 2 * len(gens), 2))[0])[0]) == seen, gens
 
 
 def test_group_order_cap_verdict_is_order_above_cap():
@@ -566,6 +567,8 @@ def test_classify_local_young31():
 
 
 def test_local_reports_on_corpus_within_allowed_structure():
+    # the orbits of a pair are orderings of three elements: four kinds only
+    assert ALLOWED_ORBIT_TAGS == ("trivial", "Z2-swap", "3-cycle-class", "S3-class")
     for w in CORPUS:
         handle = generate_group(w, w.poset.n)
         for i in local_indices(handle):
@@ -609,6 +612,20 @@ def test_local_orders_match_closure_oracle_per_pair_and_orbit(window):
             assert (rep.product_order, rep.group_order, list(rep.orbit_types)) == local_class(i, a, b), i
 
 
+def test_local_classes_match_the_oracle_on_every_window_and_length():
+    # lattice counts against the orbits of the realized generators; the
+    # orbits of each pair partition the paths
+    windows = [(w, range(1, w.poset.n + 1)) for w in CORPUS + list(_random_box_windows(5, 10))] + GLUED
+    for w, lengths in windows:
+        for length in lengths:
+            handle = generate_group(w, length)
+            for i in local_indices(handle):
+                rep = classify_local(handle, i)
+                expected = local_class(i, handle.generator(i), handle.generator(i + 1))
+                assert (rep.product_order, rep.group_order, list(rep.orbit_types)) == expected, (w.describe(), length, i)
+                assert sum(size for size, _ in rep.orbit_types) == handle.n_paths, (w.describe(), length, i)
+
+
 def _local_class_or_error(classify, *args):
     try:
         return classify(*args)
@@ -625,19 +642,42 @@ def _cycles(n, *cycles):
     return tuple(perm)
 
 
+def _fault(i, error):
+    """The violated relation (name, i, j) behind `local_class`'s error for
+    the pair (sigma_i, sigma_{i+1})."""
+    if error.startswith("product of adjacent involutions"):
+        return "(sigma_i sigma_{i+1})^6", i, i + 1
+    k = int(error.removeprefix("sigma_").split()[0])
+    return "sigma^2", k, k
+
+
+def _faults(handle):
+    """The involution and braid violations of the relation check, as (name, i, j)."""
+    report = verify_relations(handle)
+    return [(v.relation, v.i, v.j) for v in report.involution_violations + report.braid_violations]
+
+
 def test_classify_local_on_broken_handles_matches_oracle():
+    # a local class is set by the window and the length: a replaced handle
+    # answers as its window does. Each broken pair still pins the oracle,
+    # and each pair the oracle refuses fails the relation check there
     handle = generate_group(build_antichain_poset(4), 5)  # 24 paths, sigma_1..sigma_3
+    window_classes = {i: classify_local(handle, i) for i in (1, 2)}
+    assert [(r.product_order, r.group_order, list(r.orbit_types)) for r in window_classes.values()] == [
+        local_class(i, handle.generator(i), handle.generator(i + 1)) for i in (1, 2)
+    ] == [(3, 6, [(6, "S3-class")] * 4)] * 2
 
     def outcome(h, i):
-        got = _local_class_or_error(classify_local, h, i)
-        if not isinstance(got, str):
-            got = (got.product_order, got.group_order, list(got.orbit_types))
-        return got, _local_class_or_error(local_class, i, h.generator(i), h.generator(i + 1))
+        assert classify_local(h, i) == window_classes[i], i
+        oracle = _local_class_or_error(local_class, i, h.generator(i), h.generator(i + 1))
+        if isinstance(oracle, str):
+            assert _fault(i, oracle) in _faults(h), (oracle, _faults(h))
+        return oracle
 
     broken = broken_handle(handle)
     assert [outcome(broken, i) for i in (1, 2)] == [
-        ("product of adjacent involutions 1,2 has order 30",) * 2,
-        ("product of adjacent involutions 2,3 has order 4",) * 2,
+        "product of adjacent involutions 1,2 has order 30",
+        "product of adjacent involutions 2,3 has order 4",
     ]
     n, ident = handle.n_paths, tuple(range(handle.n_paths))
     pairs = {
@@ -664,8 +704,9 @@ def test_classify_local_on_broken_handles_matches_oracle():
     }
     for name, (a, b) in pairs.items():
         h = dataclasses.replace(handle, generators=(a, b, handle.generators[2]))
-        got, oracle = outcome(h, 1)
-        assert got == oracle == expected[name], name
+        assert outcome(h, 1) == expected[name], name
+        if not isinstance(expected[name], str):  # both rings keep every relation: only their orbits are wrong
+            assert _faults(h) == [], name
     # randomly broken generators, as in the relation-report test
     rng = random.Random(47)
     for _ in range(60):
@@ -679,8 +720,7 @@ def test_classify_local_on_broken_handles_matches_oracle():
         gens[k] = tuple(perm)
         h = dataclasses.replace(handle, generators=tuple(gens))
         for i in (1, 2):
-            got, oracle = outcome(h, i)
-            assert got == oracle, (gens, i)
+            outcome(h, i)
 
 
 def test_random_windows_keep_relations():
@@ -873,19 +913,18 @@ def _table_handles():
 
 
 def test_pair_table_matches_direct_composition():
-    # skip masks and adjacent products against g(h(x)) == h(g(x)) point by
-    # point, whether verify_relations filled the table or not
+    # skip masks against g(h(x)) == h(g(x)) point by point, whether
+    # verify_relations filled the table or not
     for handle in _table_handles():
         gens = handle.generators
         masks = pair_masks(gens) if gens else []
-        products = {i: tuple(handle.generator(i)[x] for x in handle.generator(i + 1)) for i in local_indices(handle)}
         for checked in (False, True):
             h = dataclasses.replace(handle)
             if checked:
                 verify_relations(h)
-            assert h.pair_facts[0] == (masks, products), (gens, checked)
+            assert h.pair_facts[0] == masks, (gens, checked)
         if gens:  # the route closure takes from a bare generator list, with no adjacent labels
-            assert symmetry._pair_facts(list(gens), range(0, 2 * len(gens), 2))[0] == (masks, {}), gens
+            assert symmetry._pair_facts(list(gens), range(0, 2 * len(gens), 2))[0] == masks, gens
 
 
 def test_group_answers_match_oracles_with_and_without_the_relation_check():
@@ -896,8 +935,16 @@ def test_group_answers_match_oracles_with_and_without_the_relation_check():
         except RuntimeError:
             expected_order = None
         relations = relation_violations(handle.sigma_indices, gens)
-        local = [_local_class_or_error(local_class, i, handle.generator(i), handle.generator(i + 1))
-                 for i in local_indices(handle)]
+        # a pair the oracle refuses fails its relation; a window's local
+        # classes are the oracle's on the generators it realizes
+        for i in local_indices(handle):
+            oracle = _local_class_or_error(local_class, i, handle.generator(i), handle.generator(i + 1))
+            if isinstance(oracle, str):
+                _, j, k = _fault(i, oracle)
+                assert (j, k) in [v[:2] for v in relations[0 if j == k else 2]], (gens, oracle)
+        if handle.window is not None:  # bare generator sets have no window
+            fresh = generate_group(handle.window, handle.length)
+            local = [local_class(i, fresh.generator(i), fresh.generator(i + 1)) for i in local_indices(fresh)]
         for checked in (True, False):
             h = dataclasses.replace(handle)
             if checked:
@@ -905,9 +952,9 @@ def test_group_answers_match_oracles_with_and_without_the_relation_check():
             stats = group_order(h, cap=10**4)
             got = (stats.order, stats.diameter) if not stats.capped else None
             assert got == expected_order, (gens, checked)
-            reports = [_local_class_or_error(classify_local, h, i) for i in local_indices(h)]
-            got = [r if isinstance(r, str) else (r.product_order, r.group_order, list(r.orbit_types)) for r in reports]
-            assert got == local, (gens, checked)
+            if handle.window is not None:
+                reports = [classify_local(h, i) for i in local_indices(h)]
+                assert [(r.product_order, r.group_order, list(r.orbit_types)) for r in reports] == local, (gens, checked)
             if not checked:
                 assert _violations(verify_relations(h)) == relations, gens
         if gens and expected_order is not None:
@@ -959,10 +1006,15 @@ def _count_generator_pairs(monkeypatch, gens):
 )
 def test_the_relation_check_leaves_nothing_to_compose(monkeypatch, window, cap):
     # group orders decided without listing the group: after the relation
-    # check, neither the order nor the local classes compose a generator pair
+    # check, the order composes no generator pair; the local classes,
+    # read off the lattice, realize no generator and compose none
     handle = generate_group(window, window.poset.n)
     monkeypatch.setattr(symmetry, "closure", lambda generators, cap=None: pytest.fail("closure called"))
     pairs = _count_generator_pairs(monkeypatch, handle.generators)
+    fresh = generate_group(window, window.poset.n)
+    for i in local_indices(fresh):
+        classify_local(fresh, i)
+    assert fresh.generators._perms == [None] * len(fresh.sigma_indices) and pairs == []
     verify_relations(handle)
     assert pairs and max(collections.Counter(pairs).values()) == 1
     pairs.clear()
@@ -992,13 +1044,19 @@ def test_a_replaced_handle_reads_no_stale_table():
     handle = generate_group(build_antichain_poset(4), 5)
     verify_relations(handle)
     broken = broken_handle(handle)
-    assert broken.pair_facts[0][0] == pair_masks(broken.generators) != pair_masks(handle.generators)
-    assert handle.pair_facts[0][0] == pair_masks(handle.generators)
+    assert broken.pair_facts[0] == pair_masks(broken.generators) != pair_masks(handle.generators)
+    assert handle.pair_facts[0] == pair_masks(handle.generators)
     with pytest.raises(dataclasses.FrozenInstanceError):  # no field can be rebound under a table
         handle.generators = broken.generators
-    assert handle.pair_facts[0][0] == pair_masks(handle.generators)
-    assert _local_class_or_error(classify_local, broken, 1) == "product of adjacent involutions 1,2 has order 30"
-    assert _local_class_or_error(classify_local, handle, 1) != _local_class_or_error(classify_local, broken, 1)
+    assert handle.pair_facts[0] == pair_masks(handle.generators)
+    # the broken pair's fault shows in its relation check; its local classes
+    # come from a table of its own, which follows the window
+    fault = _local_class_or_error(local_class, 1, broken.generator(1), broken.generator(2))
+    assert fault == "product of adjacent involutions 1,2 has order 30"
+    assert _fault(1, fault) in _faults(broken) and _fault(1, fault) not in _faults(handle)
+    classify_local(handle, 1)
+    assert "local_classes" not in vars(dataclasses.replace(handle))
+    assert classify_local(broken, 1) == classify_local(handle, 1) and broken.local_classes is not handle.local_classes
 
 
 def test_fiber_ids_follow_endpoint_fibers_once_per_handle():
