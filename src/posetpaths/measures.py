@@ -384,7 +384,7 @@ def is_central(handle: GroupHandle, measure) -> CentralityReport:
     scaled = [num * (common // den) for num, den in weights]
     inv_witnesses = []
     unmoved = tuple(scaled)
-    for i, gen in zip(handle.sigma_indices, handle.generators):
+    for i, gen in enumerate(handle.generators, 1):
         if compose(scaled, gen) != unmoved:  # some path's weight differs from its image's
             inv_witnesses = [(i, handle.paths[k]) for k, j in enumerate(gen) if scaled[k] != scaled[j]][:5]
             break
@@ -542,10 +542,10 @@ def sample_markov(m: ExplicitMarkov, n_steps: int, seed: int) -> tuple[int, ...]
     for _ in range(n_steps):
         u = rng.random()
         acc = 0.0
-        # zero-probability edges are never taken; without a break, float
-        # round-off picks the last positive edge
-        for elem, j, p in [edge for edge in m.rows[(level, index)] if edge[2]]:
-            acc += float(p)
+        # the row's positive terms: zero-probability edges are never taken;
+        # without a break, float round-off picks the last positive edge
+        for elem, j, num, den in m.terms[(level, index)]:
+            acc += num / den  # float(p), as Fraction.__float__ divides
             if u < acc:
                 break
         elems.append(elem)

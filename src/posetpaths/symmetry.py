@@ -7,25 +7,26 @@ indexed set of all fixed-length numberings of a window these moves are
 permutations; the group they generate is the symmetry group of the
 window's numberings, represented here by dense index arrays.
 
-`generate_group` enumerates and indexes the numberings; the handle's
-`generators` realize sigma_i when it is first read, without consulting
-the order: every numbering has positions i and i+1 exchanged and is
-looked up in the index of numberings. Two comparable entries come in
-order, so their exchange puts an element before one below it; that
-tuple is no numbering, the lookup misses, and the path stays fixed. A
-reader that stops early (a centrality check stops at the first sigma_i
-that moves mass) realizes no generator past it; a reader of every
-generator takes them once as one tuple. Permutations are composed by
-`operator.itemgetter`.
+`generate_group` enumerates and indexes the numberings; slot b of the
+handle's `generators` is sigma_{b+1}, realized when it is first read,
+without consulting the order: every numbering has positions i and i+1
+exchanged and is looked up in the index of numberings. Two comparable
+entries come in order, so their exchange puts an element before one
+below it; that tuple is no numbering, the lookup misses, and the path
+stays fixed. A reader that stops early (a centrality check stops at the
+first sigma_i that moves mass) realizes no generator past it; a reader
+of every generator takes them once as one tuple. No other field records
+the index i. Permutations are composed by `operator.itemgetter`.
 
 The pairwise facts (which generators are involutions, which pairs
 commute, and the violated relations) form one table per handle,
 `GroupHandle.pair_facts`, built by `_pair_facts` on first read: the
-relation check reads its violations, `group_order`'s walks its skip
-masks. The local classes of (sigma_i, sigma_{i+1}) are counts on the
-ideal lattice (`_local_classes`), set by the window and length alone. A
-handle is frozen, so no table outlives the fields it was read from;
-`dataclasses.replace` gives a handle whose tables start empty.
+relation check reads its violations, `group_order`'s walks and
+`closure` its skip masks. The local classes of (sigma_i, sigma_{i+1})
+are counts on the ideal lattice (`_local_classes`), set by the window
+and length alone. A handle is frozen, so no table outlives the fields
+it was read from; `dataclasses.replace` gives a handle whose tables
+start empty.
 """
 
 from __future__ import annotations
@@ -169,23 +170,23 @@ def _orbit(generators, start, cap, skips, head=None):
         frontier, descents = nxt, nxt_descents
 
 
-def closure(generators, cap: int | None = None):
-    """Breadth-first closure of the generated permutation group: the orbit
-    of the identity tuple, each element left-multiplied by the generators
-    and pruned as in `_orbit`. Level d holds the elements whose shortest
-    word in the generators has d letters, so the diameter is the Cayley
-    graph's. The identity tuple is the base of every group, and
+def closure(handle: GroupHandle, cap: int | None = None):
+    """Breadth-first closure of the group generated by the handle's
+    generators: the orbit of the identity tuple, each element
+    left-multiplied by the generators and pruned as in `_orbit` by the
+    skip masks of the handle's pair facts. Level d holds the elements whose
+    shortest word in the generators has d letters, so the diameter is the
+    Cayley graph's. The identity tuple is the base of every group, and
     `group_order` falls back to it when a shorter base fails its
-    certificate. The skip masks come from `_pair_facts` on the bare list.
+    certificate.
 
     Returns (elements as a set-like view, diameter). Raises CapExceeded
     past `cap`.
     """
-    generators = tuple(generators)
+    generators = tuple(handle.generators)
     if not generators:
         raise ValueError("need at least one generator")
-    labels = range(0, 2 * len(generators), 2)  # no two adjacent: no sixth power is taken
-    return _orbit(generators, identity_perm(len(generators[0])), cap, _pair_facts(generators, labels)[0])
+    return _orbit(generators, identity_perm(len(generators[0])), cap, handle.pair_facts[0])
 
 
 def _orbit_minima(generators) -> list[int]:
@@ -217,16 +218,16 @@ class CayleyStats:
 
 
 class _Sigmas:
-    """The involutions of a handle as permutations of path ids, position b
-    (sigma_i for i = sigma_indices[b]) realized when it is first read and
-    kept: every path with positions i, i+1 exchanged, looked up in the
-    path index; a missed lookup (comparable entries, so no numbering)
-    leaves the path fixed. Equal to the tuple of the realized permutations.
+    """The involutions of a handle as permutations of path ids, slot b
+    (sigma_{b+1}) realized when it is first read and kept: every path with
+    positions i, i+1 exchanged, looked up in the path index; a missed
+    lookup (comparable entries, so no numbering) leaves the path fixed.
+    Equal to the tuple of the realized permutations.
     """
 
-    def __init__(self, paths, index, sigma_indices, length):
-        self._paths, self._index, self._indices, self._length = paths, index, sigma_indices, length
-        self._perms = [None] * len(sigma_indices)
+    def __init__(self, paths, index, length):
+        self._paths, self._index, self._length = paths, index, length
+        self._perms = [None] * max(length - 2, 0)
 
     def __len__(self) -> int:
         return len(self._perms)
@@ -236,7 +237,7 @@ class _Sigmas:
             return tuple(map(self.__getitem__, range(len(self._perms))[b]))
         perm = self._perms[b]
         if perm is None:
-            i = self._indices[b]
+            i = range(1, len(self._perms) + 1)[b]  # a negative slot counts from sigma_{length-2}
             order = list(range(self._length))
             order[i], order[i + 1] = i + 1, i
             paths = self._paths
@@ -253,15 +254,15 @@ class _Sigmas:
 
 @dataclass(frozen=True)
 class GroupHandle:
-    """Involution generators on the indexed numbering set, each realized
-    on first read (any sequence of permutation tuples will do, as in
-    `dataclasses.replace(handle, generators=...)`), and tables built once
-    per handle; the local classes follow the window, not the generators."""
+    """Involution generators on the indexed numbering set, slot b holding
+    sigma_{b+1}, each realized on first read (any sequence of permutation
+    tuples will do, as in `dataclasses.replace(handle, generators=...)`),
+    and tables built once per handle; the local classes follow the
+    window, not the generators."""
 
     window: PosetWindow
     length: int
     paths: tuple[tuple[int, ...], ...]
-    sigma_indices: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...] | _Sigmas
     path_index: dict = field(default_factory=dict, repr=False)  # numbering -> id
 
@@ -272,8 +273,8 @@ class GroupHandle:
     @functools.cached_property
     def pair_facts(self):
         """The generator-pair table and the violated relations,
-        `_pair_facts(generators, sigma_indices)`."""
-        return _pair_facts(tuple(self.generators), self.sigma_indices)
+        `_pair_facts(generators)`."""
+        return _pair_facts(tuple(self.generators))
 
     @functools.cached_property
     def local_classes(self) -> dict[int, tuple[int, int, dict[int, int]]]:
@@ -287,12 +288,6 @@ class GroupHandle:
         `endpoint_fibers(paths)`."""
         return list(_endpoint_fiber_ids(self.paths).values())
 
-    def generator(self, i: int) -> tuple[int, ...]:
-        try:
-            return self.generators[self.sigma_indices.index(i)]
-        except ValueError:
-            raise ValueError(f"no involution with index {i} at length {self.length}") from None
-
 
 def generate_group(window: PosetWindow, length: int, path_cap: int = PATH_CAP) -> GroupHandle:
     """Enumerate all length-`length` numberings and index them
@@ -305,13 +300,11 @@ def generate_group(window: PosetWindow, length: int, path_cap: int = PATH_CAP) -
     """
     paths = tuple(enumerate_numberings(window, length, limit=path_cap))
     index = dict(zip(paths, range(len(paths))))
-    sigma_indices = tuple(range(1, max(length - 1, 1)))
     return GroupHandle(
         window=window,
         length=length,
         paths=paths,
-        sigma_indices=sigma_indices,
-        generators=_Sigmas(paths, index, sigma_indices, length),
+        generators=_Sigmas(paths, index, length),
         path_index=index,
     )
 
@@ -361,7 +354,7 @@ def group_order(handle: GroupHandle, cap: int = GROUP_CAP) -> CayleyStats:
                 # the points of every c(T) beyond T: the walk's tuples hold at most n points
                 shadow = set(chain.from_iterable(itemgetter(*base)(c) for c in gens)).difference(base)
                 certified = _orbit(gens, base + tuple(sorted(shadow)), cap, skips, head=len(base))
-        elements, diameter = certified or closure(gens, cap=cap)
+        elements, diameter = certified or closure(handle, cap=cap)
     except CapExceeded:
         return CayleyStats(order=None, diameter=None, capped=True)
     return CayleyStats(order=len(elements), diameter=diameter, capped=False)
@@ -401,10 +394,10 @@ def _least_moved(p) -> int:
     return next(compress(count(), map(ne, p, count())), len(p))
 
 
-def _pair_facts(generators, labels):
-    """The generator-pair table of permutation tuples with increasing
-    integer `labels`, and the violated relations, as (skips,
-    {m: [RelationViolation]}) with m from `_RELATION_NAMES`.
+def _pair_facts(generators):
+    """The generator-pair table of the permutation tuples sigma_1, sigma_2,
+    ... (slot b holding sigma_{b+1}), and the violated relations, as
+    (skips, {m: [RelationViolation]}) with m from `_RELATION_NAMES`.
 
     skips[b] is None when g_b is the identity, which no walk moves by;
     else it is `_orbit`'s skip mask of g_b: bit b when g_b is an
@@ -427,20 +420,19 @@ def _pair_facts(generators, labels):
     odd = {b: {2: _least_moved(sq), 6: _least_moved(compose(sq, compose(sq, sq)))} for b, sq in squares.items() if sq != ident}
     skips = [None if x == n else 0 if b in odd else 1 << b for b, x in enumerate(low)]
     found: dict[int, list[RelationViolation]] = {m: [] for m in _RELATION_NAMES}
-    for a, (i, g) in enumerate(zip(labels, generators)):
-        adjacent = a + 1 < len(generators) and labels[a + 1] == i + 1  # with the next generator
+    for a, g in enumerate(generators):
         if a in odd:
-            found[1].append(RelationViolation(_RELATION_NAMES[1], i, i, odd[a][2]))
+            found[1].append(RelationViolation(_RELATION_NAMES[1], a + 1, a + 1, odd[a][2]))
         x = low[a]
         if x == n:  # the identity: gh = h, so only an h that is no involution fails a relation
             for b in odd:
-                m = 6 if adjacent and b == a + 1 else 2
+                m = 6 if b == a + 1 else 2
                 if b > a and odd[b][m] < n:
-                    found[m].append(RelationViolation(_RELATION_NAMES[m], i, labels[b], odd[b][m]))
+                    found[m].append(RelationViolation(_RELATION_NAMES[m], a + 1, b + 1, odd[b][m]))
             continue
         for b in range(a + 1, len(generators)):
             h = generators[b]
-            m = 6 if adjacent and b == a + 1 else 2
+            m = 6 if b == a + 1 else 2
             if low[b] == n or h[x] == x and not any(map(and_, map(ne, g, count()), map(ne, h, count()))):
                 if low[b] < n:
                     skips[a] |= 1 << b
@@ -453,7 +445,7 @@ def _pair_facts(generators, labels):
                 power = compose(gh3 := compose(gh2, gh), gh3) if m == 6 else gh2
                 moved = n if power == ident else _least_moved(power)
             if moved < n:
-                found[m].append(RelationViolation(_RELATION_NAMES[m], i, labels[b], moved))
+                found[m].append(RelationViolation(_RELATION_NAMES[m], a + 1, b + 1, moved))
     return skips, found
 
 
@@ -519,7 +511,7 @@ def classify_local(handle: GroupHandle, i: int) -> LocalGroupReport:
     """Orders and orbit structure of the pair (sigma_i, sigma_{i+1}), from
     the handle's table of local classes (`_local_classes`), which depend
     on its window and length only. No generator is realized."""
-    missing = [k for k in (i, i + 1) if k not in handle.sigma_indices]
+    missing = [k for k in (i, i + 1) if not 1 <= k <= len(handle.generators)]
     if missing:
         raise ValueError(f"no involution with index {missing[0]} at length {handle.length}")
     product_order, group_order, sizes = handle.local_classes[i]
@@ -529,7 +521,7 @@ def classify_local(handle: GroupHandle, i: int) -> LocalGroupReport:
 
 def local_indices(handle: GroupHandle) -> list[int]:
     """Indices i for which both sigma_i and sigma_{i+1} exist."""
-    return [i for i in handle.sigma_indices if i + 1 in handle.sigma_indices]
+    return list(range(1, len(handle.generators)))
 
 
 def _endpoint_fiber_ids(paths) -> dict[frozenset[int], list[int]]:

@@ -127,8 +127,8 @@ def test_sigma_matches_independent_rule():
             handle = generate_group(w, length)
             assert list(handle.paths) == valid
             assert list(handle.path_index.items()) == [(p, k) for k, p in enumerate(valid)]
-            assert handle.sigma_indices == tuple(range(1, length - 1))
-            for i, gen in zip(handle.sigma_indices, handle.generators):
+            assert len(handle.generators) == len(range(1, length - 1))
+            for i, gen in zip(range(1, len(handle.generators) + 1), handle.generators):
                 assert gen == tuple(valid.index(sigma_map(w.poset, seq, i)) for seq in valid), (w.poset, length, i)
             for phi in handle.paths:
                 for i in range(1, length - 1):
@@ -152,15 +152,17 @@ def test_sigma_commutes_at_distance():
 def test_generators_are_realized_on_first_read_as_apply_sigma_and_a_lookup():
     # every corpus window at every length, plus the long narrow windows of
     # the command corpus; positions are read last to first, so each
-    # realization stands alone, and a second read returns the kept tuple
+    # realization stands alone, and a second read returns the kept tuple;
+    # slot b is sigma_{b+1}, slot -1 is sigma_{length-2}, and no slot
+    # lies past either end
     windows = CORPUS + [build_young_poset([4, 3, 2, 1]), build_young_poset([5, 3, 2, 1]), build_box_poset(3, (2, 2, 3))]
     for w in windows:
         for length in range(1, w.poset.n + 1):
             handle = generate_group(w, length)
-            assert len(handle.generators) == len(handle.sigma_indices)
+            assert len(handle.generators) == len(range(1, length - 1))
             got = {}
-            for b in reversed(range(len(handle.sigma_indices))):
-                i = handle.sigma_indices[b]
+            for b in reversed(range(len(handle.generators))):
+                i = b + 1
                 got[b] = handle.generators[b]
                 expected = tuple(handle.path_index[apply_sigma(w.poset, i, p)] for p in handle.paths)
                 assert got[b] == expected, (w.describe(), length, i)
@@ -168,6 +170,15 @@ def test_generators_are_realized_on_first_read_as_apply_sigma_and_a_lookup():
             assert list(handle.generators) == [got[b] for b in range(len(got))]
             assert handle.generators == tuple(handle.generators)
             assert generate_group(w, length).generators[1::2] == tuple(handle.generators)[1::2]  # unread slots
+            fresh = generate_group(w, length)
+            if length >= 3:
+                last = tuple(handle.path_index[apply_sigma(w.poset, length - 2, p)] for p in handle.paths)
+                assert fresh.generators[-1] == last, (w.describe(), length)
+                assert fresh.generators._perms[:-1] == [None] * (length - 3)  # only sigma_{length-2} is realized
+            for h in (handle, fresh):
+                for b in (len(h.generators), -len(h.generators) - 1):
+                    with pytest.raises(IndexError):
+                        h.generators[b]
 
 
 def test_readers_of_every_generator_accept_any_sequence():
@@ -178,7 +189,7 @@ def test_readers_of_every_generator_accept_any_sequence():
     for gens in (tuple(handle.generators), list(handle.generators)):
         h = dataclasses.replace(handle, generators=gens)
         assert (group_order(h), verify_relations(h), classify_local(h, 1)) == expected
-        assert closure(gens) == closure(handle.generators)
+        assert closure(h) == closure(handle)
 
 
 def test_generate_group_trivial_on_chain():
@@ -280,14 +291,14 @@ def test_closure_matches_left_multiplication_oracle():
     for w in SMALL:
         for length in range(3, w.poset.n + 1):
             handle = generate_group(w, length)
-            elements, diameter = closure(handle.generators)
+            elements, diameter = closure(handle)
             assert (len(elements), diameter) == left_closure(handle.generators), (w.describe(), length)
             assert len(elements) == brute_symmetry_group_order(
                 w.poset, list(handle.paths)
             )
     # pruning reads involution and commutation off the generators
     for gens in _hand_built_generator_sets():
-        elements, diameter = closure(gens)
+        elements, diameter = closure(_bare_handle(gens))
         assert (len(elements), diameter) == left_closure(gens), gens
         # the same pruning on the orbit of a point pair, against a plain search
         seen, frontier = {(0, 1)}, [(0, 1)]
@@ -297,7 +308,7 @@ def test_closure_matches_left_multiplication_oracle():
                 if u not in seen:
                     seen.add(u)
                     frontier.append(u)
-        assert set(symmetry._orbit(gens, (0, 1), None, symmetry._pair_facts(gens, range(0, 2 * len(gens), 2))[0])[0]) == seen, gens
+        assert set(symmetry._orbit(gens, (0, 1), None, _bare_handle(gens).pair_facts[0])[0]) == seen, gens
 
 
 def test_group_order_cap_verdict_is_order_above_cap():
@@ -317,24 +328,24 @@ def test_closure_cap_matches_oracle():
     # the antichain-5 group is S_5 on 120 paths; the larger windows stop at the cap
     handle = generate_group(build_antichain_poset(5), 6)
     assert left_closure(handle.generators) == (120, 10)
-    elements, diameter = closure(handle.generators, cap=120)
+    elements, diameter = closure(handle, cap=120)
     assert (len(elements), diameter) == (120, 10)
     for cap in (119, 7):
         with pytest.raises(CapExceeded):
-            closure(handle.generators, cap=cap)
+            closure(handle, cap=cap)
         with pytest.raises(RuntimeError):
             left_closure(handle.generators, cap=cap)
     for w in (build_young_poset([4, 3, 2, 1]), build_box_poset(2, (3, 3))):
-        gens = generate_group(w, w.poset.n).generators
+        handle = generate_group(w, w.poset.n)
         with pytest.raises(CapExceeded):
-            closure(gens, cap=1000)
+            closure(handle, cap=1000)
         with pytest.raises(RuntimeError):
-            left_closure(gens, cap=1000)
+            left_closure(handle.generators, cap=1000)
 
 
 def test_group_order_caps_on_box_windows(monkeypatch):
     # the orbit bound decides these without listing a group element
-    def no_closure(generators, cap=None):
+    def no_closure(handle, cap=None):
         raise AssertionError("closure called")
 
     monkeypatch.setattr(symmetry, "closure", no_closure)
@@ -397,7 +408,7 @@ def _random_block_generators(rng):
 
 
 def _bare_handle(gens):
-    return GroupHandle(window=None, length=0, paths=(), sigma_indices=tuple(range(1, len(gens) + 1)), generators=tuple(gens))
+    return GroupHandle(window=None, length=0, paths=(), generators=tuple(gens))
 
 
 def test_group_order_matches_oracle_on_random_generator_sets():
@@ -426,9 +437,9 @@ def test_group_order_falls_back_to_closure_when_the_base_fails(monkeypatch):
     calls = []
     listed = symmetry.closure
 
-    def counted(generators, cap=None):
+    def counted(handle, cap=None):
         calls.append(cap)
-        return listed(generators, cap)
+        return listed(handle, cap)
 
     monkeypatch.setattr(symmetry, "closure", counted)
     handle = generate_group(build_young_poset([5, 2]), 6)
@@ -438,10 +449,32 @@ def test_group_order_falls_back_to_closure_when_the_base_fails(monkeypatch):
     assert calls == [symmetry.GROUP_CAP]
 
 
+@pytest.mark.parametrize(
+    "window, length, listed",
+    [
+        (build_young_poset([3, 3]), 6, True),  # the base is the identity: closure runs directly
+        (build_young_poset([5, 2]), 6, True),  # the certificate fails: closure is the fallback
+        (build_antichain_poset(6), 7, False),  # the short base is certified
+    ],
+    ids=["young-3,3", "young-5,2-at-6", "antichain-6"],
+)
+def test_each_handle_builds_one_pair_table(monkeypatch, window, length, listed):
+    # the relation check builds the table; the order's walks and closure read it
+    built, closed = [], []
+    real_facts, real_closure = symmetry._pair_facts, symmetry.closure
+    monkeypatch.setattr(symmetry, "_pair_facts", lambda generators: built.append(1) or real_facts(generators))
+    monkeypatch.setattr(symmetry, "closure", lambda handle, cap=None: closed.append(1) or real_closure(handle, cap=cap))
+    handle = generate_group(window, length)
+    assert verify_relations(handle).ok
+    stats = group_order(handle)
+    assert stats.order == left_closure(handle.generators)[0] and not stats.capped
+    assert (len(built), bool(closed)) == (1, listed)
+
+
 def test_group_order_certifies_antichain_groups_without_listing_them(monkeypatch):
     # S_n on the n! numberings acts regularly on the orbit of a short
     # tuple; the diameter is the number of inversions of the longest word
-    def no_closure(generators, cap=None):
+    def no_closure(handle, cap=None):
         raise AssertionError("closure called")
 
     expected = {5: left_closure(generate_group(build_antichain_poset(5), 6).generators),
@@ -530,10 +563,9 @@ def test_relations_hold_on_corpus():
 def test_braid_order_divides_six_pointwise():
     for w in CORPUS:
         handle = generate_group(w, w.poset.n)
-        gens = dict(zip(handle.sigma_indices, handle.generators))
-        for i in handle.sigma_indices:
-            if i + 1 in gens:
-                assert perm_order(compose(gens[i], gens[i + 1])) in (1, 2, 3, 6)
+        gens = handle.generators
+        for i in range(1, len(gens)):
+            assert perm_order(compose(gens[i - 1], gens[i])) in (1, 2, 3, 6)
 
 
 def test_classify_local_chain_trivial():
@@ -542,7 +574,7 @@ def test_classify_local_chain_trivial():
     assert rep.product_order == 1
     assert rep.group_order == 1
     ident = tuple(range(handle.n_paths))
-    assert handle.generator(1) == ident and handle.generator(2) == ident
+    assert handle.generators[0] == ident and handle.generators[1] == ident
     assert all(tag == "trivial" for _, tag in rep.orbit_types)
 
 
@@ -562,7 +594,7 @@ def test_classify_local_young31():
     assert rep.product_order == 2
     assert rep.group_order == 2
     ident = tuple(range(handle.n_paths))
-    assert handle.generator(1) == ident and handle.generator(2) != ident
+    assert handle.generators[0] == ident and handle.generators[1] != ident
     assert sorted(tag for _, tag in rep.orbit_types) == ["Z2-swap", "trivial"]
 
 
@@ -603,7 +635,7 @@ def test_local_orders_match_closure_oracle_per_pair_and_orbit(window):
     for length in (window.poset.n - 1, window.poset.n):
         handle = generate_group(window, length)
         for i in local_indices(handle):
-            a, b = handle.generator(i), handle.generator(i + 1)
+            a, b = handle.generators[i - 1], handle.generators[i]
             rep = classify_local(handle, i)
             assert rep.group_order == left_closure([a, b])[0], i
             assert rep.product_order == left_closure([compose(a, b)])[0], i
@@ -621,7 +653,7 @@ def test_local_classes_match_the_oracle_on_every_window_and_length():
             handle = generate_group(w, length)
             for i in local_indices(handle):
                 rep = classify_local(handle, i)
-                expected = local_class(i, handle.generator(i), handle.generator(i + 1))
+                expected = local_class(i, handle.generators[i - 1], handle.generators[i])
                 assert (rep.product_order, rep.group_order, list(rep.orbit_types)) == expected, (w.describe(), length, i)
                 assert sum(size for size, _ in rep.orbit_types) == handle.n_paths, (w.describe(), length, i)
 
@@ -664,12 +696,12 @@ def test_classify_local_on_broken_handles_matches_oracle():
     handle = generate_group(build_antichain_poset(4), 5)  # 24 paths, sigma_1..sigma_3
     window_classes = {i: classify_local(handle, i) for i in (1, 2)}
     assert [(r.product_order, r.group_order, list(r.orbit_types)) for r in window_classes.values()] == [
-        local_class(i, handle.generator(i), handle.generator(i + 1)) for i in (1, 2)
+        local_class(i, handle.generators[i - 1], handle.generators[i]) for i in (1, 2)
     ] == [(3, 6, [(6, "S3-class")] * 4)] * 2
 
     def outcome(h, i):
         assert classify_local(h, i) == window_classes[i], i
-        oracle = _local_class_or_error(local_class, i, h.generator(i), h.generator(i + 1))
+        oracle = _local_class_or_error(local_class, i, h.generators[i - 1], h.generators[i])
         if isinstance(oracle, str):
             assert _fault(i, oracle) in _faults(h), (oracle, _faults(h))
         return oracle
@@ -816,7 +848,7 @@ def test_relation_report_on_broken_generators_matches_oracle():
             gens[k] = tuple(perm)
         broken = dataclasses.replace(handle, generators=tuple(gens))
         report = verify_relations(broken)
-        expected = relation_violations(broken.sigma_indices, broken.generators)
+        expected = relation_violations(range(1, len(gens) + 1), broken.generators)
         assert _violations(report) == expected, (w.describe(), handle.length)
         assert report.ok == (expected == ([], [], []))
         assert {v.relation for v in report.involution_violations} <= {"sigma^2"}
@@ -833,7 +865,8 @@ def test_relation_shortcuts_match_oracle():
             handle = generate_group(w, length)
             report = verify_relations(handle)
             assert report.ok
-            assert _violations(report) == relation_violations(handle.sigma_indices, handle.generators) == ([], [], [])
+            gens = handle.generators
+            assert _violations(report) == relation_violations(range(1, len(gens) + 1), gens) == ([], [], [])
     handle = generate_group(build_antichain_poset(4), 5)  # 24 paths, sigma_1..sigma_3
     n, ident = handle.n_paths, tuple(range(handle.n_paths))
     cases = [
@@ -852,7 +885,7 @@ def test_relation_shortcuts_match_oracle():
     ]
     for gens, expected in cases:
         broken = dataclasses.replace(handle, generators=gens)
-        assert _violations(verify_relations(broken)) == relation_violations(broken.sigma_indices, gens) == expected
+        assert _violations(verify_relations(broken)) == relation_violations(range(1, len(gens) + 1), gens) == expected
 
 
 def test_relation_report_on_identity_and_disjoint_generators_matches_oracle():
@@ -883,7 +916,7 @@ def test_relation_report_on_identity_and_disjoint_generators_matches_oracle():
                 rng.shuffle(perm)
             gens[k] = tuple(perm)
         broken = dataclasses.replace(handle, generators=tuple(gens))
-        expected = relation_violations(broken.sigma_indices, broken.generators)
+        expected = relation_violations(range(1, len(gens) + 1), broken.generators)
         assert _violations(verify_relations(broken)) == expected, (w.describe(), handle.length, gens)
         filled = [f + bool(found) for f, found in zip(filled, expected)]
     assert min(filled) >= 5, filled  # every list is exercised
@@ -923,8 +956,8 @@ def test_pair_table_matches_direct_composition():
             if checked:
                 verify_relations(h)
             assert h.pair_facts[0] == masks, (gens, checked)
-        if gens:  # the route closure takes from a bare generator list, with no adjacent labels
-            assert symmetry._pair_facts(list(gens), range(0, 2 * len(gens), 2))[0] == masks, gens
+        # a replaced handle may hold a list
+        assert dataclasses.replace(handle, generators=list(gens)).pair_facts[0] == masks, gens
 
 
 def test_group_answers_match_oracles_with_and_without_the_relation_check():
@@ -934,17 +967,17 @@ def test_group_answers_match_oracles_with_and_without_the_relation_check():
             expected_order = left_closure(gens, cap=10**4) if gens else (1, 0)
         except RuntimeError:
             expected_order = None
-        relations = relation_violations(handle.sigma_indices, gens)
+        relations = relation_violations(range(1, len(gens) + 1), gens)
         # a pair the oracle refuses fails its relation; a window's local
         # classes are the oracle's on the generators it realizes
         for i in local_indices(handle):
-            oracle = _local_class_or_error(local_class, i, handle.generator(i), handle.generator(i + 1))
+            oracle = _local_class_or_error(local_class, i, gens[i - 1], gens[i])
             if isinstance(oracle, str):
                 _, j, k = _fault(i, oracle)
                 assert (j, k) in [v[:2] for v in relations[0 if j == k else 2]], (gens, oracle)
         if handle.window is not None:  # bare generator sets have no window
             fresh = generate_group(handle.window, handle.length)
-            local = [local_class(i, fresh.generator(i), fresh.generator(i + 1)) for i in local_indices(fresh)]
+            local = [local_class(i, fresh.generators[i - 1], fresh.generators[i]) for i in local_indices(fresh)]
         for checked in (True, False):
             h = dataclasses.replace(handle)
             if checked:
@@ -958,7 +991,7 @@ def test_group_answers_match_oracles_with_and_without_the_relation_check():
             if not checked:
                 assert _violations(verify_relations(h)) == relations, gens
         if gens and expected_order is not None:
-            elements, diameter = closure(gens, cap=10**4)
+            elements, diameter = closure(handle, cap=10**4)
             assert (len(elements), diameter) == expected_order, gens
 
 
@@ -1009,12 +1042,12 @@ def test_the_relation_check_leaves_nothing_to_compose(monkeypatch, window, cap):
     # check, the order composes no generator pair; the local classes,
     # read off the lattice, realize no generator and compose none
     handle = generate_group(window, window.poset.n)
-    monkeypatch.setattr(symmetry, "closure", lambda generators, cap=None: pytest.fail("closure called"))
+    monkeypatch.setattr(symmetry, "closure", lambda handle, cap=None: pytest.fail("closure called"))
     pairs = _count_generator_pairs(monkeypatch, handle.generators)
     fresh = generate_group(window, window.poset.n)
     for i in local_indices(fresh):
         classify_local(fresh, i)
-    assert fresh.generators._perms == [None] * len(fresh.sigma_indices) and pairs == []
+    assert fresh.generators._perms == [None] * len(fresh.generators) and pairs == []
     verify_relations(handle)
     assert pairs and max(collections.Counter(pairs).values()) == 1
     pairs.clear()
@@ -1051,7 +1084,7 @@ def test_a_replaced_handle_reads_no_stale_table():
     assert handle.pair_facts[0] == pair_masks(handle.generators)
     # the broken pair's fault shows in its relation check; its local classes
     # come from a table of its own, which follows the window
-    fault = _local_class_or_error(local_class, 1, broken.generator(1), broken.generator(2))
+    fault = _local_class_or_error(local_class, 1, broken.generators[0], broken.generators[1])
     assert fault == "product of adjacent involutions 1,2 has order 30"
     assert _fault(1, fault) in _faults(broken) and _fault(1, fault) not in _faults(handle)
     classify_local(handle, 1)
@@ -1086,4 +1119,4 @@ def test_endpoint_fibers_in_lexicographic_order_of_sorted_endpoints():
 
 def test_closure_needs_a_generator():
     with pytest.raises(ValueError, match="need at least one generator"):
-        closure([])
+        closure(_bare_handle([]))
