@@ -56,6 +56,7 @@ from .posets import (
 )
 from .symmetry import (
     GROUP_CAP,
+    ORBIT_TAGS,
     classify_local,
     generate_group,
     group_order,
@@ -263,8 +264,7 @@ def cmd_group(args):
             lines.append("local,i,product_order,group_order,orbits")
         for i in local:
             rep = classify_local(handle, i)
-            orbits = rep.orbit_types  # sorted: each kind's text is made once and repeated
-            tags = " ".join(" ".join([f"{size}:{tag}"] * orbits.count((size, tag))) for size, tag in dict.fromkeys(orbits))
+            tags = " ".join(" ".join([f"{size}:{ORBIT_TAGS[size]}"] * n) for size, n in rep.orbit_counts.items())
             if args.format == "csv":
                 lines.append(f"local,{i},{rep.product_order},{rep.group_order},{tags}")
             else:

@@ -8,9 +8,9 @@ centrality is an exact symmetry, and a tolerance would mask bugs.
 Centrality has two routes, chosen by the kind of input. An explicit law
 goes to `is_central`, which reads the symmetry off a
 `symmetry.GroupHandle` the caller builds once with `generate_group`.
-A kernel goes to `kernel_centrality`, one forward pass over its rows
-that checks that every prefix reaching a vertex carries one mass, and
-lists neither paths nor numberings. A kernel is checked once, when it is
+A kernel goes to `kernel_centrality`, one integer pass over the positive
+terms of its rows: every prefix reaching a vertex must carry one mass,
+and no path or numbering is listed. A kernel is checked once, when it is
 built: its rows, then a row at every vertex it reaches before its depth,
 so the walks that read it check nothing again. Floating point enters only
 inside Monte Carlo sampling. One spec, `Thoma(alpha)`, covers Young
@@ -334,9 +334,9 @@ class CentralityReport:
     and conditional uniformity on endpoint fibers (the characterization,
     given fiber transitivity).
 
-    `phi` is set only by `kernel_centrality` on a central kernel: the mass
-    phi(w) that every prefix reaching vertex w = (level, index) carries,
-    for each vertex the kernel reaches."""
+    `phi`, set only by `kernel_centrality` on a central kernel, is built on
+    first read from the pass's integer pairs `phi_pairs`: the mass phi(w)
+    that every prefix reaching vertex w = (level, index) carries."""
 
     exact = True  # a constant, no field: laws and kernels are exact rationals, and a float raises
     n_paths: int
@@ -344,11 +344,16 @@ class CentralityReport:
     invariance_witnesses: list[tuple[int, tuple[int, ...]]]
     fiber_ok: bool
     fiber_witnesses: list[tuple[tuple[int, ...], tuple[int, ...]]]
-    phi: dict[tuple[int, int], Fraction] | None = None
+    phi_pairs: list[dict[int, tuple[int, int]]] | None = None  # per level: index -> phi, reduced (num, den)
 
     @property
     def central(self) -> bool:
         return self.invariance_ok and self.fiber_ok
+
+    @functools.cached_property
+    def phi(self) -> dict[tuple[int, int], Fraction] | None:
+        if self.phi_pairs is not None:
+            return {(level, j): Fraction(*pair) for level, row in enumerate(self.phi_pairs) for j, pair in row.items()}
 
 
 def is_central(handle: GroupHandle, measure) -> CentralityReport:
@@ -406,61 +411,63 @@ def is_central(handle: GroupHandle, measure) -> CentralityReport:
 
 def kernel_centrality(kernel: ExplicitMarkov) -> CentralityReport:
     """Check a kernel's path law at its depth for centrality by one exact
-    forward pass over its rows: no path is listed and no group is built.
+    forward pass over the positive terms of the rows it reaches.
 
     The law is central exactly when every prefix reaching a vertex w
-    carries one mass phi(w) (Vershik-Kerov). Level by level, every graph
-    in-edge u -> w of a reached w must carry phi(u) * p(u -> w) = phi(w);
-    an edge out of an unreached u, or of probability 0, carries 0. At the
-    first vertex w (lowest level L, then index) where in-edges adding x < y
-    disagree, v = w - x - y is reached (level L - 1 agrees), so the prefix
-    c to v back along each vertex's first positive in-edge and the
+    carries one mass phi(w) (Vershik-Kerov). Level by level, each later
+    mass phi(u) * p(u -> w) into a reached w must equal its first, and the
+    reached vertices must have no more graph in-edges than the level has
+    terms: one more leaves an unreached u, or has probability 0, and
+    carries 0. Only a level that fails lists its in-edges, to find the
+    first vertex w (lowest level L, then index) where in-edges adding
+    x < y disagree; v = w - x - y is reached (level L - 1 agrees), so the
+    prefix c to v back along each vertex's first positive in-edge and the
     continuation d from w along each row's first positive edge give
     c.x.y.d and c.y.x.d: one endpoint fiber, two masses, swapped by
     sigma_{L-1}. Each witness list holds that one pair. Every vertex the
     pass reaches has a row: the kernel checked that when it was built.
     """
-    g = kernel.graph
-    phis = [{0: (1, 1)}]  # per level: reached index -> phi as a reduced (numerator, denominator), index ascending
-    conflict = None  # (level, index, {added element: (num, den)}) of the first disagreeing vertex
+    g, terms = kernel.graph, kernel.terms
+    phis = [{0: (1, 1)}]  # per level: reached index -> phi as a reduced (numerator, denominator)
     for level in range(kernel.depth):
-        phi = phis[level]
-        into = [[] for _ in g.levels[level + 1]]  # per index above: its in-edges (num, den, elem), source ascending
-        for u, edges in enumerate(g.up_edges[level]):
-            num, den = phi.get(u, (0, 1))
-            probs = {elem: (p_num, p_den) for elem, _, p_num, p_den in kernel.terms[(level, u)]} if num else {}
-            for elem, j in edges:
-                p_num, p_den = probs.get(elem, (0, 1))
-                into[j].append((num * p_num, den * p_den, elem))
-        above = {}
-        for j, edges in enumerate(into):
-            num, den, elem = next((edge for edge in edges if edge[0]), (0, 1, None))
-            if not num:  # unreached
-                continue
-            bad = next((edge for edge in edges if edge[0] * den != num * edge[1]), None)
-            if bad is not None and conflict is None:
-                conflict = (level + 1, j, {elem: (num, den), bad[2]: bad[:2]})
-            common = math.gcd(num, den)
-            above[j] = (num // common, den // common)
-        phis.append(above)
-    n_paths = sum(g.dims[kernel.depth])
-    if conflict is None:
-        phi = {(level, j): Fraction(*pair) for level, above in enumerate(phis) for j, pair in above.items()}
-        return CentralityReport(
-            n_paths=n_paths, invariance_ok=True, invariance_witnesses=[],
-            fiber_ok=True, fiber_witnesses=[], phi=phi,
-        )
-    level, w, masses = conflict
+        phi, seen, n_terms, agree = phis[level], {}, 0, True  # seen: index above -> its first in-term's mass
+        for u, (num, den) in phi.items():
+            row = terms[(level, u)]
+            n_terms += len(row)
+            for _, j, p_num, p_den in row:
+                first = seen.get(j)
+                if first is None:
+                    seen[j] = (num * p_num, den * p_den)
+                elif first[0] * den * p_den != num * p_num * first[1]:
+                    agree = False
+        targets = map(operator.itemgetter(1), itertools.chain.from_iterable(g.up_edges[level]))
+        if not agree or sum(map(seen.__contains__, targets)) > n_terms:  # more in-edges than terms: one carries 0
+            break
+        phis.append({j: (num // c, den // c) for j, (num, den) in seen.items() for c in [math.gcd(num, den)]})
+    else:  # every level agrees
+        return CentralityReport(n_paths=sum(g.dims[kernel.depth]), invariance_ok=True, invariance_witnesses=[],
+                                fiber_ok=True, fiber_witnesses=[], phi_pairs=phis)
+    into = [[] for _ in g.levels[level + 1]]  # per index above: its in-edges (num, den, elem), source ascending
+    for u, edges in enumerate(g.up_edges[level]):
+        num, den = phi.get(u, (0, 1))
+        carried = {elem: (num * p_num, den * p_den) for elem, _, p_num, p_den in terms.get((level, u), ()) if num}
+        for elem, j in edges:
+            into[j].append((*carried.get(elem, (0, 1)), elem))
+    for w, edges in enumerate(into):  # the first reached vertex whose in-edges disagree
+        num, den, elem = next((edge for edge in edges if edge[0]), (0, 1, None))
+        bad = next((edge for edge in edges if edge[0] * den != num * edge[1]), None)
+        if bad:
+            break
+    level, masses = level + 1, {elem: (num, den), bad[2]: bad[:2]}
     x, y = sorted(masses)
-    bit = g.window.poset.bit
-    v = g._index[level - 2][g.levels[level][w] & ~(bit(x) | bit(y))]  # w's mask with x and y cleared
+    v = g._index[level - 2][g.levels[level][w] & ~g.window.poset.mask_of((x, y))]  # w's mask with x and y cleared
     head = []
     for k in range(level - 2, 0, -1):  # back from v along each first positive in-edge
-        v, elem = next((u, elem) for u in phis[k - 1] for elem, j, _, _ in kernel.terms[(k - 1, u)] if j == v)
+        v, elem = next((u, elem) for u in sorted(phis[k - 1]) for elem, j, _, _ in terms[(k - 1, u)] if j == v)
         head.append(elem)
     tail = []
     for k in range(level, kernel.depth):
-        elem, w = kernel.terms[(k, w)][0][:2]
+        elem, w = terms[(k, w)][0][:2]
         tail.append(elem)
     c = (ROOT, *reversed(head))
     first_xy, first_yx = c + (x, y, *tail), c + (y, x, *tail)
@@ -468,7 +475,7 @@ def kernel_centrality(kernel: ExplicitMarkov) -> CentralityReport:
     (ny, dy), (nx, dx) = masses[y], masses[x]
     lo, hi = (first_xy, first_yx) if ny * dx < nx * dy else (first_yx, first_xy)
     return CentralityReport(
-        n_paths=n_paths, invariance_ok=False, invariance_witnesses=[(level - 1, first_xy)],
+        n_paths=sum(g.dims[kernel.depth]), invariance_ok=False, invariance_witnesses=[(level - 1, first_xy)],
         fiber_ok=False, fiber_witnesses=[(lo, hi)],
     )
 

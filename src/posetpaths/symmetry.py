@@ -51,8 +51,8 @@ GROUP_CAP = 1_000_000  # default for the most group elements a closure lists
 # an orbit's tag by its size: an orbit of <sigma_i, sigma_{i+1}> is the set
 # of orderings of three elements that keep a numbering, and the pair acts
 # on 1, 2, 3 and 6 of them as a group of order 1, 2, 6 and 6
-_ORBIT_TAGS = {1: "trivial", 2: "Z2-swap", 3: "3-cycle-class", 6: "S3-class"}
-ALLOWED_ORBIT_TAGS = tuple(_ORBIT_TAGS.values())
+ORBIT_TAGS = {1: "trivial", 2: "Z2-swap", 3: "3-cycle-class", 6: "S3-class"}
+ALLOWED_ORBIT_TAGS = tuple(ORBIT_TAGS.values())
 
 
 def apply_sigma(poset: Poset, i: int, phi: tuple[int, ...]) -> tuple[int, ...]:
@@ -469,7 +469,11 @@ class LocalGroupReport:
     i: int
     product_order: int
     group_order: int
-    orbit_types: tuple[tuple[int, str], ...]  # (orbit size, tag), sorted
+    orbit_counts: dict[int, int]  # orbit size -> number of orbits, by size
+
+    @property
+    def orbit_types(self) -> tuple[tuple[int, str], ...]:  # (orbit size, tag) per orbit, sorted
+        return tuple(chain.from_iterable([(size, ORBIT_TAGS[size])] * n for size, n in self.orbit_counts.items()))
 
 
 def _local_classes(window: PosetWindow, length: int, vertex_cap: int) -> dict[int, tuple[int, int, dict[int, int]]]:
@@ -515,8 +519,7 @@ def classify_local(handle: GroupHandle, i: int) -> LocalGroupReport:
     if missing:
         raise ValueError(f"no involution with index {missing[0]} at length {handle.length}")
     product_order, group_order, sizes = handle.local_classes[i]
-    tags = chain.from_iterable([(size, _ORBIT_TAGS[size])] * count for size, count in sizes.items())
-    return LocalGroupReport(i, product_order, group_order, tuple(tags))
+    return LocalGroupReport(i, product_order, group_order, dict(sizes))
 
 
 def local_indices(handle: GroupHandle) -> list[int]:

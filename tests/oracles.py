@@ -359,6 +359,58 @@ def kernel_path_law(rows, depth, root=0):
     return law
 
 
+def first_conflict(kernel):
+    """The first vertex whose in-edges carry different masses under an
+    `ExplicitMarkov` kernel, and the witness pair of it, from the listed
+    prefix laws of `kernel_path_law`; None when no vertex has one.
+
+    An up-edge u -> w adding e carries the law of a prefix that reaches w
+    by e, or 0 when no positive prefix does (with every lower level in
+    agreement, all such prefixes carry one mass). Vertices are scanned by
+    level, then index, and a vertex's in-edges by source index: x < y are
+    the elements of the first positive in-edge and of the first in-edge
+    whose mass differs from it. c is the positive prefix to v = w - x - y
+    whose vertex indices, read from v down, are least; d follows each
+    row's first positive entry up from w. Returns ((level, index),
+    [(level - 1, c.x.y.d)], [(lighter, heavier)]), the path law at the
+    kernel's depth ordering the pair.
+    """
+    g, rows = kernel.graph, kernel.rows
+
+    def indices(seq):
+        out = [0]
+        for k, x in enumerate(seq[1:]):
+            out.append(dict(g.up_edges[k][out[-1]])[x])
+        return out
+
+    for level in range(1, kernel.depth + 1):
+        carried = {}  # (index at the level, last element) -> mass of a prefix
+        for seq, p in kernel_path_law(rows, level).items():
+            carried.setdefault((indices(seq)[-1], seq[-1]), p)
+        into = {}  # index at the level -> elements of its in-edges, source ascending
+        for edges in g.up_edges[level - 1]:
+            for x, w in edges:
+                into.setdefault(w, []).append(x)
+        for w in sorted(into):
+            masses = [(carried.get((w, x), 0), x) for x in into[w]]
+            first = next((m for m in masses if m[0]), None)  # None: w is unreached
+            bad = next((m for m in masses if m[0] != first[0]), None) if first else None
+            if bad is None:
+                continue
+            x, y = sorted((first[1], bad[1]))
+            v = sorted(set(g.vertex(level, w).ideal) - {x, y})
+            below = [seq for seq in kernel_path_law(rows, level - 2) if sorted(seq) == v]
+            c = min(below, key=lambda seq: indices(seq)[::-1])
+            d, at = [], w
+            for k in range(level, kernel.depth):
+                elem, at, _ = next(entry for entry in rows[(k, at)] if entry[2])
+                d.append(elem)
+            xy, yx = (*c, x, y, *d), (*c, y, x, *d)
+            law = kernel_path_law(rows, kernel.depth)
+            return (level, w), [(level - 1, xy)], [tuple(sorted((xy, yx), key=lambda seq: law.get(seq, 0)))]
+    return None
+
+
 def brute_orbit(poset, seq):
     """Closure of one numbering under the independent swap rule."""
     seen = {seq}

@@ -49,6 +49,7 @@ from posetpaths.young import GrowthPath, row_insert, tableau_count
 from oracles import (
     brute_numberings,
     central_witnesses,
+    first_conflict,
     growth_shapes,
     ideal_levels,
     kernel_path_law,
@@ -364,6 +365,8 @@ def _assert_witnesses_hold(kernel, report):
     assert {path, sigma_map(poset, path, i)} == {lo, hi}
     law = kernel_path_law(kernel.rows, kernel.depth)
     assert law.get(lo, 0) < law.get(hi, 0)
+    # the pair is the oracle's: the first vertex whose in-edges disagree, and its c.x.y.d / c.y.x.d
+    assert first_conflict(kernel)[1:] == (report.invariance_witnesses, report.fiber_witnesses)
 
 
 def _paths_up_to(edges, level, index):
@@ -457,9 +460,15 @@ def test_kernel_centrality_of_random_kernels_matches_the_oracle():
             report = kernel_centrality(kernel)
             assert report.central == _oracle_verdict(kernel), w.describe()
             verdicts.append(report.central)
-            if not report.central:
+            if report.central:
+                assert first_conflict(kernel) is None
+            else:
                 assert report.phi is None
                 _assert_witnesses_hold(kernel, report)
+                # the same law with every row listed backwards: the pass meets the vertices in
+                # another order, and c and d follow other edges
+                flipped = ExplicitMarkov(g, {key: row[::-1] for key, row in kernel.rows.items()}, "flipped", depth)
+                _assert_witnesses_hold(flipped, kernel_centrality(flipped))
     assert not all(verdicts), "no random kernel failed; the draw tests nothing"
 
 
@@ -484,6 +493,93 @@ def test_kernel_centrality_catches_a_one_edge_perturbation_at_each_level():
             caught += 1
         # the root row and, below the top, the last level have one edge each at most
         assert caught >= depth - 2
+
+
+def _in_degrees(g, level):
+    """Graph in-degree of each index at level + 1."""
+    degree = [0] * len(g.levels[level + 1])
+    for edges in g.up_edges[level]:
+        for _, j in edges:
+            degree[j] += 1
+    return degree
+
+
+@pytest.mark.parametrize("w, levels", [(build_young_poset([3, 2, 1]), [2, 3, 4]),
+                                       (build_box_poset(3, (2, 2, 2)), [1, 2, 3, 4])], ids=["young321", "box222"])
+def test_kernel_centrality_finds_a_zero_probability_edge_at_each_level(w, levels):
+    # the top endpoint kernel with one edge u -> j set to 0 and its mass put on u's next
+    # edge: j keeps another positive in-edge, and it is the first vertex that disagrees
+    depth = w.poset.n - 1
+    g = build_graph(w, depth)
+    top = endpoint_measure(g, g.vertex(depth, 0))
+    caught = []
+    for level in range(depth):
+        degree = _in_degrees(g, level)
+        rows = [(key, sorted(top.rows[key], key=lambda entry: entry[1])) for key in sorted(top.rows) if key[0] == level]
+        # the first entry, by target, into a vertex of in-degree two or more that has an entry after it
+        found = next(((key, row, a) for key, row in rows
+                      for a, (_, j, _) in enumerate(row[:-1]) if degree[j] > 1), None)
+        if found is None:
+            continue
+        key, row, a = found
+        (e0, j0, p0), (e1, j1, p1) = row[a:a + 2]
+        row[a:a + 2] = (e0, j0, 0), (e1, j1, p0 + p1)
+        kernel = ExplicitMarkov(g, {**top.rows, key: tuple(row)}, name="zero")
+        report = kernel_centrality(kernel)
+        assert not report.central and not _oracle_verdict(kernel), (w.describe(), level)
+        assert first_conflict(kernel)[0] == (level + 1, j0)
+        _assert_witnesses_hold(kernel, report)
+        caught.append(level)
+    # no row above the last level listed has two edges, and young 3,2,1 has one vertex at
+    # level 1, whose two up-edges are the only in-edges of their targets
+    assert caught == levels
+
+
+@pytest.mark.parametrize("w, levels", [(build_young_poset([3, 2, 1]), [2, 3, 4, 5]),
+                                       (build_box_poset(3, (2, 2, 2)), [1, 2, 3, 4, 5])], ids=["young321", "box222"])
+def test_kernel_centrality_finds_an_edge_from_an_unreached_vertex_at_each_level(w, levels):
+    # v's endpoint kernel up to v's level L, the top's above it: L + 1 is the first level
+    # where a reached vertex has an in-edge out of a vertex other than v, which is unreached
+    depth = w.poset.n - 1
+    g = build_graph(w, depth)
+    top = endpoint_measure(g, g.vertex(depth, 0))
+    caught = []
+    for level in range(1, depth):
+        for v in range(len(g.levels[level])):
+            rows = {**top.rows, **endpoint_measure(g, g.vertex(level, v)).rows}
+            kernel = ExplicitMarkov(g, rows, name="unreached", depth=depth)
+            conflict = first_conflict(kernel)
+            if conflict is None or conflict[0][0] != level + 1:
+                continue
+            report = kernel_centrality(kernel)
+            assert not report.central and not _oracle_verdict(kernel), (w.describe(), level, v)
+            _assert_witnesses_hold(kernel, report)
+            caught.append(level)
+            break
+    assert caught == levels  # young 3,2,1 has one vertex at level 1: nothing there is unreached
+
+
+def test_kernel_centrality_builds_no_fraction_until_phi_is_read(monkeypatch):
+    w = build_box_poset(3, (2, 2, 2))
+    depth = w.poset.n - 1
+    g = build_graph(w, depth)
+    kernel = endpoint_measure(g, g.vertex(depth, 0))
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(measures, "Fraction", Counting)
+    report = kernel_centrality(kernel)
+    assert report.central and built == []
+    _, edges, dims = ideal_levels(w.poset, depth)
+    oracle = {u: Fraction(c, dims[depth][0]) for u, c in _paths_up_to(edges, depth, 0).items()}
+    assert report.phi == oracle
+    assert built, "the first read builds the Fractions"
+    n_built = len(built)
+    assert report.phi == oracle and len(built) == n_built  # the second read reuses them
 
 
 def test_kernel_centrality_needs_a_row_where_it_walks():

@@ -656,6 +656,7 @@ def test_local_classes_match_the_oracle_on_every_window_and_length():
                 expected = local_class(i, handle.generators[i - 1], handle.generators[i])
                 assert (rep.product_order, rep.group_order, list(rep.orbit_types)) == expected, (w.describe(), length, i)
                 assert sum(size for size, _ in rep.orbit_types) == handle.n_paths, (w.describe(), length, i)
+                assert sum(size * n for size, n in rep.orbit_counts.items()) == handle.n_paths
 
 
 def _local_class_or_error(classify, *args):
