@@ -10,17 +10,18 @@ goes to `is_central`, which reads the symmetry off a
 `symmetry.GroupHandle` the caller builds once with `generate_group`.
 A kernel goes to `kernel_centrality`, one integer pass over the positive
 terms of its rows: every prefix reaching a vertex must carry one mass,
-and no path or numbering is listed. A kernel is checked once, when it is
-built: its rows, then a row at every vertex it reaches before its depth,
-so the walks that read it check nothing again. Floating point enters only
-inside Monte Carlo sampling. One spec, `Thoma(alpha)`, covers Young
-growth, and its path keeps the word whose row insertion is the growth
-(`GrowthPath`), drawn by one letter stream (`thoma_word`): with an empty
-alpha, Plancherel growth, i.i.d. uniform letters; otherwise letters
-drawn from alpha, inserted on per-row letter counts (`row_insert_counts`).
-Insertion yields one row index per step and the final shape; frequencies
-read the shape, and a sample dump reads each column off its row's
-running length, so no (row, col) tuple is built.
+and no path or numbering is listed. A kernel stores integer terms and is
+checked once, when it is built: its rows, then a row at every vertex it
+reaches before its depth, so the walks that read it check nothing again.
+Floating point enters only inside Monte Carlo sampling. One spec,
+`Thoma(alpha)`, covers Young growth, and its path keeps the word whose
+row insertion is the growth (`GrowthPath`), drawn by one letter stream
+(`thoma_word`): with an empty alpha, Plancherel growth, i.i.d. uniform
+letters; otherwise letters drawn from alpha, inserted on per-row letter
+counts (`row_insert_counts`). Insertion yields one row index per step
+and the final shape; frequencies read the shape, and a sample dump reads
+each column off its row's running length, so no (row, col) tuple is
+built.
 
 Replica k of a Monte Carlo run is seeded with seed + k; sampler s of a
 comparison run gets base seed seed + s * 1_000_003. Identical seeds give
@@ -112,62 +113,68 @@ class Thoma:
 class ExplicitMarkov:
     """Per-vertex transition rows over the up-edges of a graded graph.
 
-    Rows map (level, index) to tuples (added element, target index,
-    probability). Each entry is an up-edge of the graph and a row lists
-    each element at most once; probabilities are exact rationals (ints or
-    Fractions), non-negative, and each row sums to exactly one; a float
-    raises ValueError. Every vertex the kernel reaches with positive
-    probability below its depth needs a row: the first one that has none,
-    in (level, index) order, raises ValueError, naming through `lines` (row
-    -> line number, from a kernel file) the line whose edge leads there.
-
-    `rows` keeps the rows as given; `terms` keeps each row's positive
+    `terms`, the one stored form, maps (level, index) to the row's positive
     entries as integers (added element, target index, numerator,
-    denominator), read once when the row is checked, for the walks.
+    denominator). Each entry is an up-edge of the graph, a row lists each
+    element at most once, and its probabilities are non-negative and sum to
+    exactly one. Every vertex the kernel reaches with positive probability
+    below its depth needs a row: the first one that has none, in (level,
+    index) order, raises ValueError, naming through `lines` (row -> line
+    number, from a kernel file) the line whose edge leads there. Both
+    constructors run that one integer check when the kernel is built:
+    `ExplicitMarkov(graph, rows, name)` reads exact rational probabilities
+    (a float raises ValueError) and keeps the rows as given in `rows`;
+    `from_terms` takes reduced terms with positive denominators, as
+    `endpoint_measure` builds them, and builds `rows` on first read.
     """
 
     has_ties = False
 
     def __init__(self, graph: GradedGraph, rows, name: str, depth: int | None = None, lines: dict | None = None):
-        self.graph = graph
         self.rows = dict(rows)
-        self.terms = {}
+        self._check(graph, name, depth, lines, map(_integer_row, self.rows.items()))
+
+    @classmethod
+    def from_terms(cls, graph: GradedGraph, terms: dict, name: str, depth: int | None = None) -> ExplicitMarkov:
+        kernel = cls.__new__(cls)
+        kernel._check(graph, name, depth, None, terms.items())
+        return kernel
+
+    def _check(self, graph, name, depth, lines, rows) -> None:
+        """Check the integer rows, (key, entries) pairs, and keep their positive entries as `terms`."""
+        self.graph = graph
+        self.terms = terms = {}
         self._name = name
         self._masks: dict[IdealSpec, int] = {}  # ideal -> its `ideal_mask` on the window
         self.depth = depth if depth is not None else graph.depth
         if not 0 <= self.depth <= graph.depth:
             raise ValueError(f"depth {self.depth} is outside 0..{graph.depth}, the graph's depth")
-        for key, row in self.rows.items():
+        for key, row in rows:
             level, index = key
             if not (0 <= level <= graph.depth and 0 <= index < len(graph.levels[level])):
                 raise ValueError(f"row {key} is no vertex of the graph")
-            if len({elem for elem, _, _ in row}) < len(row):
+            if len({entry[0] for entry in row}) < len(row):
                 raise ValueError(f"row {key} lists an element twice")
             edges = graph.up_edges[level][index]
-            for elem, j, _ in row:
+            for elem, j, _, _ in row:
                 if (elem, j) not in edges:
                     raise ValueError(f"row {key} lists ({elem}, {j}), which is no up-edge of the graph")
-            # each probability's numerator and denominator, read once
-            entries = [(elem, j, p.numerator, p.denominator) for elem, j, p in row
-                       if type(p) is Fraction or type(p) is int or isinstance(p, Rational)]
-            if len(entries) < len(row):
-                raise ValueError(f"row {key} has a probability that is not an exact rational")
-            common = math.lcm(*[den for _, _, _, den in entries])
-            total, negative = 0, False
-            for _, _, num, den in entries:
-                total += num * (common // den)
-                if num < 0:
-                    negative = True
+            total, common, smallest = 0, 1, 1  # the row's sum so far is total / common
+            for _, _, num, den in row:
+                total = total * den + num * common
+                common *= den
+                if num < smallest:
+                    smallest = num
             if total != common:
                 raise ValueError(f"row {key} sums to {Fraction(total, common)}, not 1")
-            if negative:
+            if smallest < 0:
                 raise ValueError(f"row {key} has a negative probability")
-            self.terms[key] = tuple([entry for entry in entries if entry[2]])
+            terms[key] = row if smallest else tuple([entry for entry in row if entry[2]])
         reached = {0: None}  # index at the current level -> (source index, element) of the first edge into it
         for level in range(self.depth):
             nxt = {}
             for i in sorted(reached):
-                row = self.terms.get((level, i))
+                row = terms.get((level, i))
                 if row is None:
                     via, here = reached[i], f"{level}:{i}, which has no row"
                     if lines is None:
@@ -179,6 +186,12 @@ class ExplicitMarkov:
                     if j not in nxt:
                         nxt[j] = (i, elem)
             reached = nxt
+
+    @functools.cached_property
+    def rows(self) -> dict:
+        """The terms as Fractions; a kernel built from rows keeps them as given instead."""
+        return {key: tuple([(elem, j, Fraction(num, den)) for elem, j, num, den in row])
+                for key, row in self.terms.items()}
 
     def name(self) -> str:
         return self._name
@@ -206,6 +219,16 @@ class ExplicitMarkov:
 
     def text(self, path: tuple[int, ...]) -> str:
         return ",".join(str(x) for x in path)
+
+
+def _integer_row(item):
+    """A given row as (key, integer entries): each probability's numerator and denominator, read once."""
+    key, row = item
+    entries = tuple([(elem, j, p.numerator, p.denominator) for elem, j, p in row
+                     if type(p) is Fraction or type(p) is int or isinstance(p, Rational)])
+    if len(entries) < len(row):
+        raise ValueError(f"row {key} has a probability that is not an exact rational")
+    return key, entries
 
 
 # The sampler interface every spec shares: name(); `family`, the poset
@@ -266,22 +289,25 @@ def endpoint_measure(g: GradedGraph, v: LevelVertex) -> ExplicitMarkov:
     """The exact kernel whose path law is uniform on root-to-v paths.
 
     Transition u -> w gets probability (paths w->v) / (paths u->v); the
-    products along any root-to-v path telescope to 1/dimension(v).
+    products along any root-to-v path telescope to 1/dimension(v). Each
+    row's terms are reduced integer pairs read straight off the dimension table.
     """
-    table = up_dimension_table(g, v)
-    rows = {}
+    if not (0 <= v.level <= g.depth and 0 <= v.index < len(g.levels[v.level])):
+        raise ValueError(f"vertex {v.level}:{v.index} not in graph (depth {g.depth})")
+    count = up_dimension_table(g, v).get
+    terms = {}
     for level in range(v.level):
         for i, edge_row in enumerate(g.up_edges[level]):
-            below = table.get((level, i), 0)
-            if below == 0:
-                continue
-            row = []
-            for elem, j in edge_row:
-                above = table.get((level + 1, j), 0)
-                if above:
-                    row.append((elem, j, Fraction(above, below)))
-            rows[(level, i)] = tuple(row)
-    return ExplicitMarkov(g, rows, name=f"endpoint:{v.level}:{v.index}", depth=v.level)
+            below = count((level, i), 0)
+            if below:
+                row = []
+                for elem, j in edge_row:
+                    above = count((level + 1, j), 0)
+                    if above:
+                        c = math.gcd(above, below)
+                        row.append((elem, j, above // c, below // c))
+                terms[level, i] = tuple(row)
+    return ExplicitMarkov.from_terms(g, terms, name=f"endpoint:{v.level}:{v.index}", depth=v.level)
 
 
 def path_measure(m: ExplicitMarkov) -> dict[tuple[int, ...], Fraction]:

@@ -41,6 +41,7 @@ from posetpaths import (
     uniform_path_measure,
 )
 from posetpaths import measures
+from posetpaths.graded_graph import LevelVertex, up_dimension_table
 from posetpaths.ideals import member_coords
 from posetpaths.measures import ExplicitMarkov, thoma_word
 from posetpaths.posets import PATH_CAP
@@ -88,18 +89,31 @@ def test_young_21_endpoint_splits_evenly():
 
 
 def test_endpoint_rows_sum_to_one_exactly():
-    for w, depth in [
-        (build_young_poset([3, 2]), 5),
-        (build_box_poset(2, (3, 3)), 6),
-        (build_box_poset(3, (2, 2, 2)), 5),
-    ]:
-        g = build_graph(w, depth)
-        for i in range(len(g.levels[depth])):
-            v = g.vertex(depth, i)
-            m = endpoint_measure(g, v)
-            for row in m.rows.values():
-                assert sum(p for _, _, p in row) == 1
-                assert all(isinstance(p, Fraction) for _, _, p in row)
+    # every vertex v of every corpus window, at full depth and at half of it: the terms
+    # are the reduced oracle pairs (dim(w -> v), dim(u -> v)), the rows the same values as
+    # Fractions, and the path law is uniform at 1 / dim(v)
+    for w in CORPUS:
+        for depth in (w.poset.n - 1, (w.poset.n - 1) // 2):
+            g = build_graph(w, depth)
+            _, edges, dims = ideal_levels(w.poset, depth)
+            for level in range(depth + 1):
+                numberings = brute_numberings(w.poset, level + 1)
+                for i in range(len(g.levels[level])):
+                    v = g.vertex(level, i)
+                    m = endpoint_measure(g, v)
+                    below = _paths_up_to(edges, level, i)
+                    rows = {(k, u): tuple((e, j, Fraction(below[k + 1, j], count)) for e, j in edges[k][u]
+                                          if (k + 1, j) in below)
+                            for (k, u), count in below.items() if k < level}
+                    assert m.terms == {key: tuple((e, j, p.numerator, p.denominator) for e, j, p in row)
+                                       for key, row in rows.items()}, (w.describe(), depth, level, i)
+                    assert m.rows == rows
+                    for row in m.rows.values():
+                        assert sum(p for _, _, p in row) == 1
+                        assert all(isinstance(p, Fraction) for _, _, p in row)
+                    paths = [path for path in numberings if tuple(sorted(path)) == v.ideal]
+                    assert len(paths) == dims[level][i]
+                    assert path_measure(m) == dict.fromkeys(paths, Fraction(1, dims[level][i]))
 
 
 def test_kernel_terms_are_the_positive_entries_of_its_rows_as_integers():
@@ -563,7 +577,6 @@ def test_kernel_centrality_builds_no_fraction_until_phi_is_read(monkeypatch):
     w = build_box_poset(3, (2, 2, 2))
     depth = w.poset.n - 1
     g = build_graph(w, depth)
-    kernel = endpoint_measure(g, g.vertex(depth, 0))
     built = []
 
     class Counting(Fraction):
@@ -572,14 +585,43 @@ def test_kernel_centrality_builds_no_fraction_until_phi_is_read(monkeypatch):
             return super().__new__(cls, *args, **kwargs)
 
     monkeypatch.setattr(measures, "Fraction", Counting)
+    kernel = endpoint_measure(g, g.vertex(depth, 0))
     report = kernel_centrality(kernel)
     assert report.central and built == []
     _, edges, dims = ideal_levels(w.poset, depth)
-    oracle = {u: Fraction(c, dims[depth][0]) for u, c in _paths_up_to(edges, depth, 0).items()}
+    below = _paths_up_to(edges, depth, 0)
+    oracle = {u: Fraction(c, dims[depth][0]) for u, c in below.items()}
     assert report.phi == oracle
     assert built, "the first read builds the Fractions"
     n_built = len(built)
     assert report.phi == oracle and len(built) == n_built  # the second read reuses them
+    rows = kernel.rows
+    assert len(built) == n_built + sum(map(len, kernel.terms.values())), "the first read of rows builds them"
+    assert rows == {key: tuple((e, j, Fraction(below[key[0] + 1, j], below[key])) for e, j, _, _ in row)
+                    for key, row in kernel.terms.items()}
+    n_built = len(built)
+    assert kernel.rows is rows and len(built) == n_built  # the second read reuses them
+
+
+def test_endpoint_measure_checks_the_terms_it_builds(monkeypatch):
+    # a dimension table with one count off by one: the rows into that vertex no longer sum to 1
+    g = build_graph(build_box_poset(3, (2, 2, 2)), 5)
+    table = up_dimension_table(g, g.vertex(5, 0))
+    parent = next(u for u, edges in enumerate(g.up_edges[1]) if any(j == 0 for _, j in edges))
+    table[2, 0] += 1
+    monkeypatch.setattr(measures, "up_dimension_table", lambda graph, v: dict(table))
+    total = Fraction(sum(table[2, j] for _, j in g.up_edges[1][parent]), table[1, parent])
+    with pytest.raises(ValueError, match=rf"^row \(1, {parent}\) sums to {total}, not 1$"):
+        endpoint_measure(g, g.vertex(5, 0))
+
+
+def test_endpoint_measure_refuses_a_vertex_the_graph_lacks():
+    deep = build_graph(build_young_poset([3, 2]), 5)
+    g = build_graph(build_young_poset([3, 2]), 3)
+    with pytest.raises(ValueError, match=r"^vertex 5:0 not in graph \(depth 3\)$"):
+        endpoint_measure(g, deep.vertex(5, 0))
+    with pytest.raises(ValueError, match=r"^vertex 3:7 not in graph \(depth 3\)$"):
+        endpoint_measure(g, LevelVertex(3, 7, deep.vertex(3, 0).ideal))
 
 
 def test_kernel_centrality_needs_a_row_where_it_walks():
