@@ -29,6 +29,7 @@ from .measures import (
     FREQUENCY_CSV_HEADER,
     ExplicitMarkov,
     Thoma,
+    _perturb,
     compare_frequency_profiles,
     csv_field,
     endpoint_measure,
@@ -363,8 +364,8 @@ def cmd_measure_check(args):
         handle = generate_group(window, length)
         measure = uniform_path_measure(handle)
         config["measure"] = f"uniform:{length}"
-    if eps is not None:
-        measure = perturb_fiber(measure, eps)
+    if eps is not None:  # a uniform law's mass moves within its handle's fibers, which is_central reads next
+        measure = perturb_fiber(measure, eps) if handle is None else _perturb(measure, handle.paths, handle.fiber_ids, eps)
         config["measure"] += f"+perturb:{args.perturb}"
         negative = sorted(path for path, p in measure.items() if p.numerator < 0)
         if negative:  # paths an over-large perturbation leaves with negative mass

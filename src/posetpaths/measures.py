@@ -7,7 +7,8 @@ rationals only, and a float in a kernel row or a law raises ValueError:
 centrality is an exact symmetry, and a tolerance would mask bugs.
 Centrality has two routes, chosen by the kind of input. An explicit law
 goes to `is_central`, which reads the symmetry off a
-`symmetry.GroupHandle` the caller builds once with `generate_group`.
+`symmetry.GroupHandle` the caller builds once with `generate_group`, at
+the paths off the law's most common mass alone.
 A kernel goes to `kernel_centrality`, one integer pass over the positive
 terms of its rows: every prefix reaching a vertex must carry one mass,
 and no path or numbering is listed. A kernel stores integer terms and is
@@ -45,7 +46,7 @@ from .ideals import AxisRaysIdeal, FullIdeal, HookIdeal, IdealSpec, ideal_mask, 
 from .posets import PATH_CAP, ROOT, CapExceeded, PosetWindow, build_young_poset, validate_numbering
 from .posets import enumerate_numberings  # noqa: F401  (bench/spans.py traces the name here)
 from .symmetry import apply_sigma  # noqa: F401  (bench/spans.py traces the name here)
-from .symmetry import GroupHandle, compose, endpoint_fibers
+from .symmetry import GroupHandle, _endpoint_fiber_ids
 from .young import GrowthPath, additions, check_partition, tableau_count
 from .young import corner_probabilities, growth_step_arrays, row_insert  # noqa: F401  (only bench/spans.py's KERNELS use them; delete them once it drops them)
 
@@ -341,17 +342,26 @@ def uniform_path_measure(handle: GroupHandle) -> dict[tuple[int, ...], Fraction]
     return dict.fromkeys(handle.paths, Fraction(1, handle.n_paths))
 
 
+def _perturb(measure, paths, fibers, eps):
+    """Move mass eps onto the first and off the second path of the first
+    fiber holding at least two, each fiber a list of ids into `paths`."""
+    for ids in fibers:
+        if len(ids) >= 2:
+            first, second = paths[ids[0]], paths[ids[1]]
+            out = dict(measure)
+            out[first] = out[first] + eps
+            out[second] = out[second] - eps
+            return out
+    raise ValueError("no fiber with two or more paths")
+
+
 def perturb_fiber(measure, eps=Fraction(1, 10)):
     """Move mass eps between the two lexicographically first paths of the
     first endpoint fiber holding at least two paths; breaks centrality by
-    construction."""
-    for paths in endpoint_fibers(sorted(measure)).values():
-        if len(paths) >= 2:
-            out = dict(measure)
-            out[paths[0]] = out[paths[0]] + eps
-            out[paths[1]] = out[paths[1]] - eps
-            return out
-    raise ValueError("no fiber with two or more paths")
+    construction. `measure check` moves a uniform law within its handle's
+    `fiber_ids` by the same rule, so its paths are grouped once."""
+    paths = sorted(measure)
+    return _perturb(measure, paths, _endpoint_fiber_ids(paths).values(), eps)
 
 
 @dataclass
@@ -387,10 +397,17 @@ def is_central(handle: GroupHandle, measure) -> CentralityReport:
     fiber-conditional uniformity.
 
     `measure` maps numberings (tuples of ids) that `handle` lists to exact
-    rational probabilities summing to one; a float raises ValueError. The
-    generators are read in order up to the first that moves mass, so the
-    handle realizes none past it, and none for a law this refuses.
+    rational probabilities summing to one; a float raises ValueError.
+
+    A permutation keeps every mass exactly when it keeps the masses of
+    the paths off the most common one: it maps them into, so onto,
+    themselves. So the generators are read in order at those paths alone,
+    only the first that moves mass is realized in full (for its
+    witnesses), and only the fibers holding such a path are scanned. A
+    uniform law, or one this refuses, reads no generator.
     """
+    from collections import Counter  # loaded with functools; no import at module load
+
     if not measure:
         raise ValueError("empty measure")
     # masses as integers over one common denominator compare as the rationals do, without Fractions
@@ -413,19 +430,27 @@ def is_central(handle: GroupHandle, measure) -> CentralityReport:
         raise ValueError(f"probabilities sum to {total}, not 1")
 
     scaled = [num * (common // den) for num, den in weights]
-    inv_witnesses = []
-    unmoved = tuple(scaled)
-    for i, gen in enumerate(handle.generators, 1):
-        if compose(scaled, gen) != unmoved:  # some path's weight differs from its image's
-            inv_witnesses = [(i, handle.paths[k]) for k, j in enumerate(gen) if scaled[k] != scaled[j]][:5]
-            break
-
-    fiber_witnesses = []
-    for ids in handle.fiber_ids:
-        keys = [scaled[k] for k in ids]
-        lo, hi = min(keys), max(keys)
-        if lo != hi:  # the first lightest and the first heaviest, in path order
-            fiber_witnesses.append((handle.paths[ids[keys.index(lo)]], handle.paths[ids[keys.index(hi)]]))
+    counts = Counter(scaled)
+    usual = max(counts, key=counts.__getitem__)  # the most common weight, the first seen on a tie
+    off = list(itertools.compress(range(len(scaled)), map(operator.ne, scaled, itertools.repeat(usual))))
+    inv_witnesses, fiber_witnesses = [], []
+    if off:  # else the law is uniform: no generator or fiber is read
+        gens = handle.generators
+        at = getattr(gens, "at", None) or (lambda b, ids: [gens[b][k] for k in ids])  # plain tuples are indexed
+        masses = [scaled[k] for k in off]
+        for b in range(len(gens)):
+            if list(map(scaled.__getitem__, at(b, off))) != masses:  # the slot moves mass: realize it
+                moved = map(operator.ne, scaled, map(scaled.__getitem__, gens[b]))
+                inv_witnesses = [(b + 1, handle.paths[k]) for k in itertools.islice(itertools.compress(itertools.count(), moved), 5)]
+                break
+        marked = set(off)
+        for ids in handle.fiber_ids:
+            if marked.isdisjoint(ids):  # the common weight alone: uniform
+                continue
+            keys = [scaled[k] for k in ids]
+            lo, hi = min(keys), max(keys)
+            if lo != hi:  # the first lightest and the first heaviest, in path order
+                fiber_witnesses.append((handle.paths[ids[keys.index(lo)]], handle.paths[ids[keys.index(hi)]]))
     return CentralityReport(
         n_paths=handle.n_paths,
         invariance_ok=not inv_witnesses,

@@ -13,10 +13,10 @@ without consulting the order: every numbering has positions i and i+1
 exchanged and is looked up in the index of numberings. Two comparable
 entries come in order, so their exchange puts an element before one
 below it; that tuple is no numbering, the lookup misses, and the path
-stays fixed. A reader that stops early (a centrality check stops at the
-first sigma_i that moves mass) realizes no generator past it; a reader
-of every generator takes them once as one tuple. No other field records
-the index i. Permutations are composed by `operator.itemgetter`.
+stays fixed. A reader that stops early realizes no generator past it,
+and one of a few paths (`_Sigmas.at`) realizes none; a reader of every
+generator takes them once as one tuple. No other field records the
+index i. Permutations are composed by `operator.itemgetter`.
 
 The pairwise facts (which generators are involutions, which pairs
 commute, and the violated relations) form one table per handle,
@@ -222,7 +222,8 @@ class _Sigmas:
     (sigma_{b+1}) realized when it is first read and kept: every path with
     positions i, i+1 exchanged, looked up in the path index; a missed
     lookup (comparable entries, so no numbering) leaves the path fixed.
-    Equal to the tuple of the realized permutations.
+    `at` reads a slot at some paths only. Equal to the tuple of the
+    realized permutations.
     """
 
     def __init__(self, paths, index, length):
@@ -232,17 +233,31 @@ class _Sigmas:
     def __len__(self) -> int:
         return len(self._perms)
 
+    def _swapped(self, b, paths, ids):
+        """The ids of `paths` (whose own ids are `ids`) with the positions
+        of sigma_{b+1} exchanged."""
+        i = range(1, len(self._perms) + 1)[b]  # a negative slot counts from sigma_{length-2}
+        order = list(range(self._length))
+        order[i], order[i + 1] = i + 1, i
+        return tuple(map(self._index.get, map(itemgetter(*order), paths), ids))
+
     def __getitem__(self, b):
         if isinstance(b, slice):
             return tuple(map(self.__getitem__, range(len(self._perms))[b]))
         perm = self._perms[b]
         if perm is None:
-            i = range(1, len(self._perms) + 1)[b]  # a negative slot counts from sigma_{length-2}
-            order = list(range(self._length))
-            order[i], order[i + 1] = i + 1, i
-            paths = self._paths
-            perm = self._perms[b] = tuple(map(self._index.get, map(itemgetter(*order), paths), range(len(paths))))
+            perm = self._perms[b] = self._swapped(b, self._paths, range(len(self._paths)))
         return perm
+
+    def at(self, b, ids) -> tuple[int, ...]:
+        """Slot b's images of the path ids `ids`, read off the slot when it
+        is realized, else looked up at those paths alone and not kept."""
+        perm = self._perms[b]
+        if perm is not None:
+            return tuple(map(perm.__getitem__, ids))
+        if not ids:
+            return ()
+        return self._swapped(b, map(self._paths.__getitem__, ids), ids)
 
     def __iter__(self):
         perms = self._perms

@@ -441,47 +441,55 @@ def test_measure_check_perturbed_fails(capsys):
 
 def _realized(monkeypatch, capsys, *argv):
     """Run `argv` and return its exit code and stdout, the sigma indices
-    realized during the run, in order, and how many of them were realized
-    by the time `generate_group` returned. A realization gathers every path
-    through one `itemgetter` of the positions with i and i+1 exchanged."""
+    realized in full by the end of the run and by the time `generate_group`
+    returned (the filled slots of each handle's generators), the reads of
+    a generator at some paths, as (sigma index, path ids) in order, and the
+    handles. A read at some paths fills no slot."""
     from posetpaths import symmetry
 
-    real_itemgetter, real_generate = symmetry.itemgetter, cli.generate_group
-    realized, at_return = [], []
+    real_generate, real_at = cli.generate_group, symmetry._Sigmas.at
+    handles, at_return, reads = [], [], []
 
-    def itemgetter(*order):
-        moved = [k for k, x in enumerate(order) if k != x]
-        if len(order) > 2 and len(moved) == 2 and moved[1] == moved[0] + 1 == order[moved[0]] and order[moved[1]] == moved[0]:
-            realized.append(moved[0])
-        return real_itemgetter(*order)
+    def filled(handle):
+        return [b + 1 for b, perm in enumerate(handle.generators._perms) if perm is not None]
 
     def generate_group(*args, **kwargs):
         handle = real_generate(*args, **kwargs)
-        at_return.append(len(realized))
+        handles.append(handle)
+        at_return.append(len(filled(handle)))
         return handle
 
-    monkeypatch.setattr(symmetry, "itemgetter", itemgetter)
+    def at(self, b, ids):
+        reads.append((range(1, len(self) + 1)[b], list(ids)))
+        return real_at(self, b, ids)
+
     monkeypatch.setattr(cli, "generate_group", generate_group)
+    monkeypatch.setattr(symmetry._Sigmas, "at", at)
     code, out, _ = run(capsys, *argv)
-    return code, out, realized, at_return
+    return code, out, [i for h in handles for i in filled(h)], at_return, reads, handles
 
 
 def test_a_perturbed_law_realizes_generators_up_to_the_first_that_moves_mass(monkeypatch, capsys):
-    code, out, realized, at_return = _realized(
+    # the two paths the perturbation moves are the only ones off the common
+    # mass: sigma_1..sigma_4 are read at them alone, and only sigma_4, the
+    # first that moves mass, is realized in full for its witnesses
+    code, out, realized, at_return, reads, (handle,) = _realized(
         monkeypatch, capsys, "measure", "check", "--young", "4,3,2,1", "--perturb", "1/1000"
     )
     assert code == 1
     assert "  witness: sigma_4 moves mass on path 0,1,2,3,4,5,6,7,8,9,10" in out.splitlines()
-    assert realized == [1, 2, 3, 4] and at_return == [0]
+    assert realized == [4] and at_return == [0]
+    moved = next(ids[:2] for ids in handle.fiber_ids if len(ids) >= 2)
+    assert reads == [(i, moved) for i in (1, 2, 3, 4)]
 
 
 def test_a_law_with_negative_mass_realizes_no_generator(monkeypatch, capsys):
-    code, out, realized, at_return = _realized(
+    code, out, realized, at_return, reads, _ = _realized(
         monkeypatch, capsys, "measure", "check", "--young", "4,4,3,2", "--perturb", "1/1000"
     )
     assert code == 1
     assert any(line.startswith("perturbed_law: negative mass ") for line in out.splitlines())
-    assert realized == [] and at_return == [0]
+    assert realized == [] and at_return == [0] and reads == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -489,9 +497,13 @@ def test_a_law_with_negative_mass_realizes_no_generator(monkeypatch, capsys):
     ("group", "--young", "4,3,2,1", "--group-cap", "1000", "--local", "all"),
 ])
 def test_readers_of_every_generator_realize_each_once(argv, monkeypatch, capsys):
-    code, _, realized, at_return = _realized(monkeypatch, capsys, *argv)
+    # the group check realizes every generator; a uniform law has no path off
+    # its common mass, so its check reads no generator and lists no fiber
+    code, _, realized, at_return, reads, (handle,) = _realized(monkeypatch, capsys, *argv)
     assert code == 0
-    assert sorted(realized) == list(range(1, 10)) and at_return == [0]
+    assert realized == (list(range(1, 10)) if argv[0] == "group" else []) and at_return == [0] and reads == []
+    if argv[0] == "measure":
+        assert "fiber_ids" not in vars(handle)
 
 
 def test_measure_check_over_large_perturbation_exits_1(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import pathlib
@@ -261,6 +262,51 @@ def test_centrality_witnesses_match_per_path_oracle():
             assert (report.invariance_witnesses, report.fiber_witnesses) == central_witnesses(
                 w.poset, law, length
             ), (w.describe(), length)
+
+
+def _scaled_law(paths, weights):
+    total = sum(weights)
+    return {p: Fraction(q, total) for p, q in zip(paths, weights)}
+
+
+def test_off_mass_route_matches_the_per_path_oracle():
+    # is_central reads each generator, and scans the fibers, at the paths
+    # off the law's most common mass only; on every corpus window at full
+    # and at a partial length its verdicts and witnesses are the per-path
+    # oracle's, it realizes no slot but the first that moves mass, and a
+    # handle holding plain tuples answers the same
+    rng = random.Random(35)
+    for w in CORPUS:
+        for length in sorted({w.poset.n, w.poset.n // 2 + 1}):
+            handle = generate_group(w, length)
+            paths, n = handle.paths, handle.n_paths
+            uniform = uniform_path_measure(handle)
+            laws = [uniform, _random_law(paths, rng)]
+            for _ in range(2):  # two masses on half the paths each: a tie for the most common
+                weights = [1] * (n // 2) + [2] * (n // 2) + [3] * (n % 2)
+                rng.shuffle(weights)
+                laws.append(_scaled_law(paths, weights))
+            # the most common mass is 0, as a Fraction and as an absent path
+            heavy = set(rng.sample(range(n), max(1, n // 4)))
+            laws.append(_scaled_law(paths, [rng.randrange(1, 4) if k in heavy else 0 for k in range(n)]))
+            laws.append({p: q for p, q in laws[-1].items() if q})
+            laws.append({p: int(k == n - 1) for k, p in enumerate(paths)})  # int masses
+            laws.append(_scaled_law(paths, [p[-1] + 1 for p in paths]))  # moved by the last generator alone
+            if any(len(ids) >= 2 for ids in handle.fiber_ids):
+                perturbed = perturb_fiber(uniform, Fraction(1, 1000))
+                assert measures._perturb(uniform, paths, handle.fiber_ids, Fraction(1, 1000)) == perturbed
+                laws.append(perturbed)
+            for law in laws:
+                expected = central_witnesses(w.poset, law, length)
+                fresh = generate_group(w, length)
+                report = is_central(fresh, law)
+                assert (report.invariance_witnesses, report.fiber_witnesses) == expected, (w.describe(), length, law)
+                assert report.central == (expected == ([], []))
+                realized = [b + 1 for b, perm in enumerate(fresh.generators._perms) if perm is not None]
+                assert realized == [i for i, _ in expected[0][:1]]
+                plain = dataclasses.replace(fresh, generators=tuple(fresh.generators))
+                again = is_central(plain, law)
+                assert (again.invariance_witnesses, again.fiber_witnesses) == expected
 
 
 def test_fiber_witness_ties_keep_path_order():

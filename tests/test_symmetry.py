@@ -181,6 +181,34 @@ def test_generators_are_realized_on_first_read_as_apply_sigma_and_a_lookup():
                         h.generators[b]
 
 
+def test_a_read_at_some_paths_looks_up_those_paths_and_keeps_nothing(monkeypatch):
+    # slot b read at some path ids equals the realized slot at those ids,
+    # negative slots included, through one lookup that fills no slot; a
+    # realized slot is read off its tuple with no lookup, and an empty read
+    # builds none
+    real, swaps = symmetry.itemgetter, []
+
+    def itemgetter(*items):
+        swaps.append(items)
+        return real(*items)
+
+    monkeypatch.setattr(symmetry, "itemgetter", itemgetter)
+    rng = random.Random(35)
+    for w in CORPUS + [build_young_poset([4, 3, 2, 1])]:
+        for length in range(3, w.poset.n + 1):
+            handle, realized = generate_group(w, length), generate_group(w, length)
+            n, slots = handle.n_paths, len(handle.generators)
+            for b in [*range(slots), *range(-slots, 0)]:
+                full = realized.generators[b]
+                for ids in ([], [n - 1, 0, n - 1], rng.sample(range(n), min(n, 3)), list(range(n))):
+                    swaps.clear()
+                    assert handle.generators.at(b, ids) == tuple(full[k] for k in ids), (w.describe(), length, b)
+                    assert len(swaps) == (1 if ids else 0) and handle.generators._perms[b] is None
+                    swaps.clear()
+                    assert realized.generators.at(b, ids) == tuple(full[k] for k in ids)
+                    assert swaps == [] and realized.generators._perms[b] is full
+
+
 def test_readers_of_every_generator_accept_any_sequence():
     # a replaced handle may hold a tuple or a list; the answers match the
     # handle whose generators are realized on first read
