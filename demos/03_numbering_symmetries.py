@@ -18,7 +18,6 @@ from posetpaths import (
     generate_group,
     group_order,
     local_indices,
-    orbit,
     verify_relations,
 )
 
@@ -43,9 +42,14 @@ print(
 
 # Orbits under all involutions sweep out exactly the numberings with the
 # same endpoint ideal.
-young = build_young_poset([3, 2])
-paths = orbit((0, 1, 2, 4, 3, 5), young)
-print("orbit size on young [3,2] at full depth:", len(paths))
+young = generate_group(build_young_poset([3, 2]), 6)
+orbit = {young.path_index[(0, 1, 2, 4, 3, 5)]}
+frontier = orbit
+while frontier:  # add every generator's images of the ids found last
+    frontier = {perm[k] for perm in young.generators for k in frontier} - orbit
+    orbit |= frontier
+assert sorted(orbit) == young.fiber_ids[0]  # at full depth, one endpoint fiber
+print("orbit size on young [3,2] at full depth:", len(orbit))
 
 # The diagram with one long row plus a single cell below: n-1 maximal
 # numberings, and the involutions generate the full symmetric group on

@@ -77,11 +77,9 @@ from .symmetry import (
     RelationReport,
     apply_sigma,
     classify_local,
-    endpoint_fibers,
     generate_group,
     group_order,
     local_indices,
-    orbit,
     verify_relations,
 )
 from .young import GrowthPath, tableau_count

@@ -21,6 +21,7 @@ import functools
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 from operator import itemgetter
 
 from .graded_graph import DEFAULT_VERTEX_CAP, build_graph
@@ -38,7 +39,7 @@ from .measures import (
     is_central,
     kernel_centrality,
     path_measure,
-    perturb_fiber,
+    perturb_fiber,  # noqa: F401  (bench/spans.py traces the name here)
     sample_plancherel,  # noqa: F401  (bench/spans.py traces the name here)
     sample_rsk_thoma,  # noqa: F401  (bench/spans.py traces the name here)
     uniform_path_measure,
@@ -341,8 +342,8 @@ def _centrality_lines(report):
 
 def cmd_measure_check(args):
     """A kernel is checked by one forward pass over its rows; the uniform
-    law and every perturbed law are listed and checked on the numberings'
-    group handle."""
+    law and every perturbed law are checked on the numberings' group
+    handle, within whose fibers a perturbation moves mass."""
     config = {"poset": _poset_flag(args)}
     try:  # read before any law is listed, which may hit a cap first
         eps = None if args.perturb is None else Fraction(args.perturb)
@@ -350,29 +351,28 @@ def cmd_measure_check(args):
         raise ValueError(f"--perturb {args.perturb}: zero denominator") from None
     except ValueError:
         raise ValueError(f"--perturb {args.perturb}: not a rational number") from None
-    handle = None
     if args.sampler is not None:
         kernel = _parse_sampler(args.sampler, args, _window_source(args))
         config["measure"] = kernel.name()
         if eps is None:
             return config, *_centrality_lines(kernel_centrality(kernel))
-        window, length = kernel.graph.window, kernel.depth + 1
         measure = path_measure(kernel)
+        handle = generate_group(kernel.graph.window, kernel.depth + 1)
     else:
         window = _resolve_window(args)
         length = args.depth if args.depth is not None else window.poset.n
         handle = generate_group(window, length)
         measure = uniform_path_measure(handle)
         config["measure"] = f"uniform:{length}"
-    if eps is not None:  # a uniform law's mass moves within its handle's fibers, which is_central reads next
-        measure = perturb_fiber(measure, eps) if handle is None else _perturb(measure, handle.paths, handle.fiber_ids, eps)
+    if eps is not None:  # each fiber kept to its first two paths of the law; is_central reads the fibers next
+        paths = handle.paths
+        fibers = (list(islice((k for k in ids if paths[k] in measure), 2)) for ids in handle.fiber_ids)
+        measure, moved = _perturb(measure, paths, fibers, eps)
         config["measure"] += f"+perturb:{args.perturb}"
-        negative = sorted(path for path, p in measure.items() if p.numerator < 0)
-        if negative:  # paths an over-large perturbation leaves with negative mass
+        negative = sorted(path for path in moved if measure[path].numerator < 0)
+        if negative:  # moved paths an over-large perturbation leaves with negative mass; no generator is read
             lines = [f"perturbed_law: negative mass {measure[path]} on path {_commas(path)}" for path in negative]
             return config, lines + ["central: NO"], EXIT_VIOLATION
-    if handle is None:  # a kernel's numberings are enumerated only for a law without negative mass
-        handle = generate_group(window, length)
     return config, *_centrality_lines(is_central(handle, measure))
 
 

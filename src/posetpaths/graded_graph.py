@@ -2,8 +2,9 @@
 
 Level k holds the downward-closed sets with k non-root elements (the
 root is always present and not counted); an up-edge adds exactly one
-element. Path counts from the root ("dimensions") are exact big
-integers; counting never touches floating point.
+element. Path counts are exact big integers, never floats: the counts
+from the root ("dimensions", `dims`) are summed as the graph is built,
+and `counts_up` is the one backward pass, from weights at a level down.
 """
 
 from __future__ import annotations
@@ -116,6 +117,17 @@ class GradedGraph:
         out.append([[] for _ in self.levels[self.depth]])
         return out
 
+    def counts_up(self, level: int, top) -> list[list[int]]:
+        """Per level 0..`level`, N(u) = the sum of N(w) over u's up-edges,
+        with N at `level` the weights `top`: 1 at v alone counts the paths
+        u -> v, 1 everywhere the paths from u up to `level`."""
+        counts = [list(top)]
+        for rows in reversed(self.up_edges[:level]):
+            above = counts[-1]
+            counts.append([sum(above[j] for _, j in row) for row in rows])
+        counts.reverse()
+        return counts
+
     def vertex(self, level: int, index: int) -> LevelVertex:
         level = range(len(self.levels))[level]  # IndexError past either end, as for index
         index = range(len(self.levels[level]))[index]
@@ -175,18 +187,10 @@ def dimension(g: GradedGraph, v: LevelVertex) -> int:
 
 
 def up_dimension_table(g: GradedGraph, v: LevelVertex) -> dict[tuple[int, int], int]:
-    """Path counts u -> v for every vertex u at levels <= level(v).
-
-    Descending dynamic program seeded at v; vertices not below v get 0.
-    """
-    counts: dict[tuple[int, int], int] = {(v.level, v.index): 1}
-    for level in range(v.level - 1, -1, -1):
-        for i, row in enumerate(g.up_edges[level]):
-            total = 0
-            for _, j in row:
-                total += counts.get((level + 1, j), 0)
-            counts[(level, i)] = total
-    return counts
+    """Path counts u -> v, keyed (level, index), for v and every vertex u
+    at the levels below it (0 when u is not below v): `counts_up` from v."""
+    counts = g.counts_up(v.level, [int(i == v.index) for i in range(len(g.levels[v.level]))])
+    return {(v.level, v.index): 1} | {(k, i): c for k in range(v.level - 1, -1, -1) for i, c in enumerate(counts[k])}
 
 
 def up_dimension(g: GradedGraph, u: LevelVertex, v: LevelVertex) -> int:

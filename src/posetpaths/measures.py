@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .graded_graph import GradedGraph, LevelVertex, up_dimension_table
+from .graded_graph import GradedGraph, LevelVertex
+from .graded_graph import up_dimension_table  # noqa: F401  (bench/spans.py traces the name here)
 from .ideals import AxisRaysIdeal, FullIdeal, HookIdeal, IdealSpec, ideal_mask, member_coords
 from .posets import PATH_CAP, ROOT, CapExceeded, PosetWindow, build_young_poset, validate_numbering
 from .posets import enumerate_numberings  # noqa: F401  (bench/spans.py traces the name here)
@@ -291,19 +292,19 @@ def endpoint_measure(g: GradedGraph, v: LevelVertex) -> ExplicitMarkov:
 
     Transition u -> w gets probability (paths w->v) / (paths u->v); the
     products along any root-to-v path telescope to 1/dimension(v). Each
-    row's terms are reduced integer pairs read straight off the dimension table.
+    row's terms are reduced integer pairs read straight off `counts_up` at v.
     """
     if not (0 <= v.level <= g.depth and 0 <= v.index < len(g.levels[v.level])):
         raise ValueError(f"vertex {v.level}:{v.index} not in graph (depth {g.depth})")
-    count = up_dimension_table(g, v).get
+    counts = g.counts_up(v.level, [int(i == v.index) for i in range(len(g.levels[v.level]))])
     terms = {}
     for level in range(v.level):
-        for i, edge_row in enumerate(g.up_edges[level]):
-            below = count((level, i), 0)
+        counts_above = counts[level + 1]
+        for i, (edge_row, below) in enumerate(zip(g.up_edges[level], counts[level])):
             if below:
                 row = []
                 for elem, j in edge_row:
-                    above = count((level + 1, j), 0)
+                    above = counts_above[j]
                     if above:
                         c = math.gcd(above, below)
                         row.append((elem, j, above // c, below // c))
@@ -344,24 +345,25 @@ def uniform_path_measure(handle: GroupHandle) -> dict[tuple[int, ...], Fraction]
 
 def _perturb(measure, paths, fibers, eps):
     """Move mass eps onto the first and off the second path of the first
-    fiber holding at least two, each fiber a list of ids into `paths`."""
+    fiber holding at least two, each fiber a list of ids into `paths`;
+    returns the new law and those two paths, the only ones it changed."""
     for ids in fibers:
         if len(ids) >= 2:
             first, second = paths[ids[0]], paths[ids[1]]
             out = dict(measure)
             out[first] = out[first] + eps
             out[second] = out[second] - eps
-            return out
+            return out, (first, second)
     raise ValueError("no fiber with two or more paths")
 
 
 def perturb_fiber(measure, eps=Fraction(1, 10)):
     """Move mass eps between the two lexicographically first paths of the
     first endpoint fiber holding at least two paths; breaks centrality by
-    construction. `measure check` moves a uniform law within its handle's
-    `fiber_ids` by the same rule, so its paths are grouped once."""
+    construction. `measure check` moves a law by the same rule within its
+    handle's `fiber_ids`, each kept to the law's paths, grouped once."""
     paths = sorted(measure)
-    return _perturb(measure, paths, _endpoint_fiber_ids(paths).values(), eps)
+    return _perturb(measure, paths, _endpoint_fiber_ids(paths).values(), eps)[0]
 
 
 @dataclass

@@ -75,23 +75,6 @@ def apply_sigma(poset: Poset, i: int, phi: tuple[int, ...]) -> tuple[int, ...]:
     return phi[:i] + (b, a) + phi[i + 2:]
 
 
-def orbit(phi: tuple[int, ...], window: PosetWindow) -> list[tuple[int, ...]]:
-    """Closure of {phi} under every applicable involution, sorted."""
-    poset = window.poset
-    seen = {phi}
-    frontier = [phi]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for i in range(1, len(p) - 1):
-                q = apply_sigma(poset, i, p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return sorted(seen)
-
-
 # --- permutations as dense index tuples ---------------------------------
 
 
@@ -299,8 +282,8 @@ class GroupHandle:
 
     @functools.cached_property
     def fiber_ids(self) -> list[list[int]]:
-        """The endpoint fibers as lists of path ids, in the order of
-        `endpoint_fibers(paths)`."""
+        """The endpoint fibers as lists of path ids, in the lexicographic
+        order of their sorted endpoint sets, each in path order."""
         return list(_endpoint_fiber_ids(self.paths).values())
 
 
@@ -503,11 +486,7 @@ def _local_classes(window: PosetWindow, length: int, vertex_cap: int) -> dict[in
     vertices; each is a prefix ideal, so there are at most n_paths * length."""
     g = build_graph(window, length - 1, vertex_cap)
     edges = g.up_edges  # per level, per ideal: (added id, index one level up)
-    up = [[1] * len(g.levels[-1])]  # N, from the top level down to level 3
-    for rows in edges[length - 2:2:-1]:
-        above = up[-1]
-        up.append([sum(above[j] for _, j in row) for row in rows])
-    up.reverse()  # up[k] is level k + 3
+    up = g.counts_up(length - 1, [1] * len(g.levels[-1]))[3:]  # N; up[k] is level k + 3
     moves = [any(len(row) > 1 for row in rows) for rows in edges]  # sigma_{k+1} moves
     out = {}
     for i in range(1, length - 2):
@@ -549,11 +528,3 @@ def _endpoint_fiber_ids(paths) -> dict[frozenset[int], list[int]]:
     for k, p in enumerate(paths):
         out.setdefault(frozenset(p), []).append(k)
     return dict(sorted(out.items(), key=lambda item: sorted(item[0])))
-
-
-def endpoint_fibers(paths) -> dict[frozenset[int], list[tuple[int, ...]]]:
-    """Group numberings by the set of visited elements. Fibers come in the
-    lexicographic order of their sorted endpoint sets; each lists its
-    paths in their order in `paths`."""
-    paths = list(paths)
-    return {key: [paths[k] for k in ids] for key, ids in _endpoint_fiber_ids(paths).items()}

@@ -427,6 +427,31 @@ def brute_orbit(poset, seq):
     return seen
 
 
+def generator_orbit(handle, seq):
+    """The orbit of the numbering `seq` under a group handle's generators,
+    by a search over path ids, as a set of numberings."""
+    seen = {handle.path_index[seq]}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for k in frontier:
+            for perm in handle.generators:
+                if perm[k] not in seen:
+                    seen.add(perm[k])
+                    new.append(perm[k])
+        frontier = new
+    return {handle.paths[k] for k in seen}
+
+
+def brute_fibers(paths):
+    """Numberings grouped by the set of their entries: the groups in the
+    lexicographic order of the sorted sets, each in the order of `paths`."""
+    groups = {}
+    for seq in paths:
+        groups.setdefault(tuple(sorted(seq)), []).append(seq)
+    return [groups[key] for key in sorted(groups)]
+
+
 def lcm(values):
     out = 1
     for v in values:

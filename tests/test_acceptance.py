@@ -21,7 +21,6 @@ from posetpaths import (
     compare_frequency_profiles,
     classify_local,
     dimension,
-    endpoint_fibers,
     endpoint_measure,
     enumerate_numberings,
     estimate_frequency,
@@ -29,7 +28,6 @@ from posetpaths import (
     group_order,
     is_central,
     local_indices,
-    orbit,
     path_measure,
     perturb_fiber,
     verify_relations,
@@ -38,7 +36,7 @@ from posetpaths.cli import main
 from posetpaths.symmetry import ALLOWED_ORBIT_TAGS
 from posetpaths.young import tableau_count
 
-from oracles import brute_numberings, brute_orbit, brute_symmetry_group_order, partitions_of
+from oracles import brute_numberings, brute_orbit, brute_symmetry_group_order, generator_orbit, partitions_of
 
 
 def corpus():
@@ -142,12 +140,11 @@ def test_criterion_05_centrality_exact():
 def test_criterion_06_fiber_transitivity():
     with criterion(6, "orbits equal endpoint fibers at full depth"):
         for w in corpus():
-            paths = enumerate_numberings(w, w.poset.n)
-            fibers = endpoint_fibers(paths)
-            assert len(fibers) == 1  # full depth: single endpoint
-            for phi in paths:
-                got = set(orbit(phi, w))
-                assert got == set(paths), (w.describe(), phi)
+            handle = generate_group(w, w.poset.n)
+            assert len(handle.fiber_ids) == 1  # full depth: single endpoint
+            for phi in handle.paths:
+                got = generator_orbit(handle, phi)
+                assert got == set(handle.paths), (w.describe(), phi)
                 assert got == brute_orbit(w.poset, phi)
 
 

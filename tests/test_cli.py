@@ -518,6 +518,37 @@ def test_measure_check_over_large_perturbation_exits_1(capsys):
     assert "generator_invariance: fail" in out
 
 
+@pytest.mark.parametrize("window", [("--endpoint", "10:0", "--young", "4,3,2,1"), ("--endpoint", "3:1", "--young", "3,2,1")])
+def test_a_perturbed_kernel_law_groups_its_paths_into_fibers_once(window, monkeypatch, capsys):
+    # the mass moves within the handle's fibers, kept to the law's paths,
+    # and the centrality check reads the same fibers
+    from posetpaths import measures, symmetry
+
+    real, calls = symmetry._endpoint_fiber_ids, []
+
+    def counted(paths):
+        calls.append(len(paths))
+        return real(paths)
+
+    monkeypatch.setattr(symmetry, "_endpoint_fiber_ids", counted)
+    monkeypatch.setattr(measures, "_endpoint_fiber_ids", counted)  # the name perturb_fiber reads
+    code, out, _ = run(capsys, "measure", "check", *window, "--perturb", "1/1000")
+    assert code == 1 and "central: NO" in out.splitlines()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("--young", "2,1", "--perturb", "5"), "negative mass -9/2 on path 0,1,3,2"),  # the path losing mass
+    (("--young", "2,1", "--perturb=-1"), "negative mass -1/2 on path 0,1,2,3"),  # the path gaining it
+    (("--endpoint", "3:1", "--young", "3,2,1", "--perturb", "3"), "negative mass -5/2 on path 0,1,4,2"),
+])
+def test_negative_mass_is_named_on_the_moved_path_before_any_generator_is_read(argv, line, monkeypatch, capsys):
+    code, out, realized, at_return, reads, _ = _realized(monkeypatch, capsys, "measure", "check", *argv)
+    assert code == 1
+    assert [x for x in out.splitlines() if not x.startswith("#")] == [f"perturbed_law: {line}", "central: NO"]
+    assert realized == [] and at_return == [0] and reads == []
+
+
 def test_compare_builds_the_window_graph_once(monkeypatch, capsys):
     from posetpaths import cli
 

@@ -20,10 +20,11 @@ from posetpaths import (
     path_measure,
     path_of,
     up_dimension,
+    up_dimension_table,
 )
 from posetpaths.young import tableau_count
 
-from oracles import brute_numberings, graph_csv, ideal_levels, partitions_of
+from oracles import bitmask_extension_count, brute_numberings, graph_csv, ideal_levels, partitions_of
 
 CORPUS = [
     build_young_poset([2, 1]),
@@ -229,6 +230,24 @@ def test_up_dimension_counts_paths_by_brute_force():
             )
             direct = up_dimension(g, u, v) * g.dims[2][u.index]
             assert crossing == direct, (u, v)
+
+
+def test_counts_up_counts_numberings_and_paths_to_each_vertex():
+    for w in CORPUS:
+        for length in range(1, w.poset.n + 1):
+            g = build_graph(w, length - 1)
+            top = length - 1
+            # all ones at the top: N at the root counts the numberings of this length
+            assert g.counts_up(top, [1] * len(g.levels[top]))[0] == [bitmask_extension_count(w.poset, length)]
+            for level in range(top + 1):
+                for index in range(len(g.levels[level])):
+                    # 1 at v alone: N(u) counts u -> v, and every level below v splits dim(v)
+                    counts = g.counts_up(level, [int(i == index) for i in range(len(g.levels[level]))])
+                    assert len(counts) == level + 1
+                    for k in range(level + 1):
+                        assert sum(d * c for d, c in zip(g.dims[k], counts[k])) == g.dims[level][index]
+                    table = up_dimension_table(g, g.vertex(level, index))
+                    assert table == {(level, index): 1, **{(k, u): c for k in range(level) for u, c in enumerate(counts[k])}}
 
 
 def test_path_numbering_round_trip():

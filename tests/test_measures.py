@@ -23,7 +23,6 @@ from posetpaths import (
     build_young_poset,
     compare_frequency_profiles,
     dimension,
-    endpoint_fibers,
     endpoint_measure,
     estimate_frequency,
     generate_group,
@@ -42,13 +41,14 @@ from posetpaths import (
     uniform_path_measure,
 )
 from posetpaths import measures
-from posetpaths.graded_graph import LevelVertex, up_dimension_table
+from posetpaths.graded_graph import LevelVertex
 from posetpaths.ideals import member_coords
 from posetpaths.measures import ExplicitMarkov, thoma_word
 from posetpaths.posets import PATH_CAP
 from posetpaths.young import GrowthPath, row_insert, tableau_count
 
 from oracles import (
+    brute_fibers,
     brute_numberings,
     central_witnesses,
     first_conflict,
@@ -294,7 +294,8 @@ def test_off_mass_route_matches_the_per_path_oracle():
             laws.append(_scaled_law(paths, [p[-1] + 1 for p in paths]))  # moved by the last generator alone
             if any(len(ids) >= 2 for ids in handle.fiber_ids):
                 perturbed = perturb_fiber(uniform, Fraction(1, 1000))
-                assert measures._perturb(uniform, paths, handle.fiber_ids, Fraction(1, 1000)) == perturbed
+                law, moved = measures._perturb(uniform, paths, handle.fiber_ids, Fraction(1, 1000))
+                assert law == perturbed and set(moved) == {p for p in paths if perturbed[p] != uniform[p]}
                 laws.append(perturbed)
             for law in laws:
                 expected = central_witnesses(w.poset, law, length)
@@ -331,7 +332,7 @@ def test_fiber_witness_ties_keep_path_order():
 
         expected = [
             (min(fiber, key=value), max(fiber, key=value))
-            for fiber in endpoint_fibers(handle.paths).values()
+            for fiber in brute_fibers(handle.paths)
             if len({value(q) for q in fiber}) > 1
         ]
         assert len(expected) >= 5
@@ -650,13 +651,13 @@ def test_kernel_centrality_builds_no_fraction_until_phi_is_read(monkeypatch):
 
 
 def test_endpoint_measure_checks_the_terms_it_builds(monkeypatch):
-    # a dimension table with one count off by one: the rows into that vertex no longer sum to 1
+    # a backward count with one entry off by one: the rows into that vertex no longer sum to 1
     g = build_graph(build_box_poset(3, (2, 2, 2)), 5)
-    table = up_dimension_table(g, g.vertex(5, 0))
+    counts = g.counts_up(5, [int(i == 0) for i in range(len(g.levels[5]))])
     parent = next(u for u, edges in enumerate(g.up_edges[1]) if any(j == 0 for _, j in edges))
-    table[2, 0] += 1
-    monkeypatch.setattr(measures, "up_dimension_table", lambda graph, v: dict(table))
-    total = Fraction(sum(table[2, j] for _, j in g.up_edges[1][parent]), table[1, parent])
+    counts[2][0] += 1
+    monkeypatch.setattr(g, "counts_up", lambda level, top: [list(row) for row in counts])
+    total = Fraction(sum(counts[2][j] for _, j in g.up_edges[1][parent]), counts[1][parent])
     with pytest.raises(ValueError, match=rf"^row \(1, {parent}\) sums to {total}, not 1$"):
         endpoint_measure(g, g.vertex(5, 0))
 

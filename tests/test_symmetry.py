@@ -16,12 +16,10 @@ from posetpaths import (
     build_chain_poset,
     build_young_poset,
     classify_local,
-    endpoint_fibers,
     enumerate_numberings,
     generate_group,
     group_order,
     local_indices,
-    orbit,
     parse_poset,
     verify_relations,
 )
@@ -31,9 +29,11 @@ from posetpaths.symmetry import ALLOWED_ORBIT_TAGS, GroupHandle, closure, compos
 
 from oracles import (
     broken_handle,
+    brute_fibers,
     brute_numberings,
     brute_orbit,
     brute_symmetry_group_order,
+    generator_orbit,
     left_closure,
     local_class,
     pair_masks,
@@ -537,38 +537,37 @@ def test_hook_diagram_orders_factorial_fixtures():
 
 
 def test_orbit_singleton_on_chain():
-    w = build_chain_poset(5)
-    phi = enumerate_numberings(w, 5)[0]
-    assert orbit(phi, w) == [phi]
+    handle = generate_group(build_chain_poset(5), 5)
+    phi = handle.paths[0]
+    assert generator_orbit(handle, phi) == {phi}
 
 
 def test_orbit_young_21_swap():
-    w = build_young_poset([2, 1])
-    paths = enumerate_numberings(w, 4)
+    handle = generate_group(build_young_poset([2, 1]), 4)
+    paths = handle.paths
     assert len(paths) == 2
     for phi in paths:
-        assert set(orbit(phi, w)) == set(paths)
+        assert generator_orbit(handle, phi) == set(paths)
 
 
 def test_orbit_young_32_reaches_all_five():
-    w = build_young_poset([3, 2])
-    paths = enumerate_numberings(w, 6)
+    handle = generate_group(build_young_poset([3, 2]), 6)
+    paths = handle.paths
     assert len(paths) == 5
-    got = orbit(paths[0], w)
-    assert set(got) == set(paths)
+    assert generator_orbit(handle, paths[0]) == set(paths)
 
 
 def test_orbits_equal_endpoint_fibers():
     for w in CORPUS:
         full = w.poset.n
         for length in range(2, full + 1):
-            paths = enumerate_numberings(w, length)
-            fibers = endpoint_fibers(paths)
-            for phi in paths:
-                got = set(orbit(phi, w))
-                fiber = set(fibers[frozenset(phi)])
-                assert got == fiber, (w.describe(), length, phi)
-                assert got == brute_orbit(w.poset, phi)
+            handle = generate_group(w, length)
+            for ids in handle.fiber_ids:
+                fiber = {handle.paths[k] for k in ids}
+                for phi in fiber:
+                    got = generator_orbit(handle, phi)
+                    assert got == fiber, (w.describe(), length, phi)
+                    assert got == brute_orbit(w.poset, phi)
 
 
 def test_sigma_preserves_endpoint():
@@ -1126,7 +1125,7 @@ def test_fiber_ids_follow_endpoint_fibers_once_per_handle():
         for length in range(1, w.poset.n + 1):
             handle = generate_group(w, length)
             ids = handle.fiber_ids
-            assert [[handle.paths[k] for k in f] for f in ids] == list(endpoint_fibers(handle.paths).values())
+            assert [[handle.paths[k] for k in f] for f in ids] == brute_fibers(handle.paths)
             assert handle.fiber_ids is ids
     shorter = dataclasses.replace(handle, paths=handle.paths[:-1])
     assert shorter.fiber_ids == list(symmetry._endpoint_fiber_ids(shorter.paths).values())
@@ -1136,13 +1135,14 @@ def test_endpoint_fibers_in_lexicographic_order_of_sorted_endpoints():
     # two chains 0 < 3 < 2 and 0 < 4 < 1: the lexicographically first
     # numbering, (0, 3, 2, 4), ends in {0, 2, 3, 4}, which sorts after {0, 1, 3, 4}
     w = parse_poset("el 0\nel 1\nel 2\nel 3\nel 4\ncov 0 3\ncov 0 4\ncov 3 2\ncov 4 1")
-    paths = enumerate_numberings(w, 4)
-    assert paths[0] == (0, 3, 2, 4)
-    fibers = endpoint_fibers(paths)
-    assert list(fibers) == [frozenset({0, 1, 3, 4}), frozenset({0, 2, 3, 4})]
-    assert fibers[frozenset({0, 1, 3, 4})] == [(0, 3, 4, 1), (0, 4, 1, 3), (0, 4, 3, 1)]
+    handle = generate_group(w, 4)
+    assert handle.paths[0] == (0, 3, 2, 4)
+    fibers = [[handle.paths[k] for k in ids] for ids in handle.fiber_ids]
+    assert [set(map(frozenset, f)) for f in fibers] == [{frozenset({0, 1, 3, 4})}, {frozenset({0, 2, 3, 4})}]
+    assert fibers[0] == [(0, 3, 4, 1), (0, 4, 1, 3), (0, 4, 3, 1)]
     for length in range(1, w.poset.n + 1):
-        keys = [sorted(f) for f in endpoint_fibers(enumerate_numberings(w, length))]
+        handle = generate_group(w, length)
+        keys = [sorted(handle.paths[ids[0]]) for ids in handle.fiber_ids]
         assert keys == sorted(keys)
 
 
