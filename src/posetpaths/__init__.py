@@ -3,9 +3,9 @@
 The library materializes four layers:
 
 * finite posets and windows of the canonical infinite families, with
-  ideal operations and numbering enumeration (`posets`, `ideals`);
-* the graded graph of finite ideals with exact path counts
-  (`graded_graph`);
+  ideal operations and numbering validation (`posets`, `ideals`);
+* the graded graph of finite ideals with exact path counts, whose root
+  paths are the numberings it enumerates (`graded_graph`);
 * the adjacent-swap involutions on numberings and the permutation group
   they generate, with relation verification (`symmetry`);
 * central measures: exact endpoint-conditioned kernels, centrality
@@ -18,6 +18,7 @@ from .graded_graph import (
     LevelVertex,
     build_graph,
     dimension,
+    enumerate_numberings,
     numbering_of,
     path_of,
     up_dimension,
@@ -60,13 +61,11 @@ from .posets import (
     PosetFormatError,
     PosetWindow,
     ROOT,
-    add_element,
     addable_elements,
     build_antichain_poset,
     build_box_poset,
     build_chain_poset,
     build_young_poset,
-    enumerate_numberings,
     parse_poset,
     serialize_poset,
     validate_numbering,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
 
-from .graded_graph import DEFAULT_VERTEX_CAP, build_graph
+from .graded_graph import DEFAULT_VERTEX_CAP, build_graph, enumerate_numberings
 from .ideals import FiniteSetIdeal, ideal_mask, member_coords, parse_ideal
 from .measures import (
     FREQUENCY_CSV_HEADER,
@@ -52,7 +52,6 @@ from .posets import (
     build_box_poset,
     build_chain_poset,
     build_young_poset,
-    enumerate_numberings,
     parse_poset,
     serialize_poset,
 )

@@ -42,10 +42,9 @@ from fractions import Fraction
 from numbers import Rational
 
 from .graded_graph import GradedGraph, LevelVertex
-from .graded_graph import up_dimension_table  # noqa: F401  (bench/spans.py traces the name here)
+from .graded_graph import enumerate_numberings, up_dimension_table  # noqa: F401  (bench/spans.py traces the names here)
 from .ideals import AxisRaysIdeal, FullIdeal, HookIdeal, IdealSpec, ideal_mask, member_coords
 from .posets import PATH_CAP, ROOT, CapExceeded, PosetWindow, build_young_poset, validate_numbering
-from .posets import enumerate_numberings  # noqa: F401  (bench/spans.py traces the name here)
 from .symmetry import apply_sigma  # noqa: F401  (bench/spans.py traces the name here)
 from .symmetry import GroupHandle, _endpoint_fiber_ids
 from .young import GrowthPath, additions, check_partition, tableau_count

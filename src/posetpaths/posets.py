@@ -9,7 +9,9 @@ evaluated on elements directly.
 A monotone numbering of length N is an injective sequence
 phi(0), ..., phi(N-1) of element ids with phi(0) = root and every prefix
 image downward closed; equivalently a path from the root in the lattice
-of finite ideals. It is held as a plain tuple of ids, root at position 0.
+of finite ideals. It is held as a plain tuple of ids, root at position 0,
+and checked here (`validate_numbering`); `graded_graph` lists them as the
+paths of that lattice.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .young import check_partition
 
 ROOT = 0
 PATH_CAP = 100_000  # default cap on the numberings, or kernel paths, one enumeration or exact law lists
-KEPT_TAIL = 4  # positions (at least 2) past the depth where `enumerate_numberings` glues kept completions
 
 
 class PosetFormatError(ValueError):
@@ -307,22 +308,6 @@ def serialize_poset(window: PosetWindow) -> str:
     return "\n".join(lines) + "\n"
 
 
-def add_element(poset: Poset, ideal: int, addable: int, x: int) -> tuple[int, int]:
-    """Add the addable id x to a bitmask ideal; returns (ideal, addable) after.
-
-    `addable` is the mask of ids outside `ideal` whose lower covers all
-    lie inside it. Adding x can only make x's upper covers addable, so
-    only those are examined. The empty set, with the root as its one
-    addable element, is (0, poset.bit(ROOT)).
-    """
-    ideal |= poset._bit[x]
-    addable &= ~poset._bit[x]
-    for bit, needs in poset._grow[x]:
-        if needs & ideal == needs:
-            addable |= bit
-    return ideal, addable
-
-
 def addable_elements(poset: Poset, ideal) -> list[int]:
     """Ids outside the ideal whose lower covers all lie inside it, ascending.
 
@@ -366,108 +351,3 @@ def validate_numbering(poset: Poset, seq) -> tuple[int, ...]:
                 f"{x} needs {missing} first"
             )
     return elems
-
-
-def enumerate_numberings(
-    window: PosetWindow, length: int, limit: int | None = None
-) -> list[tuple[int, ...]]:
-    """All monotone numberings of the given length, in lexicographic id order.
-
-    `limit` caps the number of numberings produced; exceeding it raises
-    CapExceeded.
-
-    A depth-first search over prefixes on an explicit stack, so the length
-    is not bounded by the recursion limit. Many prefixes reach the same
-    ideal, so each ideal's child row, (x, ideal + x, addable after) for
-    each addable x in ascending order, is kept by ideal mask and built as
-    the walk reads it: a capped walk builds no row it never reached. The
-    walk holds one ideal per depth and never re-enters a row it is still
-    reading, so a row read again is complete (and nonempty short of the
-    whole poset).
-
-    Every prefix that reaches an ideal continues with the same completions,
-    so at the glue depth `stop = length - 1 - KEPT_TAIL` only the first
-    prefix to reach an ideal walks them; the walk keeps the slice of `out`
-    they fill. A later prefix cuts that slice into suffixes past `stop` (on
-    the first reuse, so an ideal never reached again costs no copy) and
-    appends `head + suffix` for each, in order: at most one suffix is kept
-    per listed numbering. A glued numbering costs one tuple, as a walked one
-    does, so gluing saves the rows below `stop`. KEPT_TAIL is 4: at 2 a
-    narrow window's blocks hold one or two completions and their
-    bookkeeping outweighs the rows skipped (box 2,2,3 at full length took
-    1.3 times the unglued time); at 5 no window shorter than 8 glues, since
-    two prefixes share an ideal only from depth 2 on.
-
-    The cap is checked after each row of last positions is filled and
-    before each glued block, so `out` holds at most `limit` plus one row and
-    a glued block never passes the limit.
-    """
-    poset = window.poset
-    if not (1 <= length <= poset.n):
-        raise ValueError(f"length must be in 1..{poset.n}, got {length}")
-    if length == 1:  # the empty set's one child, the root, alone
-        if limit is not None and limit < 1:
-            raise CapExceeded(f"more than {limit} numberings")
-        return [(ROOT,)]
-    n = poset.n
-    rows: dict[int, list[tuple[int, int, int]]] = {}
-
-    # taking addable bits from the highest down adds ids in increasing
-    # order, which makes the output lexicographic
-    def build(ideal, addable):
-        row = rows[ideal] = []
-        rest = addable
-        while rest:
-            top = rest.bit_length()
-            rest ^= 1 << (top - 1)
-            row.append((n - top, *add_element(poset, ideal, addable, n - top)))
-            yield row[-1]
-
-    out: list[tuple[int, ...]] = []
-    prefix = [ROOT] * length  # positions up to the current depth hold the numbering so far
-    last = length - 1
-    stop = last - KEPT_TAIL
-    opened = None  # (ideal, start in `out`) of the completions being walked at `stop`
-    # per ideal at `stop`: the slice of `out` it filled, then its suffixes
-    kept: dict[int, slice | list[tuple[int, ...]]] = {}
-    # the unread rest of the child row at each depth of the current branch,
-    # from the empty set's row (the root) down to depth last - 1
-    stack = [build(0, poset.bit(ROOT))]
-    while stack:
-        depth = len(stack) - 1
-        if depth == stop:
-            if opened is not None:  # back from walking them: all are listed
-                kept[opened[0]] = slice(opened[1], len(out))
-                opened = None
-            for x, child, grown in stack[-1]:
-                prefix[depth] = x
-                block = kept.get(child)
-                if block is None:
-                    opened = child, len(out)
-                    stack.append(iter(rows.get(child) or build(child, grown)))
-                    break
-                if type(block) is slice:  # the first reuse
-                    block = kept[child] = [path[stop + 1 :] for path in out[block]]
-                if limit is not None and len(out) + len(block) > limit:
-                    raise CapExceeded(f"more than {limit} numberings")
-                head = tuple(prefix[: stop + 1])
-                out += [head + tail for tail in block]
-            else:
-                stack.pop()
-            continue
-        if depth < last - 1:
-            for x, child, grown in stack[-1]:
-                prefix[depth] = x
-                stack.append(iter(rows.get(child) or build(child, grown)))
-                break
-            else:
-                stack.pop()
-            continue
-        for x, child, grown in stack.pop():
-            prefix[depth] = x
-            for z, _, _ in rows.get(child) or build(child, grown):
-                prefix[last] = z
-                out.append(tuple(prefix))
-            if limit is not None and len(out) > limit:
-                raise CapExceeded(f"more than {limit} numberings")
-    return out

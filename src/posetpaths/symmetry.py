@@ -37,14 +37,8 @@ from math import lcm
 from itertools import chain, compress, count
 from operator import and_, itemgetter, ne
 
-from .graded_graph import build_graph
-from .posets import (
-    PATH_CAP,
-    CapExceeded,
-    Poset,
-    PosetWindow,
-    enumerate_numberings,
-)
+from .graded_graph import build_graph, enumerate_numberings
+from .posets import PATH_CAP, CapExceeded, Poset, PosetWindow
 
 GROUP_CAP = 1_000_000  # default for the most group elements a closure lists
 

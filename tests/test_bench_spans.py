@@ -100,7 +100,9 @@ def test_sampler_spans_fire_and_trajectories_are_reused(capsys):
 
 
 def test_uniform_check_enumerates_once_and_builds_no_graph(capsys):
-    # young 4,3,2,1 has 768 full numberings: enumerated once, with no ideal graph built
+    # young 4,3,2,1 has 768 full numberings: enumerated once, and the CLI
+    # builds no graph of its own (the enumeration's lattice is booked under
+    # posets.enumerate, since the tracer wraps only cli.build_graph)
     tracer = _traced(capsys, ["measure", "check", "--young", "4,3,2,1", "--perturb", "1/1000"], code=1)
     assert tracer.counts["posets.numberings"] == 768
     assert tracer.counts.get("graded_graph.vertices", 0) == 0

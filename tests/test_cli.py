@@ -1188,6 +1188,22 @@ def test_capped_antichain_walk_stays_small(capsys):
     assert peak < 30 * 2**20, peak
 
 
+@pytest.mark.parametrize("argv,limit_mb", [(("--antichain", "400"), 50), (("--box", "2,2,2,2"), 1)])
+def test_a_wide_window_exits_on_the_path_cap_before_listing(capsys, argv, limit_mb):
+    # the default cap fires before the first level whose dims pass it is
+    # built: level 2 for antichain 400 (159,600 numberings of length 3),
+    # level 10 for box 2,2,2,2 (140,928); listing numberings until the cap
+    # fired took about 310 and 17 MB
+    tracemalloc.start()
+    try:
+        result = run(capsys, "paths", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (3, "", "error: more than 100000 numberings\n")
+    assert peak < limit_mb * 2**20, peak
+
+
 def test_plancherel_frequency_of_one_replica_has_zero_stderr(capsys):
     argv = ("measure", "freq", "--plancherel", "--ideal", "hook:1,0", "--n", "10", "--replicas", "1")
     code, out, _ = run(capsys, *argv)

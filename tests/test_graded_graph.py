@@ -170,7 +170,7 @@ def test_root_dimension_is_one():
     "window", [*CORPUS, FILE_WINDOW, build_chain_poset(1)], ids=lambda w: w.describe()
 )
 def test_inline_child_step_matches_addable_elements(window):
-    # the build grows each child's addable mask as add_element does, inline
+    # the build grows each child's addable mask from its parent's, inline
     poset = window.poset
     full = poset.n - 1
     for depth in sorted({full // 2, full}):

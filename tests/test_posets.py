@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,7 @@ from posetpaths import (
     serialize_poset,
     validate_numbering,
 )
-from posetpaths import posets
+from posetpaths import graded_graph, posets
 
 from oracles import bitmask_extension_count, brute_numberings, ideal_levels, is_ideal, order_pairs
 
@@ -147,15 +148,15 @@ def test_enumerations_match_oracles_everywhere():
 def test_a_glued_block_is_checked_against_the_cap_before_it_is_appended():
     # in each window the last numbering's ideal at the glue depth was first
     # reached by an earlier prefix, so the last block is glued and no walked
-    # row follows it: only the check before the block can see the cap of
-    # N - 1 pass
+    # row follows it: the cap of N - 1 must fire off the last level's dims,
+    # before the walk lists that block
     for w, length in [
         (build_young_poset([4, 3, 2, 1]), 11),
         (build_box_poset(3, (2, 2, 3)), 12),
         (build_antichain_poset(7), 8),
     ]:
         paths = enumerate_numberings(w, length)
-        stop = length - 1 - posets.KEPT_TAIL
+        stop = length - 1 - graded_graph.KEPT_TAIL
         *rest, final = paths
         head = final[: stop + 1]
         assert any(set(p[: stop + 1]) == set(head) and p[: stop + 1] != head for p in rest)
@@ -283,21 +284,23 @@ def test_enumeration_is_not_bounded_by_the_recursion_limit():
         enumerate_numberings(build_antichain_poset(1100), 1101, limit=3)
 
 
-def test_enumeration_cap_fires_after_one_last_position_row(monkeypatch):
-    # antichain 2000 at length 3: the root's row (2,000 entries) and the
-    # first last-position row (1,999) are built, then the cap fires; nothing
-    # may build the other 1,999 rows of the last two levels first
-    calls = [0]
-    add_element = posets.add_element
+def _capped_peak(window, length, limit):
+    """tracemalloc's peak, in bytes, over an enumeration that must raise
+    the cap of `limit` numberings."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=f"more than {limit} numberings"):
+            enumerate_numberings(window, length, limit=limit)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    def counted(*args):
-        calls[0] += 1
-        return add_element(*args)
 
-    monkeypatch.setattr(posets, "add_element", counted)
-    with pytest.raises(CapExceeded, match="more than 10 numberings"):
-        enumerate_numberings(build_antichain_poset(2000), 3, limit=10)
-    assert calls[0] <= 1 + 2000 + 1999
+def test_enumeration_cap_fires_after_one_last_position_row():
+    # antichain 2000 at length 3: the root's 2,000 up-edges already count
+    # 2,000 numberings of length 2, so the cap fires before level 1 is built;
+    # building level 2 first (1,999,000 ideals) would take hundreds of MB
+    assert _capped_peak(build_antichain_poset(2000), 3, 10) < 10 * 2**20
 
 
 def test_leq_on_file_poset_with_unordered_ids():
@@ -440,21 +443,11 @@ def test_parse_comments_and_blanks():
     assert w.poset.n == 2
 
 
-def test_capped_walk_builds_only_the_rows_it_reads(monkeypatch):
-    # antichain 600 at full length: the first descent reads one entry of
-    # each row on its way down, so the cap fires after a few hundred added
-    # elements; building every entered row in full took about 180,000
-    calls = [0]
-    add_element = posets.add_element
-
-    def counted(*args):
-        calls[0] += 1
-        return add_element(*args)
-
-    monkeypatch.setattr(posets, "add_element", counted)
-    with pytest.raises(CapExceeded, match="more than 10 numberings"):
-        enumerate_numberings(build_antichain_poset(600), 601, limit=10)
-    assert calls[0] <= 1200, calls[0]
+def test_capped_walk_builds_only_the_rows_it_reads():
+    # antichain 600 at full length: the root's 600 up-edges count 600
+    # numberings of length 2, so the cap fires before level 1 is built and
+    # any numbering listed; level 2 alone holds 179,700 ideals, tens of MB
+    assert _capped_peak(build_antichain_poset(600), 601, 10) < 10 * 2**20
 
 
 def test_poset_rejects_a_cover_with_a_dangling_id():
