@@ -6,8 +6,9 @@ element. Path counts are exact big integers, never floats: the counts
 from the root ("dimensions", `dims`) are summed as the graph is built,
 and `counts_up` is the one backward pass, from weights at a level down.
 A monotone numbering of length k+1 is a path from the root to level k,
-so `enumerate_numberings` lists them by walking `up_edges`, and a level's
-dims sum to their number before any is listed.
+so `enumerate_numberings` lists them level by level from `up_edges`,
+gluing each ideal's completions, built once, to the prefixes that reach
+it; a level's dims sum to their number before any is listed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .posets import (
 )
 
 DEFAULT_VERTEX_CAP = 1_000_000
-KEPT_TAIL = 4  # positions (at least 2) past the depth where `enumerate_numberings` glues kept completions
+KEPT_TAIL = 4  # positions past the depth where `enumerate_numberings` glues prefixes to completions
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # "0"/"1" digits -> falsy/truthy bytes
 
@@ -130,12 +131,12 @@ class GradedGraph:
         out.append([[] for _ in self.levels[self.depth]])
         return out
 
-    def counts_up(self, level: int, top) -> list[list[int]]:
-        """Per level 0..`level`, N(u) = the sum of N(w) over u's up-edges,
+    def counts_up(self, level: int, top, low: int = 0) -> list[list[int]]:
+        """Per level `low`..`level`, N(u) = the sum of N(w) over u's up-edges,
         with N at `level` the weights `top`: 1 at v alone counts the paths
         u -> v, 1 everywhere the paths from u up to `level`."""
         counts = [list(top)]
-        for rows in reversed(self.up_edges[:level]):
+        for rows in reversed(self.up_edges[low:level]):
             above = counts[-1]
             counts.append([sum(above[j] for _, j in row) for row in rows])
         counts.reverse()
@@ -202,73 +203,39 @@ def enumerate_numberings(
     `limit` caps the number of numberings produced; exceeding it raises
     CapExceeded from the graph build (`limit` is its path cap, and it has
     no vertex cap), off a level's dims, before any numbering is listed.
-    The walk follows `up_edges` from the root depth first, on an explicit
-    stack, so the length is not bounded by the recursion limit; each row
-    lists its added ids in ascending order, so the output is lexicographic.
 
     Every prefix that reaches an ideal continues with the same completions,
-    so at the glue depth `stop = length - 1 - KEPT_TAIL` only the first
-    prefix to reach an ideal walks them; the walk keeps, by the ideal's
-    index at that level, the slice of `out` they fill. A later prefix cuts
-    that slice into suffixes past `stop` (on the first reuse, so an ideal
-    never reached again costs no copy) and appends `head + suffix` for
-    each, in order: at most one suffix is kept per listed numbering. A
-    glued numbering costs one tuple, as a walked one does, so gluing saves
-    the rows below `stop`. KEPT_TAIL is 4: at 2 a narrow window's blocks
-    hold one or two completions and their bookkeeping outweighs the rows
-    skipped (box 2,2,3 at full length took 1.3 times the unglued time); at
-    5 no window shorter than 8 glues, since two prefixes share an ideal
-    only from depth 2 on.
+    so the list is built level by level from `up_edges`, meeting at the glue
+    depth `stop = length - 1 - KEPT_TAIL`. From the top level down to
+    `stop`, each ideal's completions are built once, from its children's;
+    from the root up to `stop`, the prefixes are built with the index of the
+    ideal each reaches; then every prefix is glued to each completion of its
+    ideal. Each row lists its added ids in ascending order, so both lists,
+    and the output, are lexicographic. No ideal at level 0 or 1 is reached
+    by two prefixes, so when `stop` falls below 2 nothing is glued: the
+    prefixes run to the level below the top, and the completions are
+    1-tuples, one per up-edge into the top level. KEPT_TAIL is 4: at 3 the long narrow windows (box
+    2,2,3, young 5,3,2,1 and antichain 8 at full length) took 1.2 to 1.5
+    times as long, as more levels of prefixes are built; at 5 antichain 6
+    at full length no longer glues and took 1.7 times as long.
     """
     if not (1 <= length <= window.poset.n):
         raise ValueError(f"length must be in 1..{window.poset.n}, got {length}")
     rows = GradedGraph(window, length - 1, vertex_cap=None, path_cap=limit).up_edges
     if length == 1:
         return [(ROOT,)]
-    out: list[tuple[int, ...]] = []
-    prefix = [ROOT] * length  # positions up to the current depth hold the numbering so far
     last = length - 1
     stop = last - KEPT_TAIL
-    opened = None  # (index, start in `out`) of the completions being walked at `stop`
-    # per ideal index at `stop`: the slice of `out` it filled, then its suffixes
-    kept: dict[int, slice | list[tuple[int, ...]]] = {}
-    # the unread rest of the row at each depth of the current branch, from the
-    # empty set's (the root) down to depth last - 1: (x, index at level d) at d
-    stack = [iter([(ROOT, 0)])]
-    while stack:
-        depth = len(stack) - 1
-        if depth == stop:
-            if opened is not None:  # back from walking them: all are listed
-                kept[opened[0]] = slice(opened[1], len(out))
-                opened = None
-            for x, child in stack[-1]:
-                prefix[depth] = x
-                block = kept.get(child)
-                if block is None:
-                    opened = child, len(out)
-                    stack.append(iter(rows[depth][child]))
-                    break
-                if type(block) is slice:  # the first reuse
-                    block = kept[child] = [path[stop + 1 :] for path in out[block]]
-                head = tuple(prefix[: stop + 1])
-                out += [head + tail for tail in block]
-            else:
-                stack.pop()
-            continue
-        if depth < last - 1:
-            for x, child in stack[-1]:
-                prefix[depth] = x
-                stack.append(iter(rows[depth][child]))
-                break
-            else:
-                stack.pop()
-            continue
-        for x, child in stack.pop():
-            prefix[depth] = x
-            for z, _ in rows[depth][child]:
-                prefix[last] = z
-                out.append(tuple(prefix))
-    return out
+    if stop < 2:
+        stop = last - 1
+    comps = [[(x,) for x, _ in row] for row in rows[last - 1]]  # per ideal at level k: its completions
+    for k in range(last - 2, stop - 1, -1):
+        comps = [[(x,) + c for x, w in row for c in comps[w]] for row in rows[k]]
+    heads, ends = [(ROOT,)], [0]  # the prefixes to level k, and the index of each one's ideal there
+    for k in range(stop):
+        heads = [p + (x,) for p, v in zip(heads, ends) for x, _ in rows[k][v]]
+        ends = [w for v in ends for _, w in rows[k][v]]
+    return [p + c for p, v in zip(heads, ends) for c in comps[v]]
 
 
 def dimension(g: GradedGraph, v: LevelVertex) -> int:
@@ -287,7 +254,8 @@ def up_dimension(g: GradedGraph, u: LevelVertex, v: LevelVertex) -> int:
     """Number of monotone paths u -> v; 0 when u is not contained in v."""
     if u.level > v.level:
         return 0
-    return up_dimension_table(g, v).get((u.level, u.index), 0)
+    top = [int(i == v.index) for i in range(len(g.levels[v.level]))]
+    return g.counts_up(v.level, top, u.level)[0][u.index]
 
 
 def path_of(numbering: tuple[int, ...], g: GradedGraph) -> list[LevelVertex]:

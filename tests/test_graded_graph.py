@@ -242,12 +242,20 @@ def test_counts_up_counts_numberings_and_paths_to_each_vertex():
             for level in range(top + 1):
                 for index in range(len(g.levels[level])):
                     # 1 at v alone: N(u) counts u -> v, and every level below v splits dim(v)
-                    counts = g.counts_up(level, [int(i == index) for i in range(len(g.levels[level]))])
+                    top_row = [int(i == index) for i in range(len(g.levels[level]))]
+                    counts = g.counts_up(level, top_row)
                     assert len(counts) == level + 1
                     for k in range(level + 1):
                         assert sum(d * c for d, c in zip(g.dims[k], counts[k])) == g.dims[level][index]
-                    table = up_dimension_table(g, g.vertex(level, index))
+                    v = g.vertex(level, index)
+                    table = up_dimension_table(g, v)
                     assert table == {(level, index): 1, **{(k, u): c for k in range(level) for u, c in enumerate(counts[k])}}
+                    for low in range(level + 1):
+                        assert g.counts_up(level, top_row, low) == counts[low:]
+                    # up_dimension reads one count off a shortened pass: it agrees with the table everywhere
+                    for k in range(top + 1):
+                        for u in range(len(g.levels[k])):
+                            assert up_dimension(g, g.vertex(k, u), v) == table.get((k, u), 0)
 
 
 def test_path_numbering_round_trip():

@@ -119,8 +119,9 @@ def test_box_222_has_48_full_numberings():
 
 
 # long narrow windows, whose ideals at the glue depth are mostly reached by
-# more than one prefix, and a wide one from short lengths, where nothing is
-# glued, to its full length
+# more than one prefix, so one completion list serves several prefixes, and
+# a wide one from short lengths, where nothing is glued (the prefixes run to
+# the level below the top), to its full length
 GLUED = [
     (build_young_poset([4, 3, 2, 1]), range(1, 12)),
     (build_young_poset([5, 3, 2, 1]), range(1, 13)),
@@ -130,9 +131,8 @@ GLUED = [
 
 
 def test_enumerations_match_oracles_everywhere():
-    # a cap of N passes with the full list, caps of N - 1 and 1 raise, however
-    # the last row of last positions or the last glued block crosses them (at
-    # length 1, the root alone, a cap of 0 raises)
+    # a cap of N passes with the full list, caps of N - 1 and 1 raise, glued
+    # or not (at length 1, the root alone, a cap of 0 raises)
     for w, lengths in [(w, range(1, w.poset.n + 1)) for w in CORPUS] + GLUED:
         for length in lengths:
             got = enumerate_numberings(w, length)
@@ -145,11 +145,34 @@ def test_enumerations_match_oracles_everywhere():
                 assert str(info.value) == f"more than {cap} numberings", (w.describe(), length, cap)
 
 
+def test_enumerations_of_random_graph_orders_are_every_numbering_once():
+    # random graph orders, no products of chains: each pair i < j of 1..8 is
+    # related with probability 0.3, and the root lies below all of them.
+    # Strictly increasing, all valid and as many as the oracle counts: every
+    # numbering of the length, each once, in order
+    for seed in range(20):
+        rng = random.Random(seed)
+        pairs = [(i, j) for i in range(1, 9) for j in range(i + 1, 9) if rng.random() < 0.3]
+        text = "".join(f"el {x}\n" for x in range(9)) + "".join(
+            f"cov {lo} {hi}\n" for lo, hi in [(0, x) for x in range(1, 9)] + pairs
+        )
+        w = parse_poset(text)
+        for length in range(1, 10):
+            got = enumerate_numberings(w, length)
+            assert all(a < b for a, b in zip(got, got[1:])), (seed, length)
+            assert all(validate_numbering(w.poset, p) == p for p in got), (seed, length)
+            count = bitmask_extension_count(w.poset, length)
+            assert len(got) == count, (seed, length)
+            with pytest.raises(CapExceeded) as info:
+                enumerate_numberings(w, length, limit=count - 1)
+            assert str(info.value) == f"more than {count - 1} numberings", (seed, length)
+
+
 def test_a_glued_block_is_checked_against_the_cap_before_it_is_appended():
     # in each window the last numbering's ideal at the glue depth was first
-    # reached by an earlier prefix, so the last block is glued and no walked
-    # row follows it: the cap of N - 1 must fire off the last level's dims,
-    # before the walk lists that block
+    # reached by an earlier prefix, so its completions are glued to more than
+    # one prefix: the cap of N - 1 must fire off the last level's dims, before
+    # any completion list is built or glued
     for w, length in [
         (build_young_poset([4, 3, 2, 1]), 11),
         (build_box_poset(3, (2, 2, 3)), 12),
